@@ -17,7 +17,6 @@ from .fourier import (
     rect_partial_sum,
 )
 from .means import (
-    MeanSpec,
     harmonic_number,
     l1_distance,
     marcinkiewicz_mean,

@@ -3,8 +3,7 @@ Command-line surface: every experiment as a subcommand emitting deterministic,
 plot-ready CSV (optionally mirrored as JSON).
 
 Exit codes: 0 all checks passed, 1 tolerance violation, 2 usage/config error,
-3 I/O error.  ``LOGMEANS_THREADS`` caps internal parallelism; results are
-byte-identical for any thread count (fixed chunking, ordered reduction).
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -23,7 +21,7 @@ from . import counterexamples as cx
 from . import kernels, orlicz
 from .fourier import GridOp, fourier_coeffs, evaluate_grid
 from .grid import GridFunction2D
-from .means import l1_distance
+from .means import harmonic_number, l1_distance
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -31,6 +29,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 KERNEL_VERIFY_N = (3, 4, 8, 16, 64, 256, 1024)
+#: Points per closed-form batch in kernel-verify; wider batches raise peak memory.
+KERNEL_VERIFY_BATCH = 16
 CONVERGE_DEFAULT_N = (4, 16, 64, 256)
 REGION_DEFAULT_N = (3, 4, 5)
 #: largest scale whose kernel order 2^{2n} stays desk-sized
@@ -49,20 +49,9 @@ class RunConfig:
     n_list: tuple[int, ...] | None = None
     samples_per_rect: int = 9
     tol_tail: float = 1e-9
-    tol_quadrature: float = 1e-6
     tol_bisection: float = 1e-9
     tol_kernel: float = 1e-8
     output_dir: str = "."
-    seed: int | None = None
-
-    @property
-    def tolerances(self) -> dict[str, float]:
-        return {
-            "tail": self.tol_tail,
-            "quadrature": self.tol_quadrature,
-            "bisection": self.tol_bisection,
-            "kernel": self.tol_kernel,
-        }
 
     def to_text(self) -> str:
         lines = []
@@ -70,8 +59,6 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.name == "n_list":
                 text = "" if value is None else ",".join(str(v) for v in value)
-            elif value is None:
-                text = ""
             else:
                 text = repr(value) if isinstance(value, float) else str(value)
             lines.append(f"{f.name}={text}")
@@ -108,13 +95,6 @@ def _parse_value(key: str, value: str):
             return int(value)
         except ValueError as exc:
             raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-    if key == "seed":
-        if value == "":
-            return None
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed {value!r}") from exc
     if key == "output_dir":
         return value
     try:
@@ -142,8 +122,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         overrides["samples_per_rect"] = args.samples
     if args.out is not None:
         overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -192,24 +170,6 @@ def _json_value(v):
     return str(v)
 
 
-def thread_count() -> int:
-    raw = os.environ.get("LOGMEANS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunked_map(func, items: list, chunk: int = 64) -> list:
-    """Apply func to fixed-size chunks; parallelism never changes chunking or order."""
-    chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    workers = thread_count()
-    if workers <= 1 or len(chunks) <= 1:
-        return [func(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, chunks))
-
-
 # ----------------------------------------------------------------------------
 # quasi-random points
 # ----------------------------------------------------------------------------
@@ -247,28 +207,24 @@ def quasi_random_points(count: int, keepout: float = 0.02) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
-    points_per_n = cfg.samples_per_rect ** 2
+    pts = quasi_random_points(cfg.samples_per_rect ** 2)
     rows = []
     all_ok = True
-    pts = quasi_random_points(points_per_n)
-
     for N in KERNEL_VERIFY_N:
-        def one_chunk(chunk, N=N):
-            res = []
-            for x, y in chunk:
-                ev = kernels.log_kernel_closed(N, x, y, tail_target=cfg.tol_tail)
-                direct = kernels.log_kernel_direct(N, x, y)
-                budget = ev.truncation_bound + cfg.tol_kernel * (1.0 + abs(direct))
-                res.append((abs(ev.value - direct), budget))
-            return res
-
-        results = [r for chunk in _chunked_map(one_chunk, [tuple(p) for p in pts]) for r in chunk]
-        errs = np.array([r[0] for r in results])
-        budgets = np.array([r[1] for r in results])
-        worst_margin = float(np.max(errs - budgets))
+        H = harmonic_number(N)
+        errs, margins = [], []
+        for start in range(0, len(pts), KERNEL_VERIFY_BATCH):
+            xs, ys = pts[start : start + KERNEL_VERIFY_BATCH].T
+            terms, bound = kernels.closed_form_terms(N, xs, ys, tail_target=cfg.tol_tail)
+            closed = np.sum(terms, axis=1) / H
+            direct = kernels.log_kernel_direct_many(N, xs, ys)
+            err = np.abs(closed - direct)
+            errs.append(err)
+            margins.append(err - (bound + cfg.tol_kernel * (1.0 + np.abs(direct))))
+        worst_margin = float(np.max(np.concatenate(margins)))
         ok = worst_margin <= 0.0
         all_ok &= ok
-        rows.append([N, len(results), float(np.max(errs)), worst_margin, ok])
+        rows.append([N, len(pts), float(np.max(np.concatenate(errs))), worst_margin, ok])
 
     write_report(
         cfg, "kernel_verify",
@@ -463,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--samples", type=int, help="stratified samples per rectangle axis")
     parser.add_argument("--out", help="output directory (must exist)")
     parser.add_argument("--json", action="store_true", help="mirror each CSV as JSON")
-    parser.add_argument("--seed", type=int, help="seed for randomized variants")
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,20 @@ class BandwidthError(ValueError):
     """Requested frequencies exceed the available bandwidth or the Nyquist limit."""
 
 
+def reduce_angle(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    Reduce ``t`` modulo 2*pi to [-pi, pi]: the exact remainder nearest zero,
+    as ``math.remainder(t, 2*pi)`` (a tie at +-pi may keep either sign), so
+    any |t| <= pi passes through bit-unchanged.  Returns ``(r, half_sin,
+    zero)`` with half_sin = sin(r/2) and ``zero`` marking the points where it
+    vanishes, i.e. t = 0 mod 2*pi, where the ratio kernels take their limits.
+    """
+    r = np.fmod(np.asarray(t, dtype=float), 2.0 * math.pi)  # exact
+    r = np.where(np.abs(r) > math.pi, r - np.copysign(2.0 * math.pi, r), r)  # exact (Sterbenz)
+    half_sin = np.sin(0.5 * r)
+    return r, half_sin, half_sin == 0.0
+
+
 def dirichlet_kernel(k: int, t):
     """
     Dirichlet kernel D_k(t) = sin((k + 1/2) t) / (2 sin(t/2)).
@@ -22,24 +37,17 @@ def dirichlet_kernel(k: int, t):
     """
     if k < 0:
         raise ValueError(f"kernel order must be >= 0, got {k}")
-    t_arr = np.asarray(t, dtype=float)
-    half_sin = np.sin(0.5 * t_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin((k + 0.5) * t_arr) / (2.0 * half_sin)
-    out = np.where(half_sin == 0.0, k + 0.5, ratio)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    out = dirichlet_matrix(np.array([k]), np.ravel(t))[0]
+    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
     """D_k(t) for every k in ``orders`` and every point in ``t``, shape (len(orders), len(t))."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    r, half_sin, zero = reduce_angle(np.atleast_1d(t))
     k_col = np.asarray(orders, dtype=float)[:, None]
-    half_sin = np.sin(0.5 * t_arr)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin((k_col + 0.5) * t_arr[None, :]) / (2.0 * half_sin)
-    return np.where(half_sin == 0.0, k_col + 0.5, ratio)
+        ratio = np.sin((k_col + 0.5) * r[None, :]) / (2.0 * half_sin[None, :])
+    return np.where(zero[None, :], k_col + 0.5, ratio)
 
 
 @dataclass(frozen=True, eq=False)

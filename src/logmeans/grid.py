@@ -95,25 +95,3 @@ class GridFunction2D:
     def integral(self) -> complex:
         """Rectangle-rule value of the double integral over [-pi, pi)^2."""
         return complex(np.sum(self.values)) * self.cell_area
-
-    def to_csv(self, path) -> None:
-        """Write ``grid_size,is_real`` header then one ``i,j,re,im`` row per sample."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{self.grid_size},{int(self.is_real)}\n")
-            for i in range(self.grid_size):
-                row = self.values[i]
-                for j in range(self.grid_size):
-                    fh.write(f"{i},{j},{float(row[j].real)!r},{float(row[j].imag)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction2D":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            grid_size, is_real = int(header[0]), bool(int(header[1]))
-            values = np.zeros((grid_size, grid_size), dtype=complex)
-            for line in fh:
-                if not line.strip():
-                    continue
-                i_s, j_s, re_s, im_s = line.split(",")
-                values[int(i_s), int(j_s)] = float(re_s) + 1j * float(im_s)
-        return cls(values=values, is_real=is_real)

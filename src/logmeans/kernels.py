@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dirichlet_kernel, dirichlet_matrix
+from .fourier import dirichlet_kernel, dirichlet_matrix, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -176,43 +176,59 @@ def sin_sum(N: int, u) -> float | np.ndarray:
 
 def fejer_ratio(m: int, u) -> float | np.ndarray:
     """Phi_m(u) = sin^2(m u / 2) / (2 sin^2(u / 2)); limit m^2 / 2 at u = 0 mod 2*pi."""
-    u_arr = np.asarray(u, dtype=float)
-    half_sin = np.sin(0.5 * u_arr)
+    r, half_sin, zero = reduce_angle(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(0.5 * m * u_arr) ** 2 / (2.0 * half_sin ** 2)
-    out = np.where(half_sin == 0.0, 0.5 * m * m, ratio)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(out)
-    return out
+        ratio = np.sin(0.5 * m * r) ** 2 / (2.0 * half_sin ** 2)
+    out = np.where(zero, 0.5 * m * m, ratio)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def _telescoped_weights(k: np.ndarray) -> np.ndarray:
     return 2.0 / (k * (k + 1.0) * (k + 2.0))
 
 
-def telescoped_tail_bound(K: int, N: int, u: float) -> float:
+def telescoped_tail_bound(K, N: int, u) -> float | np.ndarray:
     """
     Certified bound on the discarded telescoped tail when the cubic-weight sum
     stops at K < N - 2: every term is at most 2/(k(k+1)(k+2)) / (2 sin^2(u/2))
-    and the cubic tail sums below 1/K^2.  Returns 0 for the full sum.
+    and the cubic tail sums below 1/K^2.  Returns 0 for the full sum.  ``K``
+    and ``u`` may be per-point arrays.
     """
-    if K >= N - 2:
-        return 0.0
-    s = math.sin(0.5 * u)
-    if s == 0.0:
+    _, half_sin, zero = reduce_angle(u)
+    truncated = np.asarray(K) < N - 2
+    if np.any(truncated & zero):
         raise SingularArgumentError("tail bound undefined at u = 0 mod 2*pi")
-    return 1.0 / (2.0 * K * K * s * s)
+    with np.errstate(divide="ignore"):
+        bound = np.where(truncated, 1.0 / (2.0 * K * K * half_sin * half_sin), 0.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
-def _telescoped_main_sum(N: int, u: float, K: int) -> float:
-    """sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u), with the u = 0 limit."""
-    k = np.arange(1, K + 1, dtype=float)
-    w = _telescoped_weights(k)
-    s = math.sin(0.5 * u)
-    if s == 0.0:
-        return float(np.sum(w * 0.5 * (k + 1.0) ** 2))
-    num = np.sin(0.5 * (k + 1.0) * u) ** 2
-    return float(np.sum(w * num) / (2.0 * s * s))
+def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """
+    The parts (T, V, W, tail) of the telescoped cosine-sum form at every
+    point of ``u``:
+
+        T = sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u),
+        V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
+
+    so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 up to ``tail``, the
+    certified bound on the terms past K.  ``K`` caps the sum per point
+    (1 <= K <= N - 2, scalar or array).  At u = 0 mod 2*pi the removable
+    limits of the full sums are used and the tail is 0.
+    """
+    r, half_sin, zero = reduce_angle(np.atleast_1d(u))
+    K = np.where(zero, N - 2, K)
+    k = np.arange(1.0, K.max() + 1.0)
+    num = np.sin(0.5 * np.outer(r, k + 1.0)) ** 2
+    if K.min() < len(k):
+        num *= k <= K[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = (num @ _telescoped_weights(k)) / (2.0 * half_sin ** 2)
+    full = np.arange(1.0, N - 1.0)
+    T = np.where(zero, np.sum(_telescoped_weights(full) * 0.5 * (full + 1.0) ** 2), T)
+    V = fejer_ratio(N, r) / (N * (N - 1.0))
+    W = dirichlet_kernel(N, r) / N
+    return T, V, W, telescoped_tail_bound(K, N, r)
 
 
 def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
@@ -232,16 +248,10 @@ def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
         raise ValueError(f"telescoped form needs N >= 3, got {N}")
     if not 1 <= K <= N - 2:
         raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
-    if math.sin(0.5 * u) == 0.0:
+    if reduce_angle(u)[2]:
         raise SingularArgumentError("cosine sum closed form is singular at u = 0 mod 2*pi")
-    main = _telescoped_main_sum(N, u, K)
-    value = (
-        main
-        + fejer_ratio(N, u) / (N * (N - 1.0))
-        + dirichlet_kernel(N, u) / N
-        - 0.75
-    )
-    return value, telescoped_tail_bound(K, N, u)
+    T, V, W, tail = telescoped_sums(N, u, K)
+    return float(T[0] + V[0] + W[0] - 0.75), float(tail[0])
 
 
 # ----------------------------------------------------------------------------
@@ -251,18 +261,14 @@ def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
 def log_kernel_direct(N: int, t: float, s: float) -> float:
     """
     F_N(t, s) = (1/H_N) sum_{k=0}^{N-1} D_k(t) D_k(s) / (N - k), summed
-    directly in ascending k order.  Total (no singularities); cost O(N).
+    directly (log_kernel_direct_many at one point).  Total (no
+    singularities); cost O(N).
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    k = np.arange(N)
-    dt = dirichlet_matrix(k, np.array([t]))[:, 0]
-    ds = dirichlet_matrix(k, np.array([s]))[:, 0]
-    return float(np.sum(dt * ds / (N - k)) / harmonic_number(N))
+    return float(log_kernel_direct_many(N, np.array([t]), np.array([s]))[0])
 
 
 def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vectorized log_kernel_direct over paired point arrays."""
+    """Direct-form F_N over paired point arrays."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     k = np.arange(N)
@@ -298,50 +304,28 @@ class KernelEvaluation:
         return float(np.sum(np.abs(self.terms[4:])))
 
 
-def _tube_distance(u: float) -> float:
-    """Distance from u to the nearest multiple of 2*pi."""
-    r = math.remainder(u, 2.0 * math.pi)
-    return abs(r)
+def _adaptive_caps(N: int, u: np.ndarray, tail_target: float) -> np.ndarray:
+    """Smallest K per point with certified tail below tail_target (absolute), capped at N - 2."""
+    if tail_target <= 0.0:
+        return np.full(u.shape, N - 2)
+    half_sin = reduce_angle(u)[1]
+    with np.errstate(divide="ignore"):
+        needed = np.sqrt(1.0 / (2.0 * tail_target * half_sin ** 2))
+    return np.clip(np.ceil(needed), 1, N - 2).astype(int)
 
 
-def _sum_pair_values(N: int, u: float, K: int | None, tail_target: float):
-    """(T, V, W, S, tail_bound, K_used) for one combined argument u = x +/- y."""
-    if u == 0.0 or math.sin(0.5 * u) == 0.0:
-        # removable on the diagonal: full sums, exact limits
-        k = np.arange(1.0, N - 1.0)
-        T = float(np.sum(_telescoped_weights(k) * 0.5 * (k + 1.0) ** 2))
-        V = N / (2.0 * (N - 1.0))
-        W = (N + 0.5) / N
-        S = 0.0
-        return T, V, W, S, 0.0, N - 2
-    if K is None:
-        K = _adaptive_cap(N, u, tail_target)
-    T = _telescoped_main_sum(N, u, K)
-    V = fejer_ratio(N, u) / (N * (N - 1.0))
-    W = dirichlet_kernel(N, u) / N
-    S = sin_sum(N, u)
-    return T, V, W, S, telescoped_tail_bound(K, N, u), K
-
-
-def _adaptive_cap(N: int, u: float, tail_target: float) -> int:
-    """Smallest K with certified tail below tail_target (absolute), capped at N - 2."""
-    s2 = math.sin(0.5 * u) ** 2
-    if tail_target <= 0.0 or s2 == 0.0:
-        return N - 2
-    needed = math.sqrt(1.0 / (2.0 * tail_target * s2))
-    return max(1, min(N - 2, int(math.ceil(needed))))
-
-
-def log_kernel_closed(
+def closed_form_terms(
     N: int,
-    x: float,
-    y: float,
-    K: int | None = None,
-    eps_sing: float = EPS_SING,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    K=None,
     tail_target: float = 1e-9,
-) -> KernelEvaluation:
+    eps_sing: float = EPS_SING,
+) -> tuple[np.ndarray, np.ndarray]:
     """
-    Closed-form F_N(x, y) with the 15-term breakdown.
+    The 15-term breakdown R_1..R_15 of H_N * F_N at the points (xs, ys),
+    shape (P, 15) in display order, and the certified truncation error of
+    each row's value on the F_N scale, shape (P,).
 
     Refuses points within ``eps_sing`` of the singular tubes x = 0, y = 0,
     x + y = 0, x - y = 0 (mod 2*pi); callers should fall back to
@@ -349,35 +333,45 @@ def log_kernel_closed(
     allowed: the terms have removable limits on the diagonals and the full
     (untruncated) sums are used.
 
-    ``K`` caps both telescoped sums; ``K=None`` picks per-argument caps with
-    certified tail below ``tail_target``.  The certified truncation error of
-    ``value`` (on the F_N scale) is returned as ``truncation_bound``.
+    ``K`` caps both telescoped sums (scalar or per point); ``K=None`` picks
+    per-argument caps with certified tail below ``tail_target``.
     """
     if N < 3:
         raise ValueError(f"closed form needs N >= 3, got {N}")
-    if K is not None and not 1 <= K <= N - 2:
+    if K is not None and not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
         raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
-    for name, v in (("x", x), ("y", y)):
-        if _tube_distance(v) < eps_sing:
-            raise SingularTubeError(f"{name} = {v!r} within {eps_sing} of a singular tube")
-    for name, v in (("x+y", x + y), ("x-y", x - y)):
-        # only exact zero takes the removable-limit branch; anything else
-        # near a tube (including exact nonzero multiples of 2*pi) is refused
-        if v != 0.0 and _tube_distance(v) < eps_sing:
-            raise SingularTubeError(f"{name} = {v!r} within {eps_sing} of a singular tube")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("closed form needs finite points")
+    up, um = xs + ys, xs - ys
+    args = np.stack([xs, ys, up, um])
+    near = np.abs(reduce_angle(args)[0]) < eps_sing
+    # only exact zero takes the removable-limit branch on the diagonals;
+    # anything else near a tube (including exact nonzero multiples of 2*pi)
+    # is refused
+    near[2:] &= args[2:] != 0.0
+    if np.any(near):
+        i, j = np.argwhere(near)[0]
+        name = ("x", "y", "x+y", "x-y")[i]
+        raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {eps_sing} of a singular tube")
 
     rate = N + 0.5
-    sx, cx = math.sin(rate * x), math.cos(rate * x)
-    sy, cy = math.sin(rate * y), math.cos(rate * y)
-    dx, dy = 2.0 * math.sin(0.5 * x), 2.0 * math.sin(0.5 * y)
-    denom = dx * dy
+    sx, cx = np.sin(rate * xs), np.cos(rate * xs)
+    sy, cy = np.sin(rate * ys), np.cos(rate * ys)
+    denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
     SS, CC = sx * sy / denom, cx * cy / denom
     SC, CS = sx * cy / denom, cx * sy / denom
 
-    Tp, Vp, Wp, Sp, tb_p, _ = _sum_pair_values(N, x + y, K, tail_target)
-    Tm, Vm, Wm, Sm, tb_m, _ = _sum_pair_values(N, x - y, K, tail_target)
+    if K is None:
+        K_p, K_m = _adaptive_caps(N, np.stack([up, um]), tail_target)
+    else:
+        K_p = K_m = K
+    Tp, Vp, Wp, tb_p = telescoped_sums(N, up, K_p)
+    Tm, Vm, Wm, tb_m = telescoped_sums(N, um, K_m)
+    Sp, Sm = sin_sum(N, up), sin_sum(N, um)
 
-    terms = np.array(
+    terms = np.column_stack(
         [
             0.5 * SS * Tp,            # R1
             0.5 * SS * Tm,            # R2
@@ -396,64 +390,27 @@ def log_kernel_closed(
             -0.5 * CS * (Sp + Sm),    # R15
         ]
     )
-    H = harmonic_number(N)
-    bound = 0.5 * (abs(SS) + abs(CC)) * (tb_p + tb_m) / H
-    return KernelEvaluation(value=float(np.sum(terms)) / H, terms=terms, truncation_bound=bound)
+    bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic_number(N)
+    return terms, bound
 
 
-def _closed_terms_batch(N: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def log_kernel_closed(
+    N: int,
+    x: float,
+    y: float,
+    K: int | None = None,
+    eps_sing: float = EPS_SING,
+    tail_target: float = 1e-9,
+) -> KernelEvaluation:
     """
-    Exact (full-K) 15-term breakdown at many points, shape (P, 15), on the
-    H_N * F_N scale.  Points must avoid x = 0 and y = 0 mod 2*pi; the
-    diagonal combinations are handled by their removable limits.
+    Closed-form F_N(x, y) with the 15-term breakdown: closed_form_terms at
+    one point, with the same singular-tube refusal and truncation caps.  The
+    certified truncation error of ``value`` (on the F_N scale) is returned as
+    ``truncation_bound``.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    rate = N + 0.5
-    sx, cx = np.sin(rate * xs), np.cos(rate * xs)
-    sy, cy = np.sin(rate * ys), np.cos(rate * ys)
-    denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
-    SS, CC = sx * sy / denom, cx * cy / denom
-    SC, CS = sx * cy / denom, cx * sy / denom
-
-    k = np.arange(1.0, N - 1.0)
-    w = _telescoped_weights(k)
-    limit_T = float(np.sum(w * 0.5 * (k + 1.0) ** 2))
-
-    def sums(u: np.ndarray):
-        half = np.sin(0.5 * u)
-        zero = half == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = (np.sin(0.5 * np.outer(u, k + 1.0)) ** 2 @ w) / (2.0 * half ** 2)
-            V = np.sin(0.5 * N * u) ** 2 / (2.0 * half ** 2) / (N * (N - 1.0))
-            W = np.sin((N + 0.5) * u) / (2.0 * half) / N
-        T = np.where(zero, limit_T, T)
-        V = np.where(zero, N / (2.0 * (N - 1.0)), V)
-        W = np.where(zero, (N + 0.5) / N, W)
-        S = sin_sum(N, u)
-        return T, V, W, np.asarray(S)
-
-    Tp, Vp, Wp, Sp = sums(xs + ys)
-    Tm, Vm, Wm, Sm = sums(xs - ys)
-
-    cols = [
-        0.5 * SS * Tp,
-        0.5 * SS * Tm,
-        0.5 * CC * Tm,
-        -0.5 * CC * Tp,
-        0.5 * SS * Vp,
-        0.5 * SS * Wp,
-        -0.75 * SS,
-        0.5 * SS * Vm,
-        0.5 * SS * Wm,
-        0.5 * CC * Vm,
-        0.5 * CC * Wm,
-        -0.5 * CC * Vp,
-        -0.5 * CC * Wp,
-        -0.5 * SC * (Sp - Sm),
-        -0.5 * CS * (Sp + Sm),
-    ]
-    return np.column_stack(cols)
+    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K, tail_target, eps_sing)
+    value = float(np.sum(terms[0])) / harmonic_number(N)
+    return KernelEvaluation(value=value, terms=terms[0], truncation_bound=float(bound[0]))
 
 
 # ----------------------------------------------------------------------------
@@ -548,7 +505,7 @@ def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
     ratios = xs * ys * f_vals
     i_arg = int(np.argmin(ratios))
 
-    terms = _closed_terms_batch(N, xs, ys)
+    terms, _ = closed_form_terms(N, xs, ys, K=N - 2, eps_sing=0.0)
     main = np.sum(terms[:, :4], axis=1)
     remainder = np.sum(np.abs(terms[:, 4:]), axis=1)
     main_min_over_n = float(np.min(xs * ys * main / n))

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, quad_partial_sum
+from .fourier import BandwidthError, SpectralCoeffs, dirichlet_matrix, quad_partial_sum
 from .grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
-
-MEAN_KINDS = ("norlund-log", "marcinkiewicz", "riesz-log")
 
 
 def harmonic_number(n: int) -> float:
@@ -25,24 +22,6 @@ def harmonic_prefix(n: int) -> np.ndarray:
     out = np.zeros(n + 1)
     out[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
     return out
-
-
-@dataclass(frozen=True)
-class MeanSpec:
-    """A summability mean: kind in MEAN_KINDS and order n >= 1 (riesz-log: n >= 2)."""
-
-    kind: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in MEAN_KINDS:
-            raise ValueError(f"unknown mean kind {self.kind!r}")
-        low = 2 if self.kind == "riesz-log" else 1
-        if self.n < low:
-            raise ValueError(f"{self.kind} mean needs n >= {low}, got {self.n}")
-
-    def grid_op(self) -> GridOp:
-        return GridOp(self.kind, self.n)
 
 
 def norlund_log_mean(c: SpectralCoeffs, n: int, x: float, y: float) -> complex:

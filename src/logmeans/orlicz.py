@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -10,22 +10,17 @@ import numpy as np
 from .grid import GridFunction2D
 
 
-def young_log(u):
-    """Young function u log(1 + u); generates the space L log L."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise ValueError("Young functions are evaluated on u >= 0")
-    out = u_arr * np.log1p(u_arr)
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+def _young(formula: Callable) -> Callable:
+    """Evaluator of an array formula on u >= 0: rejects negative u, returns floats for scalars."""
 
+    def evaluator(u):
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr < 0.0):
+            raise ValueError("Young functions are evaluated on u >= 0")
+        out = formula(u_arr)
+        return float(out) if np.ndim(u) == 0 else out
 
-def young_log2(u):
-    """Young function u log^2(1 + u); generates the space L log^2 L."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0):
-        raise ValueError("Young functions are evaluated on u >= 0")
-    out = u_arr * np.log1p(u_arr) ** 2
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    return evaluator
 
 
 @dataclass(frozen=True)
@@ -62,23 +57,11 @@ class YoungFunction:
             raise ValueError(f"{self.name}: slope not increasing across the probe range")
 
 
-LOG = YoungFunction(name="u*log(1+u)", kind="log", evaluator=young_log)
-LOG2 = YoungFunction(name="u*log^2(1+u)", kind="log2", evaluator=young_log2)
-
-
 def young_power(p: float) -> YoungFunction:
     """Power Young function u^p, p > 1."""
     if p <= 1.0:
         raise ValueError(f"power Young function needs p > 1, got {p}")
-
-    def evaluator(u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0.0):
-            raise ValueError("Young functions are evaluated on u >= 0")
-        out = u_arr ** p
-        return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
-
-    return YoungFunction(name=f"u^{p}", kind=f"power({p})", evaluator=evaluator)
+    return YoungFunction(name=f"u^{p}", kind=f"power({p})", evaluator=_young(lambda u: u ** p))
 
 
 def young_custom(name: str, evaluator: Callable) -> YoungFunction:
@@ -90,15 +73,21 @@ def young_log_power(p: float) -> YoungFunction:
     if p <= 0.0:
         raise ValueError(f"log power must be positive, got {p}")
 
-    def evaluator(u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0.0):
-            raise ValueError("Young functions are evaluated on u >= 0")
-        out = u_arr * np.log1p(u_arr) ** p
-        return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    def formula(u):
+        out = np.log1p(u)  # in place from here: Q runs over whole grids
+        out **= p
+        out *= u
+        return out
 
-    return YoungFunction(name=f"u*log^{p}(1+u)", kind="custom", evaluator=evaluator)
+    return YoungFunction(name=f"u*log^{p}(1+u)", kind="custom", evaluator=_young(formula))
 
+
+#: u log(1 + u), which generates the space L log L.
+LOG = replace(young_log_power(1.0), name="u*log(1+u)", kind="log")
+#: u log^2(1 + u), which generates the space L log^2 L.
+LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)", kind="log2")
+young_log = LOG.evaluator
+young_log2 = LOG2.evaluator
 
 LOG2_LOGLOG = young_custom(
     "u*log^2(1+u)*loglog(16+u)",

@@ -35,11 +35,9 @@ def test_config_round_trip_custom():
         n_list=(3, 5, 7),
         samples_per_rect=5,
         tol_tail=1e-10,
-        tol_quadrature=2e-6,
         tol_bisection=1e-8,
         tol_kernel=1e-7,
         output_dir="results",
-        seed=42,
     )
     assert RunConfig.from_text(cfg.to_text()) == cfg
 
@@ -54,11 +52,6 @@ def test_config_rejects_bad_values():
         RunConfig.from_text("grid_size=not-a-number\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("n_list=3,x\n")
-
-
-def test_config_tolerances_map():
-    cfg = RunConfig()
-    assert set(cfg.tolerances) == {"tail", "quadrature", "bisection", "kernel"}
 
 
 def test_quasi_random_points_avoid_tubes():

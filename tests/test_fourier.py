@@ -37,16 +37,6 @@ def test_real_flag_rejects_complex_samples():
     GridFunction2D(values=values, is_real=False)
 
 
-def test_grid_csv_round_trip(tmp_path, rng):
-    f, _ = random_band_limited(rng, 3, 16)
-    path = tmp_path / "grid.csv"
-    f.to_csv(path)
-    back = GridFunction2D.from_csv(path)
-    assert back.grid_size == 16
-    assert back.is_real == f.is_real
-    np.testing.assert_array_equal(back.values, f.values)
-
-
 # ---------------------------------------------------------- dirichlet kernel
 
 def test_dirichlet_order_zero_is_half_everywhere():
@@ -57,6 +47,9 @@ def test_dirichlet_order_zero_is_half_everywhere():
 
 def test_dirichlet_limit_at_zero():
     assert dirichlet_kernel(3, 0.0) == pytest.approx(3.5, abs=0.0)
+    # every multiple of 2*pi takes the same limit
+    assert dirichlet_kernel(7, 2 * math.pi) == dirichlet_kernel(7, -4 * math.pi) == 7.5
+    np.testing.assert_array_equal(dirichlet_kernel(7, np.array([2 * math.pi, -4 * math.pi])), 7.5)
 
 
 def test_dirichlet_near_pi():
@@ -232,3 +225,8 @@ def test_grid_op_validation():
         GridOp("rect", 1)  # missing second order
     with pytest.raises(ValueError):
         GridOp("riesz-log", 1)
+    with pytest.raises(ValueError):
+        GridOp("cesaro", 3)
+    GridOp("norlund-log", 1)
+    GridOp("riesz-log", 2)
+    GridOp("marcinkiewicz", 4)

@@ -15,8 +15,10 @@ from logmeans.kernels import (
     alpha,
     beta,
     build_region,
+    closed_form_terms,
     cos_sum_direct,
     cos_sum_telescoped,
+    fejer_ratio,
     gamma,
     lemma_main_check,
     log_kernel_closed,
@@ -119,6 +121,11 @@ def test_kernel_against_high_precision_value():
     assert log_kernel_direct(16, 0.3, 0.2) == pytest.approx(0.52710390538307586211, abs=1e-13)
 
 
+def test_kernel_periodic_at_multiples_of_two_pi():
+    assert log_kernel_direct(16, 2 * math.pi, 0.3) == log_kernel_direct(16, 0.0, 0.3)
+    assert fejer_ratio(5, 2 * math.pi) == 12.5
+
+
 def test_kernel_vectorized_matches_scalar(rng):
     ts = rng.uniform(-3, 3, 17)
     ss = rng.uniform(-3, 3, 17)
@@ -169,6 +176,8 @@ def test_telescoped_rejects_singular_argument_and_bad_cap():
         cos_sum_telescoped(16, 1.0, 15)
     with pytest.raises(SingularArgumentError):
         telescoped_tail_bound(4, 100, 0.0)
+    with pytest.raises(SingularArgumentError):
+        cos_sum_telescoped(16, 2 * math.pi, 4)
 
 
 # ------------------------------------------------------------------ sine sum
@@ -234,6 +243,20 @@ def test_closed_handles_exact_diagonals():
     for x, y in [(0.5, 0.5), (0.8, -0.8)]:
         ev = log_kernel_closed(32, x, y)
         assert ev.value == pytest.approx(log_kernel_direct(32, x, y), abs=1e-10)
+
+
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_closed_form_batch_matches_one_point_wrapper(N):
+    # includes x == y and x == -y (removable limits) and caps below N - 2
+    pts = np.array([(0.5, 0.7), (1.1, -0.6), (2.9, 0.4), (-1.3, 2.2), (0.3, 0.3), (0.9, -0.9), (3.0, 3.1)])
+    caps = np.clip([1, N // 2, N - 2, 5, N - 3, 2, 7], 1, N - 2)
+    terms, bounds = closed_form_terms(N, pts[:, 0], pts[:, 1], K=caps)
+    assert terms.shape == (len(pts), 15) and bounds.shape == (len(pts),)
+    for (x, y), K, row, bound in zip(pts, caps, terms, bounds):
+        ev = log_kernel_closed(N, float(x), float(y), K=int(K))
+        np.testing.assert_allclose(row, ev.terms, rtol=1e-13, atol=1e-13 * np.max(np.abs(ev.terms)))
+        assert bound == pytest.approx(ev.truncation_bound, rel=1e-14, abs=0.0)
+        assert np.sum(row) / harmonic_number(N) == pytest.approx(ev.value, rel=1e-12, abs=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,6 @@ import pytest
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
 from logmeans.means import (
-    MeanSpec,
     harmonic_number,
     l1_distance,
     marcinkiewicz_mean,
@@ -103,16 +102,6 @@ def test_riesz_examples():
     assert riesz_log_mean(cf, 2, x, y) == pytest.approx(quad_partial_sum(cf, 1, x, y), abs=1e-14)
     with pytest.raises(ValueError):
         riesz_log_mean(cf, 1, x, y)
-
-
-def test_mean_spec_validation():
-    MeanSpec("norlund-log", 1)
-    MeanSpec("riesz-log", 2)
-    with pytest.raises(ValueError):
-        MeanSpec("riesz-log", 1)
-    with pytest.raises(ValueError):
-        MeanSpec("cesaro", 3)
-    assert MeanSpec("marcinkiewicz", 4).grid_op() == GridOp("marcinkiewicz", 4)
 
 
 # --------------------------------------------------------------- kernel path
