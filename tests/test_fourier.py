@@ -225,8 +225,3 @@ def test_grid_op_validation():
         GridOp("rect", 1)  # missing second order
     with pytest.raises(ValueError):
         GridOp("riesz-log", 1)
-    with pytest.raises(ValueError):
-        GridOp("cesaro", 3)
-    GridOp("norlund-log", 1)
-    GridOp("riesz-log", 2)
-    GridOp("marcinkiewicz", 4)

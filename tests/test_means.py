@@ -104,6 +104,17 @@ def test_riesz_examples():
         riesz_log_mean(cf, 1, x, y)
 
 
+def test_mean_spec_validation():
+    # the summability means are specified as GridOp mean kinds
+    GridOp("norlund-log", 1)
+    GridOp("riesz-log", 2)
+    with pytest.raises(ValueError):
+        GridOp("riesz-log", 1)
+    with pytest.raises(ValueError):
+        GridOp("cesaro", 3)
+    assert GridOp.marcinkiewicz(4) == GridOp("marcinkiewicz", 4)
+
+
 # --------------------------------------------------------------- kernel path
 
 def test_mean_via_kernel_fixes_constants():
