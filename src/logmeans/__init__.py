@@ -16,14 +16,7 @@ from .fourier import (
     quad_partial_sum,
     rect_partial_sum,
 )
-from .means import (
-    harmonic_number,
-    l1_distance,
-    marcinkiewicz_mean,
-    mean_via_kernel,
-    norlund_log_mean,
-    riesz_log_mean,
-)
+from .means import harmonic_number, l1_distance, mean_via_kernel, pointwise_mean
 from .kernels import (
     EmptyRegionError,
     KernelEvaluation,

@@ -20,7 +20,7 @@ import numpy as np
 from . import counterexamples as cx
 from . import kernels, orlicz
 from .fourier import GridOp, fourier_coeffs, evaluate_grid
-from .grid import GridFunction2D
+from .grid import GridFunction2D, validate_grid_size
 from .means import harmonic_number, l1_distance
 
 EXIT_OK = 0
@@ -52,6 +52,14 @@ class RunConfig:
     tol_bisection: float = 1e-9
     tol_kernel: float = 1e-8
     output_dir: str = "."
+
+    def __post_init__(self) -> None:
+        try:
+            validate_grid_size(self.grid_size)
+        except ValueError as exc:
+            raise ConfigError(f"grid_size: {exc}") from exc
+        if self.samples_per_rect < 1:
+            raise ConfigError(f"samples_per_rect must be >= 1, got {self.samples_per_rect}")
 
     def to_text(self) -> str:
         lines = []
@@ -206,6 +214,22 @@ def quasi_random_points(count: int, keepout: float = 0.02) -> np.ndarray:
 # subcommands
 # ----------------------------------------------------------------------------
 
+def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
+    """
+    ``per_scale(n)`` for every scale in order, skipping the scales whose
+    region is empty; returns the results and the report comments naming the
+    skipped scales (none when nothing was skipped).
+    """
+    results, skipped = [], []
+    for n in n_list:
+        try:
+            results.append(per_scale(n))
+        except kernels.EmptyRegionError:
+            skipped.append(n)
+    comments = ["skipped_empty_region_n=" + ",".join(str(n) for n in skipped)] if skipped else []
+    return results, comments
+
+
 def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
     pts = quasi_random_points(cfg.samples_per_rect ** 2)
     rows = []
@@ -236,20 +260,11 @@ def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
 
 
 def cmd_lemma(cfg: RunConfig, json_mirror: bool) -> int:
-    n_list = cfg.n_list or REGION_DEFAULT_N
-    rows, skipped = [], []
-    reports = []
-    for n in n_list:
-        try:
-            rep = kernels.lemma_main_check(n, cfg.samples_per_rect)
-        except kernels.EmptyRegionError:
-            skipped.append(n)
-            continue
-        reports.append(rep)
-        rows.extend(rep.csv_rows())
-    comments = ["paper_display=lemma-main"]
-    if skipped:
-        comments.append("skipped_empty_region_n=" + ",".join(str(n) for n in skipped))
+    reports, skipped = _skip_empty_regions(
+        cfg.n_list or REGION_DEFAULT_N, lambda n: kernels.lemma_main_check(n, cfg.samples_per_rect)
+    )
+    rows = [row for rep in reports for row in rep.csv_rows()]
+    comments = ["paper_display=lemma-main", *skipped]
     positive = [r.n for r in reports if r.i_min_ratio > 0.0]
     if positive:
         comments.append(f"n0_estimate={min(positive)}")
@@ -263,25 +278,19 @@ def cmd_lemma(cfg: RunConfig, json_mirror: bool) -> int:
 
 
 def cmd_growth(cfg: RunConfig, json_mirror: bool) -> int:
-    n_list = cfg.n_list or REGION_DEFAULT_N
-    rows = []
-    gs_by_n: dict[int, float] = {}
-    l1_by_n: dict[int, float] = {}
-    for n in n_list:
+    def row(n):
         gs = cx.geometric_sum(n)
-        gs_by_n[n] = gs
-        if n <= MAX_KERNEL_SCALE:
-            rep = cx.l1_growth(n)
-            l1_by_n[n] = rep.l1_lower
-            l1 = rep.l1_lower
-        else:
-            l1 = float("nan")
-        rows.append([n, gs, gs / n ** 2, l1])
+        l1 = cx.l1_growth(n).l1_lower if n <= MAX_KERNEL_SCALE else float("nan")
+        return [n, gs, gs / n ** 2, l1]
+
+    rows, skipped = _skip_empty_regions(cfg.n_list or REGION_DEFAULT_N, row)
     write_report(
-        cfg, "growth", ["paper_display=(b)"],
+        cfg, "growth", ["paper_display=(b)", *skipped],
         ["n", "geometric_sum", "gs_over_n2", "l1_lower"],
         rows, json_mirror,
     )
+    gs_by_n = {n: gs for n, gs, _, _ in rows}
+    l1_by_n = {n: l1 for n, _, _, l1 in rows if n <= MAX_KERNEL_SCALE}
     ok = True
     ns = sorted(gs_by_n)
     for i, n in enumerate(ns):
@@ -300,16 +309,11 @@ def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
     # region geometry, so the fit only documents the threshold actually used.
     fit_n = min([n for n in n_list if 3 <= n <= MAX_KERNEL_SCALE], default=3)
     c1 = cx.bump_mean_lower_bound(fit_n, cfg.samples_per_rect).min_ratio / cx.BUMP_PREFACTOR
-    rows = []
-    for n in n_list:
-        try:
-            rep = cx.exceedance_measure(n, c1)
-        except kernels.EmptyRegionError:
-            continue
-        rows.append([n, c1, rep.measure, rep.bound])
+    reports, skipped = _skip_empty_regions(n_list, lambda n: cx.exceedance_measure(n, c1))
+    rows = [[rep.n, c1, rep.measure, rep.bound] for rep in reports]
     write_report(
         cfg, "measure",
-        ["paper_display=est1", f"c1_fit_scale={fit_n}"],
+        ["paper_display=est1", *skipped, f"c1_fit_scale={fit_n}"],
         ["n", "c1", "measure", "bound"],
         rows, json_mirror,
     )

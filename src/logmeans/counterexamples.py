@@ -21,8 +21,7 @@ from .kernels import (
     beta,
     stratified_samples,
 )
-from .fourier import dirichlet_matrix
-from .means import harmonic_number
+from .fourier import GridOp, dirichlet_matrix
 from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
@@ -92,6 +91,7 @@ def bump_mean_many(
     if n < 1:
         raise ValueError(f"scale must be >= 1, got {n}")
     N = 4 ** n
+    mean_weights = GridOp.norlund_log(N).weights()
     g = gamma(n)
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     nodes = 0.5 * g * (nodes + 1.0)
@@ -105,10 +105,9 @@ def bump_mean_many(
     for node, w in zip(nodes, weights):
         ax += w * dirichlet_matrix(orders, xs - node)
         ay += w * dirichlet_matrix(orders, ys - node)
-    inv = 1.0 / (N - orders)
-    raw = inv @ (ax * ay)
+    raw = mean_weights @ (ax * ay)
     height = (BUMP_PREFACTOR if scaled else 1.0) / g ** 2
-    return height * raw / (harmonic_number(N) * math.pi ** 2)
+    return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
 def bump_mean(n: int, x: float, y: float, scaled: bool = True, quad_points: int = 16) -> float:

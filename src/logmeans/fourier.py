@@ -123,6 +123,19 @@ def quad_partial_sum(c: SpectralCoeffs, n: int, x: float, y: float) -> complex:
     return rect_partial_sum(c, n, n, x, y)
 
 
+#: Unnormalised weight w_j of S_{j,j}, j = 0..reach, per mean kind and order n;
+#: the mean is sum_j w_j S_{j,j} / sum_j w_j, so every mean fixes constants.
+_MEAN_WEIGHTS = {
+    "quad": lambda n: (np.arange(n + 1) == n).astype(float),
+    # logarithmic (Norlund) mean: S_{i,i} / (n - i), i = 0..n-1
+    "norlund-log": lambda n: 1.0 / (n - np.arange(n)),
+    # arithmetic mean of S_{1,1}..S_{n,n}
+    "marcinkiewicz": lambda n: np.minimum(np.arange(n + 1), 1.0),
+    # Riesz-type logarithmic mean: S_{k,k} / k, k = 1..n-1
+    "riesz-log": lambda n: np.concatenate(([0.0], 1.0 / np.arange(1, n))),
+}
+
+
 @dataclass(frozen=True)
 class GridOp:
     """
@@ -130,26 +143,21 @@ class GridOp:
 
     kind is one of ``rect`` (orders M, N), ``quad`` (order n), or the mean
     kinds ``norlund-log`` / ``marcinkiewicz`` / ``riesz-log`` (order n).
+    Every kind but ``rect`` is a weight sequence over the S_{j,j} (``weights``).
     """
 
     kind: str
     order: int
     order_n: int | None = None
 
-    _KINDS = ("rect", "quad", "norlund-log", "marcinkiewicz", "riesz-log")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown grid op kind {self.kind!r}")
         if self.kind == "rect":
             if self.order_n is None or self.order < 0 or self.order_n < 0:
                 raise ValueError("rect op needs nonnegative orders M and N")
-        else:
-            low = 2 if self.kind == "riesz-log" else 1
-            if self.kind == "quad":
-                low = 0
-            if self.order < low:
-                raise ValueError(f"{self.kind} op needs order >= {low}, got {self.order}")
+        elif self.kind not in _MEAN_WEIGHTS:
+            raise ValueError(f"unknown grid op kind {self.kind!r}")
+        elif not np.any(self.weights()):
+            raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
 
     @classmethod
     def rect(cls, M: int, N: int) -> "GridOp":
@@ -171,36 +179,18 @@ class GridOp:
     def riesz_log(cls, n: int) -> "GridOp":
         return cls("riesz-log", n)
 
+    def weights(self) -> np.ndarray:
+        """Unnormalised weight of S_{j,j} for j = 0..reach (not defined for ``rect``)."""
+        if self.kind == "rect":
+            raise ValueError("a rect op has no diagonal weights")
+        return _MEAN_WEIGHTS[self.kind](self.order)
+
     def reach(self) -> tuple[int, int]:
         """Largest (|m|, |n|) the operator can touch."""
         if self.kind == "rect":
             return self.order, self.order_n  # type: ignore[return-value]
-        if self.kind == "quad":
-            return self.order, self.order
-        if self.kind == "marcinkiewicz":
-            return self.order, self.order
-        return self.order - 1, self.order - 1
-
-
-def _radial_profile(op: GridOp) -> np.ndarray:
-    """Weight per diagonal index j* = max(|m|, |n|) for the radial op kinds."""
-    from .means import harmonic_prefix  # deferred: means depends on this module
-
-    n = op.order
-    if op.kind == "quad":
-        return np.ones(n + 1)
-    if op.kind == "marcinkiewicz":
-        # S_{j,j} contains frequency j* iff j >= max(j*, 1); arithmetic mean of S_1..S_n.
-        j = np.arange(n + 1)
-        return (n - np.maximum(j, 1) + 1) / n
-    H = harmonic_prefix(n)
-    if op.kind == "norlund-log":
-        # weight sum_{i=j*}^{n-1} 1/(n-i) / H_n = H_{n-j*} / H_n
-        j = np.arange(n)
-        return H[n - j] / H[n]
-    # riesz-log: (sum_{k=max(j*,1)}^{n-1} 1/k) / H_{n-1}
-    j = np.arange(n)
-    return (H[n - 1] - H[np.maximum(j, 1) - 1]) / H[n - 1]
+        j = len(self.weights()) - 1
+        return j, j
 
 
 def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -> GridFunction2D:
@@ -226,7 +216,9 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -
     if op.kind == "rect":
         weighted = sub
     else:
-        profile = _radial_profile(op)
+        # frequency j* = max(|m|, |n|) lies in S_{j,j} for every j >= j*
+        tail = np.cumsum(op.weights()[::-1])[::-1]
+        profile = tail / tail[0]
         m_abs = np.abs(np.arange(-reach_m, reach_m + 1))
         j_star = np.maximum(m_abs[:, None], m_abs[None, :])
         weighted = sub * profile[j_star]

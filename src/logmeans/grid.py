@@ -24,7 +24,7 @@ def axis_points(grid_size: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
 
 
-def _validate_grid_size(grid_size: int) -> None:
+def validate_grid_size(grid_size: int) -> None:
     if grid_size < 4 or grid_size & (grid_size - 1) != 0:
         raise ValueError(f"grid size must be a power of two >= 4, got {grid_size}")
 
@@ -46,7 +46,7 @@ class GridFunction2D:
         values = np.asarray(self.values, dtype=complex)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"expected a square 2D sample array, got shape {values.shape}")
-        _validate_grid_size(values.shape[0])
+        validate_grid_size(values.shape[0])
         if self.is_real:
             worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
             if worst > IMAG_TOL:
@@ -73,7 +73,7 @@ class GridFunction2D:
         Sample ``func(x, y)`` on the grid.  ``func`` must accept numpy arrays
         (meshgrid evaluation).  ``real=None`` detects the flag from the samples.
         """
-        _validate_grid_size(grid_size)
+        validate_grid_size(grid_size)
         pts = axis_points(grid_size)
         xx, yy = np.meshgrid(pts, pts, indexing="ij")
         values = np.asarray(func(xx, yy), dtype=complex)

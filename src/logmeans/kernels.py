@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import dirichlet_kernel, dirichlet_matrix, reduce_angle
+from .fourier import GridOp, dirichlet_kernel, dirichlet_matrix, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -269,13 +269,11 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 
 def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Direct-form F_N over paired point arrays."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    w = GridOp.norlund_log(N).weights()
     k = np.arange(N)
     dt = dirichlet_matrix(k, t)  # (N, P)
     ds = dirichlet_matrix(k, s)
-    w = 1.0 / (N - k)
-    return (w @ (dt * ds)) / harmonic_number(N)
+    return (w @ (dt * ds)) / math.fsum(w)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,14 @@ def test_config_rejects_bad_values():
         RunConfig.from_text("grid_size=not-a-number\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("n_list=3,x\n")
+    # run values are validated when the config is built, before any command runs
+    for bad in (0, -8, 2, 100):
+        with pytest.raises(ConfigError, match=f"grid_size.*got {bad}"):
+            RunConfig(grid_size=bad)
+    with pytest.raises(ConfigError, match="samples_per_rect.*got 0"):
+        RunConfig(samples_per_rect=0)
+    with pytest.raises(ConfigError):
+        RunConfig.from_text("grid_size=100\n")
 
 
 def test_quasi_random_points_avoid_tubes():
@@ -80,6 +88,16 @@ def test_bad_config_is_usage_error(tmp_path):
 
 def test_unknown_command_is_usage_error(tmp_path):
     assert main(["frobnicate", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_bad_run_values_are_usage_errors(tmp_path, capsys):
+    assert main(["converge", "--grid-size", "100", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "100" in err and "800" not in err
+    assert main(["kernel-verify", "--samples", "0", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "concatenate" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_zero_tolerance_fails_kernel_verify(tmp_path):
@@ -115,6 +133,15 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert any("skipped_empty_region_n=2" in l for l in lines)
     data_rows = [l for l in lines if l and not l.startswith("#")][1:]
     assert data_rows == []
+
+
+@pytest.mark.parametrize("command, n_arg, kept", [("growth", "2", []), ("measure", "2,6", ["6"])])
+def test_empty_region_is_skipped_like_lemma(tmp_path, command, n_arg, kept):
+    assert main([command, "--out", str(tmp_path), "--n", n_arg, "--samples", "5"]) == EXIT_OK
+    lines = read(tmp_path / f"{command}.csv").splitlines()
+    assert "# skipped_empty_region_n=2" in lines
+    data_rows = [l for l in lines if l and not l.startswith("#")][1:]
+    assert [r.split(",")[0] for r in data_rows] == kept
 
 
 def test_growth_csv(tmp_path):

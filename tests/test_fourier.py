@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logmeans.grid import GridFunction2D, axis_points
+from logmeans.means import pointwise_mean
 from logmeans.fourier import (
     BandwidthError,
     GridOp,
@@ -202,13 +203,25 @@ def test_evaluate_grid_reproduces_low_degree_polynomial(rng):
 
 
 def test_evaluate_grid_matches_pointwise_quad_sums(rng):
+    # each op's weights of S_{0,0}..S_{reach,reach}, as the means are defined;
+    # the grid path's radial profile must agree with the partial-sum-by-partial-sum mean
     grid, coeffs = random_band_limited(rng, 4, 32)
-    out = evaluate_grid(coeffs, GridOp.quad(3))
     pts = axis_points(32)
-    idx = rng.integers(0, 32, size=(100, 2))
-    for i, j in idx:
-        expected = quad_partial_sum(coeffs, 3, float(pts[i]), float(pts[j]))
-        assert out.values[i, j] == pytest.approx(expected, abs=1e-12)
+    defined_weights = {
+        GridOp.quad(3): [0, 0, 0, 1],
+        GridOp.norlund_log(1): [1],
+        GridOp.norlund_log(5): [1 / 5, 1 / 4, 1 / 3, 1 / 2, 1],
+        GridOp.marcinkiewicz(1): [0, 1],
+        GridOp.marcinkiewicz(4): [0, 1, 1, 1, 1],
+        GridOp.riesz_log(2): [0, 1],
+        GridOp.riesz_log(5): [0, 1, 1 / 2, 1 / 3, 1 / 4],
+    }
+    for op, weights in defined_weights.items():
+        np.testing.assert_array_equal(op.weights(), weights, err_msg=str(op))
+        out = evaluate_grid(coeffs, op)
+        for i, j in rng.integers(0, 32, size=(100, 2)):
+            expected = pointwise_mean(coeffs, op, float(pts[i]), float(pts[j]))
+            assert out.values[i, j] == pytest.approx(expected, abs=1e-12), op
 
 
 def test_evaluate_grid_requires_grid_size():
@@ -223,5 +236,8 @@ def test_grid_op_validation():
         GridOp("bogus", 1)
     with pytest.raises(ValueError):
         GridOp("rect", 1)  # missing second order
-    with pytest.raises(ValueError):
-        GridOp("riesz-log", 1)
+    # an order whose weight sequence has no nonzero entry
+    for kind, order in [("riesz-log", 1), ("norlund-log", 0), ("marcinkiewicz", 0),
+                        ("quad", -1), ("norlund-log", -3), ("riesz-log", -2)]:
+        with pytest.raises(ValueError):
+            GridOp(kind, order)

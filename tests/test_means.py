@@ -7,14 +7,7 @@ import pytest
 
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
-from logmeans.means import (
-    harmonic_number,
-    l1_distance,
-    marcinkiewicz_mean,
-    mean_via_kernel,
-    norlund_log_mean,
-    riesz_log_mean,
-)
+from logmeans.means import harmonic_number, l1_distance, mean_via_kernel, pointwise_mean
 
 from conftest import random_band_limited
 
@@ -28,17 +21,19 @@ def test_harmonic_numbers():
 
 
 def test_norlund_weights_sum_to_one():
-    # sum_{i=0}^{n-1} 1/(H_n (n-i)) telescopes to exactly 1
+    # the normalised weights 1/(H_n (n-i)), i = 0..n-1, sum to 1; the kernel
+    # paths normalise by the fsum of the weights, which must be H_n exactly
     for n in (1, 2, 7, 50, 300):
+        w = GridOp.norlund_log(n).weights()
         H = harmonic_number(n)
-        total = math.fsum(1.0 / (H * (n - i)) for i in range(n))
-        assert total == pytest.approx(1.0, abs=1e-14)
+        assert math.fsum(w) == H
+        assert math.fsum(w / H) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norlund_fixes_constants():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
     for n in (1, 2, 5, 9):
-        assert norlund_log_mean(c, n, 0.4, -1.0) == pytest.approx(1.0, abs=1e-12)
+        assert pointwise_mean(c, GridOp.norlund_log(n), 0.4, -1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norlund_first_nontrivial_order():
@@ -46,7 +41,7 @@ def test_norlund_first_nontrivial_order():
     c = fourier_coeffs(f, 4, 4)
     x, y = 0.3, 0.9
     expected = (2.0 / 3.0) * np.exp(1j * (x + y))
-    assert norlund_log_mean(c, 2, x, y) == pytest.approx(expected, abs=1e-12)
+    assert pointwise_mean(c, GridOp.norlund_log(2), x, y) == pytest.approx(expected, abs=1e-12)
 
 
 def test_norlund_weight_accounting_for_high_order():
@@ -58,7 +53,7 @@ def test_norlund_weight_accounting_for_high_order():
     fx = np.exp(1j * (2 * x + y))
     for n in (8, 16, 25):
         expected = fx * harmonic_number(n - 2) / harmonic_number(n)
-        got = norlund_log_mean(c, n, x, y)
+        got = pointwise_mean(c, GridOp.norlund_log(n), x, y)
         assert got == pytest.approx(expected, abs=1e-12)
         deficit = 1.0 - harmonic_number(n - 2) / harmonic_number(n)
         assert abs(got - fx) == pytest.approx(abs(fx) * deficit, abs=1e-12)
@@ -67,41 +62,47 @@ def test_norlund_weight_accounting_for_high_order():
 def test_norlund_bandwidth_error():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3, 3)
     with pytest.raises(BandwidthError):
-        norlund_log_mean(c, 5, 0.0, 0.0)
+        pointwise_mean(c, GridOp.norlund_log(5), 0.0, 0.0)
 
 
 def test_marcinkiewicz_examples(rng):
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
-    assert marcinkiewicz_mean(c, 5, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert pointwise_mean(c, GridOp.marcinkiewicz(5), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
     cf = fourier_coeffs(f, 4, 4)
     x, y = 0.2, -0.4
-    assert marcinkiewicz_mean(cf, 2, x, y) == pytest.approx(np.exp(1j * (x + y)), abs=1e-12)
+    assert pointwise_mean(cf, GridOp.marcinkiewicz(2), x, y) == pytest.approx(
+        np.exp(1j * (x + y)), abs=1e-12
+    )
 
     grid, cr = random_band_limited(rng, 8, 32)
     from logmeans.fourier import quad_partial_sum
 
     x, y = 0.5, 1.2
     expected = sum(quad_partial_sum(cr, j, x, y) for j in range(1, 9)) / 8.0
-    assert marcinkiewicz_mean(cr, 8, x, y) == pytest.approx(expected, abs=1e-12)
+    assert pointwise_mean(cr, GridOp.marcinkiewicz(8), x, y) == pytest.approx(expected, abs=1e-12)
 
 
 def test_riesz_examples():
     c1 = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
-    assert riesz_log_mean(c1, 5, 0.1, 0.2) == pytest.approx(1.0, abs=1e-12)
+    assert pointwise_mean(c1, GridOp.riesz_log(5), 0.1, 0.2) == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
     cf = fourier_coeffs(f, 4, 4)
     x, y = 1.0, -0.3
     # n = 3: (1/H_2)(S_11 + S_22/2) = f * (1/1.5) * 1.5 = f
-    assert riesz_log_mean(cf, 3, x, y) == pytest.approx(np.exp(1j * (x + y)), abs=1e-12)
+    assert pointwise_mean(cf, GridOp.riesz_log(3), x, y) == pytest.approx(
+        np.exp(1j * (x + y)), abs=1e-12
+    )
     # n = 2: the single term S_11
     from logmeans.fourier import quad_partial_sum
 
-    assert riesz_log_mean(cf, 2, x, y) == pytest.approx(quad_partial_sum(cf, 1, x, y), abs=1e-14)
+    assert pointwise_mean(cf, GridOp.riesz_log(2), x, y) == pytest.approx(
+        quad_partial_sum(cf, 1, x, y), abs=1e-14
+    )
     with pytest.raises(ValueError):
-        riesz_log_mean(cf, 1, x, y)
+        pointwise_mean(cf, GridOp.riesz_log(1), x, y)
 
 
 def test_mean_spec_validation():
@@ -127,7 +128,7 @@ def test_mean_via_kernel_matches_spectral_path():
     c = fourier_coeffs(f, 8, 8)
     for x, y in [(0.3, 0.3), (-1.2, 2.0), (0.0, 0.9)]:
         vk = mean_via_kernel(f, 8, x, y)
-        vs = norlund_log_mean(c, 8, x, y)
+        vs = pointwise_mean(c, GridOp.norlund_log(8), x, y)
         assert vk == pytest.approx(vs.real, abs=1e-6)
 
 
@@ -136,7 +137,7 @@ def test_mean_via_kernel_on_random_band_limited(rng):
     for _ in range(3):
         x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
         assert mean_via_kernel(grid, 6, x, y) == pytest.approx(
-            norlund_log_mean(c, 6, x, y).real, abs=1e-6
+            pointwise_mean(c, GridOp.norlund_log(6), x, y).real, abs=1e-6
         )
 
 
