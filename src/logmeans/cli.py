@@ -19,7 +19,7 @@ import numpy as np
 
 from . import counterexamples as cx
 from . import kernels, orlicz
-from .fourier import GridOp, fourier_coeffs, evaluate_grid
+from .fourier import BandwidthError, GridOp, fourier_coeffs, evaluate_grid
 from .grid import GridFunction2D, validate_grid_size
 from .means import harmonic_number, l1_distance
 
@@ -138,13 +138,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # ----------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    v = _json_value(value)
+    return str(int(v)) if isinstance(v, bool) else str(v)
 
 
 def write_report(cfg: RunConfig, name: str, comments: list[str], header: list[str],
@@ -304,24 +299,40 @@ def cmd_growth(cfg: RunConfig, json_mirror: bool) -> int:
 
 def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
     n_list = cfg.n_list or REGION_DEFAULT_N
-    # Lower-bound constant of the unscaled bump mean, fitted at the smallest
-    # kernel-feasible scale; with bound_coeff = c1 the certified set is pure
-    # region geometry, so the fit only documents the threshold actually used.
-    fit_n = min([n for n in n_list if 3 <= n <= MAX_KERNEL_SCALE], default=3)
-    c1 = cx.bump_mean_lower_bound(fit_n, cfg.samples_per_rect).min_ratio / cx.BUMP_PREFACTOR
-    reports, skipped = _skip_empty_regions(n_list, lambda n: cx.exceedance_measure(n, c1))
-    rows = [[rep.n, c1, rep.measure, rep.bound] for rep in reports]
+    kept, comments = _skip_empty_regions(n_list, lambda n: kernels.build_region(n, kernels.REGION_J).n)
+    rows = []
+    if kept:
+        # Lower-bound constant of the unscaled bump mean, fitted at the smallest
+        # kernel-feasible scale; with bound_coeff = c1 the certified set is pure
+        # region geometry, so the fit only documents the threshold actually used.
+        fit_n = min([n for n in kept if 3 <= n <= MAX_KERNEL_SCALE], default=3)
+        c1 = cx.bump_mean_lower_bound(fit_n, cfg.samples_per_rect).min_ratio / cx.BUMP_PREFACTOR
+        reports = [cx.exceedance_measure(n, c1) for n in kept]
+        rows = [[rep.n, c1, rep.measure, rep.bound] for rep in reports]
+        comments.append(f"c1_fit_scale={fit_n}")
     write_report(
-        cfg, "measure",
-        ["paper_display=est1", *skipped, f"c1_fit_scale={fit_n}"],
-        ["n", "c1", "measure", "bound"],
+        cfg, "measure", ["paper_display=est1", *comments], ["n", "c1", "measure", "bound"],
         rows, json_mirror,
     )
     return EXIT_OK
 
 
+def _fit_order(kind: str, n: int, bandwidth: int) -> int:
+    """Largest order <= n whose reach fits the bandwidth, never below the least order GridOp accepts."""
+    for order in range(n, 0, -1):
+        try:
+            op = GridOp(kind, order)
+        except ValueError:  # below the smallest order GridOp accepts for the kind
+            return order + 1
+        if op.reach()[0] <= bandwidth:
+            return order
+    raise BandwidthError(f"no {kind} order <= {n} fits bandwidth {bandwidth}")
+
+
 def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
     orders = cfg.n_list or CONVERGE_DEFAULT_N
+    if min(orders) < 1:
+        raise ValueError(f"orders must be >= 1, got {min(orders)}")
     max_order = max(orders)
     grid = cfg.grid_size
     while grid < 2 * max_order:
@@ -331,26 +342,24 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
     f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid, real=True)
     coeffs = fourier_coeffs(f, bandwidth, bandwidth)
     rows = []
-    norlund_errors = []
+    clamped = []
     for kind in ("norlund-log", "marcinkiewicz", "riesz-log"):
         for n in orders:
-            if kind == "marcinkiewicz":
-                order = min(n, bandwidth)
-            elif kind == "riesz-log":
-                order = min(max(n, 2), bandwidth + 1)
-            else:
-                order = min(n, bandwidth + 1)
+            order = _fit_order(kind, n, bandwidth)
+            if order != n:
+                clamped.append(f"{kind}:{n}->{order}")
             approx = evaluate_grid(coeffs, GridOp(kind, order))
             err = l1_distance(approx, f)
             rows.append([kind, order, err])
-            if kind == "norlund-log":
-                norlund_errors.append(err)
+    comments = ["function=|x|", f"grid_size={grid}"]
+    if clamped:
+        comments.append("order_clamped=" + ",".join(clamped))
     write_report(
-        cfg, "converge", ["function=|x|", f"grid_size={grid}"],
+        cfg, "converge", comments,
         ["kind", "n", "l1_error"],
         rows, json_mirror,
     )
-    tail = norlund_errors[-3:]
+    tail = [err for kind, _, err in rows if kind == "norlund-log"][-3:]
     ok = all(b <= a for a, b in zip(tail, tail[1:]))
     return EXIT_OK if ok else EXIT_TOLERANCE
 

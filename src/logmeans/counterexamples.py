@@ -21,11 +21,13 @@ from .kernels import (
     beta,
     stratified_samples,
 )
-from .fourier import GridOp, dirichlet_matrix
+from .fourier import GridOp
 from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
 BUMP_PREFACTOR = ((0.5 * math.pi - math.acos(0.25)) / 8.0) ** 2
+#: Gauss-Legendre nodes per axis of each region rectangle in ``l1_growth``.
+L1_QUAD_PER_RECT = 12
 
 
 @dataclass(frozen=True)
@@ -74,44 +76,37 @@ def make_bump(n: int, scaled: bool, grid_size: int) -> tuple[GridFunction2D, Bum
     return grid, spec
 
 
-def bump_mean_many(
-    n: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    scaled: bool = True,
-    quad_points: int = 16,
-) -> np.ndarray:
+def _axis_profile(n: int, u: np.ndarray) -> np.ndarray:
     """
-    The order-2^{2n} logarithmic mean of the bump at the given points,
-    evaluated through the kernel-convolution path with the averaging over the
-    exact support [0, gamma(n)]^2 done by Gauss-Legendre quadrature
-    (the kernel phase drifts by well under a radian across the support, so a
-    modest node count is spectrally accurate).
+    A_k(u) = Int_0^gamma D_k(u - s) ds = gamma/2 + sum_{j=1}^k (sin ju - sin j(u - gamma)) / j
+    for k = 0..4^n - 1, shape (4^n, len(u)); each difference is taken as
+    2 cos(j(u - gamma/2)) sin(j gamma/2), which cancels no digits when j gamma is small.
+    """
+    u = np.asarray(u, dtype=float)
+    g = gamma(n)
+    j = np.arange(1, 4 ** n)[:, None]
+    profile = np.empty((4 ** n, len(u)))
+    profile[0] = 0.5 * g
+    profile[1:] = np.cos(j * (u - 0.5 * g)) * (2.0 * np.sin(0.5 * g * j) / j)
+    return np.cumsum(profile, axis=0, out=profile)
+
+
+def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True) -> np.ndarray:
+    """
+    The order-2^{2n} logarithmic mean of the bump at the given points, exact:
+    every quadratical partial sum of the product bump factors into the two
+    per-axis integrals of the Dirichlet kernel over the support [0, gamma(n)].
     """
     if n < 1:
         raise ValueError(f"scale must be >= 1, got {n}")
-    N = 4 ** n
-    mean_weights = GridOp.norlund_log(N).weights()
-    g = gamma(n)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    nodes = 0.5 * g * (nodes + 1.0)
-    weights = 0.5 * g * weights
-
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    orders = np.arange(N)
-    ax = np.zeros((N, len(xs)))
-    ay = np.zeros((N, len(ys)))
-    for node, w in zip(nodes, weights):
-        ax += w * dirichlet_matrix(orders, xs - node)
-        ay += w * dirichlet_matrix(orders, ys - node)
-    raw = mean_weights @ (ax * ay)
-    height = (BUMP_PREFACTOR if scaled else 1.0) / g ** 2
+    mean_weights = GridOp.norlund_log(4 ** n).weights()
+    raw = mean_weights @ (_axis_profile(n, xs) * _axis_profile(n, ys))
+    height = (BUMP_PREFACTOR if scaled else 1.0) / gamma(n) ** 2
     return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
-def bump_mean(n: int, x: float, y: float, scaled: bool = True, quad_points: int = 16) -> float:
-    return float(bump_mean_many(n, np.array([x]), np.array([y]), scaled, quad_points)[0])
+def bump_mean(n: int, x: float, y: float, scaled: bool = True) -> float:
+    return float(bump_mean_many(n, np.array([x]), np.array([y]), scaled)[0])
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ def geometric_sum(n: int) -> float:
     )
 
 
-def l1_growth(n: int, quad_per_rect: int = 12) -> GrowthReport:
+def l1_growth(n: int) -> GrowthReport:
     """
     Region-restricted lower bound on || t_{2^{2n}}(scaled bump) ||_1: the
     quadrature of |t| over the shrunken region only (the inexpensive part the
@@ -168,17 +163,14 @@ def l1_growth(n: int, quad_per_rect: int = 12) -> GrowthReport:
     integral of 1/(x y) over the same region.
     """
     region = build_region(n, REGION_J)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_per_rect)
+    nodes, weights = np.polynomial.legendre.leggauss(L1_QUAD_PER_RECT)
     total = 0.0
     for ax, bx, ay, by in region.rectangles:
         sx = 0.5 * (bx - ax) * (nodes + 1.0) + ax
         sy = 0.5 * (by - ay) * (nodes + 1.0) + ay
-        wx = 0.5 * (bx - ax) * weights
-        wy = 0.5 * (by - ay) * weights
         xx, yy = np.meshgrid(sx, sy, indexing="ij")
-        vals = bump_mean_many(n, xx.ravel(), yy.ravel(), scaled=True)
-        vals = np.abs(vals).reshape(quad_per_rect, quad_per_rect)
-        total += float(wx @ vals @ wy)
+        vals = np.abs(bump_mean_many(n, xx.ravel(), yy.ravel())).reshape(xx.shape)
+        total += 0.25 * (bx - ax) * (by - ay) * float(weights @ vals @ weights)
     return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
 
 

@@ -86,12 +86,6 @@ class GridFunction2D:
         values = np.full((grid_size, grid_size), value, dtype=complex)
         return cls(values=values, is_real=abs(complex(value).imag) <= IMAG_TOL)
 
-    def real_values(self) -> np.ndarray:
-        """Real parts, valid only for grids flagged real."""
-        if not self.is_real:
-            raise ValueError("grid is not flagged real")
-        return self.values.real
-
     def integral(self) -> complex:
         """Rectangle-rule value of the double integral over [-pi, pi)^2."""
         return complex(np.sum(self.values)) * self.cell_area

@@ -287,20 +287,6 @@ class KernelEvaluation:
     terms: np.ndarray
     truncation_bound: float
 
-    def __post_init__(self) -> None:
-        terms = np.asarray(self.terms, dtype=float)
-        if terms.shape != (15,):
-            raise ValueError(f"expected 15 terms, got shape {terms.shape}")
-        object.__setattr__(self, "terms", terms)
-
-    def main_terms(self) -> float:
-        """R_1 + R_2 + R_3 + R_4, the telescoped main part."""
-        return float(np.sum(self.terms[:4]))
-
-    def remainder_abs(self) -> float:
-        """sum_{j=5}^{15} |R_j|, the part bounded by O(1/(xy))."""
-        return float(np.sum(np.abs(self.terms[4:])))
-
 
 def _adaptive_caps(N: int, u: np.ndarray, tail_target: float) -> np.ndarray:
     """Smallest K per point with certified tail below tail_target (absolute), capped at N - 2."""

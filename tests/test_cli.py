@@ -144,6 +144,18 @@ def test_empty_region_is_skipped_like_lemma(tmp_path, command, n_arg, kept):
     assert [r.split(",")[0] for r in data_rows] == kept
 
 
+def test_measure_fits_no_constant_when_every_scale_is_skipped(tmp_path, monkeypatch):
+    from logmeans import counterexamples
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("bump mean run with no scale to report")
+
+    monkeypatch.setattr(counterexamples, "bump_mean_lower_bound", no_fit)
+    assert main(["measure", "--out", str(tmp_path), "--n", "2"]) == EXIT_OK
+    lines = read(tmp_path / "measure.csv").splitlines()
+    assert lines == ["# paper_display=est1", "# skipped_empty_region_n=2", "n,c1,measure,bound"]
+
+
 def test_growth_csv(tmp_path):
     assert main(["growth", "--out", str(tmp_path), "--n", "3,4", "--samples", "5"]) == EXIT_OK
     body = read(tmp_path / "growth.csv")
@@ -165,21 +177,39 @@ def test_growth_ratio_stays_under_factor_two_on_small_scales(tmp_path):
 def test_measure_csv(tmp_path):
     assert main(["measure", "--out", str(tmp_path), "--n", "6,7", "--samples", "5"]) == EXIT_OK
     body = read(tmp_path / "measure.csv")
-    assert body.startswith("# paper_display=est1\n")
+    assert body.startswith("# paper_display=est1\n# c1_fit_scale=3\n")
     rows = [l.split(",") for l in body.splitlines() if l and not l.startswith("#")][1:]
     assert all(float(r[3]) > 0.0 for r in rows)
 
 
 def test_converge_csv_final_errors_decrease(tmp_path):
     assert main(["converge", "--out", str(tmp_path)]) == EXIT_OK
-    rows = [
-        l.split(",") for l in read(tmp_path / "converge.csv").splitlines()
-        if l and not l.startswith("#")
-    ][1:]
+    lines = read(tmp_path / "converge.csv").splitlines()
+    assert "# order_clamped=marcinkiewicz:256->255" in lines
+    rows = [l.split(",") for l in lines if l and not l.startswith("#")][1:]
     assert rows[0][0] == "norlund-log"
     norlund = [float(r[2]) for r in rows if r[0] == "norlund-log"]
     tail = norlund[-3:]
     assert tail[0] >= tail[1] >= tail[2]
+
+
+def test_converge_names_clamped_orders(tmp_path):
+    assert main(["converge", "--out", str(tmp_path), "--n", "1,600"]) == EXIT_OK
+    lines = read(tmp_path / "converge.csv").splitlines()
+    assert lines[:4] == [
+        "# function=|x|", "# grid_size=2048", "# order_clamped=riesz-log:1->2", "kind,n,l1_error",
+    ]
+    assert [tuple(l.split(",")[:2]) for l in lines[4:]] == [
+        ("norlund-log", "1"), ("norlund-log", "600"),
+        ("marcinkiewicz", "1"), ("marcinkiewicz", "600"),
+        ("riesz-log", "2"), ("riesz-log", "600"),
+    ]
+
+
+def test_converge_unclamped_orders_write_no_clamp_line(tmp_path):
+    assert main(["converge", "--out", str(tmp_path), "--n", "4,8,16"]) == EXIT_OK
+    assert "order_clamped" not in read(tmp_path / "converge.csv")
+    assert main(["converge", "--out", str(tmp_path), "--n", "0,4"]) == EXIT_USAGE
 
 
 def test_orlicz_csv(tmp_path):
@@ -238,15 +268,3 @@ def test_commands_are_byte_reproducible(tmp_path, argv):
     assert names == sorted(os.listdir(out_b))
     for name in names:
         assert read(out_a / name) == read(out_b / name), name
-
-
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    out_a.mkdir()
-    out_b.mkdir()
-    monkeypatch.setenv("LOGMEANS_THREADS", "1")
-    assert main(["kernel-verify", "--out", str(out_a), "--samples", "4"]) == EXIT_OK
-    monkeypatch.setenv("LOGMEANS_THREADS", "4")
-    assert main(["kernel-verify", "--out", str(out_b), "--samples", "4"]) == EXIT_OK
-    assert read(out_a / "kernel_verify.csv") == read(out_b / "kernel_verify.csv")

@@ -2,14 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from logmeans.fourier import GridOp, dirichlet_matrix
 from logmeans.grid import GridResolutionError
-from logmeans.kernels import build_region, gamma
+from logmeans.kernels import build_region, gamma, stratified_samples
 from logmeans.counterexamples import (
     BUMP_PREFACTOR,
+    _axis_profile,
     bump_mean,
+    bump_mean_many,
     bump_mean_lower_bound,
     exceedance_measure,
     geometric_sum,
@@ -80,6 +84,64 @@ def test_bump_mean_matches_dense_quadrature_oracle():
     kern = log_kernel_direct_many(N, x - sg.ravel(), y - tg.ravel())
     oracle = float(np.mean(kern)) * g * g * (BUMP_PREFACTOR / g ** 2) / math.pi ** 2
     assert got == pytest.approx(oracle, rel=1e-8)
+
+
+def _mp_axis_profiles(ks, g, u):
+    """A_k(u) = gamma/2 + sum_{j=1}^k (sin ju - sin j(u - gamma))/j at 40 digits, k in ks."""
+    with mpmath.workdps(40):
+        g, u = mpmath.mpf(g), mpmath.mpf(u)
+        total, out = g / 2, {}
+        for j in range(1, max(ks) + 1):
+            total += (mpmath.sin(j * u) - mpmath.sin(j * (u - g))) / j
+            if j in ks:
+                out[j] = total
+        return [g / 2 if k == 0 else out[k] for k in ks]
+
+
+def test_axis_profile_matches_mpmath_antiderivative():
+    n, ks = 5, (0, 1, 7, 63, 1023)
+    g = gamma(n)
+    region = build_region(n, "J")
+    (ax, bx, ay, _), (_, _, _, by) = region.rectangles[0], region.rectangles[-1]
+    us = np.array([ax, 0.5 * (ax + bx), ay, by, 0.0, 0.5 * g, g, 0.3, -2.0])
+    profile = _axis_profile(n, us)
+    assert profile.shape == (4 ** n, len(us))
+    for i, u in enumerate(us):
+        exact = _mp_axis_profiles(ks, g, u)
+        for k, want in zip(ks, exact):
+            assert abs(profile[k, i] - float(want)) <= 1e-10 * g, (k, u)
+
+
+def test_antiderivative_is_the_integral_of_the_dirichlet_kernel():
+    # the oracle's closed form itself: Int_0^gamma D_k(u - s) ds by quadrature
+    g = gamma(5)
+    for u in (0.3, -2.0, 0.5 * g):
+        exact = _mp_axis_profiles((0, 1, 7, 63), g, u)
+        with mpmath.workdps(40):
+            for k, want in zip((0, 1, 7, 63), exact):
+                kernel = lambda s: 0.5 + mpmath.fsum(mpmath.cos(j * (u - s)) for j in range(1, k + 1))
+                got = mpmath.quad(kernel, [0, mpmath.mpf(g)])
+                assert abs(got - want) <= mpmath.mpf(10) ** -30 * g, (k, u)
+
+
+def _gauss_legendre_bump_mean(n, xs, ys, quad_points=16):
+    """The bump mean with the support integrals done by a Gauss-Legendre rule."""
+    N, g = 4 ** n, gamma(n)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    ax, ay = np.zeros((N, len(xs))), np.zeros((N, len(ys)))
+    for node, w in zip(0.5 * g * (nodes + 1.0), 0.5 * g * weights):
+        ax += w * dirichlet_matrix(np.arange(N), xs - node)
+        ay += w * dirichlet_matrix(np.arange(N), ys - node)
+    mean_weights = GridOp.norlund_log(N).weights()
+    height = BUMP_PREFACTOR / g ** 2
+    return height * (mean_weights @ (ax * ay)) / (math.fsum(mean_weights) * math.pi ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bump_mean_matches_gauss_legendre_oracle(n):
+    pts = stratified_samples(build_region(n, "J"), 9)
+    xs, ys = pts[:, 0], pts[:, 1]
+    np.testing.assert_allclose(bump_mean_many(n, xs, ys), _gauss_legendre_bump_mean(n, xs, ys), rtol=1e-12)
 
 
 def test_bump_mean_lower_bound_positive_and_stable():
