@@ -256,7 +256,7 @@ def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
 
 def cmd_lemma(cfg: RunConfig, json_mirror: bool) -> int:
     reports, skipped = _skip_empty_regions(
-        cfg.n_list or REGION_DEFAULT_N, lambda n: kernels.lemma_main_check(n, cfg.samples_per_rect)
+        cfg.n_list or REGION_DEFAULT_N, lambda n: kernels.lemma_survey(n, cfg.samples_per_rect)
     )
     rows = [row for rep in reports for row in rep.csv_rows()]
     comments = ["paper_display=lemma-main", *skipped]
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-size", type=int, dest="grid_size")
     parser.add_argument("--n", type=lambda s: [int(p) for p in s.split(",")],
                         help="comma-separated scale/order list")
-    parser.add_argument("--samples", type=int, help="stratified samples per rectangle axis")
+    parser.add_argument("--samples", type=int, help="lattice samples per window on each axis")
     parser.add_argument("--out", help="output directory (must exist)")
     parser.add_argument("--json", action="store_true", help="mirror each CSV as JSON")
     return parser

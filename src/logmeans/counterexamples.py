@@ -17,9 +17,9 @@ from .kernels import (
     REGION_J,
     build_region,
     gamma,
+    lattice_min,
     phase_rate,
     beta,
-    stratified_samples,
 )
 from .fourier import GridOp
 from .orlicz import YoungFunction
@@ -93,20 +93,20 @@ def _axis_profile(n: int, u: np.ndarray) -> np.ndarray:
 
 def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True) -> np.ndarray:
     """
-    The order-2^{2n} logarithmic mean of the bump at the given points, exact:
-    every quadratical partial sum of the product bump factors into the two
-    per-axis integrals of the Dirichlet kernel over the support [0, gamma(n)].
+    The order-2^{2n} logarithmic mean of the bump on the lattice xs x ys,
+    shape (len(xs), len(ys)), exact: every quadratical partial sum of the
+    product bump factors into the two per-axis integrals of the Dirichlet
+    kernel over the support [0, gamma(n)], so the mean is one matrix product
+    A(xs)^T (w o A(ys)).
     """
-    if n < 1:
-        raise ValueError(f"scale must be >= 1, got {n}")
     mean_weights = GridOp.norlund_log(4 ** n).weights()
-    raw = mean_weights @ (_axis_profile(n, xs) * _axis_profile(n, ys))
+    raw = _axis_profile(n, xs).T @ (mean_weights[:, None] * _axis_profile(n, ys))
     height = (BUMP_PREFACTOR if scaled else 1.0) / gamma(n) ** 2
     return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
 def bump_mean(n: int, x: float, y: float, scaled: bool = True) -> float:
-    return float(bump_mean_many(n, np.array([x]), np.array([y]), scaled)[0])
+    return float(bump_mean_many(n, np.array([x]), np.array([y]), scaled)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -119,22 +119,13 @@ class BumpMeanReport:
 
 def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
     """
-    Minimum of x y t_{2^{2n}}(scaled bump; x, y) over a stratified sample of
-    the shrunken region: the desk-scale content of the pointwise lower bound
+    Minimum of x y t_{2^{2n}}(scaled bump; x, y) over the lattice of the
+    shrunken region: the desk-scale content of the pointwise lower bound
     t >= c / (x y) there.
     """
-    region = build_region(n, REGION_J)
-    pts = stratified_samples(region, samples_per_rect)
-    xs, ys = pts[:, 0], pts[:, 1]
-    vals = bump_mean_many(n, xs, ys, scaled=True)
-    ratios = xs * ys * vals
-    arg = int(np.argmin(ratios))
-    return BumpMeanReport(
-        n=n,
-        min_ratio=float(ratios[arg]),
-        argmin=(float(xs[arg]), float(ys[arg])),
-        samples=len(xs),
-    )
+    xs = build_region(n, REGION_J).lattice(samples_per_rect)
+    min_ratio, argmin = lattice_min(xs, bump_mean_many(n, xs, xs, scaled=True))
+    return BumpMeanReport(n=n, min_ratio=min_ratio, argmin=argmin, samples=len(xs) ** 2)
 
 
 @dataclass(frozen=True)
@@ -162,15 +153,11 @@ def l1_growth(n: int) -> GrowthReport:
     quadratic growth estimate actually bounds), next to the exact geometric
     integral of 1/(x y) over the same region.
     """
-    region = build_region(n, REGION_J)
     nodes, weights = np.polynomial.legendre.leggauss(L1_QUAD_PER_RECT)
-    total = 0.0
-    for ax, bx, ay, by in region.rectangles:
-        sx = 0.5 * (bx - ax) * (nodes + 1.0) + ax
-        sy = 0.5 * (by - ay) * (nodes + 1.0) + ay
-        xx, yy = np.meshgrid(sx, sy, indexing="ij")
-        vals = np.abs(bump_mean_many(n, xx.ravel(), yy.ravel())).reshape(xx.shape)
-        total += 0.25 * (bx - ax) * (by - ay) * float(weights @ vals @ weights)
+    intervals = build_region(n, REGION_J).intervals
+    s = np.concatenate([0.5 * (b - a) * (nodes + 1.0) + a for a, b in intervals])
+    w = np.concatenate([0.5 * (b - a) * weights for a, b in intervals])
+    total = float(w @ np.abs(bump_mean_many(n, s, s)) @ w)
     return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
 
 

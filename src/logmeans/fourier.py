@@ -21,8 +21,12 @@ def reduce_angle(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     any |t| <= pi passes through bit-unchanged.  Returns ``(r, half_sin,
     zero)`` with half_sin = sin(r/2) and ``zero`` marking the points where it
     vanishes, i.e. t = 0 mod 2*pi, where the ratio kernels take their limits.
+    Refuses NaN and infinite input, which has no remainder.
     """
-    r = np.fmod(np.asarray(t, dtype=float), 2.0 * math.pi)  # exact
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("angle reduction needs finite points")
+    r = np.fmod(t, 2.0 * math.pi)  # exact
     r = np.where(np.abs(r) > math.pi, r - np.copysign(2.0 * math.pi, r), r)  # exact (Sterbenz)
     half_sin = np.sin(0.5 * r)
     return r, half_sin, half_sin == 0.0

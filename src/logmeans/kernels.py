@@ -83,15 +83,18 @@ def gamma(n: int) -> float:
 @dataclass(frozen=True)
 class RegionSpec:
     """
-    Union of axis-aligned rectangles [alpha_m, beta_m] x [alpha_l, beta_l]
-    over 1 <= l, m <= m_max (kind I), each shrunk by gamma(n) on all four
-    sides for kind J.
+    Union of axis-aligned rectangles I_m x I_l over the per-axis windows
+    ``intervals`` (I_m = [alpha_m, beta_m], 1 <= m <= m_max, for kind I),
+    each shrunk by gamma(n) at both ends for kind J.
     """
 
     n: int
     kind: str
-    m_max: int
-    rectangles: tuple[tuple[float, float, float, float], ...]
+    intervals: tuple[tuple[float, float], ...]
+
+    @property
+    def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple((ax, bx, ay, by) for ax, bx in self.intervals for ay, by in self.intervals)
 
     def total_measure(self) -> float:
         return math.fsum((b - a) * (d - c) for a, b, c, d in self.rectangles)
@@ -101,6 +104,17 @@ class RegionSpec:
             a - tol <= x <= b + tol and c - tol <= y <= d + tol
             for a, b, c, d in self.rectangles
         )
+
+    def lattice(self, per_axis: int = 9) -> np.ndarray:
+        """
+        Deterministic per-axis sample: an inclusive ``per_axis``-point grid on
+        every interval (endpoints included), in interval order.  The region's
+        sample is the square lattice X x X, which puts the per_axis x per_axis
+        grid on every rectangle.
+        """
+        if per_axis < 2:
+            raise ValueError("need at least 2 samples per axis to include corners")
+        return np.concatenate([np.linspace(a, b, per_axis) for a, b in self.intervals])
 
 
 def build_region(n: int, kind: str, m_max_override: int | None = None) -> RegionSpec:
@@ -127,27 +141,19 @@ def build_region(n: int, kind: str, m_max_override: int | None = None) -> Region
         if hi <= lo:
             raise EmptyRegionError(f"window {m} collapses after shrinking at n = {n}")
         intervals.append((lo, hi))
-    rects = tuple(
-        (ax, bx, ay, by) for ax, bx in intervals for ay, by in intervals
-    )
-    return RegionSpec(n=n, kind=kind, m_max=m_max, rectangles=rects)
+    return RegionSpec(n=n, kind=kind, intervals=tuple(intervals))
 
 
-def stratified_samples(region: RegionSpec, per_axis: int = 9) -> np.ndarray:
+def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, float]]:
     """
-    Deterministic stratified sample of the region: an inclusive per_axis x
-    per_axis lattice on every rectangle (corners included), concatenated in
-    rectangle order.  Shape (P, 2).
+    Minimum of x y table[i, j] over the square lattice xs x xs and its first
+    row-major argmin (x, y).  The means are symmetric in (x, y), but a BLAS
+    product is not bit-symmetric, so the ratios are symmetrized first.
     """
-    if per_axis < 2:
-        raise ValueError("need at least 2 samples per axis to include corners")
-    chunks = []
-    for ax, bx, ay, by in region.rectangles:
-        xs = np.linspace(ax, bx, per_axis)
-        ys = np.linspace(ay, by, per_axis)
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        chunks.append(np.column_stack([xx.ravel(), yy.ravel()]))
-    return np.concatenate(chunks, axis=0)
+    ratios = xs[:, None] * xs[None, :] * table
+    ratios = np.minimum(ratios, ratios.T)
+    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+    return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
 
 
 # ----------------------------------------------------------------------------
@@ -276,6 +282,16 @@ def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (w @ (dt * ds)) / math.fsum(w)
 
 
+def log_kernel_lattice(N: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """
+    Direct-form F_N on the lattice xs x ys, shape (len(xs), len(ys)): one
+    matrix product D(xs)^T (w o D(ys)) / H_N of the per-axis kernel tables.
+    """
+    w = GridOp.norlund_log(N).weights()
+    k = np.arange(N)
+    return dirichlet_matrix(k, xs).T @ (w[:, None] * dirichlet_matrix(k, ys)) / math.fsum(w)
+
+
 @dataclass(frozen=True)
 class KernelEvaluation:
     """
@@ -326,8 +342,6 @@ def closed_form_terms(
         raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("closed form needs finite points")
     up, um = xs + ys, xs - ys
     args = np.stack([xs, ys, up, um])
     near = np.abs(reduce_angle(args)[0]) < eps_sing
@@ -442,17 +456,18 @@ def phase_range_check(n: int, x: float) -> PhaseCheck:
 # kernel lower-bound survey
 # ----------------------------------------------------------------------------
 
+#: Ceiling on the kernel-matrix memory (GiB) a lemma survey may hold at once.
+MAX_LATTICE_GIB = 2
+
+
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaSurvey:
     """
     Survey of the kernel lower bound at scale n (N = 2^{2n}).
 
-    ``i_min_ratio`` is the minimum of x y F_N(x, y) over the stratified
-    I-region sample; ``j_min_ratio`` additionally minimizes F over the four
-    corner offsets (s, t) in {0, gamma(n)}^2 before multiplying by x y.
-    ``main_min_over_n`` / ``remainder_max`` track the split into the four
-    telescoped main terms (scaled by 1/n) and the absolute remainder sum,
-    both on the H_N F_N scale.
+    ``i_min_ratio`` is the minimum of x y F_N(x, y) over the I-region
+    lattice; ``j_min_ratio`` additionally minimizes F over the four corner
+    offsets (s, t) in {0, gamma(n)}^2 before multiplying by x y.
     """
 
     n: int
@@ -463,8 +478,6 @@ class LemmaReport:
     j_samples: int
     j_min_ratio: float
     j_argmin: tuple[float, float]
-    main_min_over_n: float
-    remainder_max: float
 
     def csv_rows(self) -> list[list]:
         return [
@@ -473,49 +486,44 @@ class LemmaReport:
         ]
 
 
-def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
+@dataclass(frozen=True)
+class LemmaReport(LemmaSurvey):
+    """The survey plus the closed-form main-term minimum over n and remainder maximum (H_N F_N scale)."""
+
+    main_min_over_n: float
+    remainder_max: float
+
+
+def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     """
-    Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on a stratified sample of the
-    I-region (direct kernel form) and report the minimum, together with the
-    corner-offset minimum over the J-region and the main/remainder split of
-    the closed form.  Deterministic: fixed sample lattice, fixed reductions.
+    Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on the I-region lattice (direct
+    kernel form) and report the minimum, together with the corner-offset
+    minimum over the J-region lattice.  Deterministic: fixed sample lattice,
+    fixed reductions.  A scale whose kernel matrices would exceed
+    MAX_LATTICE_GIB is refused before they are allocated.
     """
     N = 4 ** n
-    region_i = build_region(n, REGION_I)  # EmptyRegionError below scale 3
-    pts = stratified_samples(region_i, samples_per_rect)
-    xs, ys = pts[:, 0], pts[:, 1]
+    # three (N, |X|) matrices are live at the peak of log_kernel_lattice, and
+    # the lattice has samples_per_rect points in each of 2^(n-3) windows
+    gib = 3 * 8 * N * samples_per_rect * 2 ** (n - 3) / 2 ** 30
+    if gib > MAX_LATTICE_GIB:
+        raise ValueError(f"lemma at n = {n} needs about {gib:.3g} GiB of kernel matrices, "
+                         f"over the {MAX_LATTICE_GIB} GiB limit")
+    fields = []
+    for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):
+        xs = build_region(n, kind).lattice(samples_per_rect)  # EmptyRegionError below scale 3
+        table = np.minimum.reduce([log_kernel_lattice(N, xs - s, xs - t) for s in shifts for t in shifts])
+        fields += [len(xs) ** 2, *lattice_min(xs, table)]
+    return LemmaSurvey(n, samples_per_rect, *fields)
 
-    f_vals = log_kernel_direct_many(N, xs, ys)
-    ratios = xs * ys * f_vals
-    i_arg = int(np.argmin(ratios))
 
-    terms, _ = closed_form_terms(N, xs, ys, K=N - 2, eps_sing=0.0)
-    main = np.sum(terms[:, :4], axis=1)
-    remainder = np.sum(np.abs(terms[:, 4:]), axis=1)
-    main_min_over_n = float(np.min(xs * ys * main / n))
-    remainder_max = float(np.max(xs * ys * remainder))
-
-    region_j = build_region(n, REGION_J)
-    jpts = stratified_samples(region_j, samples_per_rect)
-    jx, jy = jpts[:, 0], jpts[:, 1]
-    g = gamma(n)
-    offset_min = None
-    for s_off in (0.0, g):
-        for t_off in (0.0, g):
-            vals = log_kernel_direct_many(N, jx - s_off, jy - t_off)
-            offset_min = vals if offset_min is None else np.minimum(offset_min, vals)
-    j_ratios = jx * jy * offset_min
-    j_arg = int(np.argmin(j_ratios))
-
-    return LemmaReport(
-        n=n,
-        samples_per_rect=samples_per_rect,
-        i_samples=len(xs),
-        i_min_ratio=float(ratios[i_arg]),
-        i_argmin=(float(xs[i_arg]), float(ys[i_arg])),
-        j_samples=len(jx),
-        j_min_ratio=float(j_ratios[j_arg]),
-        j_argmin=(float(jx[j_arg]), float(jy[j_arg])),
-        main_min_over_n=main_min_over_n,
-        remainder_max=remainder_max,
-    )
+def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
+    """lemma_survey plus the closed form's main/remainder split at full caps on the I-region lattice."""
+    survey = lemma_survey(n, samples_per_rect)
+    N = 4 ** n
+    xs = build_region(n, REGION_I).lattice(samples_per_rect)
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+    terms, _ = closed_form_terms(N, xx, yy, K=N - 2, eps_sing=0.0)
+    main_min_over_n = float(np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
+    remainder_max = float(np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
+    return LemmaReport(**vars(survey), main_min_over_n=main_min_over_n, remainder_max=remainder_max)

@@ -19,3 +19,25 @@ def random_band_limited(rng, bandwidth, grid_size, real=False, scale=1.0):
                             source_grid=grid_size)
     grid = evaluate_grid(coeffs, GridOp.rect(bandwidth, bandwidth), grid_size)
     return grid, coeffs
+
+
+def stratified_samples(region, per_axis=9):
+    """
+    Reference sample layout: an inclusive per_axis x per_axis grid on every
+    rectangle of the region, concatenated in rectangle order, shape (P, 2).
+    """
+    chunks = []
+    for ax, bx, ay, by in region.rectangles:
+        xs = np.linspace(ax, bx, per_axis)
+        ys = np.linspace(ay, by, per_axis)
+        xx, yy = np.meshgrid(xs, ys, indexing="ij")
+        chunks.append(np.column_stack([xx.ravel(), yy.ravel()]))
+    return np.concatenate(chunks, axis=0)
+
+
+def stratified_min(pts, values):
+    """(samples, minimum of x y values, its first argmin in rectangle order) over paired points."""
+    xs, ys = pts[:, 0], pts[:, 1]
+    ratios = xs * ys * values
+    arg = int(np.argmin(ratios))
+    return len(xs), float(ratios[arg]), (float(xs[arg]), float(ys[arg]))

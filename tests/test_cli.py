@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -133,6 +134,23 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert any("skipped_empty_region_n=2" in l for l in lines)
     data_rows = [l for l in lines if l and not l.startswith("#")][1:]
     assert data_rows == []
+
+
+@pytest.mark.parametrize("n", ["9", "12"])
+def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
+    # n = 9 needs 3.4 GiB of (N, |X|) kernel matrices, n = 12 about 1.7 TiB:
+    # both are refused from the estimate, before anything is allocated
+    tracemalloc.start()
+    try:
+        code = main(["lemma", "--out", str(tmp_path), "--n", n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"n = {n}" in err and "GiB" in err
+    assert not (tmp_path / "lemma.csv").exists()
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("command, n_arg, kept", [("growth", "2", []), ("measure", "2,6", ["6"])])

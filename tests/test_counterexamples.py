@@ -8,7 +8,7 @@ import pytest
 
 from logmeans.fourier import GridOp, dirichlet_matrix
 from logmeans.grid import GridResolutionError
-from logmeans.kernels import build_region, gamma, stratified_samples
+from logmeans.kernels import build_region, gamma
 from logmeans.counterexamples import (
     BUMP_PREFACTOR,
     _axis_profile,
@@ -23,6 +23,8 @@ from logmeans.counterexamples import (
     r_nm,
 )
 from logmeans.orlicz import LOG, LOG2, LOG2_LOGLOG
+
+from conftest import stratified_min, stratified_samples
 
 
 def test_bump_prefactor_value():
@@ -139,9 +141,30 @@ def _gauss_legendre_bump_mean(n, xs, ys, quad_points=16):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_bump_mean_matches_gauss_legendre_oracle(n):
+    # the region lattice against itself reversed: the same points as X x X,
+    # but a transposed product no longer lands on the right entries
+    xs = build_region(n, "J").lattice(9)
+    ys = xs[::-1]
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    want = _gauss_legendre_bump_mean(n, xx, yy).reshape(len(xs), len(ys))
+    np.testing.assert_allclose(bump_mean_many(n, xs, ys), want, rtol=1e-12)
+
+
+def _paired_bump_mean(n, xs, ys):
+    """The scaled bump mean at the paired points (xs[i], ys[i]), one profile column per point."""
+    w = GridOp.norlund_log(4 ** n).weights()
+    raw = w @ (_axis_profile(n, xs) * _axis_profile(n, ys))
+    return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (math.fsum(w) * math.pi ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bump_mean_lower_bound_matches_paired_reference(n):
     pts = stratified_samples(build_region(n, "J"), 9)
-    xs, ys = pts[:, 0], pts[:, 1]
-    np.testing.assert_allclose(bump_mean_many(n, xs, ys), _gauss_legendre_bump_mean(n, xs, ys), rtol=1e-12)
+    samples, ratio, argmin = stratified_min(pts, _paired_bump_mean(n, pts[:, 0], pts[:, 1]))
+    rep = bump_mean_lower_bound(n)
+    assert rep.samples == samples
+    assert rep.min_ratio == pytest.approx(ratio, rel=1e-14, abs=0.0)
+    assert rep.argmin == argmin
 
 
 def test_bump_mean_lower_bound_positive_and_stable():
@@ -181,6 +204,24 @@ def test_l1_lower_strictly_increasing():
     values = [l1_growth(n).l1_lower for n in (3, 4, 5)]
     assert values[0] < values[1] < values[2]
     assert values[0] > 0.0
+
+
+def _per_rectangle_l1_lower(n):
+    """l1_lower by the 12-node Gauss-Legendre rule applied to one rectangle at a time."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    total = 0.0
+    for ax, bx, ay, by in build_region(n, "J").rectangles:
+        sx = 0.5 * (bx - ax) * (nodes + 1.0) + ax
+        sy = 0.5 * (by - ay) * (nodes + 1.0) + ay
+        xx, yy = np.meshgrid(sx, sy, indexing="ij")
+        vals = np.abs(_paired_bump_mean(n, xx.ravel(), yy.ravel())).reshape(xx.shape)
+        total += 0.25 * (bx - ax) * (by - ay) * float(weights @ vals @ weights)
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_l1_growth_matches_per_rectangle_reference(n):
+    assert l1_growth(n).l1_lower == pytest.approx(_per_rectangle_l1_lower(n), rel=1e-14, abs=0.0)
 
 
 def test_l1_lower_consistent_with_pointwise_bound():

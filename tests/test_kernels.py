@@ -1,12 +1,15 @@
 """Kernel forms, telescoped sums, phase windows, region geometry."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
     RegionMembershipError,
@@ -20,17 +23,21 @@ from logmeans.kernels import (
     cos_sum_telescoped,
     fejer_ratio,
     gamma,
+    lattice_min,
     lemma_main_check,
+    lemma_survey,
     log_kernel_closed,
     log_kernel_direct,
     log_kernel_direct_many,
+    log_kernel_lattice,
     phase_range_check,
     phase_rate,
     sin_sum,
-    stratified_samples,
     telescoped_tail_bound,
 )
 from logmeans.means import harmonic_number
+
+from conftest import stratified_min, stratified_samples
 
 
 # -------------------------------------------------------- window coordinates
@@ -132,6 +139,68 @@ def test_kernel_vectorized_matches_scalar(rng):
     many = log_kernel_direct_many(32, ts, ss)
     for i in range(17):
         assert many[i] == pytest.approx(log_kernel_direct(32, float(ts[i]), float(ss[i])), abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_log_kernel_lattice_matches_paired_form(N, rng):
+    # a non-square lattice with the removable points 0, 2 pi and -pi, so a
+    # transposed product shows as a wrong shape or wrong values
+    xs = np.concatenate([rng.uniform(-4.0, 4.0, 7), [0.0, 2.0 * math.pi, -math.pi]])
+    ys = np.concatenate([rng.uniform(-4.0, 4.0, 4), [0.0, 1e-9]])
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+    got = log_kernel_lattice(N, xs, ys)
+    assert got.shape == (len(xs), len(ys))
+    want = log_kernel_direct_many(N, xx, yy)
+    # the two forms share the D_k values and differ only in summation order,
+    # so they agree within twice the gamma_{N+2} bound on the absolute sum
+    w = GridOp.norlund_log(N).weights()
+    k = np.arange(N)
+    scale = w @ np.abs(dirichlet_matrix(k, xx) * dirichlet_matrix(k, yy)) / math.fsum(w)
+    assert np.all(np.abs(got.ravel() - want) <= 2.0 * (N + 2) * np.finfo(float).eps * scale)
+
+
+def _mp_log_kernel(N, x, y):
+    """F_N(x, y) from its defining sum in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        h = mpmath.fsum(1 / mpmath.mpf(j) for j in range(1, N + 1))
+        total = mpmath.fsum(mpmath.sin((k + 0.5) * x) * mpmath.sin((k + 0.5) * y) / (N - k) for k in range(N))
+        return total / (4 * mpmath.sin(x / 2) * mpmath.sin(y / 2) * h)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("d", [1e-3, 1e-5])
+def test_kernel_forms_match_mpmath_near_the_tubes(N, d):
+    # distance d from x = 0, y = 0, x - y = 0, x + y = 0, and near (pi, pi),
+    # where x + y sits d from the tube at 2 pi
+    pts = [(d, 0.7), (0.7, -d), (0.9 + d, 0.9), (0.9, d - 0.9), (math.pi - d, math.pi), (math.pi, math.pi - 2 * d)]
+    xs, ys = (np.array(v) for v in zip(*pts))
+    direct = log_kernel_direct_many(N, xs, ys)
+    terms, _ = closed_form_terms(N, xs, ys, K=N - 2)
+    closed = np.sum(terms, axis=1) / harmonic_number(N)
+    for i, (x, y) in enumerate(pts):
+        exact = float(_mp_log_kernel(N, x, y))
+        lattice = log_kernel_lattice(N, xs[i : i + 1], ys[i : i + 1])[0, 0]
+        assert abs(direct[i] - exact) <= 1e-13 * (1.0 + abs(exact)), (x, y)
+        assert abs(lattice - exact) <= 1e-13 * (1.0 + abs(exact)), (x, y)
+        assert abs(closed[i] - exact) <= 1e-18 / d ** 2 * (1.0 + abs(exact)), (x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    pts, other = np.array([bad, 0.3]), np.array([0.2, 0.4])
+    calls = [
+        lambda: log_kernel_direct_many(16, np.array([math.nan, 0.3]), np.array([0.2, math.inf])),
+        lambda: dirichlet_kernel(5, bad),
+        lambda: log_kernel_direct_many(16, pts, other),
+        lambda: log_kernel_lattice(16, other, pts),
+        lambda: closed_form_terms(16, other, pts),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 # ------------------------------------------------------------ cosine-sum form
@@ -335,10 +404,47 @@ def test_lemma_argmin_lies_in_region():
 
 def test_stratified_samples_cover_corners():
     region = build_region(3, "J")
-    pts = stratified_samples(region, 5)
+    xs = region.lattice(5)
     ax, bx, ay, by = region.rectangles[0]
     for corner in [(ax, ay), (ax, by), (bx, ay), (bx, by)]:
-        assert any(np.allclose(p, corner) for p in pts)
+        assert any(np.allclose((x, y), corner) for x in xs for y in xs)
+    with pytest.raises(ValueError):
+        region.lattice(1)
+
+
+def test_lattice_min_reports_the_first_of_two_mirror_points():
+    # a BLAS product need not be bit-symmetric: when the mirror of the minimum
+    # comes out one ulp lower, the argmin stays on the first of the pair in
+    # row-major (and rectangle) order, where the paired layout reports it
+    xs = np.array([0.3, 0.5, 0.7])
+    table = np.full((3, 3), 10.0)
+    table[0, 2], table[2, 0] = 1.0, np.nextafter(1.0, 0.0)
+    value, argmin = lattice_min(xs, table)
+    assert argmin == (0.3, 0.7)
+    assert value == 0.7 * 0.3 * np.nextafter(1.0, 0.0)
+
+
+def _paired_lemma_survey(n, per_axis=9):
+    """The lemma survey on the per-rectangle point layout with the paired kernel form."""
+    out = []
+    for kind, shifts in (("I", (0.0,)), ("J", (0.0, gamma(n)))):
+        pts = stratified_samples(build_region(n, kind), per_axis)
+        vals = [log_kernel_direct_many(4 ** n, pts[:, 0] - s, pts[:, 1] - t) for s in shifts for t in shifts]
+        out.append(stratified_min(pts, np.minimum.reduce(vals)))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lemma_survey_matches_paired_reference(n):
+    survey = lemma_survey(n)
+    got = [
+        (survey.i_samples, survey.i_min_ratio, survey.i_argmin),
+        (survey.j_samples, survey.j_min_ratio, survey.j_argmin),
+    ]
+    for (samples, ratio, argmin), (ref_samples, ref_ratio, ref_argmin) in zip(got, _paired_lemma_survey(n)):
+        assert samples == ref_samples
+        assert ratio == pytest.approx(ref_ratio, rel=1e-14, abs=0.0)
+        assert argmin == ref_argmin
 
 
 def test_lemma_report_csv_rows():
