@@ -21,7 +21,7 @@ from .kernels import (
     phase_rate,
     beta,
 )
-from .fourier import GridOp
+from .fourier import GridOp, finite_points
 from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
@@ -81,8 +81,9 @@ def _axis_profile(n: int, u: np.ndarray) -> np.ndarray:
     A_k(u) = Int_0^gamma D_k(u - s) ds = gamma/2 + sum_{j=1}^k (sin ju - sin j(u - gamma)) / j
     for k = 0..4^n - 1, shape (4^n, len(u)); each difference is taken as
     2 cos(j(u - gamma/2)) sin(j gamma/2), which cancels no digits when j gamma is small.
+    Refuses NaN and infinite points, as every kernel form does.
     """
-    u = np.asarray(u, dtype=float)
+    u = finite_points(u)
     g = gamma(n)
     j = np.arange(1, 4 ** n)[:, None]
     profile = np.empty((4 ** n, len(u)))

@@ -7,11 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction2D, IMAG_TOL, axis_points
+from .grid import GridFunction2D, IMAG_TOL, validate_grid_size
 
 
 class BandwidthError(ValueError):
     """Requested frequencies exceed the available bandwidth or the Nyquist limit."""
+
+
+def finite_points(t) -> np.ndarray:
+    """``t`` as a float array; refuses NaN and infinite points, which have no angle."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("angle reduction needs finite points")
+    return t
 
 
 def reduce_angle(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -23,9 +31,7 @@ def reduce_angle(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vanishes, i.e. t = 0 mod 2*pi, where the ratio kernels take their limits.
     Refuses NaN and infinite input, which has no remainder.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("angle reduction needs finite points")
+    t = finite_points(t)
     r = np.fmod(t, 2.0 * math.pi)  # exact
     r = np.where(np.abs(r) > math.pi, r - np.copysign(2.0 * math.pi, r), r)  # exact (Sterbenz)
     half_sin = np.sin(0.5 * r)
@@ -90,7 +96,7 @@ class SpectralCoeffs:
 def fourier_coeffs(f: GridFunction2D, M: int, N: int) -> SpectralCoeffs:
     """
     Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy
-    by rectangle-rule quadrature on the sample grid.
+    by rectangle-rule quadrature on the sample grid, taken by one 2D FFT.
 
     The rule is spectrally exact below Nyquist, so both bandwidths must stay
     under half the grid: 2M < G and 2N < G.
@@ -100,13 +106,11 @@ def fourier_coeffs(f: GridFunction2D, M: int, N: int) -> SpectralCoeffs:
     G = f.grid_size
     if 2 * M >= G or 2 * N >= G:
         raise BandwidthError(f"bandwidth ({M}, {N}) at or above Nyquist for grid {G}")
-    pts = axis_points(G)
-    m_range = np.arange(-M, M + 1)
-    n_range = np.arange(-N, N + 1)
-    # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k}, separably.
-    ex = np.exp(-1j * np.outer(m_range, pts))
-    ey = np.exp(-1j * np.outer(n_range, pts))
-    coeffs = (ex @ f.values @ ey.T) / G ** 2
+    m, n = np.arange(-M, M + 1), np.arange(-N, N + 1)
+    # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k} is one FFT: the grid
+    # origin x_0 = -pi puts the phase (-1)^(m + n) on bin (m mod G, n mod G).
+    spectrum = np.fft.fft2(f.values, norm="forward")
+    coeffs = spectrum[np.ix_(m % G, n % G)] * np.outer((-1.0) ** m, (-1.0) ** n)
     return SpectralCoeffs(coeffs=coeffs, bandwidth_m=M, bandwidth_n=N, source_grid=G)
 
 
@@ -197,16 +201,41 @@ class GridOp:
         return j, j
 
 
+def _fold(spectrum: np.ndarray, G: int, axis: int) -> np.ndarray:
+    """
+    Place the frequencies -r..r along ``axis`` of ``spectrum`` (length 2r + 1)
+    in their FFT bins m mod G, summing the frequencies that alias when
+    2r + 1 > G, and apply the phase (-1)^m of the grid origin -pi.  G is even,
+    so every frequency in a bin shares the bin's parity.
+    """
+    reach = (spectrum.shape[axis] - 1) // 2
+    shape = list(spectrum.shape)
+    shape[axis] = G
+    out = np.zeros(shape, dtype=complex)
+    src, dst = np.moveaxis(spectrum, axis, 0), np.moveaxis(out, axis, 0)
+    for start in range(0, 2 * reach + 1, G):  # G consecutive frequencies fill G distinct bins
+        block = src[start : start + G]
+        first = (start - reach) % G
+        split = min(len(block), G - first)  # where the block wraps past bin G - 1
+        dst[first : first + split] += block[:split]
+        dst[: len(block) - split] += block[split:]
+    dst[1::2] *= -1.0
+    return out
+
+
 def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -> GridFunction2D:
     """
     Evaluate the partial sum or mean specified by ``op`` on the full grid.
 
-    Deterministic (fixed-order separable reductions).  ``grid_size`` defaults
-    to the coefficients' source grid.
+    The op's weights are applied in coefficient space, then one inverse FFT
+    per axis synthesises the grid: first along n over the 2 reach_m + 1
+    coefficient rows only, then along m.  Deterministic.  ``grid_size``
+    defaults to the coefficients' source grid.
     """
     G = grid_size if grid_size is not None else c.source_grid
     if G is None:
         raise ValueError("no grid size available; pass grid_size explicitly")
+    validate_grid_size(G)
     reach_m, reach_n = op.reach()
     if reach_m > c.bandwidth_m or reach_n > c.bandwidth_n:
         raise BandwidthError(
@@ -227,9 +256,8 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -
         j_star = np.maximum(m_abs[:, None], m_abs[None, :])
         weighted = sub * profile[j_star]
 
-    pts = axis_points(G)
-    ex = np.exp(1j * np.outer(pts, np.arange(-reach_m, reach_m + 1)))
-    ey = np.exp(1j * np.outer(np.arange(-reach_n, reach_n + 1), pts))
-    values = ex @ weighted @ ey
+    # sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j}, unscaled inverse FFTs
+    rows = np.fft.ifft(_fold(weighted, G, axis=1), axis=1, norm="forward")
+    values = np.fft.ifft(_fold(rows, G, axis=0), axis=0, norm="forward")
     is_real = bool(np.max(np.abs(values.imag)) <= IMAG_TOL)
     return GridFunction2D(values=values, is_real=is_real)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -95,12 +96,25 @@ LOG2_LOGLOG = young_custom(
 )
 
 
+def _magnitude_histogram(f: GridFunction2D) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of |f| and how many samples take each; refuses non-finite samples."""
+    mags = np.abs(f.values)
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("samples must be finite")
+    return np.unique(mags, return_counts=True)
+
+
+def _histogram_modular(mags: np.ndarray, counts: np.ndarray, Q: YoungFunction, k: float, area: float) -> float:
+    """Rectangle-rule Int Q(|f| / k) from the magnitude histogram: each distinct value once, times its count."""
+    return float(counts @ np.asarray(Q(mags / k)) * area)
+
+
 def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
     """Rectangle-rule value of Int Q(|f| / k) over the torus."""
-    if k <= 0.0:
-        raise ValueError(f"scale must be positive, got {k}")
-    mags = np.abs(f.values)
-    return float(np.sum(np.asarray(Q(mags / k))) * f.cell_area)
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {k}")
+    mags, counts = _magnitude_histogram(f)
+    return _histogram_modular(mags, counts, Q, k, f.cell_area)
 
 
 def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -> float:
@@ -108,18 +122,16 @@ def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -
     inf { k > 0 : Int Q(|f| / k) <= 1 }, computed by bracketing (double k
     until the modular drops to <= 1, halve until it exceeds 1) followed by
     bisection to relative tolerance ``rel_tol``.  Returns 0 for f = 0; the
-    returned k sits on the feasible side (modular(k) <= 1).
+    returned k sits on the feasible side (modular(k) <= 1).  Every modular
+    runs over the distinct magnitudes of f weighted by their sample counts.
     """
-    mags = np.abs(f.values)
-    if not np.all(np.isfinite(mags)):
-        raise ValueError("samples must be finite")
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if peak == 0.0:
+    mags, counts = _magnitude_histogram(f)
+    if mags[-1] == 0.0:  # sorted: the largest magnitude
         return 0.0
     area = f.cell_area
 
     def mod(k: float) -> float:
-        return float(np.sum(np.asarray(Q(mags / k))) * area)
+        return _histogram_modular(mags, counts, Q, k, area)
 
     hi = 1.0
     for _ in range(1100):

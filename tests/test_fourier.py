@@ -18,7 +18,7 @@ from logmeans.fourier import (
     rect_partial_sum,
 )
 
-from conftest import random_band_limited
+from conftest import dense_fourier_coeffs, dense_synthesis, random_band_limited
 
 
 # ---------------------------------------------------------------- grid type
@@ -229,6 +229,59 @@ def test_evaluate_grid_requires_grid_size():
     with pytest.raises(ValueError):
         evaluate_grid(c, GridOp.rect(1, 1))
     evaluate_grid(c, GridOp.rect(1, 1), grid_size=8)
+
+
+# ------------------------------------------------- FFT against the dense DFT
+
+def _random_coeffs(rng, bandwidth_m, bandwidth_n, source_grid=None):
+    shape = (2 * bandwidth_m + 1, 2 * bandwidth_n + 1)
+    return SpectralCoeffs(coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                          bandwidth_m=bandwidth_m, bandwidth_n=bandwidth_n, source_grid=source_grid)
+
+
+def _dense_op_values(c, op, G):
+    """Reference values of ``op`` on the G-point grid: the weighted dense syntheses of its partial sums."""
+    def window(M, N):
+        return c.coeffs[c.bandwidth_m - M : c.bandwidth_m + M + 1, c.bandwidth_n - N : c.bandwidth_n + N + 1]
+
+    if op.kind == "rect":
+        return dense_synthesis(window(*op.reach()), G)
+    w = op.weights()
+    return sum(wj * dense_synthesis(window(j, j), G) for j, wj in enumerate(w) if wj) / w.sum()
+
+
+@pytest.mark.parametrize("G", [8, 16, 32])
+def test_fft_coeffs_match_dense_dft(G, rng):
+    values = rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G))
+    f = GridFunction2D(values=values)
+    for M, N in [(G // 2 - 1, G // 2 - 1), (G // 2 - 1, 1), (0, G // 4), (1, 0)]:
+        c = fourier_coeffs(f, M, N)
+        np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(values, M, N), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("G", [8, 16, 32])
+def test_fft_synthesis_matches_dense_dft(G, rng):
+    bm, bn = G // 2 - 1, G // 4
+    c = _random_coeffs(rng, bm, bn, source_grid=G)
+    ops = [
+        GridOp.rect(bm, bn), GridOp.rect(1, bn), GridOp.rect(bm, 0), GridOp.rect(0, 0),
+        GridOp.quad(1), GridOp.norlund_log(1), GridOp.marcinkiewicz(1), GridOp.riesz_log(2),
+        GridOp.quad(bn), GridOp.norlund_log(bn + 1), GridOp.marcinkiewicz(bn), GridOp.riesz_log(bn + 1),
+    ]
+    for op in ops:
+        out = evaluate_grid(c, op)
+        np.testing.assert_allclose(out.values, _dense_op_values(c, op, G), rtol=0, atol=1e-12,
+                                   err_msg=str(op))
+
+
+@pytest.mark.parametrize("reach", [4, 7, 11])
+def test_synthesis_on_a_coarse_grid_sums_aliased_frequencies(reach, rng):
+    # grid_size 8 < 2 reach + 1: frequencies m and m + 8 land on the same samples
+    c = _random_coeffs(rng, reach, reach)
+    for op in (GridOp.rect(reach, reach - 1), GridOp.rect(1, reach), GridOp.marcinkiewicz(reach)):
+        out = evaluate_grid(c, op, grid_size=8)
+        np.testing.assert_allclose(out.values, _dense_op_values(c, op, 8), rtol=0, atol=1e-12,
+                                   err_msg=str(op))
 
 
 def test_grid_op_validation():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logmeans.counterexamples import bump_mean, bump_mean_many
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
@@ -195,6 +196,9 @@ def test_non_finite_points_are_refused(bad):
         lambda: log_kernel_direct_many(16, pts, other),
         lambda: log_kernel_lattice(16, other, pts),
         lambda: closed_form_terms(16, other, pts),
+        lambda: bump_mean_many(3, pts, other),
+        lambda: bump_mean_many(3, other, pts),
+        lambda: bump_mean(3, bad, 0.1),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

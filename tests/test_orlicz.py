@@ -24,6 +24,8 @@ from logmeans.orlicz import (
     young_power,
 )
 
+from conftest import raw_luxemburg_norm, raw_modular
+
 
 E_MINUS_1 = math.e - 1.0
 
@@ -98,10 +100,38 @@ def test_norm_of_unit_measure_indicator():
 
 
 def test_norm_rejects_nonfinite_samples():
-    vals = np.zeros((8, 8), dtype=complex)
-    vals[0, 0] = np.inf
-    with pytest.raises(ValueError):
-        luxemburg_norm(GridFunction2D(values=vals), LOG)
+    # the modular shares the norm's check
+    for bad in (math.inf, math.nan, complex(0.0, -math.inf)):
+        vals = np.zeros((8, 8), dtype=complex)
+        vals[0, 0] = bad
+        f = GridFunction2D(values=vals)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            luxemburg_norm(f, LOG)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            modular(f, LOG, 1.0)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_modular_refuses_bad_scale(k):
+    with pytest.raises(ValueError, match="scale"):
+        modular(GridFunction2D.constant(1.0, 8), LOG, k)
+
+
+def _many_magnitude_grids(rng):
+    abs_x = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, 64, real=True)
+    noise = GridFunction2D(values=rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    return abs_x, noise
+
+
+def test_histogram_norm_and_modular_match_the_raw_sample_loop(rng):
+    for f in _many_magnitude_grids(rng):
+        assert np.unique(np.abs(f.values)).size >= 33
+        for Q in (LOG, LOG2, young_power(2.0), young_log_power(0.5)):
+            norm = luxemburg_norm(f, Q)
+            assert norm == pytest.approx(raw_luxemburg_norm(f.values, Q, f.cell_area), rel=1e-12, abs=0)
+            for k in (0.3 * norm, norm, 5.0 * norm):
+                expected = raw_modular(f.values, Q, k, f.cell_area)
+                assert modular(f, Q, k) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_modular_calibration_at_the_norm(rng):
