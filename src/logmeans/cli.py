@@ -60,6 +60,11 @@ class RunConfig:
             raise ConfigError(f"grid_size: {exc}") from exc
         if self.samples_per_rect < 1:
             raise ConfigError(f"samples_per_rect must be >= 1, got {self.samples_per_rect}")
+        for key in ("tol_tail", "tol_kernel"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not (math.isfinite(self.tol_bisection) and self.tol_bisection > 0.0):
+            raise ConfigError(f"tol_bisection must be finite and > 0, got {self.tol_bisection}")
 
     def to_text(self) -> str:
         lines = []

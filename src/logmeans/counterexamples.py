@@ -26,8 +26,6 @@ from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
 BUMP_PREFACTOR = ((0.5 * math.pi - math.acos(0.25)) / 8.0) ** 2
-#: Gauss-Legendre nodes per axis of each region rectangle in ``l1_growth``.
-L1_QUAD_PER_RECT = 12
 
 
 @dataclass(frozen=True)
@@ -76,32 +74,40 @@ def make_bump(n: int, scaled: bool, grid_size: int) -> tuple[GridFunction2D, Bum
     return grid, spec
 
 
-def _axis_profile(n: int, u: np.ndarray) -> np.ndarray:
+def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     """
     A_k(u) = Int_0^gamma D_k(u - s) ds = gamma/2 + sum_{j=1}^k (sin ju - sin j(u - gamma)) / j
     for k = 0..4^n - 1, shape (4^n, len(u)); each difference is taken as
     2 cos(j(u - gamma/2)) sin(j gamma/2), which cancels no digits when j gamma is small.
+
+    With cell widths ``h`` (scalar or one per point) the entries are the cell
+    averages (1/h) Int_{u-h/2}^{u+h/2} A_k: averaging multiplies the j-th term
+    by sin(jh/2)/(jh/2), exactly 1 where h = 0, so point values keep every bit.
     Refuses NaN and infinite points, as every kernel form does.
     """
     u = finite_points(u)
     g = gamma(n)
     j = np.arange(1, 4 ** n)[:, None]
+    half = 0.5 * j * np.asarray(h, dtype=float)
+    cell = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
     profile = np.empty((4 ** n, len(u)))
     profile[0] = 0.5 * g
-    profile[1:] = np.cos(j * (u - 0.5 * g)) * (2.0 * np.sin(0.5 * g * j) / j)
+    profile[1:] = np.cos(j * (u - 0.5 * g)) * (2.0 * np.sin(0.5 * g * j) / j) * cell
     return np.cumsum(profile, axis=0, out=profile)
 
 
-def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True) -> np.ndarray:
+def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True, hx=0.0, hy=0.0) -> np.ndarray:
     """
     The order-2^{2n} logarithmic mean of the bump on the lattice xs x ys,
     shape (len(xs), len(ys)), exact: every quadratical partial sum of the
     product bump factors into the two per-axis integrals of the Dirichlet
     kernel over the support [0, gamma(n)], so the mean is one matrix product
-    A(xs)^T (w o A(ys)).
+    A(xs)^T (w o A(ys)).  With cell widths ``hx``, ``hy`` (one per point) the
+    entry (i, j) is the exact average of the mean over the cell
+    [xs_i -+ hx_i/2] x [ys_j -+ hy_j/2] instead.
     """
     mean_weights = GridOp.norlund_log(4 ** n).weights()
-    raw = _axis_profile(n, xs).T @ (mean_weights[:, None] * _axis_profile(n, ys))
+    raw = _axis_profile(n, xs, hx).T @ (mean_weights[:, None] * _axis_profile(n, ys, hy))
     height = (BUMP_PREFACTOR if scaled else 1.0) / gamma(n) ** 2
     return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
@@ -138,27 +144,25 @@ class GrowthReport:
 
 def geometric_sum(n: int) -> float:
     """
-    Exact Int over the shrunken region of dx dy / (x y): per rectangle the
-    integral factorizes into a product of log ratios of the endpoints.
+    Exact Int over the shrunken region of dx dy / (x y): the region is
+    U x U for the union U of its windows, so the integral is the square of
+    Int_U dx / x, a sum of log ratios of the window endpoints.
     """
-    region = build_region(n, REGION_J)
-    return math.fsum(
-        math.log(bx / ax) * math.log(by / ay) for ax, bx, ay, by in region.rectangles
-    )
+    return math.fsum(math.log(b / a) for a, b in build_region(n, REGION_J).intervals) ** 2
 
 
 def l1_growth(n: int) -> GrowthReport:
     """
-    Region-restricted lower bound on || t_{2^{2n}}(scaled bump) ||_1: the
-    quadrature of |t| over the shrunken region only (the inexpensive part the
-    quadratic growth estimate actually bounds), next to the exact geometric
-    integral of 1/(x y) over the same region.
+    Region-restricted lower bound on || t_{2^{2n}}(scaled bump) ||_1 in closed
+    form: the sum over the cells R = I_m x I_l of the shrunken region of |Int_R t|
+    (at most Int_R |t|, equal where t keeps its sign on R), each Int_R t being
+    R's area times the exact cell mean from bump_mean_many.  Reported next to
+    the exact geometric integral of 1/(x y) over the same region.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(L1_QUAD_PER_RECT)
-    intervals = build_region(n, REGION_J).intervals
-    s = np.concatenate([0.5 * (b - a) * (nodes + 1.0) + a for a, b in intervals])
-    w = np.concatenate([0.5 * (b - a) * weights for a, b in intervals])
-    total = float(w @ np.abs(bump_mean_many(n, s, s)) @ w)
+    a, b = np.array(build_region(n, REGION_J).intervals).T
+    mids, widths = 0.5 * (a + b), b - a
+    means = bump_mean_many(n, mids, mids, hx=widths, hy=widths)
+    total = float(widths @ np.abs(means) @ widths)
     return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
 
 
@@ -170,18 +174,16 @@ class ExceedanceReport:
     bound: float
 
 
-def _rect_area_under_hyperbola(ax: float, bx: float, ay: float, by: float, theta: float) -> float:
-    """Exact area of {(x, y) in [ax,bx] x [ay,by] : x y < theta} for 0 < ax, 0 < ay."""
-    if theta <= ax * ay:
-        return 0.0
-    if theta >= bx * by:
-        return (bx - ax) * (by - ay)
-    x1 = min(max(theta / by, ax), bx)
-    x2 = min(max(theta / ay, ax), bx)
-    area = (x1 - ax) * (by - ay)
-    if x2 > x1:
-        area += theta * math.log(x2 / x1) - ay * (x2 - x1)
-    return area
+def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
+    """
+    Exact area of {(x, y) in [ax,bx] x [ay,by] : x y < theta} for 0 < ax,
+    0 < ay, broadcast over arrays of edges.  Below x1 = theta/by the
+    whole column lies under the hyperbola, past x2 = theta/ay none of it;
+    clipping both to [ax, bx] covers the empty and the full rectangle too.
+    """
+    x1 = np.clip(theta / by, ax, bx)
+    x2 = np.clip(theta / ay, ax, bx)
+    return (x1 - ax) * (by - ay) + (theta * np.log(x2 / x1) - ay * (x2 - x1))
 
 
 def exceedance_measure(
@@ -193,9 +195,9 @@ def exceedance_measure(
     Measure of the subset of the shrunken region where the kernel lower bound
     t >= bound_coeff / (x y) certifies |t| > c1 * 2^{3n}; equivalently the
     exact region geometry {x y < bound_coeff / (c1 2^{3n})}, computed
-    analytically per rectangle.  ``bound_coeff`` defaults to c1 (the fitted
-    constant plays both roles), in which case the threshold reduces to
-    1/(x y) > 2^{3n}.  ``bound`` is the normalized ratio measure * 2^{3n} / n.
+    analytically over all window pairs at once.  ``bound_coeff`` defaults to
+    c1 (the fitted constant plays both roles), in which case the threshold
+    reduces to 1/(x y) > 2^{3n}.  ``bound`` is the normalized ratio measure * 2^{3n} / n.
     """
     if c1 < 0.0:
         raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
@@ -206,10 +208,8 @@ def exceedance_measure(
     else:
         coeff = c1 if bound_coeff is None else bound_coeff
         theta = coeff / (c1 * scale)
-        measure = math.fsum(
-            _rect_area_under_hyperbola(ax, bx, ay, by, theta)
-            for ax, bx, ay, by in region.rectangles
-        )
+        a, b = np.array(region.intervals).T
+        measure = math.fsum(_area_under_hyperbola(a[:, None], b[:, None], a, b, theta).ravel())
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
 
 
@@ -246,7 +246,7 @@ def operator_norm_probe(n: int, Q: YoungFunction, l1_lower: float | None = None)
     Desk-scale probe of the operator-norm divergence mechanism: the ratio
     l1_lower(n) * 2^{4n} / Q(2^{4n}).  Growth of the ratio in n signals a
     Young function too weak to control the means; pass a precomputed
-    ``l1_lower`` to amortize the quadrature across several Q.
+    ``l1_lower`` to share one l1_growth across several Q.
     """
     if l1_lower is None:
         l1_lower = l1_growth(n).l1_lower

@@ -39,7 +39,7 @@ REGION_J = "J"
 
 
 class EmptyRegionError(ValueError):
-    """The requested region has no rectangles (n too small without an override)."""
+    """The requested region has no windows (scale n < 3)."""
 
 
 class SingularArgumentError(ValueError):
@@ -83,27 +83,22 @@ def gamma(n: int) -> float:
 @dataclass(frozen=True)
 class RegionSpec:
     """
-    Union of axis-aligned rectangles I_m x I_l over the per-axis windows
-    ``intervals`` (I_m = [alpha_m, beta_m], 1 <= m <= m_max, for kind I),
-    each shrunk by gamma(n) at both ends for kind J.
+    The product region U x U of scale n, where U is the union of the
+    per-axis windows ``intervals`` (I_m = [alpha_m, beta_m], 1 <= m <= 2^{n-3},
+    for kind I; each shrunk by gamma(n) at both ends for kind J).  Every
+    region quantity is computed per axis from ``intervals``; the 4^{n-3}
+    cells I_m x I_l are never listed.
     """
 
     n: int
     kind: str
     intervals: tuple[tuple[float, float], ...]
 
-    @property
-    def rectangles(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple((ax, bx, ay, by) for ax, bx in self.intervals for ay, by in self.intervals)
-
     def total_measure(self) -> float:
-        return math.fsum((b - a) * (d - c) for a, b, c, d in self.rectangles)
+        return math.fsum(b - a for a, b in self.intervals) ** 2
 
     def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return any(
-            a - tol <= x <= b + tol and c - tol <= y <= d + tol
-            for a, b, c, d in self.rectangles
-        )
+        return all(any(a - tol <= u <= b + tol for a, b in self.intervals) for u in (x, y))
 
     def lattice(self, per_axis: int = 9) -> np.ndarray:
         """
@@ -117,31 +112,20 @@ class RegionSpec:
         return np.concatenate([np.linspace(a, b, per_axis) for a, b in self.intervals])
 
 
-def build_region(n: int, kind: str, m_max_override: int | None = None) -> RegionSpec:
+def build_region(n: int, kind: str) -> RegionSpec:
     """
-    Build the two-dimensional region of scale n.  The index bound defaults to
-    2^{n-3} per axis (so n >= 3 is required unless an override is given); the
-    second window constraint is applied to y, making the region a genuine
-    product of phase windows.
+    Build the two-dimensional region of scale n >= 3: the windows
+    1 <= m <= 2^{n-3} on each axis (the second window constraint is applied
+    to y, making the region a genuine product of phase windows).  A window is
+    4 gamma(n) wide, so the J shrink leaves 2 gamma(n) of it.
     """
     if kind not in (REGION_I, REGION_J):
         raise ValueError(f"region kind must be {REGION_I!r} or {REGION_J!r}, got {kind!r}")
-    if m_max_override is not None:
-        if m_max_override < 1:
-            raise EmptyRegionError(f"m_max override must be >= 1, got {m_max_override}")
-        m_max = m_max_override
-    else:
-        if n < 3:
-            raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1); pass an override")
-        m_max = 2 ** (n - 3)
+    if n < 3:
+        raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1)")
     shrink = gamma(n) if kind == REGION_J else 0.0
-    intervals = []
-    for m in range(1, m_max + 1):
-        lo, hi = alpha(m, n) + shrink, beta(m, n) - shrink
-        if hi <= lo:
-            raise EmptyRegionError(f"window {m} collapses after shrinking at n = {n}")
-        intervals.append((lo, hi))
-    return RegionSpec(n=n, kind=kind, intervals=tuple(intervals))
+    intervals = tuple((alpha(m, n) + shrink, beta(m, n) - shrink) for m in range(1, 2 ** (n - 3) + 1))
+    return RegionSpec(n=n, kind=kind, intervals=intervals)
 
 
 def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, float]]:
@@ -220,16 +204,19 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 up to ``tail``, the
     certified bound on the terms past K.  ``K`` caps the sum per point
     (1 <= K <= N - 2, scalar or array).  At u = 0 mod 2*pi the removable
-    limits of the full sums are used and the tail is 0.
+    limits of the full sums are used and the tail is 0.  Every row of the
+    sum has N - 2 terms, those past the cap zeroed, so a point's values do
+    not depend on the rest of the batch (a sum's rounding depends on its length).
     """
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
     K = np.where(zero, N - 2, K)
-    k = np.arange(1.0, K.max() + 1.0)
-    num = np.sin(0.5 * np.outer(r, k + 1.0)) ** 2
-    if K.min() < len(k):
-        num *= k <= K[:, None]
+    k = np.arange(1.0, N - 1.0)
+    terms = np.sin(0.5 * np.outer(r, k + 1.0)) ** 2
+    terms *= _telescoped_weights(k)
+    if K.min() < N - 2:
+        terms *= k <= K[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = (num @ _telescoped_weights(k)) / (2.0 * half_sin ** 2)
+        T = terms.sum(axis=1) / (2.0 * half_sin ** 2)
     full = np.arange(1.0, N - 1.0)
     T = np.where(zero, np.sum(_telescoped_weights(full) * 0.5 * (full + 1.0) ** 2), T)
     V = fejer_ratio(N, r) / (N * (N - 1.0))

@@ -125,6 +125,8 @@ def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -
     returned k sits on the feasible side (modular(k) <= 1).  Every modular
     runs over the distinct magnitudes of f weighted by their sample counts.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
     mags, counts = _magnitude_histogram(f)
     if mags[-1] == 0.0:  # sorted: the largest magnitude
         return 0.0

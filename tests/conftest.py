@@ -3,6 +3,7 @@ import pytest
 
 from logmeans.fourier import GridOp, SpectralCoeffs, evaluate_grid
 from logmeans.grid import axis_points
+from logmeans.kernels import alpha, beta, gamma
 
 
 @pytest.fixture
@@ -22,13 +23,23 @@ def random_band_limited(rng, bandwidth, grid_size, real=False, scale=1.0):
     return grid, coeffs
 
 
+def rectangles(region):
+    """Reference enumeration of the region's rectangles I_m x I_l as (ax, bx, ay, by), in (m, l) row-major order."""
+    return [(ax, bx, ay, by) for ax, bx in region.intervals for ay, by in region.intervals]
+
+
+def shrunken_window(n, m=1):
+    """The m-th J window [alpha + gamma, beta - gamma] at any scale, also below 3 where build_region refuses."""
+    return alpha(m, n) + gamma(n), beta(m, n) - gamma(n)
+
+
 def stratified_samples(region, per_axis=9):
     """
     Reference sample layout: an inclusive per_axis x per_axis grid on every
     rectangle of the region, concatenated in rectangle order, shape (P, 2).
     """
     chunks = []
-    for ax, bx, ay, by in region.rectangles:
+    for ax, bx, ay, by in rectangles(region):
         xs = np.linspace(ax, bx, per_axis)
         ys = np.linspace(ay, by, per_axis)
         xx, yy = np.meshgrid(xs, ys, indexing="ij")

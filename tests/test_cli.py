@@ -1,6 +1,7 @@
 """CLI surface: config handling, exit codes, CSV shape, determinism."""
 
 import json
+import math
 import os
 import tracemalloc
 
@@ -61,6 +62,33 @@ def test_config_rejects_bad_values():
         RunConfig(samples_per_rect=0)
     with pytest.raises(ConfigError):
         RunConfig.from_text("grid_size=100\n")
+
+
+def test_config_rejects_bad_tolerances():
+    # built directly: a zero bisection tolerance would hang a command
+    for bad in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ConfigError, match=f"tol_bisection.*got {bad}"):
+            RunConfig(tol_bisection=bad)
+    for key in ("tol_tail", "tol_kernel"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{key}.*got {bad}"):
+                RunConfig(**{key: bad})
+        RunConfig(**{key: 0.0})  # zero is allowed: full caps, exact comparison
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("tol_bisection", "orlicz"), ("tol_tail", "kernel-verify"), ("tol_kernel", "kernel-verify")],
+)
+def test_nan_tolerance_is_usage_error(tmp_path, capsys, key, command):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key}=nan\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out), "--grid-size", "16"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "nan" in err
+    assert os.listdir(out) == []
 
 
 def test_quasi_random_points_avoid_tubes():

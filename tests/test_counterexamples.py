@@ -1,6 +1,7 @@
 """Bump constructions, growth and exceedance geometry, operator-norm probe."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from logmeans.grid import GridResolutionError
 from logmeans.kernels import build_region, gamma
 from logmeans.counterexamples import (
     BUMP_PREFACTOR,
+    _area_under_hyperbola,
     _axis_profile,
     bump_mean,
     bump_mean_many,
@@ -24,7 +26,7 @@ from logmeans.counterexamples import (
 )
 from logmeans.orlicz import LOG, LOG2, LOG2_LOGLOG
 
-from conftest import stratified_min, stratified_samples
+from conftest import rectangles, shrunken_window, stratified_min, stratified_samples
 
 
 def test_bump_prefactor_value():
@@ -75,8 +77,7 @@ def test_bump_mean_matches_dense_quadrature_oracle():
 
     n, N = 2, 16
     g = gamma(n)
-    region = build_region(n, "J", m_max_override=1)
-    ax, bx, ay, by = region.rectangles[0]
+    (ax, bx), (ay, by) = shrunken_window(n), shrunken_window(n)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
     got = bump_mean(n, x, y, scaled=True)
 
@@ -103,8 +104,8 @@ def _mp_axis_profiles(ks, g, u):
 def test_axis_profile_matches_mpmath_antiderivative():
     n, ks = 5, (0, 1, 7, 63, 1023)
     g = gamma(n)
-    region = build_region(n, "J")
-    (ax, bx, ay, _), (_, _, _, by) = region.rectangles[0], region.rectangles[-1]
+    rects = rectangles(build_region(n, "J"))
+    (ax, bx, ay, _), (_, _, _, by) = rects[0], rects[-1]
     us = np.array([ax, 0.5 * (ax + bx), ay, by, 0.0, 0.5 * g, g, 0.3, -2.0])
     profile = _axis_profile(n, us)
     assert profile.shape == (4 ** n, len(us))
@@ -124,6 +125,52 @@ def test_antiderivative_is_the_integral_of_the_dirichlet_kernel():
                 kernel = lambda s: 0.5 + mpmath.fsum(mpmath.cos(j * (u - s)) for j in range(1, k + 1))
                 got = mpmath.quad(kernel, [0, mpmath.mpf(g)])
                 assert abs(got - want) <= mpmath.mpf(10) ** -30 * g, (k, u)
+
+
+def _mp_cell_profiles(ks, g, u, h):
+    """(1/h) Int_{u-h/2}^{u+h/2} A_k at 40 digits, k in ks, from the antiderivative
+    g v/2 + sum_{j<=k} (cos j(v - g) - cos jv)/j^2 of A_k."""
+    with mpmath.workdps(40):
+        g, u, h = mpmath.mpf(g), mpmath.mpf(u), mpmath.mpf(h)
+        lo, hi = u - h / 2, u + h / 2
+        total, out = g * h / 2, {}
+        for j in range(1, max(ks) + 1):
+            total += (mpmath.cos(j * (hi - g)) - mpmath.cos(j * hi)
+                      - mpmath.cos(j * (lo - g)) + mpmath.cos(j * lo)) / j ** 2
+            if j in ks:
+                out[j] = total / h
+        return [g / 2 if k == 0 else out[k] for k in ks]
+
+
+def test_cell_profile_matches_mpmath_cell_average():
+    n, ks = 5, (0, 1, 7, 63, 1023)
+    g = gamma(n)
+    a, b = np.array(build_region(n, "J").intervals).T
+    # the J-region cells, then one cell wider than a whole phase period
+    us = np.append(0.5 * (a + b), 0.3)
+    hs = np.append(b - a, 0.5)
+    profile = _axis_profile(n, us, hs)
+    assert profile.shape == (4 ** n, len(us))
+    for i, (u, h) in enumerate(zip(us, hs)):
+        for k, want in zip(ks, _mp_cell_profiles(ks, g, u, h)):
+            assert abs(profile[k, i] - float(want)) <= 1e-10 * g, (k, u, h)
+
+
+def test_cell_antiderivative_is_the_integral_of_the_point_profile():
+    # the oracle's closed form itself: (1/h) Int A_k over the cell by quadrature
+    g = gamma(5)
+    for u, h in ((0.3, 0.5), (-2.0, 1e-3)):
+        exact = _mp_cell_profiles((0, 1, 7), g, u, h)
+        with mpmath.workdps(40):
+            for k, want in zip((0, 1, 7), exact):
+                point = lambda v: _mp_axis_profiles((k,), g, v)[0]
+                got = mpmath.quad(point, [u - mpmath.mpf(h) / 2, u + mpmath.mpf(h) / 2]) / h
+                assert abs(got - want) <= mpmath.mpf(10) ** -30, (k, u)
+
+
+def test_zero_width_cells_are_the_point_profile():
+    us = build_region(4, "J").lattice(5)
+    assert np.array_equal(_axis_profile(4, us, np.zeros_like(us)), _axis_profile(4, us))
 
 
 def _gauss_legendre_bump_mean(n, xs, ys, quad_points=16):
@@ -180,7 +227,7 @@ def test_bump_mean_minimum_attained_inside_region():
     rep = bump_mean_lower_bound(3)
     region = build_region(3, "J")
     assert region.contains(*rep.argmin, tol=1e-12)
-    outside = (region.rectangles[0][0] - 0.01, region.rectangles[0][2] - 0.01)
+    outside = (rectangles(region)[0][0] - 0.01, rectangles(region)[0][2] - 0.01)
     assert not region.contains(*outside)
 
 
@@ -188,8 +235,26 @@ def test_bump_mean_minimum_attained_inside_region():
 
 def test_geometric_sum_single_rectangle_closed_form():
     region = build_region(3, "J")
-    ax, bx, ay, by = region.rectangles[0]
+    ax, bx, ay, by = rectangles(region)[0]
     assert geometric_sum(3) == pytest.approx(math.log(bx / ax) * math.log(by / ay), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_geometric_sum_matches_per_rectangle_reference(n):
+    rects = rectangles(build_region(n, "J"))
+    want = math.fsum(math.log(bx / ax) * math.log(by / ay) for ax, bx, ay, by in rects)
+    assert geometric_sum(n) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_geometric_sum_needs_no_rectangle_list():
+    # 4^9 rectangles at n = 12; the per-axis form holds 2^9 log ratios
+    tracemalloc.start()
+    try:
+        geometric_sum(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_geometric_sum_quadratic_shadow_with_slack_two():
@@ -210,7 +275,7 @@ def _per_rectangle_l1_lower(n):
     """l1_lower by the 12-node Gauss-Legendre rule applied to one rectangle at a time."""
     nodes, weights = np.polynomial.legendre.leggauss(12)
     total = 0.0
-    for ax, bx, ay, by in build_region(n, "J").rectangles:
+    for ax, bx, ay, by in rectangles(build_region(n, "J")):
         sx = 0.5 * (bx - ax) * (nodes + 1.0) + ax
         sy = 0.5 * (by - ay) * (nodes + 1.0) + ay
         xx, yy = np.meshgrid(sx, sy, indexing="ij")
@@ -260,19 +325,67 @@ def test_exceedance_positive_and_shared_constant_from_scale_six():
 def test_exceedance_area_against_counting_oracle():
     # one rectangle crossed by the hyperbola: compare the analytic area with
     # brute-force cell counting
-    from logmeans.counterexamples import _rect_area_under_hyperbola
-
     ax, bx, ay, by = 1.0, 2.0, 1.0, 3.0
     theta = 2.5
-    analytic = _rect_area_under_hyperbola(ax, bx, ay, by, theta)
+    analytic = _area_under_hyperbola(ax, bx, ay, by, theta)
     q = 2000
     xs = ax + (np.arange(q) + 0.5) * (bx - ax) / q
     ys = ay + (np.arange(q) + 0.5) * (by - ay) / q
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     counted = np.count_nonzero(xx * yy < theta) * (bx - ax) * (by - ay) / q ** 2
     assert analytic == pytest.approx(counted, abs=5e-3)
-    assert _rect_area_under_hyperbola(ax, bx, ay, by, 0.5) == 0.0
-    assert _rect_area_under_hyperbola(ax, bx, ay, by, 10.0) == pytest.approx(2.0)
+    assert _area_under_hyperbola(ax, bx, ay, by, 0.5) == 0.0
+    assert _area_under_hyperbola(ax, bx, ay, by, 10.0) == pytest.approx(2.0)
+
+
+def _rect_area_under_hyperbola(ax, bx, ay, by, theta):
+    """Reference: the area of {x y < theta} in one rectangle, case by case."""
+    if theta <= ax * ay:
+        return 0.0
+    if theta >= bx * by:
+        return (bx - ax) * (by - ay)
+    x1 = min(max(theta / by, ax), bx)
+    x2 = min(max(theta / ay, ax), bx)
+    area = (x1 - ax) * (by - ay)
+    if x2 > x1:
+        area += theta * math.log(x2 / x1) - ay * (x2 - x1)
+    return area
+
+
+def test_area_under_hyperbola_matches_three_case_reference():
+    rng = np.random.default_rng(7)
+    ax, ay = rng.uniform(0.1, 1.0, (2, 300))
+    bx, by = ax + rng.uniform(0.01, 1.0, 300), ay + rng.uniform(0.01, 1.0, 300)
+    theta = rng.uniform(0.0, 4.0, 300)
+    got = _area_under_hyperbola(ax, bx, ay, by, theta)
+    want = np.array([_rect_area_under_hyperbola(*args) for args in zip(ax, bx, ay, by, theta)])
+    cases = np.where(theta <= ax * ay, 0, np.where(theta >= bx * by, 2, 1))
+    assert set(cases) == {0, 1, 2}
+    assert np.all(got[cases == 0] == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_exceedance_measure_matches_per_rectangle_reference(n):
+    rects = rectangles(build_region(n, "J"))
+    products = [ax * ay for ax, _, ay, _ in rects] + [bx * by for _, bx, _, by in rects]
+    scale = float(2 ** (3 * n))
+    want = math.fsum(_rect_area_under_hyperbola(*rect, 1.0 / scale) for rect in rects)
+    assert exceedance_measure(n, 1.0).measure == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    # a threshold through the region: where the hyperbola barely cuts a
+    # rectangle, its area theta log(x2/x1) - ay (x2 - x1) is a difference of
+    # nearly equal terms, so one ulp of the logarithm moves it far more than
+    # one ulp of the area; the bound is relative to the larger term
+    coeff = scale * math.sqrt(min(products) * max(products))
+    theta = coeff / scale
+    want = math.fsum(_rect_area_under_hyperbola(*rect, theta) for rect in rects)
+    log_terms = math.fsum(
+        theta * math.log(min(max(theta / ay, ax), bx) / min(max(theta / by, ax), bx))
+        for ax, bx, ay, by in rects
+    )
+    assert want > 0.0
+    assert abs(exceedance_measure(n, 1.0, bound_coeff=coeff).measure - want) <= 1e-15 * log_terms
 
 
 def test_exceedance_rejects_negative_threshold():

@@ -34,11 +34,12 @@ from logmeans.kernels import (
     phase_range_check,
     phase_rate,
     sin_sum,
+    telescoped_sums,
     telescoped_tail_bound,
 )
 from logmeans.means import harmonic_number
 
-from conftest import stratified_min, stratified_samples
+from conftest import rectangles, shrunken_window, stratified_min, stratified_samples
 
 
 # -------------------------------------------------------- window coordinates
@@ -68,8 +69,8 @@ def test_window_argument_validation():
 # ----------------------------------------------------------------- regions
 
 def test_region_rectangle_counts():
-    assert len(build_region(3, "I").rectangles) == 1
-    assert len(build_region(5, "I").rectangles) == 16
+    assert len(rectangles(build_region(3, "I"))) == 1
+    assert len(rectangles(build_region(5, "I"))) == 16
 
 
 def test_region_total_measure_matches_direct_summation():
@@ -80,13 +81,13 @@ def test_region_total_measure_matches_direct_summation():
 
 def test_region_rectangles_inside_quarter_square():
     for n in (3, 4, 5):
-        for ax, bx, ay, by in build_region(n, "I").rectangles:
+        for ax, bx, ay, by in rectangles(build_region(n, "I")):
             assert 0.0 < ax < bx < math.pi / 4
             assert 0.0 < ay < by < math.pi / 4
 
 
 def test_region_rectangles_pairwise_disjoint():
-    rects = build_region(5, "I").rectangles
+    rects = rectangles(build_region(5, "I"))
     for i, ra in enumerate(rects):
         for rb in rects[i + 1 :]:
             overlap_x = min(ra[1], rb[1]) - max(ra[0], rb[0])
@@ -97,7 +98,7 @@ def test_region_rectangles_pairwise_disjoint():
 def test_j_region_is_i_region_shrunk_by_gamma():
     for n in (3, 4):
         g = gamma(n)
-        for ri, rj in zip(build_region(n, "I").rectangles, build_region(n, "J").rectangles):
+        for ri, rj in zip(rectangles(build_region(n, "I")), rectangles(build_region(n, "J"))):
             assert rj[0] == pytest.approx(ri[0] + g, rel=1e-14)
             assert rj[1] == pytest.approx(ri[1] - g, rel=1e-14)
             assert rj[2] == pytest.approx(ri[2] + g, rel=1e-14)
@@ -105,11 +106,33 @@ def test_j_region_is_i_region_shrunk_by_gamma():
             assert rj[1] > rj[0] and rj[3] > rj[2]
 
 
+def test_region_contains_matches_per_rectangle_reference():
+    region = build_region(5, "J")
+    rng = np.random.default_rng(5)
+    # per axis, half the coordinates fall in a window (widened by 10% at each
+    # end) and half anywhere in the windows' span, so every in/out mix occurs
+    a, b = np.array(region.intervals).T
+    pick = rng.integers(0, len(a), (400, 2))
+    inside = a[pick] + rng.uniform(-0.1, 1.1, (400, 2)) * (b - a)[pick]
+    anywhere = rng.uniform(a[0], b[-1], (400, 2))
+    pts = np.where(rng.random((400, 2)) < 0.5, inside, anywhere)
+    found = set()
+    for x, y in pts:
+        want = any(ax <= x <= bx and ay <= y <= by for ax, bx, ay, by in rectangles(region))
+        assert region.contains(x, y) == want
+        found.add(want)
+    assert found == {True, False}
+    ax, bx, ay, by = rectangles(region)[5]
+    assert region.contains(bx + 1e-13, ay, tol=1e-12)
+    assert not region.contains(bx + 1e-13, ay)
+
+
 def test_region_empty_below_three_without_override():
     with pytest.raises(EmptyRegionError):
         build_region(2, "I")
-    spec = build_region(2, "I", m_max_override=1)
-    assert len(spec.rectangles) == 1
+    # the window itself exists at scale 2; only the index range 1..2^(n-3) is empty
+    lo, hi = shrunken_window(2)
+    assert 0.0 < lo < hi
 
 
 # -------------------------------------------------------------- direct form
@@ -251,6 +274,32 @@ def test_telescoped_rejects_singular_argument_and_bad_cap():
         telescoped_tail_bound(4, 100, 0.0)
     with pytest.raises(SingularArgumentError):
         cos_sum_telescoped(16, 2 * math.pi, 4)
+
+
+def test_telescoped_sums_stop_at_the_cap():
+    # T is the cubic-weight sum up to K exactly, not the full sum
+    N, us, caps = 256, np.array([0.7, 2.3, 4.1]), np.array([5, 60, 254])
+    T = telescoped_sums(N, us, caps)[0]
+    for u, K, got in zip(us, caps, T):
+        want = math.fsum(2.0 / (k * (k + 1) * (k + 2)) * fejer_ratio(k + 1, u) for k in range(1, K + 1))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [64, 219, 1024])
+def test_telescoped_sums_do_not_depend_on_the_batch(N):
+    # a point's (T, V, W, tail) is a function of (N, u, K) alone: evaluated by
+    # itself it matches its row in a batch of mixed caps bit for bit,
+    # including u = 0, where the full removable limit replaces the cap
+    rng = np.random.default_rng(N)
+    us = rng.uniform(0.01, 2 * math.pi - 0.01, 40)
+    us[7] = 0.0
+    caps = rng.integers(1, N - 1, 40)
+    caps[::4] = N - 2
+    batch = telescoped_sums(N, us, caps)
+    for i in range(len(us)):
+        alone = telescoped_sums(N, us[i : i + 1], caps[i : i + 1])
+        for part, single in zip(batch, alone):
+            assert part[i] == single[0], (i, caps[i])
 
 
 # ------------------------------------------------------------------ sine sum
@@ -409,7 +458,7 @@ def test_lemma_argmin_lies_in_region():
 def test_stratified_samples_cover_corners():
     region = build_region(3, "J")
     xs = region.lattice(5)
-    ax, bx, ay, by = region.rectangles[0]
+    ax, bx, ay, by = rectangles(region)[0]
     for corner in [(ax, ay), (ax, by), (bx, ay), (bx, by)]:
         assert any(np.allclose((x, y), corner) for x in xs for y in xs)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance, mean_via_kernel, pointwise_mean
 
-from conftest import random_band_limited
+from conftest import random_band_limited, shrunken_window
 
 
 def test_harmonic_numbers():
@@ -149,15 +149,14 @@ def test_mean_via_kernel_resolution_error():
 
 def test_mean_via_kernel_bump_at_shrunken_region_point():
     # concentrated bump at scale 2, mean order 2^{2*2} = 16, evaluated at the
-    # center of the (override) shrunken-region rectangle: the grid path must
+    # center of the first shrunken window's square: the grid path must
     # agree with a dense midpoint quadrature of the convolution over the
     # snapped support, and the region ratio x*y*t stays strictly positive.
     from logmeans.counterexamples import make_bump
-    from logmeans.kernels import build_region, log_kernel_direct_many
+    from logmeans.kernels import log_kernel_direct_many
 
     bump, spec = make_bump(2, scaled=True, grid_size=2048)
-    region = build_region(2, "J", m_max_override=1)
-    ax, bx, ay, by = region.rectangles[0]
+    (ax, bx), (ay, by) = shrunken_window(2), shrunken_window(2)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
     got = mean_via_kernel(bump, 16, x, y)
 

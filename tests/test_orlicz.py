@@ -117,6 +117,13 @@ def test_modular_refuses_bad_scale(k):
         modular(GridFunction2D.constant(1.0, 8), LOG, k)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-9, math.nan, math.inf])
+def test_norm_refuses_bad_tolerance(rel_tol):
+    # a zero tolerance would bisect forever, NaN would skip the bisection
+    with pytest.raises(ValueError, match="relative tolerance"):
+        luxemburg_norm(GridFunction2D.constant(1.0, 8), LOG, rel_tol=rel_tol)
+
+
 def _many_magnitude_grids(rng):
     abs_x = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, 64, real=True)
     noise = GridFunction2D(values=rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
