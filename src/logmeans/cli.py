@@ -35,6 +35,9 @@ CONVERGE_DEFAULT_N = (4, 16, 64, 256)
 REGION_DEFAULT_N = (3, 4, 5)
 #: largest scale whose kernel order 2^{2n} stays desk-sized
 MAX_KERNEL_SCALE = 5
+#: Fewest samples per window and axis a command accepts where RunConfig's
+#: floor of 1 is too low: lemma and measure sample every window's corners.
+MIN_SAMPLES = {"lemma": 2, "measure": 2}
 
 
 class ConfigError(ValueError):
@@ -376,7 +379,7 @@ def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
 
     functions: list[tuple[str, GridFunction2D]] = []
     functions.append(("const_1", GridFunction2D.constant(1.0, grid)))
-    vals = np.zeros((grid, grid), dtype=complex)
+    vals = np.zeros((grid, grid))
     vals[:side, :side] = 1.0
     functions.append((f"indicator_{side}x{side}cells", GridFunction2D(values=vals, is_real=True)))
     bump_grid, _spec = cx.make_bump(1, scaled=False, grid_size=grid)
@@ -434,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid-size", type=int, dest="grid_size")
     parser.add_argument("--n", type=lambda s: [int(p) for p in s.split(",")],
                         help="comma-separated scale/order list")
-    parser.add_argument("--samples", type=int, help="lattice samples per window on each axis")
+    parser.add_argument("--samples", type=int,
+                        help="lattice samples per window on each axis (lemma, measure: >= 2; "
+                             "kernel-verify: >= 1, it checks S^2 points)")
     parser.add_argument("--out", help="output directory (must exist)")
     parser.add_argument("--json", action="store_true", help="mirror each CSV as JSON")
     return parser
@@ -448,6 +453,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = load_config(args)
+        least = MIN_SAMPLES.get(args.command, 1)
+        if cfg.samples_per_rect < least:
+            raise ConfigError(
+                f"{args.command} needs at least {least} samples per axis, got {cfg.samples_per_rect}"
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

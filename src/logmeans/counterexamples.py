@@ -57,7 +57,7 @@ def make_bump(n: int, scaled: bool, grid_size: int) -> tuple[GridFunction2D, Bum
     h = 2.0 * math.pi / grid_size
     cells = max(1, round(g / h))
     height = (BUMP_PREFACTOR if scaled else 1.0) / g ** 2
-    values = np.zeros((grid_size, grid_size), dtype=complex)
+    values = np.zeros((grid_size, grid_size))
     origin = grid_size // 2  # index of the sample at x = 0
     values[origin : origin + cells, origin : origin + cells] = height
     grid = GridFunction2D(values=values, is_real=True)
@@ -174,16 +174,71 @@ class ExceedanceReport:
     bound: float
 
 
+def _minus_product(theta, a, b):
+    """
+    theta - a b with a b formed exactly: Dekker's split gives a b = p + err
+    with no rounding, and theta - p is exact where it cancels (Sterbenz), so
+    the difference is correct to a few ulps of itself however small it is.
+    """
+    p = a * b
+    a_split, b_split = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    a_hi = a_split - (a_split - a)
+    b_hi = b_split - (b_split - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return (theta - p) - err
+
+
+#: Terms z^2k / (2k + 1), k = 1..17, of the series in ``_log_excess``: at
+#: z = 1/3 the first term left out is below 1e-17 of the sum.
+_ATANH_TERMS = 17
+
+
+def _log_excess(u):
+    """
+    g(u) = -log(1 - u) - u = u^2/2 + u^3/3 + ... for 0 <= u < 1, with no
+    cancellation.  With z = u / (2 - u), -log(1 - u) = 2 atanh(z) and
+    u = 2z / (1 + z), so g = 2z^2 / (1 + z) + 2 (z^3/3 + z^5/5 + ...), a sum
+    of nonnegative terms, taken below u = 1/2 (z < 1/3).  From u = 1/2 on,
+    -log1p(-u) - u loses at most a factor 4 to the subtraction.
+    """
+    z = u / (2.0 - u)
+    z2 = z * z
+    tail = np.zeros_like(z)
+    for k in range(_ATANH_TERMS, 0, -1):  # Horner: z^2/3 + z^4/5 + ... = z^2 (1/3 + z^2 (1/5 + ...))
+        tail += 1.0 / (2 * k + 1)
+        tail *= z2
+    series = 2.0 * z2 / (1.0 + z) + 2.0 * z * tail
+    return np.where(u < 0.5, series, -np.log1p(-u) - u)
+
+
 def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
     """
     Exact area of {(x, y) in [ax,bx] x [ay,by] : x y < theta} for 0 < ax,
-    0 < ay, broadcast over arrays of edges.  Below x1 = theta/by the
-    whole column lies under the hyperbola, past x2 = theta/ay none of it;
-    clipping both to [ax, bx] covers the empty and the full rectangle too.
+    0 < ay, broadcast over arrays of edges.  Below x1 = clip(theta/by, ax, bx)
+    the whole column lies under the hyperbola, past x2 = clip(theta/ay, ax, bx)
+    none of it, so the area is (x1 - ax)(by - ay) + Int_{x1}^{x2} (theta/x - ay) dx,
+    and the integral is theta g(u) + (theta/x2 - ay) u x2 with u = 1 - x1/x2
+    and g from ``_log_excess``.  Every term is >= 0, and the near-zero
+    differences x1 - ax, u and theta/x2 - ay come from exact residuals
+    theta - a b, so a rectangle the hyperbola barely cuts keeps every digit.
     """
-    x1 = np.clip(theta / by, ax, bx)
-    x2 = np.clip(theta / ay, ax, bx)
-    return (x1 - ax) * (by - ay) + (theta * np.log(x2 / x1) - ay * (x2 - x1))
+    ax, bx, ay, by = (np.asarray(e, dtype=float) for e in (ax, bx, ay, by))
+    width = bx - ax
+    left = np.clip(_minus_product(theta, ax, by) / by, 0.0, width)  # x1 - ax
+    # 1 - max(theta/by, ax) / min(theta/ay, bx) is the least of the four ratios' complements
+    with np.errstate(divide="ignore"):  # theta = 0: the third is -inf, so u = 0
+        u = np.minimum(
+            np.minimum((by - ay) / by, -_minus_product(theta, bx, by) / (bx * by)),
+            np.minimum(_minus_product(theta, ax, ay) / theta, width / bx),
+        )
+    u = np.maximum(u, 0.0)
+    excess = np.zeros_like(u)
+    cut = u > 0.0  # the rectangles the hyperbola passes through, a thin band of them
+    excess[cut] = _log_excess(u[cut])
+    x2 = np.minimum(theta / ay, bx)
+    overshoot = np.maximum(_minus_product(theta, bx, ay), 0.0) / bx  # theta/x2 - ay, nonzero where x2 = bx
+    return left * (by - ay) + theta * excess + overshoot * u * x2
 
 
 def exceedance_measure(

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction2D, IMAG_TOL, validate_grid_size
+from .grid import GridFunction2D, IMAG_TOL, read_only_view, validate_grid_size
 
 
 class BandwidthError(ValueError):
@@ -67,20 +67,28 @@ class SpectralCoeffs:
 
     ``coeffs[M + m, N + n]`` stores c(m, n).  ``source_grid`` remembers the
     grid the coefficients were computed from (used as the default synthesis
-    resolution).
+    resolution).  ``hermitian`` records whether c(-m, -n) = conj(c(m, n))
+    holds exactly, as it does for the coefficients of a real grid; such
+    coefficients synthesise real grids.  ``coeffs`` is a read-only view, so
+    the flag cannot go stale.
     """
 
     coeffs: np.ndarray
     bandwidth_m: int
     bandwidth_n: int
     source_grid: int | None = None
+    hermitian: bool = field(init=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         expected = (2 * self.bandwidth_m + 1, 2 * self.bandwidth_n + 1)
         if coeffs.shape != expected:
             raise ValueError(f"coefficient array shape {coeffs.shape} != {expected}")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", read_only_view(coeffs))
+        rows = self.bandwidth_m + 1  # rows m <= 0 against their mirrors m >= 0 cover every pair
+        object.__setattr__(
+            self, "hermitian", np.array_equal(coeffs[:rows], np.conj(coeffs[::-1, ::-1][:rows]))
+        )
 
     def get(self, m: int, n: int) -> complex:
         if abs(m) > self.bandwidth_m or abs(n) > self.bandwidth_n:
@@ -88,7 +96,7 @@ class SpectralCoeffs:
         return complex(self.coeffs[self.bandwidth_m + m, self.bandwidth_n + n])
 
     def hermitian_defect(self) -> float:
-        """max |c(-m,-n) - conj(c(m,n))|; ~0 for coefficients of a real function."""
+        """max |c(-m,-n) - conj(c(m,n))|; exactly 0 for the coefficients of a real grid."""
         flipped = np.conj(self.coeffs[::-1, ::-1])
         return float(np.max(np.abs(self.coeffs - flipped)))
 
@@ -97,6 +105,8 @@ def fourier_coeffs(f: GridFunction2D, M: int, N: int) -> SpectralCoeffs:
     """
     Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy
     by rectangle-rule quadrature on the sample grid, taken by one 2D FFT.
+    A real grid takes the half spectrum n >= 0 by ``rfft2`` and the rest by
+    c(m, n) = conj(c(-m, -n)), so its coefficients are exactly Hermitian.
 
     The rule is spectrally exact below Nyquist, so both bandwidths must stay
     under half the grid: 2M < G and 2N < G.
@@ -106,11 +116,22 @@ def fourier_coeffs(f: GridFunction2D, M: int, N: int) -> SpectralCoeffs:
     G = f.grid_size
     if 2 * M >= G or 2 * N >= G:
         raise BandwidthError(f"bandwidth ({M}, {N}) at or above Nyquist for grid {G}")
-    m, n = np.arange(-M, M + 1), np.arange(-N, N + 1)
+    m = np.arange(-M, M + 1)
     # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k} is one FFT: the grid
     # origin x_0 = -pi puts the phase (-1)^(m + n) on bin (m mod G, n mod G).
-    spectrum = np.fft.fft2(f.values, norm="forward")
-    coeffs = spectrum[np.ix_(m % G, n % G)] * np.outer((-1.0) ** m, (-1.0) ** n)
+    if f.is_real:
+        n = np.arange(N + 1)
+        spectrum = np.fft.rfft2(f.values, norm="forward")  # bins n = 0..G/2 only
+        coeffs = np.empty((2 * M + 1, 2 * N + 1), dtype=complex)
+        np.multiply(spectrum[np.ix_(m % G, n)], np.outer((-1.0) ** m, (-1.0) ** n), out=coeffs[:, N:])
+        # c(m, n) = conj(c(-m, -n)): the real c(0, 0), then c(m, 0) for m < 0, then every n < 0
+        coeffs[M, N] = coeffs[M, N].real
+        coeffs[:M, N] = np.conj(coeffs[:M:-1, N])
+        np.conj(coeffs[::-1, :N:-1], out=coeffs[:, :N])
+    else:
+        n = np.arange(-N, N + 1)
+        spectrum = np.fft.fft2(f.values, norm="forward")
+        coeffs = spectrum[np.ix_(m % G, n % G)] * np.outer((-1.0) ** m, (-1.0) ** n)
     return SpectralCoeffs(coeffs=coeffs, bandwidth_m=M, bandwidth_n=N, source_grid=G)
 
 
@@ -201,24 +222,27 @@ class GridOp:
         return j, j
 
 
-def _fold(spectrum: np.ndarray, G: int, axis: int) -> np.ndarray:
+def _fold(spectrum: np.ndarray, G: int, axis: int, bins: int | None = None) -> np.ndarray:
     """
     Place the frequencies -r..r along ``axis`` of ``spectrum`` (length 2r + 1)
     in their FFT bins m mod G, summing the frequencies that alias when
     2r + 1 > G, and apply the phase (-1)^m of the grid origin -pi.  G is even,
-    so every frequency in a bin shares the bin's parity.
+    so every frequency in a bin shares the bin's parity.  Only the first
+    ``bins`` bins (default all G) are kept.
     """
     reach = (spectrum.shape[axis] - 1) // 2
+    bins = G if bins is None else bins
     shape = list(spectrum.shape)
-    shape[axis] = G
+    shape[axis] = bins
     out = np.zeros(shape, dtype=complex)
     src, dst = np.moveaxis(spectrum, axis, 0), np.moveaxis(out, axis, 0)
     for start in range(0, 2 * reach + 1, G):  # G consecutive frequencies fill G distinct bins
         block = src[start : start + G]
         first = (start - reach) % G
         split = min(len(block), G - first)  # where the block wraps past bin G - 1
-        dst[first : first + split] += block[:split]
-        dst[: len(block) - split] += block[split:]
+        for lo, piece in ((first, block[:split]), (0, block[split:])):
+            piece = piece[: max(bins - lo, 0)]
+            dst[lo : lo + len(piece)] += piece
     dst[1::2] *= -1.0
     return out
 
@@ -228,9 +252,11 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -
     Evaluate the partial sum or mean specified by ``op`` on the full grid.
 
     The op's weights are applied in coefficient space, then one inverse FFT
-    per axis synthesises the grid: first along n over the 2 reach_m + 1
-    coefficient rows only, then along m.  Deterministic.  ``grid_size``
-    defaults to the coefficients' source grid.
+    per axis synthesises the grid: first along m over the op's coefficient
+    columns only, then along n over every row.  Every op's weights are
+    symmetric in +-m and +-n, so Hermitian coefficients give a real grid: the
+    n transform is then ``irfft`` of bins 0..G/2 and the grid is float64.
+    Deterministic.  ``grid_size`` defaults to the coefficients' source grid.
     """
     G = grid_size if grid_size is not None else c.source_grid
     if G is None:
@@ -257,7 +283,13 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -
         weighted = sub * profile[j_star]
 
     # sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j}, unscaled inverse FFTs
-    rows = np.fft.ifft(_fold(weighted, G, axis=1), axis=1, norm="forward")
-    values = np.fft.ifft(_fold(rows, G, axis=0), axis=0, norm="forward")
+    if c.hermitian:
+        # bins 0..G/2 along n determine a real grid, and without aliasing only
+        # n = 0..reach_n land there; irfft zero-pads the bins past them
+        half = _fold(weighted, G, axis=1, bins=min(G // 2, reach_n) + 1)
+        cols = np.fft.ifft(_fold(half, G, axis=0), axis=0, norm="forward")
+        return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"), is_real=True)
+    cols = np.fft.ifft(_fold(weighted, G, axis=0), axis=0, norm="forward")
+    values = np.fft.ifft(_fold(cols, G, axis=1), axis=1, norm="forward")
     is_real = bool(np.max(np.abs(values.imag)) <= IMAG_TOL)
     return GridFunction2D(values=values, is_real=is_real)

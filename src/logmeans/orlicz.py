@@ -96,14 +96,6 @@ LOG2_LOGLOG = young_custom(
 )
 
 
-def _magnitude_histogram(f: GridFunction2D) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of |f| and how many samples take each; refuses non-finite samples."""
-    mags = np.abs(f.values)
-    if not np.all(np.isfinite(mags)):
-        raise ValueError("samples must be finite")
-    return np.unique(mags, return_counts=True)
-
-
 def _histogram_modular(mags: np.ndarray, counts: np.ndarray, Q: YoungFunction, k: float, area: float) -> float:
     """Rectangle-rule Int Q(|f| / k) from the magnitude histogram: each distinct value once, times its count."""
     return float(counts @ np.asarray(Q(mags / k)) * area)
@@ -113,7 +105,7 @@ def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
     """Rectangle-rule value of Int Q(|f| / k) over the torus."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale must be finite and positive, got {k}")
-    mags, counts = _magnitude_histogram(f)
+    mags, counts = f.magnitude_histogram
     return _histogram_modular(mags, counts, Q, k, f.cell_area)
 
 
@@ -123,11 +115,12 @@ def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -
     until the modular drops to <= 1, halve until it exceeds 1) followed by
     bisection to relative tolerance ``rel_tol``.  Returns 0 for f = 0; the
     returned k sits on the feasible side (modular(k) <= 1).  Every modular
-    runs over the distinct magnitudes of f weighted by their sample counts.
+    runs over the distinct magnitudes of f weighted by their sample counts
+    (the grid's ``magnitude_histogram``, built once per grid).
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
-    mags, counts = _magnitude_histogram(f)
+    mags, counts = f.magnitude_histogram
     if mags[-1] == 0.0:  # sorted: the largest magnitude
         return 0.0
     area = f.cell_area

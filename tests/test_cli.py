@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from logmeans.cli import (
@@ -127,6 +128,19 @@ def test_bad_run_values_are_usage_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "concatenate" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["lemma", "measure"])
+def test_one_sample_per_axis_is_refused_where_corners_are_sampled(tmp_path, capsys, command):
+    assert main([command, "--samples", "1", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "at least 2 samples per axis" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_one_sample_is_enough_for_kernel_verify(tmp_path):
+    assert main(["kernel-verify", "--samples", "1", "--out", str(tmp_path)]) == EXIT_OK
+    assert os.listdir(tmp_path) == ["kernel_verify.csv"]
 
 
 def test_zero_tolerance_fails_kernel_verify(tmp_path):
@@ -268,6 +282,20 @@ def test_orlicz_csv(tmp_path):
         if float(row[2]) > 0.0:
             assert abs(float(row[3]) - 1.0) <= 1e-6
     assert os.path.exists(tmp_path / "orlicz_deficit.csv")
+
+
+def test_orlicz_builds_one_magnitude_histogram_per_grid(tmp_path, monkeypatch):
+    # luxemburg_norm and modular share the grid's cached histogram: 3 grids, 3 np.unique calls
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    assert main(["orlicz", "--grid-size", "64", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 3
 
 
 def test_json_mirror(tmp_path):

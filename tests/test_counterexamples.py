@@ -339,17 +339,23 @@ def test_exceedance_area_against_counting_oracle():
 
 
 def _rect_area_under_hyperbola(ax, bx, ay, by, theta):
-    """Reference: the area of {x y < theta} in one rectangle, case by case."""
-    if theta <= ax * ay:
-        return 0.0
-    if theta >= bx * by:
-        return (bx - ax) * (by - ay)
-    x1 = min(max(theta / by, ax), bx)
-    x2 = min(max(theta / ay, ax), bx)
-    area = (x1 - ax) * (by - ay)
-    if x2 > x1:
-        area += theta * math.log(x2 / x1) - ay * (x2 - x1)
-    return area
+    """
+    Reference: the area of {x y < theta} in one rectangle, case by case, at 40
+    digits from the float edges, so the near-equal terms of a barely cut
+    rectangle cancel no digit that matters.
+    """
+    with mpmath.workdps(40):
+        ax, bx, ay, by, theta = (mpmath.mpf(float(v)) for v in (ax, bx, ay, by, theta))
+        if theta <= ax * ay:
+            return 0.0
+        if theta >= bx * by:
+            return float((bx - ax) * (by - ay))
+        x1 = min(max(theta / by, ax), bx)
+        x2 = min(max(theta / ay, ax), bx)
+        area = (x1 - ax) * (by - ay)
+        if x2 > x1:
+            area += theta * mpmath.log(x2 / x1) - ay * (x2 - x1)
+        return float(area)
 
 
 def test_area_under_hyperbola_matches_three_case_reference():
@@ -373,10 +379,9 @@ def test_exceedance_measure_matches_per_rectangle_reference(n):
     want = math.fsum(_rect_area_under_hyperbola(*rect, 1.0 / scale) for rect in rects)
     assert exceedance_measure(n, 1.0).measure == pytest.approx(want, rel=1e-15, abs=0.0)
 
-    # a threshold through the region: where the hyperbola barely cuts a
-    # rectangle, its area theta log(x2/x1) - ay (x2 - x1) is a difference of
-    # nearly equal terms, so one ulp of the logarithm moves it far more than
-    # one ulp of the area; the bound is relative to the larger term
+    # a threshold through the region, where the hyperbola barely cuts some
+    # rectangles: the bound relative to the larger log term held for the old
+    # area form, whose terms cancel; the area itself now keeps every digit
     coeff = scale * math.sqrt(min(products) * max(products))
     theta = coeff / scale
     want = math.fsum(_rect_area_under_hyperbola(*rect, theta) for rect in rects)
@@ -385,7 +390,36 @@ def test_exceedance_measure_matches_per_rectangle_reference(n):
         for ax, bx, ay, by in rects
     )
     assert want > 0.0
-    assert abs(exceedance_measure(n, 1.0, bound_coeff=coeff).measure - want) <= 1e-15 * log_terms
+    got = exceedance_measure(n, 1.0, bound_coeff=coeff).measure
+    assert abs(got - want) <= 1e-15 * log_terms
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _barely_cut_rectangles(rng, count):
+    """
+    Edges and thresholds of rectangles the hyperbola x y = theta cuts by a
+    sliver of relative size u in [1e-8, 1e-2]: through the top and bottom of
+    a thin strip, through its sides, or past one corner.
+    """
+    u = 10.0 ** rng.uniform(-8.0, -2.0, count)
+    ax, ay = rng.uniform(0.05, 3.0, (2, count))
+    wide = 1.0 + rng.uniform(0.1, 1.0, count)
+    kind = np.arange(count) % 4
+    bx = np.where(kind == 1, ax * (1.0 + u), ax * wide)
+    by = np.where(kind == 0, ay * (1.0 + u), ay * wide)
+    corner = np.where(kind == 2, ax * ay * (1.0 + u), bx * by * (1.0 - u))
+    theta = np.where(kind < 2, np.sqrt(ax * bx * ay * by), corner)
+    return ax, bx, ay, by, theta
+
+
+def test_area_under_hyperbola_barely_cut_matches_mpmath():
+    # the old form theta log(x2/x1) - ay (x2 - x1) lost about log10(1/u^2) digits here
+    rng = np.random.default_rng(20240817)
+    ax, bx, ay, by, theta = _barely_cut_rectangles(rng, 200)
+    got = _area_under_hyperbola(ax, bx, ay, by, theta)
+    want = np.array([_rect_area_under_hyperbola(*args) for args in zip(ax, bx, ay, by, theta)])
+    assert np.all(want > 0.0) and np.all(want < (bx - ax) * (by - ay))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_exceedance_rejects_negative_threshold():

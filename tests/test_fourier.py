@@ -38,6 +38,28 @@ def test_real_flag_rejects_complex_samples():
     GridFunction2D(values=values, is_real=False)
 
 
+def test_grid_dtype_follows_the_real_flag():
+    values = np.zeros((8, 8), dtype=complex)
+    values[1, 2] = 2.0 + 1e-13j
+    real = GridFunction2D(values=values, is_real=True)
+    assert real.values.dtype == np.float64 and real.values.flags.c_contiguous
+    assert real.values[1, 2] == 2.0
+    assert GridFunction2D(values=values.real).values.dtype == np.complex128
+    assert GridFunction2D.constant(3.0, 8).values.dtype == np.float64
+    assert GridFunction2D.from_function(lambda x, y: np.cos(x) * y, 8).values.dtype == np.float64
+    assert GridFunction2D.from_function(lambda x, y: np.exp(1j * x) + y, 8).values.dtype == np.complex128
+
+
+def test_grid_values_are_read_only():
+    # the magnitude histogram is cached on the grid, so its samples must not change
+    grid = GridFunction2D(values=np.ones((8, 8)), is_real=True)
+    with pytest.raises(ValueError):
+        grid.values[0, 0] = 2.0
+    mags, counts = grid.magnitude_histogram
+    assert mags.tolist() == [1.0] and counts.tolist() == [64]
+    assert grid.magnitude_histogram is grid.magnitude_histogram
+
+
 # ---------------------------------------------------------- dirichlet kernel
 
 def test_dirichlet_order_zero_is_half_everywhere():
@@ -253,35 +275,54 @@ def _dense_op_values(c, op, G):
 @pytest.mark.parametrize("G", [8, 16, 32])
 def test_fft_coeffs_match_dense_dft(G, rng):
     values = rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G))
-    f = GridFunction2D(values=values)
-    for M, N in [(G // 2 - 1, G // 2 - 1), (G // 2 - 1, 1), (0, G // 4), (1, 0)]:
-        c = fourier_coeffs(f, M, N)
-        np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(values, M, N), rtol=0, atol=1e-12)
+    real_values = rng.normal(size=(G, G))
+    # a complex grid takes fft2; a real one rfft2, mirrored into exactly Hermitian coefficients
+    for f in (GridFunction2D(values=values), GridFunction2D(values=real_values, is_real=True)):
+        for M, N in [(G // 2 - 1, G // 2 - 1), (G // 2 - 1, 1), (0, G // 4), (1, 0), (0, 0)]:
+            c = fourier_coeffs(f, M, N)
+            np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, M, N), rtol=0, atol=1e-12)
+            assert c.hermitian == f.is_real
+            if f.is_real:
+                assert c.hermitian_defect() == 0.0
+
+
+def _random_hermitian_coeffs(rng, bandwidth_m, bandwidth_n, source_grid=None):
+    c = _random_coeffs(rng, bandwidth_m, bandwidth_n).coeffs
+    return SpectralCoeffs(coeffs=0.5 * (c + np.conj(c[::-1, ::-1])), bandwidth_m=bandwidth_m,
+                          bandwidth_n=bandwidth_n, source_grid=source_grid)
+
+
+def _assert_synthesis_matches_dense(c, op, G):
+    """Complex coefficients take the ifft path, Hermitian ones the irfft path to a float64 grid."""
+    out = evaluate_grid(c, op, grid_size=G)
+    assert out.values.dtype == (np.float64 if c.hermitian else np.complex128)
+    np.testing.assert_allclose(out.values, _dense_op_values(c, op, G), rtol=0, atol=1e-12,
+                               err_msg=f"{op}, hermitian={c.hermitian}")
 
 
 @pytest.mark.parametrize("G", [8, 16, 32])
 def test_fft_synthesis_matches_dense_dft(G, rng):
     bm, bn = G // 2 - 1, G // 4
-    c = _random_coeffs(rng, bm, bn, source_grid=G)
+    complex_c = _random_coeffs(rng, bm, bn, source_grid=G)
+    hermitian_c = _random_hermitian_coeffs(rng, bm, bn, source_grid=G)
+    assert not complex_c.hermitian and hermitian_c.hermitian
     ops = [
         GridOp.rect(bm, bn), GridOp.rect(1, bn), GridOp.rect(bm, 0), GridOp.rect(0, 0),
         GridOp.quad(1), GridOp.norlund_log(1), GridOp.marcinkiewicz(1), GridOp.riesz_log(2),
         GridOp.quad(bn), GridOp.norlund_log(bn + 1), GridOp.marcinkiewicz(bn), GridOp.riesz_log(bn + 1),
     ]
-    for op in ops:
-        out = evaluate_grid(c, op)
-        np.testing.assert_allclose(out.values, _dense_op_values(c, op, G), rtol=0, atol=1e-12,
-                                   err_msg=str(op))
+    for c in (complex_c, hermitian_c):
+        for op in ops:
+            _assert_synthesis_matches_dense(c, op, G)
 
 
 @pytest.mark.parametrize("reach", [4, 7, 11])
 def test_synthesis_on_a_coarse_grid_sums_aliased_frequencies(reach, rng):
     # grid_size 8 < 2 reach + 1: frequencies m and m + 8 land on the same samples
-    c = _random_coeffs(rng, reach, reach)
-    for op in (GridOp.rect(reach, reach - 1), GridOp.rect(1, reach), GridOp.marcinkiewicz(reach)):
-        out = evaluate_grid(c, op, grid_size=8)
-        np.testing.assert_allclose(out.values, _dense_op_values(c, op, 8), rtol=0, atol=1e-12,
-                                   err_msg=str(op))
+    for c in (_random_coeffs(rng, reach, reach), _random_hermitian_coeffs(rng, reach, reach)):
+        for op in (GridOp.rect(reach, reach - 1), GridOp.rect(1, reach), GridOp.marcinkiewicz(reach),
+                   GridOp.quad(reach), GridOp.norlund_log(reach + 1), GridOp.riesz_log(reach + 1)):
+            _assert_synthesis_matches_dense(c, op, 8)
 
 
 def test_grid_op_validation():
