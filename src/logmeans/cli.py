@@ -29,8 +29,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 KERNEL_VERIFY_N = (3, 4, 8, 16, 64, 256, 1024)
-#: Points per closed-form batch in kernel-verify; wider batches raise peak memory.
-KERNEL_VERIFY_BATCH = 16
 CONVERGE_DEFAULT_N = (4, 16, 64, 256)
 REGION_DEFAULT_N = (3, 4, 5)
 #: largest scale whose kernel order 2^{2n} stays desk-sized
@@ -234,24 +232,18 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 
 
 def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
-    pts = quasi_random_points(cfg.samples_per_rect ** 2)
+    xs, ys = quasi_random_points(cfg.samples_per_rect ** 2).T
     rows = []
     all_ok = True
     for N in KERNEL_VERIFY_N:
-        H = harmonic_number(N)
-        errs, margins = [], []
-        for start in range(0, len(pts), KERNEL_VERIFY_BATCH):
-            xs, ys = pts[start : start + KERNEL_VERIFY_BATCH].T
-            terms, bound = kernels.closed_form_terms(N, xs, ys, tail_target=cfg.tol_tail)
-            closed = np.sum(terms, axis=1) / H
-            direct = kernels.log_kernel_direct_many(N, xs, ys)
-            err = np.abs(closed - direct)
-            errs.append(err)
-            margins.append(err - (bound + cfg.tol_kernel * (1.0 + np.abs(direct))))
-        worst_margin = float(np.max(np.concatenate(margins)))
+        terms, bound = kernels.closed_form_terms(N, xs, ys, tail_target=cfg.tol_tail)
+        closed = np.sum(terms, axis=1) / harmonic_number(N)
+        direct = kernels.log_kernel_direct_many(N, xs, ys)
+        err = np.abs(closed - direct)
+        worst_margin = float(np.max(err - (bound + cfg.tol_kernel * (1.0 + np.abs(direct)))))
         ok = worst_margin <= 0.0
         all_ok &= ok
-        rows.append([N, len(pts), float(np.max(np.concatenate(errs))), worst_margin, ok])
+        rows.append([N, len(xs), float(np.max(err)), worst_margin, ok])
 
     write_report(
         cfg, "kernel_verify",

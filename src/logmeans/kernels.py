@@ -34,6 +34,10 @@ GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 #: Default keep-out distance from the removable-singularity tubes.
 EPS_SING = 1e-6
 
+#: Elements a (points, order) table may hold: telescoped_sums, sin_sum and
+#: log_kernel_direct_many walk their points in blocks of max(1, this // N) rows.
+KERNEL_TABLE_ELEMS = 16 * 1024
+
 REGION_I = "I"
 REGION_J = "J"
 
@@ -140,6 +144,20 @@ def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, 
     return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
 
 
+def _row_blocks(N: int, P: int):
+    """Slices of P points in row blocks whose (points, N) tables fit KERNEL_TABLE_ELEMS."""
+    step = max(1, KERNEL_TABLE_ELEMS // N)
+    return (slice(start, start + step) for start in range(0, P, step))
+
+
+def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """``xs`` and ``ys`` as float arrays of paired points; refuses arrays that do not pair up."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"points must be paired 1-D arrays, got x shape {xs.shape} and y shape {ys.shape}")
+    return xs, ys
+
+
 # ----------------------------------------------------------------------------
 # trigonometric sums
 # ----------------------------------------------------------------------------
@@ -156,12 +174,12 @@ def sin_sum(N: int, u) -> float | np.ndarray:
     """sum_{k=1}^{N} sin(ku)/k by direct summation; uniformly bounded in N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u_arr = np.ravel(np.asarray(u, dtype=float))
     k = np.arange(1, N + 1)
-    out = np.sin(np.outer(u_arr, k)) @ (1.0 / k)
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return float(out[0])
-    return out
+    out = np.empty(u_arr.shape)
+    for b in _row_blocks(N, len(u_arr)):
+        out[b] = (np.sin(np.outer(u_arr[b], k)) / k).sum(axis=1)  # per row: no block dependence
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def fejer_ratio(m: int, u) -> float | np.ndarray:
@@ -207,18 +225,22 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     limits of the full sums are used and the tail is 0.  Every row of the
     sum has N - 2 terms, those past the cap zeroed, so a point's values do
     not depend on the rest of the batch (a sum's rounding depends on its length).
+    The table is built in row blocks of at most KERNEL_TABLE_ELEMS elements;
+    each row is the same sum in any block, so every block width is bit-identical.
     """
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
     K = np.where(zero, N - 2, K)
     k = np.arange(1.0, N - 1.0)
-    terms = np.sin(0.5 * np.outer(r, k + 1.0)) ** 2
-    terms *= _telescoped_weights(k)
-    if K.min() < N - 2:
-        terms *= k <= K[:, None]
+    sums = np.empty(r.shape)
+    for b in _row_blocks(N, len(r)):
+        terms = np.sin(0.5 * np.outer(r[b], k + 1.0)) ** 2
+        terms *= _telescoped_weights(k)
+        if K[b].min() < N - 2:
+            terms *= k <= K[b, None]
+        sums[b] = terms.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = terms.sum(axis=1) / (2.0 * half_sin ** 2)
-    full = np.arange(1.0, N - 1.0)
-    T = np.where(zero, np.sum(_telescoped_weights(full) * 0.5 * (full + 1.0) ** 2), T)
+        T = sums / (2.0 * half_sin ** 2)
+    T = np.where(zero, np.sum(_telescoped_weights(k) * 0.5 * (k + 1.0) ** 2), T)
     V = fejer_ratio(N, r) / (N * (N - 1.0))
     W = dirichlet_kernel(N, r) / N
     return T, V, W, telescoped_tail_bound(K, N, r)
@@ -261,12 +283,15 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 
 
 def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Direct-form F_N over paired point arrays."""
+    """Direct-form F_N over paired point arrays; one per-row sum per point, in row blocks."""
+    t, s = _paired(t, s)
     w = GridOp.norlund_log(N).weights()
     k = np.arange(N)
-    dt = dirichlet_matrix(k, t)  # (N, P)
-    ds = dirichlet_matrix(k, s)
-    return (w @ (dt * ds)) / math.fsum(w)
+    out = np.empty(t.shape)
+    for b in _row_blocks(N, len(t)):
+        table = np.multiply(dirichlet_matrix(k, t[b]).T, dirichlet_matrix(k, s[b]).T, order="C")
+        out[b] = (table * w).sum(axis=1)
+    return out / math.fsum(w)
 
 
 def log_kernel_lattice(N: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -322,13 +347,14 @@ def closed_form_terms(
 
     ``K`` caps both telescoped sums (scalar or per point); ``K=None`` picks
     per-argument caps with certified tail below ``tail_target``.
+    The per-point work runs once on the batch; only the tables of telescoped_sums
+    and sin_sum are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
     """
     if N < 3:
         raise ValueError(f"closed form needs N >= 3, got {N}")
     if K is not None and not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
         raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _paired(xs, ys)
     up, um = xs + ys, xs - ys
     args = np.stack([xs, ys, up, um])
     near = np.abs(reduce_angle(args)[0]) < eps_sing

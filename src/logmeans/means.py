@@ -60,4 +60,6 @@ def l1_distance(f: GridFunction2D, g: GridFunction2D) -> float:
     """Rectangle-rule approximation of Int |f - g| over the torus."""
     if f.grid_size != g.grid_size:
         raise GridMismatchError(f"grid sizes differ: {f.grid_size} vs {g.grid_size}")
-    return float(np.sum(np.abs(f.values - g.values)) * f.cell_area)
+    d = f.values - g.values
+    d = np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)  # one G x G temporary for real grids
+    return float(np.sum(d) * f.cell_area)

@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from logmeans import kernels
 from logmeans.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    KERNEL_VERIFY_N,
     ConfigError,
     RunConfig,
     main,
@@ -150,6 +152,20 @@ def test_zero_tolerance_fails_kernel_verify(tmp_path):
         "kernel-verify", "--config", str(cfg), "--out", str(tmp_path), "--samples", "3",
     ])
     assert code == EXIT_TOLERANCE
+
+
+def test_kernel_verify_makes_one_call_per_form_and_order(tmp_path, monkeypatch):
+    calls = []
+    for name in ("closed_form_terms", "log_kernel_direct_many"):
+        def spy(N, *args, _form=getattr(kernels, name), _name=name, **kwargs):
+            calls.append((_name, N, len(args[0])))
+            return _form(N, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    assert main(["kernel-verify", "--samples", "8", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == [
+        (name, N, 64) for N in KERNEL_VERIFY_N for name in ("closed_form_terms", "log_kernel_direct_many")
+    ]
 
 
 def test_kernel_verify_default_passes(tmp_path):

@@ -1,6 +1,7 @@
 """Kernel forms, telescoped sums, phase windows, region geometry."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logmeans import kernels
+from logmeans.cli import quasi_random_points
 from logmeans.counterexamples import bump_mean, bump_mean_many
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
@@ -307,6 +310,14 @@ def test_telescoped_sums_do_not_depend_on_the_batch(N):
 def test_sin_sum_basics():
     assert sin_sum(37, 0.0) == 0.0
     assert sin_sum(1, math.pi / 2) == pytest.approx(1.0, abs=0.0)
+    # the terms are exactly the loop's; only the summation order may differ,
+    # within the gamma_N bound on the absolute sum
+    us = np.array([-2.9, -0.4, 0.01, 1.3, 3.1])
+    for N in (2, 9, 300, 1024):
+        for u, got in zip(us, sin_sum(N, us)):
+            terms = [math.sin(k * u) / k for k in range(1, N + 1)]
+            bound = N * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+            assert abs(got - math.fsum(terms)) <= bound, (N, u)
 
 
 def test_sin_sum_uniformly_bounded():
@@ -393,6 +404,68 @@ def test_closed_form_equivalence_property(N, x, y):
     ev = log_kernel_closed(N, x, y)
     d = log_kernel_direct(N, x, y)
     assert abs(ev.value - d) <= ev.truncation_bound + 1e-8 * (1.0 + abs(d))
+
+
+# ------------------------------------------------------------ table budget
+
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
+    # one row per block, three rows per block and one block past P x N: each
+    # row is the same per-row sum in every block, so all agree bit for bit,
+    # including mixed per-point caps and the removable limit at u = 0
+    rng = np.random.default_rng(N)
+    us = rng.uniform(-2 * math.pi, 2 * math.pi, 37)
+    us[5] = 0.0
+    caps = rng.integers(1, N - 1, 37)
+    caps[::3] = N - 2
+    xs, ys = quasi_random_points(37).T
+
+    def forms():
+        return [
+            *telescoped_sums(N, us, caps),
+            sin_sum(N, us),
+            *closed_form_terms(N, xs, ys),
+            *closed_form_terms(N, xs, ys, K=caps),
+            log_kernel_direct_many(N, xs, ys),
+        ]
+
+    runs = []
+    for elems in (1, 3 * N, len(us) * N + 1):
+        monkeypatch.setattr(kernels, "KERNEL_TABLE_ELEMS", elems)
+        runs.append(forms())
+    for run in runs[:-1]:
+        for part, whole in zip(run, runs[-1]):
+            assert np.array_equal(part, whole)
+
+
+@pytest.mark.parametrize("form", [closed_form_terms, log_kernel_direct_many])
+def test_kernel_forms_hold_one_table_block_at_a_time(form):
+    # a whole (4096, 1024) table is 32 MiB; the row blocks keep the peak small
+    xs, ys = quasi_random_points(4096).T
+    tracemalloc.start()
+    try:
+        form(1024, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_unpaired_points_are_refused_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for unpaired points")
+
+    for name in ("dirichlet_matrix", "telescoped_sums", "sin_sum"):
+        monkeypatch.setattr(kernels, name, no_table)
+    pairs = [
+        (np.array([0.3, 0.5]), np.array([0.2])),
+        (np.array([0.3]), np.array([0.2, 0.4])),
+        (np.full((2, 2), 0.3), np.full((2, 2), 0.2)),
+    ]
+    for xs, ys in pairs:
+        for form in (log_kernel_direct_many, closed_form_terms):
+            with pytest.raises(ValueError, match="paired"):
+                form(16, xs, ys)
 
 
 # ------------------------------------------------------------- phase checks

@@ -188,6 +188,13 @@ def test_l1_distance_of_cosine():
     assert l1_distance(f, g) == pytest.approx(8.0 * math.pi, abs=2e-3)
 
 
+def test_l1_distance_of_complex_grids():
+    f = GridFunction2D.constant(3.0 + 4.0j, 16)
+    g = GridFunction2D.constant(0.0, 16)
+    assert l1_distance(f, g) == pytest.approx(5.0 * 4.0 * math.pi ** 2, rel=1e-12)
+    assert l1_distance(g, f) == l1_distance(f, g)
+
+
 def test_l1_distance_grid_mismatch():
     with pytest.raises(GridMismatchError):
         l1_distance(GridFunction2D.constant(1.0, 32), GridFunction2D.constant(1.0, 64))
