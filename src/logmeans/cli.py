@@ -339,18 +339,17 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
         grid *= 2
     bandwidth = grid // 2 - 1
 
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid, real=True)
-    coeffs = fourier_coeffs(f, bandwidth, bandwidth)
-    rows = []
-    clamped = []
+    ops, clamped = [], []
     for kind in ("norlund-log", "marcinkiewicz", "riesz-log"):
         for n in orders:
             order = _fit_order(kind, n, bandwidth)
             if order != n:
                 clamped.append(f"{kind}:{n}->{order}")
-            approx = evaluate_grid(coeffs, GridOp(kind, order))
-            err = l1_distance(approx, f)
-            rows.append([kind, order, err])
+            ops.append(GridOp(kind, order))
+    f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid, real=True)
+    reach = max(op.reach()[0] for op in ops)  # no coefficient past the ops' reach is used
+    coeffs = fourier_coeffs(f, reach, reach)
+    rows = [[op.kind, op.order, l1_distance(evaluate_grid(coeffs, op), f)] for op in ops]
     comments = ["function=|x|", f"grid_size={grid}"]
     if clamped:
         comments.append("order_clamped=" + ",".join(clamped))

@@ -17,7 +17,7 @@ from .kernels import (
     REGION_J,
     build_region,
     gamma,
-    lattice_min,
+    lattice_survey,
     phase_rate,
     beta,
 )
@@ -131,7 +131,9 @@ def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
     t >= c / (x y) there.
     """
     xs = build_region(n, REGION_J).lattice(samples_per_rect)
-    min_ratio, argmin = lattice_min(xs, bump_mean_many(n, xs, xs, scaled=True))
+    w = GridOp.norlund_log(4 ** n).weights()
+    raw_min, argmin = lattice_survey(lambda u: _axis_profile(n, u), w, xs, (0.0,))
+    min_ratio = BUMP_PREFACTOR / gamma(n) ** 2 * raw_min / math.pi ** 2
     return BumpMeanReport(n=n, min_ratio=min_ratio, argmin=argmin, samples=len(xs) ** 2)
 
 

@@ -144,6 +144,22 @@ def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, 
     return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
 
 
+def lattice_survey(table, weights: np.ndarray, xs: np.ndarray, shifts) -> tuple[float, tuple[float, float]]:
+    """
+    Minimum of x y min_{s, t in shifts} sum_k w_k T_k(x - s) T_k(y - t) / sum_k w_k over the
+    lattice xs x xs and its first row-major argmin, for a per-axis factor table ``table(u)`` of
+    shape (orders, len(u)) and order weights w.  One table per shift, one product per pair
+    s <= t: the (t, s) product is its transpose, which lattice_min's symmetrization covers.
+    """
+    tables = [table(xs - s) for s in shifts]
+    weighted = np.empty_like(tables[0])
+    products = []
+    for b, right in enumerate(tables):
+        np.multiply(weights[:, None], right, out=weighted)
+        products += [left.T @ weighted for left in tables[: b + 1]]
+    return lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
+
+
 def _row_blocks(N: int, P: int):
     """Slices of P points in row blocks whose (points, N) tables fit KERNEL_TABLE_ELEMS."""
     step = max(1, KERNEL_TABLE_ELEMS // N)
@@ -294,16 +310,6 @@ def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out / math.fsum(w)
 
 
-def log_kernel_lattice(N: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """
-    Direct-form F_N on the lattice xs x ys, shape (len(xs), len(ys)): one
-    matrix product D(xs)^T (w o D(ys)) / H_N of the per-axis kernel tables.
-    """
-    w = GridOp.norlund_log(N).weights()
-    k = np.arange(N)
-    return dirichlet_matrix(k, xs).T @ (w[:, None] * dirichlet_matrix(k, ys)) / math.fsum(w)
-
-
 @dataclass(frozen=True)
 class KernelEvaluation:
     """
@@ -355,6 +361,8 @@ def closed_form_terms(
     if K is not None and not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
         raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
     xs, ys = _paired(xs, ys)
+    if np.ndim(K) > 0 and np.shape(K) != xs.shape:
+        raise ValueError(f"per-point caps K must be one per point, got cap shape {np.shape(K)} for {len(xs)} points")
     up, um = xs + ys, xs - ys
     args = np.stack([xs, ys, up, um])
     near = np.abs(reduce_angle(args)[0]) < eps_sing
@@ -382,25 +390,15 @@ def closed_form_terms(
     Tm, Vm, Wm, tb_m = telescoped_sums(N, um, K_m)
     Sp, Sm = sin_sum(N, up), sin_sum(N, um)
 
-    terms = np.column_stack(
-        [
-            0.5 * SS * Tp,            # R1
-            0.5 * SS * Tm,            # R2
-            0.5 * CC * Tm,            # R3
-            -0.5 * CC * Tp,           # R4
-            0.5 * SS * Vp,            # R5
-            0.5 * SS * Wp,            # R6
-            -0.75 * SS,               # R7
-            0.5 * SS * Vm,            # R8
-            0.5 * SS * Wm,            # R9
-            0.5 * CC * Vm,            # R10
-            0.5 * CC * Wm,            # R11
-            -0.5 * CC * Vp,           # R12
-            -0.5 * CC * Wp,           # R13
-            -0.5 * SC * (Sp - Sm),    # R14
-            -0.5 * CS * (Sp + Sm),    # R15
-        ]
+    products = (  # (coefficient, factor, part) of R1..R15 in display order
+        (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
+        (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
+        (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
+        (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
     )
+    terms = np.empty((len(xs), len(products)))
+    for col, (coeff, factor, part) in enumerate(products):
+        terms[:, col] = coeff * factor * part
     bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic_number(N)
     return terms, bound
 
@@ -516,17 +514,17 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     MAX_LATTICE_GIB is refused before they are allocated.
     """
     N = 4 ** n
-    # three (N, |X|) matrices are live at the peak of log_kernel_lattice, and
-    # the lattice has samples_per_rect points in each of 2^(n-3) windows
+    # the J survey holds two (N, |X|) kernel tables and one weighted copy at
+    # its peak, and the lattice has samples_per_rect points in each of 2^(n-3) windows
     gib = 3 * 8 * N * samples_per_rect * 2 ** (n - 3) / 2 ** 30
     if gib > MAX_LATTICE_GIB:
         raise ValueError(f"lemma at n = {n} needs about {gib:.3g} GiB of kernel matrices, "
                          f"over the {MAX_LATTICE_GIB} GiB limit")
+    k, w = np.arange(N), GridOp.norlund_log(N).weights()
     fields = []
     for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):
         xs = build_region(n, kind).lattice(samples_per_rect)  # EmptyRegionError below scale 3
-        table = np.minimum.reduce([log_kernel_lattice(N, xs - s, xs - t) for s in shifts for t in shifts])
-        fields += [len(xs) ** 2, *lattice_min(xs, table)]
+        fields += [len(xs) ** 2, *lattice_survey(lambda u: dirichlet_matrix(k, u), w, xs, shifts)]
     return LemmaSurvey(n, samples_per_rect, *fields)
 
 

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from logmeans import counterexamples
 from logmeans.fourier import GridOp, dirichlet_matrix
 from logmeans.grid import GridResolutionError
 from logmeans.kernels import build_region, gamma
@@ -212,6 +213,18 @@ def test_bump_mean_lower_bound_matches_paired_reference(n):
     assert rep.samples == samples
     assert rep.min_ratio == pytest.approx(ratio, rel=1e-14, abs=0.0)
     assert rep.argmin == argmin
+
+
+def test_bump_mean_lower_bound_builds_one_profile_table(monkeypatch):
+    calls = []
+
+    def counted(n, u, h=0.0):
+        calls.append(len(u))
+        return _axis_profile(n, u, h)
+
+    monkeypatch.setattr(counterexamples, "_axis_profile", counted)
+    rep = bump_mean_lower_bound(4)
+    assert len(calls) == 1 and calls[0] ** 2 == rep.samples
 
 
 def test_bump_mean_lower_bound_positive_and_stable():

@@ -28,12 +28,12 @@ from logmeans.kernels import (
     fejer_ratio,
     gamma,
     lattice_min,
+    lattice_survey,
     lemma_main_check,
     lemma_survey,
     log_kernel_closed,
     log_kernel_direct,
     log_kernel_direct_many,
-    log_kernel_lattice,
     phase_range_check,
     phase_rate,
     sin_sum,
@@ -169,21 +169,26 @@ def test_kernel_vectorized_matches_scalar(rng):
 
 
 @pytest.mark.parametrize("N", [3, 64, 1024])
-def test_log_kernel_lattice_matches_paired_form(N, rng):
-    # a non-square lattice with the removable points 0, 2 pi and -pi, so a
-    # transposed product shows as a wrong shape or wrong values
+def test_lattice_survey_matches_paired_form(N, rng):
+    # a lattice with the removable points 0, 2 pi and -pi and two shifts, so
+    # every shift pair's product and its mirror enter the minimum
     xs = np.concatenate([rng.uniform(-4.0, 4.0, 7), [0.0, 2.0 * math.pi, -math.pi]])
-    ys = np.concatenate([rng.uniform(-4.0, 4.0, 4), [0.0, 1e-9]])
-    xx, yy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
-    got = log_kernel_lattice(N, xs, ys)
-    assert got.shape == (len(xs), len(ys))
-    want = log_kernel_direct_many(N, xx, yy)
+    shifts = (0.0, 0.3)
+    w, k = GridOp.norlund_log(N).weights(), np.arange(N)
+    got, argmin = lattice_survey(lambda u: dirichlet_matrix(k, u), w, xs, shifts)
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+    want = np.minimum.reduce([xx * yy * log_kernel_direct_many(N, xx - s, yy - t) for s in shifts for t in shifts])
     # the two forms share the D_k values and differ only in summation order,
-    # so they agree within twice the gamma_{N+2} bound on the absolute sum
-    w = GridOp.norlund_log(N).weights()
-    k = np.arange(N)
-    scale = w @ np.abs(dirichlet_matrix(k, xx) * dirichlet_matrix(k, yy)) / math.fsum(w)
-    assert np.all(np.abs(got.ravel() - want) <= 2.0 * (N + 2) * np.finfo(float).eps * scale)
+    # so every ratio agrees within twice the gamma_{N+2} bound on the absolute sum
+    scale = max(
+        np.max(np.abs(xx * yy) * (w @ np.abs(dirichlet_matrix(k, xx - s) * dirichlet_matrix(k, yy - t))))
+        for s in shifts
+        for t in shifts
+    ) / math.fsum(w)
+    tol = 2.0 * (N + 2) * np.finfo(float).eps * scale
+    assert abs(got - want.min()) <= tol
+    i = np.flatnonzero((xx == argmin[0]) & (yy == argmin[1]))
+    assert len(i) == 1 and want[i[0]] <= want.min() + 2.0 * tol
 
 
 def _mp_log_kernel(N, x, y):
@@ -207,9 +212,7 @@ def test_kernel_forms_match_mpmath_near_the_tubes(N, d):
     closed = np.sum(terms, axis=1) / harmonic_number(N)
     for i, (x, y) in enumerate(pts):
         exact = float(_mp_log_kernel(N, x, y))
-        lattice = log_kernel_lattice(N, xs[i : i + 1], ys[i : i + 1])[0, 0]
         assert abs(direct[i] - exact) <= 1e-13 * (1.0 + abs(exact)), (x, y)
-        assert abs(lattice - exact) <= 1e-13 * (1.0 + abs(exact)), (x, y)
         assert abs(closed[i] - exact) <= 1e-18 / d ** 2 * (1.0 + abs(exact)), (x, y)
 
 
@@ -220,7 +223,7 @@ def test_non_finite_points_are_refused(bad):
         lambda: log_kernel_direct_many(16, np.array([math.nan, 0.3]), np.array([0.2, math.inf])),
         lambda: dirichlet_kernel(5, bad),
         lambda: log_kernel_direct_many(16, pts, other),
-        lambda: log_kernel_lattice(16, other, pts),
+        lambda: lattice_survey(lambda u: dirichlet_matrix(np.arange(16), u), np.ones(16), pts, (0.0,)),
         lambda: closed_form_terms(16, other, pts),
         lambda: bump_mean_many(3, pts, other),
         lambda: bump_mean_many(3, other, pts),
@@ -468,6 +471,14 @@ def test_unpaired_points_are_refused_before_any_table(monkeypatch):
                 form(16, xs, ys)
 
 
+def test_per_point_caps_must_match_the_points():
+    xs, ys = np.array([0.3, 0.5, 0.7]), np.array([0.2, 0.4, 0.9])
+    with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
+        closed_form_terms(16, xs, ys, K=np.array([3, 4]))
+    terms, _ = closed_form_terms(16, xs, ys, K=np.array([3, 4, 14]))
+    assert np.array_equal(terms[2], closed_form_terms(16, xs[2:], ys[2:], K=14)[0][0])
+
+
 # ------------------------------------------------------------- phase checks
 
 def test_phase_check_left_boundary_hits_quarter_cosine():
@@ -548,6 +559,21 @@ def test_lattice_min_reports_the_first_of_two_mirror_points():
     value, argmin = lattice_min(xs, table)
     assert argmin == (0.3, 0.7)
     assert value == 0.7 * 0.3 * np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lemma_survey_builds_three_kernel_tables_per_scale(n, monkeypatch):
+    # one table for the I lattice, one per shift for the J lattice
+    calls = []
+
+    def counted(orders, t):
+        calls.append(len(t))
+        return dirichlet_matrix(orders, t)
+
+    monkeypatch.setattr(kernels, "dirichlet_matrix", counted)
+    survey = lemma_survey(n)
+    assert len(calls) == 3
+    assert calls[0] ** 2 == survey.i_samples and calls[1] ** 2 == calls[2] ** 2 == survey.j_samples
 
 
 def _paired_lemma_survey(n, per_axis=9):
