@@ -44,8 +44,6 @@ from .orlicz import (
     luxemburg_norm,
     modular,
     unit_ball_member,
-    young_log,
-    young_log2,
     young_power,
 )
 from .counterexamples import (

@@ -49,7 +49,6 @@ class RunConfig:
     grid_size: int = 256
     n_list: tuple[int, ...] | None = None
     samples_per_rect: int = 9
-    tol_tail: float = 1e-9
     tol_bisection: float = 1e-9
     tol_kernel: float = 1e-8
     output_dir: str = "."
@@ -61,9 +60,8 @@ class RunConfig:
             raise ConfigError(f"grid_size: {exc}") from exc
         if self.samples_per_rect < 1:
             raise ConfigError(f"samples_per_rect must be >= 1, got {self.samples_per_rect}")
-        for key in ("tol_tail", "tol_kernel"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not math.isfinite(self.tol_kernel):
+            raise ConfigError(f"tol_kernel must be finite, got {self.tol_kernel}")
         if not (math.isfinite(self.tol_bisection) and self.tol_bisection > 0.0):
             raise ConfigError(f"tol_bisection must be finite and > 0, got {self.tol_bisection}")
 
@@ -186,12 +184,14 @@ def _json_value(v):
 _PLASTIC = 1.3247179572447460259609088544780973
 _R2_A1 = 1.0 / _PLASTIC
 _R2_A2 = 1.0 / _PLASTIC ** 2
+#: Distance every quasi-random point keeps from the singular tubes.
+_TUBE_MARGIN = 0.02
 
 
-def quasi_random_points(count: int, keepout: float = 0.02) -> np.ndarray:
+def quasi_random_points(count: int) -> np.ndarray:
     """
     First ``count`` points of the 2D low-discrepancy rotation sequence mapped
-    to (-pi, pi)^2 and filtered to stay ``keepout`` away from the singular
+    to (-pi, pi)^2 and filtered to stay _TUBE_MARGIN away from the singular
     tubes x, y, x+y, x-y = 0 (mod 2*pi).  Deterministic.
     """
     out = []
@@ -206,7 +206,7 @@ def quasi_random_points(count: int, keepout: float = 0.02) -> np.ndarray:
             abs(math.remainder(x + y, 2 * math.pi)),
             abs(math.remainder(x - y, 2 * math.pi)),
         )
-        if min(margins) >= keepout:
+        if min(margins) >= _TUBE_MARGIN:
             out.append((x, y))
     return np.array(out)
 
@@ -236,7 +236,7 @@ def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
     rows = []
     all_ok = True
     for N in KERNEL_VERIFY_N:
-        terms, bound = kernels.closed_form_terms(N, xs, ys, tail_target=cfg.tol_tail)
+        terms, bound = kernels.closed_form_terms(N, xs, ys)
         closed = np.sum(terms, axis=1) / harmonic_number(N)
         direct = kernels.log_kernel_direct_many(N, xs, ys)
         err = np.abs(closed - direct)

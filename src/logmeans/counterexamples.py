@@ -14,6 +14,7 @@ import numpy as np
 
 from .grid import GridFunction2D, GridResolutionError
 from .kernels import (
+    MAX_LATTICE_GIB,
     REGION_J,
     build_region,
     gamma,
@@ -96,9 +97,9 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     return np.cumsum(profile, axis=0, out=profile)
 
 
-def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True, hx=0.0, hy=0.0) -> np.ndarray:
+def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, hx=0.0, hy=0.0) -> np.ndarray:
     """
-    The order-2^{2n} logarithmic mean of the bump on the lattice xs x ys,
+    The order-2^{2n} logarithmic mean of the scaled bump on the lattice xs x ys,
     shape (len(xs), len(ys)), exact: every quadratical partial sum of the
     product bump factors into the two per-axis integrals of the Dirichlet
     kernel over the support [0, gamma(n)], so the mean is one matrix product
@@ -108,12 +109,12 @@ def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, scaled: bool = True, 
     """
     mean_weights = GridOp.norlund_log(4 ** n).weights()
     raw = _axis_profile(n, xs, hx).T @ (mean_weights[:, None] * _axis_profile(n, ys, hy))
-    height = (BUMP_PREFACTOR if scaled else 1.0) / gamma(n) ** 2
+    height = BUMP_PREFACTOR / gamma(n) ** 2
     return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
-def bump_mean(n: int, x: float, y: float, scaled: bool = True) -> float:
-    return float(bump_mean_many(n, np.array([x]), np.array([y]), scaled)[0, 0])
+def bump_mean(n: int, x: float, y: float) -> float:
+    return float(bump_mean_many(n, np.array([x]), np.array([y]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -255,6 +256,8 @@ def exceedance_measure(
     analytically over all window pairs at once.  ``bound_coeff`` defaults to
     c1 (the fitted constant plays both roles), in which case the threshold
     reduces to 1/(x y) > 2^{3n}.  ``bound`` is the normalized ratio measure * 2^{3n} / n.
+    A scale whose window-pair arrays would exceed MAX_LATTICE_GIB is refused
+    before they are allocated.
     """
     if c1 < 0.0:
         raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
@@ -263,6 +266,12 @@ def exceedance_measure(
     if c1 == 0.0:
         measure = region.total_measure()
     else:
+        # _area_under_hyperbola holds about seven float arrays and one mask over
+        # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3)
+        gib = 57 * 4 ** (n - 3) / 2 ** 30
+        if gib > MAX_LATTICE_GIB:
+            raise ValueError(f"measure at n = {n} needs about {gib:.3g} GiB of window-pair arrays, "
+                             f"over the {MAX_LATTICE_GIB} GiB limit")
         coeff = c1 if bound_coeff is None else bound_coeff
         theta = coeff / (c1 * scale)
         a, b = np.array(region.intervals).T

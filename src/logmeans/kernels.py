@@ -236,15 +236,20 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
 
     so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 up to ``tail``, the
-    certified bound on the terms past K.  ``K`` caps the sum per point
-    (1 <= K <= N - 2, scalar or array).  At u = 0 mod 2*pi the removable
-    limits of the full sums are used and the tail is 0.  Every row of the
-    sum has N - 2 terms, those past the cap zeroed, so a point's values do
-    not depend on the rest of the batch (a sum's rounding depends on its length).
+    certified bound on the terms past K.  ``K`` caps the sum: a scalar or
+    one cap per point, each 1 <= K <= N - 2, with K = N - 2 the full sum;
+    only here is the cap checked.  At u = 0 mod 2*pi the removable limits of
+    the full sums are used and the tail is 0.  Every row of the sum has
+    N - 2 terms, those past the cap zeroed, so a point's values do not
+    depend on the rest of the batch (a sum's rounding depends on its length).
     The table is built in row blocks of at most KERNEL_TABLE_ELEMS elements;
     each row is the same sum in any block, so every block width is bit-identical.
     """
+    if not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
+        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
+    if np.ndim(K) > 0 and np.shape(K) != r.shape:
+        raise ValueError(f"per-point caps K must be one per point, got cap shape {np.shape(K)} for {len(r)} points")
     K = np.where(zero, N - 2, K)
     k = np.arange(1.0, N - 1.0)
     sums = np.empty(r.shape)
@@ -277,8 +282,6 @@ def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
     """
     if N < 3:
         raise ValueError(f"telescoped form needs N >= 3, got {N}")
-    if not 1 <= K <= N - 2:
-        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
     if reduce_angle(u)[2]:
         raise SingularArgumentError("cosine sum closed form is singular at u = 0 mod 2*pi")
     T, V, W, tail = telescoped_sums(N, u, K)
@@ -322,22 +325,11 @@ class KernelEvaluation:
     truncation_bound: float
 
 
-def _adaptive_caps(N: int, u: np.ndarray, tail_target: float) -> np.ndarray:
-    """Smallest K per point with certified tail below tail_target (absolute), capped at N - 2."""
-    if tail_target <= 0.0:
-        return np.full(u.shape, N - 2)
-    half_sin = reduce_angle(u)[1]
-    with np.errstate(divide="ignore"):
-        needed = np.sqrt(1.0 / (2.0 * tail_target * half_sin ** 2))
-    return np.clip(np.ceil(needed), 1, N - 2).astype(int)
-
-
 def closed_form_terms(
     N: int,
     xs: np.ndarray,
     ys: np.ndarray,
     K=None,
-    tail_target: float = 1e-9,
     eps_sing: float = EPS_SING,
 ) -> tuple[np.ndarray, np.ndarray]:
     """
@@ -351,18 +343,14 @@ def closed_form_terms(
     allowed: the terms have removable limits on the diagonals and the full
     (untruncated) sums are used.
 
-    ``K`` caps both telescoped sums (scalar or per point); ``K=None`` picks
-    per-argument caps with certified tail below ``tail_target``.
+    ``K`` caps both telescoped sums (scalar or per point), checked by
+    telescoped_sums; ``K=None`` sums all N - 2 terms, with a zero bound.
     The per-point work runs once on the batch; only the tables of telescoped_sums
     and sin_sum are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
     """
     if N < 3:
         raise ValueError(f"closed form needs N >= 3, got {N}")
-    if K is not None and not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
-        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
     xs, ys = _paired(xs, ys)
-    if np.ndim(K) > 0 and np.shape(K) != xs.shape:
-        raise ValueError(f"per-point caps K must be one per point, got cap shape {np.shape(K)} for {len(xs)} points")
     up, um = xs + ys, xs - ys
     args = np.stack([xs, ys, up, um])
     near = np.abs(reduce_angle(args)[0]) < eps_sing
@@ -382,12 +370,9 @@ def closed_form_terms(
     SS, CC = sx * sy / denom, cx * cy / denom
     SC, CS = sx * cy / denom, cx * sy / denom
 
-    if K is None:
-        K_p, K_m = _adaptive_caps(N, np.stack([up, um]), tail_target)
-    else:
-        K_p = K_m = K
-    Tp, Vp, Wp, tb_p = telescoped_sums(N, up, K_p)
-    Tm, Vm, Wm, tb_m = telescoped_sums(N, um, K_m)
+    K = N - 2 if K is None else K
+    Tp, Vp, Wp, tb_p = telescoped_sums(N, up, K)
+    Tm, Vm, Wm, tb_m = telescoped_sums(N, um, K)
     Sp, Sm = sin_sum(N, up), sin_sum(N, um)
 
     products = (  # (coefficient, factor, part) of R1..R15 in display order
@@ -409,15 +394,15 @@ def log_kernel_closed(
     y: float,
     K: int | None = None,
     eps_sing: float = EPS_SING,
-    tail_target: float = 1e-9,
 ) -> KernelEvaluation:
     """
     Closed-form F_N(x, y) with the 15-term breakdown: closed_form_terms at
-    one point, with the same singular-tube refusal and truncation caps.  The
+    one point, with the same singular-tube refusal and truncation cap
+    (``K=None`` is the full sum; telescoped_sums checks the cap).  The
     certified truncation error of ``value`` (on the F_N scale) is returned as
     ``truncation_bound``.
     """
-    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K, tail_target, eps_sing)
+    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K, eps_sing)
     value = float(np.sum(terms[0])) / harmonic_number(N)
     return KernelEvaluation(value=value, terms=terms[0], truncation_bound=float(bound[0]))
 
@@ -467,7 +452,8 @@ def phase_range_check(n: int, x: float) -> PhaseCheck:
 # kernel lower-bound survey
 # ----------------------------------------------------------------------------
 
-#: Ceiling on the kernel-matrix memory (GiB) a lemma survey may hold at once.
+#: Ceiling on the memory (GiB) one survey may hold at once: the kernel
+#: matrices of a lemma survey, the window-pair arrays of an exceedance measure.
 MAX_LATTICE_GIB = 2
 
 

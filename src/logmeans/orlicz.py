@@ -32,7 +32,6 @@ class YoungFunction:
     """
 
     name: str
-    kind: str
     evaluator: Callable
 
     def __call__(self, u):
@@ -62,11 +61,7 @@ def young_power(p: float) -> YoungFunction:
     """Power Young function u^p, p > 1."""
     if p <= 1.0:
         raise ValueError(f"power Young function needs p > 1, got {p}")
-    return YoungFunction(name=f"u^{p}", kind=f"power({p})", evaluator=_young(lambda u: u ** p))
-
-
-def young_custom(name: str, evaluator: Callable) -> YoungFunction:
-    return YoungFunction(name=name, kind="custom", evaluator=evaluator)
+    return YoungFunction(name=f"u^{p}", evaluator=_young(lambda u: u ** p))
 
 
 def young_log_power(p: float) -> YoungFunction:
@@ -80,19 +75,17 @@ def young_log_power(p: float) -> YoungFunction:
         out *= u
         return out
 
-    return YoungFunction(name=f"u*log^{p}(1+u)", kind="custom", evaluator=_young(formula))
+    return YoungFunction(name=f"u*log^{p}(1+u)", evaluator=_young(formula))
 
 
 #: u log(1 + u), which generates the space L log L.
-LOG = replace(young_log_power(1.0), name="u*log(1+u)", kind="log")
+LOG = replace(young_log_power(1.0), name="u*log(1+u)")
 #: u log^2(1 + u), which generates the space L log^2 L.
-LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)", kind="log2")
-young_log = LOG.evaluator
-young_log2 = LOG2.evaluator
+LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)")
 
-LOG2_LOGLOG = young_custom(
+LOG2_LOGLOG = YoungFunction(
     "u*log^2(1+u)*loglog(16+u)",
-    lambda u: np.asarray(young_log2(u)) * np.log(np.log(16.0 + np.asarray(u, dtype=float))),
+    lambda u: np.asarray(LOG2.evaluator(u)) * np.log(np.log(16.0 + np.asarray(u, dtype=float))),
 )
 
 

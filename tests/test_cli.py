@@ -39,7 +39,6 @@ def test_config_round_trip_custom():
         grid_size=128,
         n_list=(3, 5, 7),
         samples_per_rect=5,
-        tol_tail=1e-10,
         tol_bisection=1e-8,
         tol_kernel=1e-7,
         output_dir="results",
@@ -72,16 +71,15 @@ def test_config_rejects_bad_tolerances():
     for bad in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ConfigError, match=f"tol_bisection.*got {bad}"):
             RunConfig(tol_bisection=bad)
-    for key in ("tol_tail", "tol_kernel"):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match=f"{key}.*got {bad}"):
-                RunConfig(**{key: bad})
-        RunConfig(**{key: 0.0})  # zero is allowed: full caps, exact comparison
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"tol_kernel.*got {bad}"):
+            RunConfig(tol_kernel=bad)
+    RunConfig(tol_kernel=0.0)  # zero is allowed: exact comparison
 
 
 @pytest.mark.parametrize(
     "key, command",
-    [("tol_bisection", "orlicz"), ("tol_tail", "kernel-verify"), ("tol_kernel", "kernel-verify")],
+    [("tol_bisection", "orlicz"), ("tol_kernel", "kernel-verify")],
 )
 def test_nan_tolerance_is_usage_error(tmp_path, capsys, key, command):
     cfg = tmp_path / "nan.cfg"
@@ -147,7 +145,7 @@ def test_one_sample_is_enough_for_kernel_verify(tmp_path):
 
 def test_zero_tolerance_fails_kernel_verify(tmp_path):
     cfg = tmp_path / "zero.cfg"
-    cfg.write_text("tol_tail=0.0\ntol_kernel=0.0\n")
+    cfg.write_text("tol_kernel=0.0\n")
     code = main([
         "kernel-verify", "--config", str(cfg), "--out", str(tmp_path), "--samples", "3",
     ])
@@ -208,6 +206,23 @@ def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert f"n = {n}" in err and "GiB" in err
     assert not (tmp_path / "lemma.csv").exists()
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("n", ["16", "18"])
+def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
+    # n = 16 needs 3.6 GiB of window-pair arrays, n = 18 about 57 GiB:
+    # both are refused from the estimate, before any pair array is built
+    tracemalloc.start()
+    try:
+        code = main(["measure", "--out", str(tmp_path), "--n", n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"n = {n}" in err and "GiB" in err
+    assert not (tmp_path / "measure.csv").exists()
     assert peak < 10e6
 
 

@@ -80,7 +80,7 @@ def test_bump_mean_matches_dense_quadrature_oracle():
     g = gamma(n)
     (ax, bx), (ay, by) = shrunken_window(n), shrunken_window(n)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
-    got = bump_mean(n, x, y, scaled=True)
+    got = bump_mean(n, x, y)
 
     q = 400
     ss = (np.arange(q) + 0.5) * g / q

@@ -475,8 +475,30 @@ def test_per_point_caps_must_match_the_points():
     xs, ys = np.array([0.3, 0.5, 0.7]), np.array([0.2, 0.4, 0.9])
     with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
         closed_form_terms(16, xs, ys, K=np.array([3, 4]))
+    with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
+        telescoped_sums(16, xs, np.array([3, 4]))
+    # telescoped_sums owns the cap rule: every form refuses 0 and N - 1 with its message
+    for K in (0, 15):
+        for call in (
+            lambda: telescoped_sums(16, xs, K),
+            lambda: cos_sum_telescoped(16, 0.3, K),
+            lambda: closed_form_terms(16, xs, ys, K=K),
+            lambda: log_kernel_closed(16, 0.3, 0.2, K=K),
+        ):
+            with pytest.raises(ValueError, match=rf"truncation cap must satisfy 1 <= K <= N - 2, got {K}"):
+                call()
     terms, _ = closed_form_terms(16, xs, ys, K=np.array([3, 4, 14]))
     assert np.array_equal(terms[2], closed_form_terms(16, xs[2:], ys[2:], K=14)[0][0])
+
+
+def test_default_closed_form_sums_in_full():
+    # no cap is picked for the caller: the default is the full N - 2 terms, with a zero bound
+    N = 32768
+    xs, ys = quasi_random_points(3).T
+    terms, bounds = closed_form_terms(N, xs, ys)
+    full_terms, full_bounds = closed_form_terms(N, xs, ys, K=N - 2)
+    assert np.array_equal(terms, full_terms)
+    assert np.all(bounds == 0.0) and np.all(full_bounds == 0.0)
 
 
 # ------------------------------------------------------------- phase checks
