@@ -396,10 +396,8 @@ def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
     deficit_rows = []
     for Q in (orlicz.LOG, orlicz.LOG2, orlicz.young_power(1.5)):
         for weight in ("log", "log2"):
-            probe = orlicz.inclusion_deficit(Q, weight, u_grid)
-            last = float(u_grid[-1] * np.log(u_grid[-1]) ** (1 if weight == "log" else 2)
-                         / np.asarray(Q(u_grid[-1])))
-            deficit_rows.append([Q.name, weight, probe, last])
+            top = orlicz.inclusion_deficit(Q, weight, u_grid[-1:])  # the ratio at the grid's top alone
+            deficit_rows.append([Q.name, weight, orlicz.inclusion_deficit(Q, weight, u_grid), top])
     write_report(
         cfg, "orlicz_deficit", ["report=inclusion probe u*log^p(u)/Q(u)"],
         ["young", "weight", "probe_max", "probe_at_top"],

@@ -14,12 +14,12 @@ import numpy as np
 
 from .grid import GridFunction2D, GridResolutionError
 from .kernels import (
-    MAX_LATTICE_GIB,
     REGION_J,
     build_region,
     gamma,
     lattice_survey,
     phase_rate,
+    refuse_beyond_memory_limit,
     beta,
 )
 from .fourier import GridOp, finite_points
@@ -151,7 +151,8 @@ def geometric_sum(n: int) -> float:
     U x U for the union U of its windows, so the integral is the square of
     Int_U dx / x, a sum of log ratios of the window endpoints.
     """
-    return math.fsum(math.log(b / a) for a, b in build_region(n, REGION_J).intervals) ** 2
+    region = build_region(n, REGION_J)
+    return math.fsum(np.log(region.hi / region.lo)) ** 2
 
 
 def l1_growth(n: int) -> GrowthReport:
@@ -162,8 +163,8 @@ def l1_growth(n: int) -> GrowthReport:
     R's area times the exact cell mean from bump_mean_many.  Reported next to
     the exact geometric integral of 1/(x y) over the same region.
     """
-    a, b = np.array(build_region(n, REGION_J).intervals).T
-    mids, widths = 0.5 * (a + b), b - a
+    region = build_region(n, REGION_J)
+    mids, widths = 0.5 * (region.lo + region.hi), region.hi - region.lo
     means = bump_mean_many(n, mids, mids, hx=widths, hy=widths)
     total = float(widths @ np.abs(means) @ widths)
     return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
@@ -256,8 +257,8 @@ def exceedance_measure(
     analytically over all window pairs at once.  ``bound_coeff`` defaults to
     c1 (the fitted constant plays both roles), in which case the threshold
     reduces to 1/(x y) > 2^{3n}.  ``bound`` is the normalized ratio measure * 2^{3n} / n.
-    A scale whose window-pair arrays would exceed MAX_LATTICE_GIB is refused
-    before they are allocated.
+    A scale whose window-pair arrays would exceed the memory limit of
+    refuse_beyond_memory_limit is refused before they are allocated.
     """
     if c1 < 0.0:
         raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
@@ -268,14 +269,11 @@ def exceedance_measure(
     else:
         # _area_under_hyperbola holds about seven float arrays and one mask over
         # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3)
-        gib = 57 * 4 ** (n - 3) / 2 ** 30
-        if gib > MAX_LATTICE_GIB:
-            raise ValueError(f"measure at n = {n} needs about {gib:.3g} GiB of window-pair arrays, "
-                             f"over the {MAX_LATTICE_GIB} GiB limit")
+        refuse_beyond_memory_limit("measure's window-pair arrays", n, 57 * 4 ** (n - 3))
         coeff = c1 if bound_coeff is None else bound_coeff
         theta = coeff / (c1 * scale)
-        a, b = np.array(region.intervals).T
-        measure = math.fsum(_area_under_hyperbola(a[:, None], b[:, None], a, b, theta).ravel())
+        lo, hi = region.lo, region.hi
+        measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, theta).ravel())
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
 
 

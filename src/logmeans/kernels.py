@@ -65,17 +65,17 @@ def phase_rate(n: int) -> float:
     return float(4 ** n) + 0.5
 
 
-def alpha(m: int, n: int) -> float:
-    """Left endpoint (arccos(1/4) + 2 pi m) / (2^{2n} + 1/2) of the m-th phase window."""
-    if m < 0:
-        raise ValueError(f"window index must be >= 0, got {m}")
+def alpha(m, n: int):
+    """Left endpoint (arccos(1/4) + 2 pi m) / (2^{2n} + 1/2) of the m-th phase window; ``m`` may be an index array."""
+    if np.any(np.asarray(m) < 0):
+        raise ValueError(f"window index must be >= 0, got {np.min(m)}")
     return (ARCCOS_QUARTER + 2.0 * math.pi * m) / phase_rate(n)
 
 
-def beta(m: int, n: int) -> float:
-    """Right endpoint (pi/2 + 2 pi m) / (2^{2n} + 1/2) of the m-th phase window."""
-    if m < 0:
-        raise ValueError(f"window index must be >= 0, got {m}")
+def beta(m, n: int):
+    """Right endpoint (pi/2 + 2 pi m) / (2^{2n} + 1/2) of the m-th phase window; ``m`` may be an index array."""
+    if np.any(np.asarray(m) < 0):
+        raise ValueError(f"window index must be >= 0, got {np.min(m)}")
     return (HALF_PI + 2.0 * math.pi * m) / phase_rate(n)
 
 
@@ -84,52 +84,65 @@ def gamma(n: int) -> float:
     return GAMMA_SCALE / phase_rate(n)
 
 
-@dataclass(frozen=True)
+#: Ceiling on the memory (GiB) one computation may hold at once: the lemma kernel tables,
+#: the measure window-pair arrays and the region window arrays (refuse_beyond_memory_limit).
+MAX_LATTICE_GIB = 2
+
+
+def refuse_beyond_memory_limit(what: str, n: int, nbytes: float) -> None:
+    """Raise ValueError, naming n and the GiB estimate, when ``what`` at scale n needs over MAX_LATTICE_GIB."""
+    if (gib := nbytes / 2 ** 30) > MAX_LATTICE_GIB:
+        raise ValueError(f"{what} at n = {n} would take about {gib:.3g} GiB, over the {MAX_LATTICE_GIB} GiB limit")
+
+
+@dataclass(frozen=True, eq=False)
 class RegionSpec:
     """
     The product region U x U of scale n, where U is the union of the
-    per-axis windows ``intervals`` (I_m = [alpha_m, beta_m], 1 <= m <= 2^{n-3},
-    for kind I; each shrunk by gamma(n) at both ends for kind J).  Every
-    region quantity is computed per axis from ``intervals``; the 4^{n-3}
-    cells I_m x I_l are never listed.
+    per-axis windows [lo[i], hi[i]] (I_m = [alpha_m, beta_m],
+    1 <= m <= 2^{n-3}, for kind I; each shrunk by gamma(n) at both ends for
+    kind J).  Every region quantity is computed per axis from the endpoint
+    arrays ``lo`` and ``hi``; the 4^{n-3} cells I_m x I_l are never listed.
     """
 
     n: int
-    kind: str
-    intervals: tuple[tuple[float, float], ...]
+    lo: np.ndarray
+    hi: np.ndarray
 
     def total_measure(self) -> float:
-        return math.fsum(b - a for a, b in self.intervals) ** 2
+        return math.fsum(self.hi - self.lo) ** 2
 
     def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return all(any(a - tol <= u <= b + tol for a, b in self.intervals) for u in (x, y))
+        return all(bool(np.any((self.lo - tol <= u) & (u <= self.hi + tol))) for u in (x, y))
 
     def lattice(self, per_axis: int = 9) -> np.ndarray:
         """
         Deterministic per-axis sample: an inclusive ``per_axis``-point grid on
-        every interval (endpoints included), in interval order.  The region's
+        every window (endpoints included), in window order.  The region's
         sample is the square lattice X x X, which puts the per_axis x per_axis
         grid on every rectangle.
         """
         if per_axis < 2:
             raise ValueError("need at least 2 samples per axis to include corners")
-        return np.concatenate([np.linspace(a, b, per_axis) for a, b in self.intervals])
+        return np.linspace(self.lo, self.hi, per_axis, axis=1).ravel()
 
 
 def build_region(n: int, kind: str) -> RegionSpec:
     """
-    Build the two-dimensional region of scale n >= 3: the windows
-    1 <= m <= 2^{n-3} on each axis (the second window constraint is applied
-    to y, making the region a genuine product of phase windows).  A window is
-    4 gamma(n) wide, so the J shrink leaves 2 gamma(n) of it.
+    Build the two-dimensional region of scale n >= 3: the windows 1 <= m <= 2^{n-3} on each axis (the second
+    window constraint is applied to y, making the region a genuine product of phase windows), as endpoint arrays
+    in closed form over m.  A window is 4 gamma(n) wide, so the J shrink leaves 2 gamma(n) of it.  A scale
+    whose window arrays would exceed MAX_LATTICE_GIB is refused before they are allocated.
     """
     if kind not in (REGION_I, REGION_J):
         raise ValueError(f"region kind must be {REGION_I!r} or {REGION_J!r}, got {kind!r}")
     if n < 3:
         raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1)")
+    # 32 bytes a window: the tracemalloc peak of build_region and of geometric_sum at n = 16..22
+    refuse_beyond_memory_limit("the region's window arrays", n, 32 * 2 ** (n - 3))
     shrink = gamma(n) if kind == REGION_J else 0.0
-    intervals = tuple((alpha(m, n) + shrink, beta(m, n) - shrink) for m in range(1, 2 ** (n - 3) + 1))
-    return RegionSpec(n=n, kind=kind, intervals=intervals)
+    m = np.arange(1, 2 ** (n - 3) + 1)
+    return RegionSpec(n=n, lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
 
 
 def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, float]]:
@@ -452,11 +465,6 @@ def phase_range_check(n: int, x: float) -> PhaseCheck:
 # kernel lower-bound survey
 # ----------------------------------------------------------------------------
 
-#: Ceiling on the memory (GiB) one survey may hold at once: the kernel
-#: matrices of a lemma survey, the window-pair arrays of an exceedance measure.
-MAX_LATTICE_GIB = 2
-
-
 @dataclass(frozen=True)
 class LemmaSurvey:
     """
@@ -502,10 +510,7 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     N = 4 ** n
     # the J survey holds two (N, |X|) kernel tables and one weighted copy at
     # its peak, and the lattice has samples_per_rect points in each of 2^(n-3) windows
-    gib = 3 * 8 * N * samples_per_rect * 2 ** (n - 3) / 2 ** 30
-    if gib > MAX_LATTICE_GIB:
-        raise ValueError(f"lemma at n = {n} needs about {gib:.3g} GiB of kernel matrices, "
-                         f"over the {MAX_LATTICE_GIB} GiB limit")
+    refuse_beyond_memory_limit("lemma's kernel matrices", n, 3 * 8 * N * samples_per_rect * 2 ** (n - 3))
     k, w = np.arange(N), GridOp.norlund_log(N).weights()
     fields = []
     for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):

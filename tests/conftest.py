@@ -25,7 +25,7 @@ def random_band_limited(rng, bandwidth, grid_size, real=False, scale=1.0):
 
 def rectangles(region):
     """Reference enumeration of the region's rectangles I_m x I_l as (ax, bx, ay, by), in (m, l) row-major order."""
-    return [(ax, bx, ay, by) for ax, bx in region.intervals for ay, by in region.intervals]
+    return [(ax, bx, ay, by) for ax, bx in zip(region.lo, region.hi) for ay, by in zip(region.lo, region.hi)]
 
 
 def shrunken_window(n, m=1):

@@ -226,6 +226,23 @@ def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     assert peak < 10e6
 
 
+@pytest.mark.parametrize("command", ["growth", "measure"])
+def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
+    # the 2^37 windows of n = 40 would take 4096 GiB of endpoint arrays:
+    # build_region refuses them from the estimate, before it allocates them
+    tracemalloc.start()
+    try:
+        code = main([command, "--out", str(tmp_path), "--n", "40"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "n = 40" in err and "GiB" in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 10e6
+
+
 @pytest.mark.parametrize("command, n_arg, kept", [("growth", "2", []), ("measure", "2,6", ["6"])])
 def test_empty_region_is_skipped_like_lemma(tmp_path, command, n_arg, kept):
     assert main([command, "--out", str(tmp_path), "--n", n_arg, "--samples", "5"]) == EXIT_OK

@@ -63,6 +63,8 @@ def test_window_width_is_four_gammas():
 def test_window_argument_validation():
     with pytest.raises(ValueError):
         alpha(-1, 3)
+    with pytest.raises(ValueError, match="got -1"):
+        beta(np.array([1, -1, 2]), 3)
     with pytest.raises(ValueError):
         beta(2, 0)
     with pytest.raises(ValueError):
@@ -70,6 +72,21 @@ def test_window_argument_validation():
 
 
 # ----------------------------------------------------------------- regions
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_region_endpoints_match_scalar_windows(n):
+    # the closed-form endpoint arrays and the single linspace against the scalar
+    # window endpoints and one linspace per window, bit for bit
+    for kind, shrink in (("I", 0.0), ("J", gamma(n))):
+        region = build_region(n, kind)
+        ms = range(1, 2 ** (n - 3) + 1)
+        lo = np.array([alpha(m, n) + shrink for m in ms])
+        hi = np.array([beta(m, n) - shrink for m in ms])
+        assert np.array_equal(region.lo, lo) and np.array_equal(region.hi, hi)
+        for per_axis in (2, 5, 9):
+            want = np.concatenate([np.linspace(a, b, per_axis) for a, b in zip(lo, hi)])
+            assert np.array_equal(region.lattice(per_axis), want)
+
 
 def test_region_rectangle_counts():
     assert len(rectangles(build_region(3, "I"))) == 1
@@ -114,7 +131,7 @@ def test_region_contains_matches_per_rectangle_reference():
     rng = np.random.default_rng(5)
     # per axis, half the coordinates fall in a window (widened by 10% at each
     # end) and half anywhere in the windows' span, so every in/out mix occurs
-    a, b = np.array(region.intervals).T
+    a, b = region.lo, region.hi
     pick = rng.integers(0, len(a), (400, 2))
     inside = a[pick] + rng.uniform(-0.1, 1.1, (400, 2)) * (b - a)[pick]
     anywhere = rng.uniform(a[0], b[-1], (400, 2))
