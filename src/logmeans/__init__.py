@@ -16,7 +16,7 @@ from .fourier import (
     quad_partial_sum,
     rect_partial_sum,
 )
-from .means import harmonic_number, l1_distance, mean_via_kernel, pointwise_mean
+from .means import harmonic_number, l1_distance, pointwise_mean
 from .kernels import (
     EmptyRegionError,
     KernelEvaluation,
@@ -27,7 +27,6 @@ from .kernels import (
     alpha,
     beta,
     build_region,
-    cos_sum_direct,
     cos_sum_telescoped,
     gamma,
     lemma_main_check,

@@ -299,7 +299,8 @@ def cmd_growth(cfg: RunConfig, json_mirror: bool) -> int:
 
 def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
     n_list = cfg.n_list or REGION_DEFAULT_N
-    kept, comments = _skip_empty_regions(n_list, lambda n: kernels.build_region(n, kernels.REGION_J).n)
+    # window_count refuses an empty region without building its windows
+    kept, comments = _skip_empty_regions(n_list, lambda n: kernels.window_count(n) and n)
     rows = []
     if kept:
         # Lower-bound constant of the unscaled bump mean, fitted at the smallest

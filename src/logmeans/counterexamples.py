@@ -22,7 +22,7 @@ from .kernels import (
     refuse_beyond_memory_limit,
     beta,
 )
-from .fourier import GridOp, finite_points
+from .fourier import GridOp, angle_table, finite_points
 from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
@@ -85,16 +85,29 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     averages (1/h) Int_{u-h/2}^{u+h/2} A_k: averaging multiplies the j-th term
     by sin(jh/2)/(jh/2), exactly 1 where h = 0, so point values keep every bit.
     Refuses NaN and infinite points, as every kernel form does.
+
+    The terms are one (points, orders) angle_table, from j = 0, whose cosine is
+    exactly 1, so the gamma/2 row needs no second array; the partial sums run
+    in place along each point's row and the transpose is returned.
     """
     u = finite_points(u)
     g = gamma(n)
-    j = np.arange(1, 4 ** n)[:, None]
-    half = 0.5 * j * np.asarray(h, dtype=float)
-    cell = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
-    profile = np.empty((4 ** n, len(u)))
-    profile[0] = 0.5 * g
-    profile[1:] = np.cos(j * (u - 0.5 * g)) * (2.0 * np.sin(0.5 * g * j) / j) * cell
-    return np.cumsum(profile, axis=0, out=profile)
+    j = np.arange(4 ** n)
+    coeff = np.full(4 ** n, 0.5 * g)
+    coeff[1:] = 2.0 * np.sin(0.5 * g * j[1:]) / j[1:]
+    profile = angle_table(u - 0.5 * g, 0, 4 ** n, cosine=True)
+    profile *= coeff
+    half = np.broadcast_to(0.5 * np.asarray(h, dtype=float), u.shape)
+    if np.any(half):
+        cell = angle_table(half, 0, 4 ** n)  # sin(j h/2), then / j / (h/2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cell /= j
+            cell /= half[:, None]
+        cell[:, 0] = 1.0
+        cell[half == 0.0] = 1.0
+        profile *= cell
+    np.cumsum(profile, axis=1, out=profile)
+    return profile.T
 
 
 def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, hx=0.0, hy=0.0) -> np.ndarray:
@@ -262,14 +275,16 @@ def exceedance_measure(
     """
     if c1 < 0.0:
         raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
+    if c1 > 0.0:
+        # _area_under_hyperbola holds about seven float arrays and one mask over
+        # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
+        # the estimate needs only n, so it is checked before the windows are built
+        refuse_beyond_memory_limit("measure's window-pair arrays", n, 57 * 4 ** (n - 3))
     region = build_region(n, REGION_J)
     scale = float(2 ** (3 * n))
     if c1 == 0.0:
         measure = region.total_measure()
     else:
-        # _area_under_hyperbola holds about seven float arrays and one mask over
-        # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3)
-        refuse_beyond_memory_limit("measure's window-pair arrays", n, 57 * 4 ** (n - 3))
         coeff = c1 if bound_coeff is None else bound_coeff
         theta = coeff / (c1 * scale)
         lo, hi = region.lo, region.hi

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import GridOp, dirichlet_kernel, dirichlet_matrix, reduce_angle
+from .fourier import GridOp, angle_table, dirichlet_kernel, dirichlet_matrix, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -127,6 +127,13 @@ class RegionSpec:
         return np.linspace(self.lo, self.hi, per_axis, axis=1).ravel()
 
 
+def window_count(n: int) -> int:
+    """Windows 2^(n-3) per axis of the region of scale n; EmptyRegionError below scale 3, where it has none."""
+    if n < 3:
+        raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1)")
+    return 2 ** (n - 3)
+
+
 def build_region(n: int, kind: str) -> RegionSpec:
     """
     Build the two-dimensional region of scale n >= 3: the windows 1 <= m <= 2^{n-3} on each axis (the second
@@ -136,12 +143,11 @@ def build_region(n: int, kind: str) -> RegionSpec:
     """
     if kind not in (REGION_I, REGION_J):
         raise ValueError(f"region kind must be {REGION_I!r} or {REGION_J!r}, got {kind!r}")
-    if n < 3:
-        raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1)")
+    windows = window_count(n)
     # 32 bytes a window: the tracemalloc peak of build_region and of geometric_sum at n = 16..22
-    refuse_beyond_memory_limit("the region's window arrays", n, 32 * 2 ** (n - 3))
+    refuse_beyond_memory_limit("the region's window arrays", n, 32 * windows)
     shrink = gamma(n) if kind == REGION_J else 0.0
-    m = np.arange(1, 2 ** (n - 3) + 1)
+    m = np.arange(1, windows + 1)
     return RegionSpec(n=n, lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
 
 
@@ -191,14 +197,6 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 # trigonometric sums
 # ----------------------------------------------------------------------------
 
-def cos_sum_direct(N: int, u: float) -> float:
-    """sum_{k=1}^{N} cos(ku)/k by direct summation in ascending k order."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    k = np.arange(1, N + 1)
-    return float(np.sum(np.cos(k * u) / k))
-
-
 def sin_sum(N: int, u) -> float | np.ndarray:
     """sum_{k=1}^{N} sin(ku)/k by direct summation; uniformly bounded in N."""
     if N < 1:
@@ -207,7 +205,9 @@ def sin_sum(N: int, u) -> float | np.ndarray:
     k = np.arange(1, N + 1)
     out = np.empty(u_arr.shape)
     for b in _row_blocks(N, len(u_arr)):
-        out[b] = (np.sin(np.outer(u_arr[b], k)) / k).sum(axis=1)  # per row: no block dependence
+        terms = angle_table(u_arr[b], 1, N)
+        terms /= k
+        out[b] = terms.sum(axis=1)  # per row: no block dependence
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
@@ -265,16 +265,18 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         raise ValueError(f"per-point caps K must be one per point, got cap shape {np.shape(K)} for {len(r)} points")
     K = np.where(zero, N - 2, K)
     k = np.arange(1.0, N - 1.0)
+    weights, half = _telescoped_weights(k), 0.5 * r
     sums = np.empty(r.shape)
     for b in _row_blocks(N, len(r)):
-        terms = np.sin(0.5 * np.outer(r[b], k + 1.0)) ** 2
-        terms *= _telescoped_weights(k)
+        terms = angle_table(half[b], 2, N - 2)  # sin((k + 1) u/2)
+        terms *= terms
+        terms *= weights
         if K[b].min() < N - 2:
             terms *= k <= K[b, None]
         sums[b] = terms.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         T = sums / (2.0 * half_sin ** 2)
-    T = np.where(zero, np.sum(_telescoped_weights(k) * 0.5 * (k + 1.0) ** 2), T)
+    T = np.where(zero, np.sum(weights * 0.5 * (k + 1.0) ** 2), T)
     V = fejer_ratio(N, r) / (N * (N - 1.0))
     W = dirichlet_kernel(N, r) / N
     return T, V, W, telescoped_tail_bound(K, N, r)
@@ -321,8 +323,10 @@ def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     k = np.arange(N)
     out = np.empty(t.shape)
     for b in _row_blocks(N, len(t)):
-        table = np.multiply(dirichlet_matrix(k, t[b]).T, dirichlet_matrix(k, s[b]).T, order="C")
-        out[b] = (table * w).sum(axis=1)
+        table = dirichlet_matrix(k, t[b]).T  # (points, orders) as angle_table built it
+        table *= dirichlet_matrix(k, s[b]).T
+        table *= w
+        out[b] = table.sum(axis=1)
     return out / math.fsum(w)
 
 

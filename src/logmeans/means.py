@@ -1,4 +1,4 @@
-"""Summability means of quadratical partial sums and their kernel-convolution path."""
+"""Summability means of quadratical partial sums, the harmonic numbers that normalize them, and L1 distances."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .fourier import GridOp, SpectralCoeffs, dirichlet_matrix, quad_partial_sum
-from .grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
+from .fourier import GridOp, SpectralCoeffs, quad_partial_sum
+from .grid import GridFunction2D, GridMismatchError
 
 
 def harmonic_number(n: int) -> float:
@@ -27,33 +27,6 @@ def pointwise_mean(c: SpectralCoeffs, op: GridOp, x: float, y: float) -> complex
     for j, w_j in enumerate(w):
         total += w_j * quad_partial_sum(c, j, x, y)
     return total / math.fsum(w)
-
-
-def mean_via_kernel(f: GridFunction2D, n: int, x: float, y: float) -> float:
-    """
-    Logarithmic mean through the convolution path,
-    (1/pi^2) Int f(s, t) F_n(x - s, y - t) ds dt, by rectangle-rule quadrature
-    on f's grid.  The 1/pi^2 factor normalizes each S_{k,k} convolution so the
-    mean fixes constants (the kernel then integrates to 1 against the mean's
-    weights).
-
-    Requires grid_size >= 8 n so the quadrature resolves the kernel.
-    """
-    w = GridOp.norlund_log(n).weights()
-    G = f.grid_size
-    if G < 8 * n:
-        raise GridResolutionError(f"grid {G} too coarse for order {n} (need >= {8 * n})")
-    pts = axis_points(G)
-    orders = np.arange(n)
-    dk_x = dirichlet_matrix(orders, x - pts)  # (n, G)
-    dk_y = dirichlet_matrix(orders, y - pts)
-    # sum_k w_k * u_k^T f v_k, accumulated in fixed k order
-    fv = f.values @ dk_y.T  # (G, n)
-    per_k = np.einsum("kg,gk->k", dk_x, fv)
-    total = complex(np.sum(per_k * w))
-    h2 = f.cell_area
-    value = total * h2 / (math.fsum(w) * math.pi ** 2)
-    return float(value.real)
 
 
 def l1_distance(f: GridFunction2D, g: GridFunction2D) -> float:

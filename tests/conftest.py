@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from logmeans.fourier import GridOp, SpectralCoeffs, evaluate_grid
-from logmeans.grid import axis_points
+from logmeans.fourier import GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
+from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.kernels import alpha, beta, gamma
 
 
@@ -101,3 +103,38 @@ def raw_luxemburg_norm(values, Q, cell_area, rel_tol=1e-9):
         else:
             lo = mid
     return hi
+
+
+def cos_sum_direct(N, u):
+    """Reference sum_{k=1}^{N} cos(ku)/k by direct summation in ascending k order."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    k = np.arange(1, N + 1)
+    return float(np.sum(np.cos(k * u) / k))
+
+
+def mean_via_kernel(f: GridFunction2D, n, x, y):
+    """
+    Reference logarithmic mean through the convolution path,
+    (1/pi^2) Int f(s, t) F_n(x - s, y - t) ds dt, by rectangle-rule quadrature
+    on f's grid.  The 1/pi^2 factor normalizes each S_{k,k} convolution so the
+    mean fixes constants (the kernel then integrates to 1 against the mean's
+    weights).
+
+    Requires grid_size >= 8 n so the quadrature resolves the kernel.
+    """
+    w = GridOp.norlund_log(n).weights()
+    G = f.grid_size
+    if G < 8 * n:
+        raise GridResolutionError(f"grid {G} too coarse for order {n} (need >= {8 * n})")
+    pts = axis_points(G)
+    orders = np.arange(n)
+    dk_x = dirichlet_matrix(orders, x - pts)  # (n, G)
+    dk_y = dirichlet_matrix(orders, y - pts)
+    # sum_k w_k * u_k^T f v_k, accumulated in fixed k order
+    fv = f.values @ dk_y.T  # (G, n)
+    per_k = np.einsum("kg,gk->k", dk_x, fv)
+    total = complex(np.sum(per_k * w))
+    h2 = f.cell_area
+    value = total * h2 / (math.fsum(w) * math.pi ** 2)
+    return float(value.real)

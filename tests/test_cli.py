@@ -209,10 +209,11 @@ def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     assert peak < 10e6
 
 
-@pytest.mark.parametrize("n", ["16", "18"])
+@pytest.mark.parametrize("n", ["16", "18", "25"])
 def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 16 needs 3.6 GiB of window-pair arrays, n = 18 about 57 GiB:
-    # both are refused from the estimate, before any pair array is built
+    # n = 16 needs 3.6 GiB of window-pair arrays, n = 18 about 57 GiB and
+    # n = 25 about 1e6 GiB: all are refused from the estimate, before any pair
+    # array and before the region's windows (about 100 MB at n = 25) are built
     tracemalloc.start()
     try:
         code = main(["measure", "--out", str(tmp_path), "--n", n])
@@ -229,7 +230,8 @@ def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
 @pytest.mark.parametrize("command", ["growth", "measure"])
 def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
     # the 2^37 windows of n = 40 would take 4096 GiB of endpoint arrays:
-    # build_region refuses them from the estimate, before it allocates them
+    # growth's build_region refuses them from the estimate, before it allocates
+    # them, and measure refuses its larger window-pair estimate before that
     tracemalloc.start()
     try:
         code = main([command, "--out", str(tmp_path), "--n", "40"])

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,11 +12,14 @@ from logmeans.fourier import (
     BandwidthError,
     GridOp,
     SpectralCoeffs,
+    angle_table,
     dirichlet_kernel,
+    dirichlet_matrix,
     evaluate_grid,
     fourier_coeffs,
     quad_partial_sum,
     rect_partial_sum,
+    reduce_angle,
 )
 
 from conftest import dense_fourier_coeffs, dense_synthesis, random_band_limited
@@ -88,6 +92,59 @@ def test_dirichlet_matches_cosine_expansion(rng):
         t = float(rng.uniform(-math.pi, math.pi))
         expected = 0.5 + sum(math.cos(j * t) for j in range(1, k + 1))
         assert dirichlet_kernel(k, t) == pytest.approx(expected, abs=1e-12)
+
+
+# ------------------------------------------------------------- angle tables
+
+def _sampled_orders(count, rng):
+    """Indices into an order range to check: both ends, the edges of the first and last blocks, and random ones."""
+    step = math.isqrt(count - 1) + 1
+    edges = [0, 1, step - 1, step, step + 1, count - step - 1, count - step, count - 2, count - 1]
+    return np.unique(np.clip(np.concatenate([edges, rng.integers(0, count, 48)]), 0, count - 1))
+
+
+@pytest.mark.parametrize("N", [3, 64, 1024, 65536])
+@pytest.mark.parametrize("cosine", [False, True])
+@pytest.mark.parametrize("start, offset", [(0, 0.5), (1, 0.0)])
+def test_angle_table_matches_mpmath(N, cosine, start, offset, rng):
+    # each sampled entry lies within 2 eps (1 + |(k + offset) u|) of the
+    # 40-digit value at the float point u, and each point's row is the same
+    # whether it is tabled alone or with the others
+    us = np.concatenate([[math.pi, -math.pi, 1e-6, 2 * math.pi - 1e-6], rng.uniform(-2 * math.pi, 2 * math.pi, 4)])
+    table = angle_table(us, start, N, offset, cosine)
+    assert table.shape == (len(us), N)
+    for p, u in enumerate(us):
+        assert np.array_equal(angle_table(us[p : p + 1], start, N, offset, cosine)[0], table[p])
+    trig = mpmath.cos if cosine else mpmath.sin
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for i in _sampled_orders(N, rng):
+            order = mpmath.mpf(start + int(i)) + mpmath.mpf(offset)
+            for p, u in enumerate(us):
+                err = abs(mpmath.mpf(float(table[p, i])) - trig(order * mpmath.mpf(float(u))))
+                assert err <= 2 * eps * (1 + abs(float(order) * u)), (N, int(i), float(u))
+
+
+def test_one_order_angle_table_is_np_sin_bit_for_bit(rng):
+    # a one-order range makes no angle addition, so dirichlet_kernel's values are the direct formula's
+    us = np.concatenate([[math.pi, -math.pi, 0.0, 1e-6, 2 * math.pi - 1e-6], rng.uniform(-50.0, 50.0, 200)])
+    for k in (0, 1, 7, 1000, 65535):
+        for offset in (0.0, 0.5):
+            assert np.array_equal(angle_table(us, k, 1, offset)[:, 0], np.sin((k + offset) * us))
+            assert np.array_equal(angle_table(us, k, 1, offset, cosine=True)[:, 0], np.cos((k + offset) * us))
+    ts = rng.uniform(-3.0, 3.0, 50)
+    r, half_sin, _ = reduce_angle(ts)
+    for k in (0, 5, 300):
+        assert np.array_equal(dirichlet_kernel(k, ts), np.sin((k + 0.5) * r) / (2.0 * half_sin))
+
+
+def test_kernel_tables_need_a_range_of_consecutive_orders():
+    ts = np.array([0.3, 1.2])
+    for orders in (np.array([0, 2, 3]), np.array([3, 2]), np.array([], dtype=int), np.arange(4).reshape(2, 2)):
+        with pytest.raises(ValueError, match="consecutive"):
+            dirichlet_matrix(orders, ts)
+    with pytest.raises(ValueError, match="at least one order"):
+        angle_table(ts, 0, 0)
 
 
 # --------------------------------------------------------- fourier_coeffs

@@ -23,7 +23,6 @@ from logmeans.kernels import (
     beta,
     build_region,
     closed_form_terms,
-    cos_sum_direct,
     cos_sum_telescoped,
     fejer_ratio,
     gamma,
@@ -42,7 +41,7 @@ from logmeans.kernels import (
 )
 from logmeans.means import harmonic_number
 
-from conftest import rectangles, shrunken_window, stratified_min, stratified_samples
+from conftest import cos_sum_direct, rectangles, shrunken_window, stratified_min, stratified_samples
 
 
 # -------------------------------------------------------- window coordinates
@@ -330,8 +329,9 @@ def test_telescoped_sums_do_not_depend_on_the_batch(N):
 def test_sin_sum_basics():
     assert sin_sum(37, 0.0) == 0.0
     assert sin_sum(1, math.pi / 2) == pytest.approx(1.0, abs=0.0)
-    # the terms are exactly the loop's; only the summation order may differ,
-    # within the gamma_N bound on the absolute sum
+    # the terms come from one angle_table, so they may differ from the loop's
+    # np.sin in the last bits, and the summation order may differ too; the
+    # gamma_N bound on the absolute sum covers both
     us = np.array([-2.9, -0.4, 0.01, 1.3, 3.1])
     for N in (2, 9, 300, 1024):
         for u, got in zip(us, sin_sum(N, us)):
@@ -469,6 +469,26 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_lattice_kernel_tables_are_one_allocation_each():
+    # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix divides its
+    # angle table and sets its limits in place, and lemma_survey(6) holds no more than its three tables
+    xs = build_region(6, "I").lattice(9)
+    tracemalloc.start()
+    try:
+        table = dirichlet_matrix(np.arange(4096), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4096, 72) and peak <= 1.25 * table.nbytes
+    tracemalloc.start()
+    try:
+        lemma_survey(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.44e6
 
 
 def test_unpaired_points_are_refused_before_any_table(monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
-from logmeans.means import harmonic_number, l1_distance, mean_via_kernel, pointwise_mean
+from logmeans.means import harmonic_number, l1_distance, pointwise_mean
 
-from conftest import random_band_limited, shrunken_window
+from conftest import mean_via_kernel, random_band_limited, shrunken_window
 
 
 def test_harmonic_numbers():
