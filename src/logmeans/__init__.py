@@ -13,10 +13,8 @@ from .fourier import (
     dirichlet_kernel,
     evaluate_grid,
     fourier_coeffs,
-    quad_partial_sum,
-    rect_partial_sum,
 )
-from .means import harmonic_number, l1_distance, pointwise_mean
+from .means import harmonic_number, l1_distance
 from .kernels import (
     EmptyRegionError,
     KernelEvaluation,
@@ -42,7 +40,6 @@ from .orlicz import (
     inclusion_deficit,
     luxemburg_norm,
     modular,
-    unit_ball_member,
     young_power,
 )
 from .counterexamples import (

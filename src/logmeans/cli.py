@@ -325,7 +325,7 @@ def _fit_order(kind: str, n: int, bandwidth: int) -> int:
             op = GridOp(kind, order)
         except ValueError:  # below the smallest order GridOp accepts for the kind
             return order + 1
-        if op.reach()[0] <= bandwidth:
+        if op.reach() <= bandwidth:
             return order
     raise BandwidthError(f"no {kind} order <= {n} fits bandwidth {bandwidth}")
 
@@ -339,6 +339,12 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
     while grid < 2 * max_order:
         grid *= 2
     bandwidth = grid // 2 - 1
+    # 25 bytes a grid sample and 41 a coefficient |m|, |n| <= reach: the tracemalloc peak of
+    # converge at G = 512..4096 for reaches 16..G/2 - 1; no op reaches past min(max_order, bandwidth)
+    coeff_side = 2 * min(max_order, bandwidth) + 1
+    kernels.refuse_beyond_memory_limit(
+        f"converge's grids at grid size {grid}", 25 * grid ** 2 + 41 * coeff_side ** 2
+    )
 
     ops, clamped = [], []
     for kind in ("norlund-log", "marcinkiewicz", "riesz-log"):
@@ -348,8 +354,8 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
                 clamped.append(f"{kind}:{n}->{order}")
             ops.append(GridOp(kind, order))
     f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid, real=True)
-    reach = max(op.reach()[0] for op in ops)  # no coefficient past the ops' reach is used
-    coeffs = fourier_coeffs(f, reach, reach)
+    reach = max(op.reach() for op in ops)  # no coefficient past the ops' reach is used
+    coeffs = fourier_coeffs(f, reach)
     rows = [[op.kind, op.order, l1_distance(evaluate_grid(coeffs, op), f)] for op in ops]
     comments = ["function=|x|", f"grid_size={grid}"]
     if clamped:
@@ -366,6 +372,8 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
 
 def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
     grid = cfg.grid_size
+    # 43 bytes a grid sample: the tracemalloc peak of orlicz at G = 256..2048
+    kernels.refuse_beyond_memory_limit(f"orlicz's grids at grid size {grid}", 43 * grid ** 2)
     h = 2.0 * math.pi / grid
     side = int(round(1.0 / h))  # ~unit-measure square, snapped to cells
 

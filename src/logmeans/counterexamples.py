@@ -279,7 +279,7 @@ def exceedance_measure(
         # _area_under_hyperbola holds about seven float arrays and one mask over
         # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
         # the estimate needs only n, so it is checked before the windows are built
-        refuse_beyond_memory_limit("measure's window-pair arrays", n, 57 * 4 ** (n - 3))
+        refuse_beyond_memory_limit(f"measure's window-pair arrays at n = {n}", 57 * 4 ** (n - 3))
     region = build_region(n, REGION_J)
     scale = float(2 ** (3 * n))
     if c1 == 0.0:

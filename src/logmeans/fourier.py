@@ -1,4 +1,4 @@
-"""Fourier coefficients, Dirichlet kernels, and rectangular partial sums on the torus."""
+"""Fourier coefficients, Dirichlet kernels, and whole-grid means of quadratical partial sums on the torus."""
 
 from __future__ import annotations
 
@@ -113,9 +113,9 @@ def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SpectralCoeffs:
     """
-    Complex Fourier coefficients c(m, n) for |m| <= M, |n| <= N.
+    Complex Fourier coefficients c(m, n) for |m|, |n| <= B, the bandwidth.
 
-    ``coeffs[M + m, N + n]`` stores c(m, n).  ``source_grid`` remembers the
+    ``coeffs[B + m, B + n]`` stores c(m, n).  ``source_grid`` remembers the
     grid the coefficients were computed from (used as the default synthesis
     resolution).  ``hermitian`` records whether c(-m, -n) = conj(c(m, n))
     holds exactly, as it does for the coefficients of a real grid; such
@@ -124,82 +124,55 @@ class SpectralCoeffs:
     """
 
     coeffs: np.ndarray
-    bandwidth_m: int
-    bandwidth_n: int
+    bandwidth: int
     source_grid: int | None = None
     hermitian: bool = field(init=False)
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
-        expected = (2 * self.bandwidth_m + 1, 2 * self.bandwidth_n + 1)
+        expected = (2 * self.bandwidth + 1,) * 2
         if coeffs.shape != expected:
             raise ValueError(f"coefficient array shape {coeffs.shape} != {expected}")
         object.__setattr__(self, "coeffs", read_only_view(coeffs))
-        rows = self.bandwidth_m + 1  # rows m <= 0 against their mirrors m >= 0 cover every pair
+        rows = self.bandwidth + 1  # rows m <= 0 against their mirrors m >= 0 cover every pair
         object.__setattr__(
             self, "hermitian", np.array_equal(coeffs[:rows], np.conj(coeffs[::-1, ::-1][:rows]))
         )
 
-    def get(self, m: int, n: int) -> complex:
-        if abs(m) > self.bandwidth_m or abs(n) > self.bandwidth_n:
-            raise BandwidthError(f"({m}, {n}) outside bandwidth ({self.bandwidth_m}, {self.bandwidth_n})")
-        return complex(self.coeffs[self.bandwidth_m + m, self.bandwidth_n + n])
 
-    def hermitian_defect(self) -> float:
-        """max |c(-m,-n) - conj(c(m,n))|; exactly 0 for the coefficients of a real grid."""
-        flipped = np.conj(self.coeffs[::-1, ::-1])
-        return float(np.max(np.abs(self.coeffs - flipped)))
-
-
-def fourier_coeffs(f: GridFunction2D, M: int, N: int) -> SpectralCoeffs:
+def fourier_coeffs(f: GridFunction2D, bandwidth: int) -> SpectralCoeffs:
     """
-    Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy
-    by rectangle-rule quadrature on the sample grid, taken by one 2D FFT.
-    A real grid takes the half spectrum n >= 0 by ``rfft2`` and the rest by
-    c(m, n) = conj(c(-m, -n)), so its coefficients are exactly Hermitian.
+    Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy,
+    |m|, |n| <= B = ``bandwidth``, by rectangle-rule quadrature on the sample
+    grid, taken by one 2D FFT.  A real grid takes the half spectrum n >= 0 by
+    ``rfft2`` and the rest by c(m, n) = conj(c(-m, -n)), so its coefficients
+    are exactly Hermitian.
 
-    The rule is spectrally exact below Nyquist, so both bandwidths must stay
-    under half the grid: 2M < G and 2N < G.
+    The rule is spectrally exact below Nyquist, so the bandwidth must stay
+    under half the grid: 2B < G.
     """
-    if M < 0 or N < 0:
-        raise ValueError("bandwidths must be nonnegative")
+    B = bandwidth
+    if B < 0:
+        raise ValueError("bandwidth must be nonnegative")
     G = f.grid_size
-    if 2 * M >= G or 2 * N >= G:
-        raise BandwidthError(f"bandwidth ({M}, {N}) at or above Nyquist for grid {G}")
-    m = np.arange(-M, M + 1)
+    if 2 * B >= G:
+        raise BandwidthError(f"bandwidth {B} at or above Nyquist for grid {G}")
+    m = np.arange(-B, B + 1)
+    sign = (-1.0) ** m
     # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k} is one FFT: the grid
     # origin x_0 = -pi puts the phase (-1)^(m + n) on bin (m mod G, n mod G).
     if f.is_real:
-        n = np.arange(N + 1)
         spectrum = np.fft.rfft2(f.values, norm="forward")  # bins n = 0..G/2 only
-        coeffs = np.empty((2 * M + 1, 2 * N + 1), dtype=complex)
-        np.multiply(spectrum[np.ix_(m % G, n)], np.outer((-1.0) ** m, (-1.0) ** n), out=coeffs[:, N:])
+        coeffs = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
+        np.multiply(spectrum[np.ix_(m % G, m[B:])], np.outer(sign, sign[B:]), out=coeffs[:, B:])
         # c(m, n) = conj(c(-m, -n)): the real c(0, 0), then c(m, 0) for m < 0, then every n < 0
-        coeffs[M, N] = coeffs[M, N].real
-        coeffs[:M, N] = np.conj(coeffs[:M:-1, N])
-        np.conj(coeffs[::-1, :N:-1], out=coeffs[:, :N])
+        coeffs[B, B] = coeffs[B, B].real
+        coeffs[:B, B] = np.conj(coeffs[:B:-1, B])
+        np.conj(coeffs[::-1, :B:-1], out=coeffs[:, :B])
     else:
-        n = np.arange(-N, N + 1)
         spectrum = np.fft.fft2(f.values, norm="forward")
-        coeffs = spectrum[np.ix_(m % G, n % G)] * np.outer((-1.0) ** m, (-1.0) ** n)
-    return SpectralCoeffs(coeffs=coeffs, bandwidth_m=M, bandwidth_n=N, source_grid=G)
-
-
-def rect_partial_sum(c: SpectralCoeffs, M: int, N: int, x: float, y: float) -> complex:
-    """S_{M,N}(x, y) = sum_{|m|<=M} sum_{|n|<=N} c(m, n) e^{imx} e^{iny}."""
-    if M < 0 or N < 0:
-        raise ValueError("partial-sum orders must be nonnegative")
-    if M > c.bandwidth_m or N > c.bandwidth_n:
-        raise BandwidthError(f"order ({M}, {N}) outside bandwidth ({c.bandwidth_m}, {c.bandwidth_n})")
-    sub = c.coeffs[c.bandwidth_m - M : c.bandwidth_m + M + 1, c.bandwidth_n - N : c.bandwidth_n + N + 1]
-    ex = np.exp(1j * np.arange(-M, M + 1) * x)
-    ey = np.exp(1j * np.arange(-N, N + 1) * y)
-    return complex(ex @ sub @ ey)
-
-
-def quad_partial_sum(c: SpectralCoeffs, n: int, x: float, y: float) -> complex:
-    """Quadratical (diagonal) partial sum S_{n,n}(x, y)."""
-    return rect_partial_sum(c, n, n, x, y)
+        coeffs = spectrum[np.ix_(m % G, m % G)] * np.outer(sign, sign)
+    return SpectralCoeffs(coeffs=coeffs, bandwidth=B, source_grid=G)
 
 
 #: Unnormalised weight w_j of S_{j,j}, j = 0..reach, per mean kind and order n;
@@ -218,29 +191,21 @@ _MEAN_WEIGHTS = {
 @dataclass(frozen=True)
 class GridOp:
     """
-    Specifier for whole-grid evaluation: a partial sum or a summability mean.
+    Specifier for whole-grid evaluation: a mean of the quadratical partial
+    sums S_{j,j}, j = 0..reach, given by its weights (``weights``).
 
-    kind is one of ``rect`` (orders M, N), ``quad`` (order n), or the mean
-    kinds ``norlund-log`` / ``marcinkiewicz`` / ``riesz-log`` (order n).
-    Every kind but ``rect`` is a weight sequence over the S_{j,j} (``weights``).
+    kind is ``quad`` (S_{n,n} itself) or one of the mean kinds
+    ``norlund-log`` / ``marcinkiewicz`` / ``riesz-log``, each of order n.
     """
 
     kind: str
     order: int
-    order_n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "rect":
-            if self.order_n is None or self.order < 0 or self.order_n < 0:
-                raise ValueError("rect op needs nonnegative orders M and N")
-        elif self.kind not in _MEAN_WEIGHTS:
+        if self.kind not in _MEAN_WEIGHTS:
             raise ValueError(f"unknown grid op kind {self.kind!r}")
-        elif not np.any(self.weights()):
+        if not np.any(self.weights()):
             raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
-
-    @classmethod
-    def rect(cls, M: int, N: int) -> "GridOp":
-        return cls("rect", M, N)
 
     @classmethod
     def quad(cls, n: int) -> "GridOp":
@@ -259,17 +224,12 @@ class GridOp:
         return cls("riesz-log", n)
 
     def weights(self) -> np.ndarray:
-        """Unnormalised weight of S_{j,j} for j = 0..reach (not defined for ``rect``)."""
-        if self.kind == "rect":
-            raise ValueError("a rect op has no diagonal weights")
+        """Unnormalised weight of S_{j,j} for j = 0..reach."""
         return _MEAN_WEIGHTS[self.kind](self.order)
 
-    def reach(self) -> tuple[int, int]:
-        """Largest (|m|, |n|) the operator can touch."""
-        if self.kind == "rect":
-            return self.order, self.order_n  # type: ignore[return-value]
-        j = len(self.weights()) - 1
-        return j, j
+    def reach(self) -> int:
+        """Largest |m| and |n| the operator can touch."""
+        return len(self.weights()) - 1
 
 
 def _fold(spectrum: np.ndarray, G: int, axis: int, bins: int | None = None) -> np.ndarray:
@@ -299,7 +259,7 @@ def _fold(spectrum: np.ndarray, G: int, axis: int, bins: int | None = None) -> n
 
 def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -> GridFunction2D:
     """
-    Evaluate the partial sum or mean specified by ``op`` on the full grid.
+    Evaluate the quadratical partial sum or mean specified by ``op`` on the full grid.
 
     The op's weights are applied in coefficient space, then one inverse FFT
     per axis synthesises the grid: first along m over the op's coefficient
@@ -312,31 +272,22 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -
     if G is None:
         raise ValueError("no grid size available; pass grid_size explicitly")
     validate_grid_size(G)
-    reach_m, reach_n = op.reach()
-    if reach_m > c.bandwidth_m or reach_n > c.bandwidth_n:
-        raise BandwidthError(
-            f"op reaches ({reach_m}, {reach_n}) beyond bandwidth ({c.bandwidth_m}, {c.bandwidth_n})"
-        )
+    reach, B = op.reach(), c.bandwidth
+    if reach > B:
+        raise BandwidthError(f"op reaches {reach} beyond bandwidth {B}")
 
-    sub = c.coeffs[
-        c.bandwidth_m - reach_m : c.bandwidth_m + reach_m + 1,
-        c.bandwidth_n - reach_n : c.bandwidth_n + reach_n + 1,
-    ]
-    if op.kind == "rect":
-        weighted = sub
-    else:
-        # frequency j* = max(|m|, |n|) lies in S_{j,j} for every j >= j*
-        tail = np.cumsum(op.weights()[::-1])[::-1]
-        profile = tail / tail[0]
-        m_abs = np.abs(np.arange(-reach_m, reach_m + 1))
-        j_star = np.maximum(m_abs[:, None], m_abs[None, :])
-        weighted = sub * profile[j_star]
+    # frequency j* = max(|m|, |n|) lies in S_{j,j} for every j >= j*
+    tail = np.cumsum(op.weights()[::-1])[::-1]
+    profile = tail / tail[0]
+    j_abs = np.abs(np.arange(-reach, reach + 1))
+    window = slice(B - reach, B + reach + 1)
+    weighted = c.coeffs[window, window] * profile[np.maximum(j_abs[:, None], j_abs[None, :])]
 
     # sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j}, unscaled inverse FFTs
     if c.hermitian:
         # bins 0..G/2 along n determine a real grid, and without aliasing only
-        # n = 0..reach_n land there; irfft zero-pads the bins past them
-        half = _fold(weighted, G, axis=1, bins=min(G // 2, reach_n) + 1)
+        # n = 0..reach land there; irfft zero-pads the bins past them
+        half = _fold(weighted, G, axis=1, bins=min(G // 2, reach) + 1)
         cols = np.fft.ifft(_fold(half, G, axis=0), axis=0, norm="forward")
         return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"), is_real=True)
     cols = np.fft.ifft(_fold(weighted, G, axis=0), axis=0, norm="forward")

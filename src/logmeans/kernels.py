@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import GridOp, angle_table, dirichlet_kernel, dirichlet_matrix, reduce_angle
+from .fourier import GridOp, angle_table, dirichlet_kernel, dirichlet_matrix, finite_points, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -85,14 +85,15 @@ def gamma(n: int) -> float:
 
 
 #: Ceiling on the memory (GiB) one computation may hold at once: the lemma kernel tables,
-#: the measure window-pair arrays and the region window arrays (refuse_beyond_memory_limit).
+#: the measure window-pair arrays, the region window arrays and the converge and orlicz
+#: grids (refuse_beyond_memory_limit).
 MAX_LATTICE_GIB = 2
 
 
-def refuse_beyond_memory_limit(what: str, n: int, nbytes: float) -> None:
-    """Raise ValueError, naming n and the GiB estimate, when ``what`` at scale n needs over MAX_LATTICE_GIB."""
+def refuse_beyond_memory_limit(what: str, nbytes: float) -> None:
+    """Raise ValueError, naming ``what`` (with its scale or grid size) and the GiB estimate, over MAX_LATTICE_GIB."""
     if (gib := nbytes / 2 ** 30) > MAX_LATTICE_GIB:
-        raise ValueError(f"{what} at n = {n} would take about {gib:.3g} GiB, over the {MAX_LATTICE_GIB} GiB limit")
+        raise ValueError(f"{what} would take about {gib:.3g} GiB, over the {MAX_LATTICE_GIB} GiB limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +112,6 @@ class RegionSpec:
 
     def total_measure(self) -> float:
         return math.fsum(self.hi - self.lo) ** 2
-
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return all(bool(np.any((self.lo - tol <= u) & (u <= self.hi + tol))) for u in (x, y))
 
     def lattice(self, per_axis: int = 9) -> np.ndarray:
         """
@@ -145,7 +143,7 @@ def build_region(n: int, kind: str) -> RegionSpec:
         raise ValueError(f"region kind must be {REGION_I!r} or {REGION_J!r}, got {kind!r}")
     windows = window_count(n)
     # 32 bytes a window: the tracemalloc peak of build_region and of geometric_sum at n = 16..22
-    refuse_beyond_memory_limit("the region's window arrays", n, 32 * windows)
+    refuse_beyond_memory_limit(f"the region's window arrays at n = {n}", 32 * windows)
     shrink = gamma(n) if kind == REGION_J else 0.0
     m = np.arange(1, windows + 1)
     return RegionSpec(n=n, lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
@@ -198,10 +196,10 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------------
 
 def sin_sum(N: int, u) -> float | np.ndarray:
-    """sum_{k=1}^{N} sin(ku)/k by direct summation; uniformly bounded in N."""
+    """sum_{k=1}^{N} sin(ku)/k by direct summation; uniformly bounded in N.  Refuses NaN and infinite u."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    u_arr = np.ravel(np.asarray(u, dtype=float))
+    u_arr = np.ravel(finite_points(u))
     k = np.arange(1, N + 1)
     out = np.empty(u_arr.shape)
     for b in _row_blocks(N, len(u_arr)):
@@ -511,14 +509,15 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     fixed reductions.  A scale whose kernel matrices would exceed
     MAX_LATTICE_GIB is refused before they are allocated.
     """
+    windows = window_count(n)  # EmptyRegionError below scale 3, before gamma(n) refuses n < 1
     N = 4 ** n
     # the J survey holds two (N, |X|) kernel tables and one weighted copy at
-    # its peak, and the lattice has samples_per_rect points in each of 2^(n-3) windows
-    refuse_beyond_memory_limit("lemma's kernel matrices", n, 3 * 8 * N * samples_per_rect * 2 ** (n - 3))
+    # its peak, and the lattice has samples_per_rect points in each window
+    refuse_beyond_memory_limit(f"lemma's kernel matrices at n = {n}", 3 * 8 * N * samples_per_rect * windows)
     k, w = np.arange(N), GridOp.norlund_log(N).weights()
     fields = []
     for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):
-        xs = build_region(n, kind).lattice(samples_per_rect)  # EmptyRegionError below scale 3
+        xs = build_region(n, kind).lattice(samples_per_rect)
         fields += [len(xs) ** 2, *lattice_survey(lambda u: dirichlet_matrix(k, u), w, xs, shifts)]
     return LemmaSurvey(n, samples_per_rect, *fields)
 

@@ -83,11 +83,6 @@ LOG = replace(young_log_power(1.0), name="u*log(1+u)")
 #: u log^2(1 + u), which generates the space L log^2 L.
 LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)")
 
-LOG2_LOGLOG = YoungFunction(
-    "u*log^2(1+u)*loglog(16+u)",
-    lambda u: np.asarray(LOG2.evaluator(u)) * np.log(np.log(16.0 + np.asarray(u, dtype=float))),
-)
-
 
 def _histogram_modular(mags: np.ndarray, counts: np.ndarray, Q: YoungFunction, k: float, area: float) -> float:
     """Rectangle-rule Int Q(|f| / k) from the magnitude histogram: each distinct value once, times its count."""
@@ -145,11 +140,6 @@ def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -
         else:
             lo = mid
     return hi
-
-
-def unit_ball_member(f: GridFunction2D, Q: YoungFunction) -> bool:
-    """Whether f lies in the closed unit ball of L_Q (norm <= 1 + 1e-9)."""
-    return luxemburg_norm(f, Q) <= 1.0 + 1e-9
 
 
 def inclusion_deficit(Q: YoungFunction, weight: str, u_grid) -> float:

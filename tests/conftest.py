@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from logmeans.fourier import GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
+from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.kernels import alpha, beta, gamma
+from logmeans.orlicz import LOG2, YoungFunction, luxemburg_norm
 
 
 @pytest.fixture
@@ -19,10 +20,56 @@ def random_band_limited(rng, bandwidth, grid_size, real=False, scale=1.0):
     c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     if real:
         c = 0.5 * (c + np.conj(c[::-1, ::-1]))
-    coeffs = SpectralCoeffs(coeffs=c, bandwidth_m=bandwidth, bandwidth_n=bandwidth,
-                            source_grid=grid_size)
-    grid = evaluate_grid(coeffs, GridOp.rect(bandwidth, bandwidth), grid_size)
+    coeffs = SpectralCoeffs(coeffs=c, bandwidth=bandwidth, source_grid=grid_size)
+    grid = evaluate_grid(coeffs, GridOp.quad(bandwidth), grid_size)
     return grid, coeffs
+
+
+def coeff(c, m, n):
+    """c(m, n) of SpectralCoeffs ``c``, for |m|, |n| <= its bandwidth."""
+    return complex(c.coeffs[c.bandwidth + m, c.bandwidth + n])
+
+
+def hermitian_defect(c):
+    """max |c(-m,-n) - conj(c(m,n))|; exactly 0 for the coefficients of a real grid."""
+    return float(np.max(np.abs(c.coeffs - np.conj(c.coeffs[::-1, ::-1]))))
+
+
+def quad_partial_sum(c, n, x, y):
+    """Reference quadratical partial sum S_{n,n}(x, y) = sum_{|m|,|k|<=n} c(m, k) e^{imx} e^{iky}."""
+    if n > c.bandwidth:
+        raise BandwidthError(f"order {n} outside bandwidth {c.bandwidth}")
+    window, k = slice(c.bandwidth - n, c.bandwidth + n + 1), np.arange(-n, n + 1)
+    return complex(np.exp(1j * k * x) @ c.coeffs[window, window] @ np.exp(1j * k * y))
+
+
+def pointwise_mean(c, op, x, y):
+    """
+    Reference mean ``op`` at one point, partial sum by partial sum:
+    sum_j w_j S_{j,j}(x, y) / sum_j w_j over the op's weights w_j, j = 0..reach.
+    """
+    w = op.weights()
+    total = 0.0 + 0.0j
+    for j, w_j in enumerate(w):
+        total += w_j * quad_partial_sum(c, j, x, y)
+    return total / math.fsum(w)
+
+
+def region_contains(region, x, y, tol=0.0):
+    """Reference membership of (x, y) in the product region: each coordinate in some window, up to ``tol``."""
+    return all(bool(np.any((region.lo - tol <= u) & (u <= region.hi + tol))) for u in (x, y))
+
+
+def unit_ball_member(f, Q):
+    """Whether f lies in the closed unit ball of L_Q (norm <= 1 + 1e-9)."""
+    return luxemburg_norm(f, Q) <= 1.0 + 1e-9
+
+
+#: u log^2(1 + u) loglog(16 + u), a Young function just above L log^2 L.
+LOG2_LOGLOG = YoungFunction(
+    "u*log^2(1+u)*loglog(16+u)",
+    lambda u: np.asarray(LOG2.evaluator(u)) * np.log(np.log(16.0 + np.asarray(u, dtype=float))),
+)
 
 
 def rectangles(region):
@@ -57,22 +104,18 @@ def stratified_min(pts, values):
     return len(xs), float(ratios[arg]), (float(xs[arg]), float(ys[arg]))
 
 
-def dense_fourier_coeffs(values, M, N):
-    """Reference rectangle-rule coefficients c(m, n), |m| <= M, |n| <= N, by dense DFT matrices."""
+def dense_fourier_coeffs(values, B):
+    """Reference rectangle-rule coefficients c(m, n), |m|, |n| <= B, by dense DFT matrices."""
     G = values.shape[0]
-    pts = axis_points(G)
-    ex = np.exp(-1j * np.outer(np.arange(-M, M + 1), pts))
-    ey = np.exp(-1j * np.outer(np.arange(-N, N + 1), pts))
-    return (ex @ values @ ey.T) / G ** 2
+    e = np.exp(-1j * np.outer(np.arange(-B, B + 1), axis_points(G)))
+    return (e @ values @ e.T) / G ** 2
 
 
 def dense_synthesis(weighted, G):
     """Reference sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j} on the G-point grid, by dense DFT matrices."""
-    reach_m, reach_n = ((s - 1) // 2 for s in weighted.shape)
-    pts = axis_points(G)
-    ex = np.exp(1j * np.outer(pts, np.arange(-reach_m, reach_m + 1)))
-    ey = np.exp(1j * np.outer(np.arange(-reach_n, reach_n + 1), pts))
-    return ex @ weighted @ ey
+    reach = (len(weighted) - 1) // 2
+    e = np.exp(1j * np.outer(axis_points(G), np.arange(-reach, reach + 1)))
+    return e @ weighted @ e.T
 
 
 def raw_modular(values, Q, k, cell_area):

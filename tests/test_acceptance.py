@@ -158,7 +158,7 @@ def test_criterion_06_divergence_vs_convergence_contrast():
 
     G = 512
     f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
-    c = fourier_coeffs(f, G // 2 - 1, G // 2 - 1)
+    c = fourier_coeffs(f, G // 2 - 1)
     errors = [
         l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f) for n in (16, 64, 256)
     ]

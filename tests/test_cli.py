@@ -190,6 +190,11 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert any("skipped_empty_region_n=2" in l for l in lines)
     data_rows = [l for l in lines if l and not l.startswith("#")][1:]
     assert data_rows == []
+    # zero and negative scales too: the empty region is found before gamma(n), which refuses n < 1
+    assert main(["lemma", "--out", str(tmp_path), "--n=-2,0,3", "--samples", "5"]) == EXIT_OK
+    lines = read(tmp_path / "lemma.csv").splitlines()
+    assert "# skipped_empty_region_n=-2,0" in lines
+    assert [l.split(",")[0] for l in lines if l and not l.startswith("#")][1:] == ["3", "3"]
 
 
 @pytest.mark.parametrize("n", ["9", "12"])
@@ -243,6 +248,24 @@ def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
     assert "n = 40" in err and "GiB" in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("command", ["converge", "orlicz"])
+def test_grid_commands_refuse_grids_beyond_memory_limit(tmp_path, capsys, monkeypatch, command):
+    # under a 1 MiB limit the 1024 x 1024 grids (8 MiB a grid) are refused
+    # from the estimate, before the first grid is built
+    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)
+    tracemalloc.start()
+    try:
+        code = main([command, "--out", str(tmp_path), "--grid-size", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "grid size 1024" in err and "GiB" in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("command, n_arg, kept", [("growth", "2", []), ("measure", "2,6", ["6"])])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from logmeans.grid import GridFunction2D, axis_points
-from logmeans.means import pointwise_mean
 from logmeans.fourier import (
     BandwidthError,
     GridOp,
@@ -17,12 +16,18 @@ from logmeans.fourier import (
     dirichlet_matrix,
     evaluate_grid,
     fourier_coeffs,
-    quad_partial_sum,
-    rect_partial_sum,
     reduce_angle,
 )
 
-from conftest import dense_fourier_coeffs, dense_synthesis, random_band_limited
+from conftest import (
+    coeff,
+    dense_fourier_coeffs,
+    dense_synthesis,
+    hermitian_defect,
+    pointwise_mean,
+    quad_partial_sum,
+    random_band_limited,
+)
 
 
 # ---------------------------------------------------------------- grid type
@@ -151,8 +156,8 @@ def test_kernel_tables_need_a_range_of_consecutive_orders():
 
 def test_coeffs_of_constant():
     f = GridFunction2D.constant(1.0, 32)
-    c = fourier_coeffs(f, 4, 4)
-    assert c.get(0, 0) == pytest.approx(1.0, abs=1e-12)
+    c = fourier_coeffs(f, 4)
+    assert coeff(c, 0, 0) == pytest.approx(1.0, abs=1e-12)
     others = c.coeffs.copy()
     others[4, 4] = 0.0
     assert np.max(np.abs(others)) <= 1e-12
@@ -160,78 +165,76 @@ def test_coeffs_of_constant():
 
 def test_coeffs_of_single_exponential():
     f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) * np.exp(-1j * y), 64)
-    c = fourier_coeffs(f, 4, 4)
-    assert c.get(2, -1) == pytest.approx(1.0, abs=1e-12)
+    c = fourier_coeffs(f, 4)
+    assert coeff(c, 2, -1) == pytest.approx(1.0, abs=1e-12)
     mask = np.abs(c.coeffs) > 1e-12
     assert mask.sum() == 1
 
 
 def test_coeffs_of_cosine():
     f = GridFunction2D.from_function(lambda x, y: np.cos(x) + 0.0 * y, 32, real=True)
-    c = fourier_coeffs(f, 2, 2)
-    assert c.get(1, 0) == pytest.approx(0.5, abs=1e-12)
-    assert c.get(-1, 0) == pytest.approx(0.5, abs=1e-12)
+    c = fourier_coeffs(f, 2)
+    assert coeff(c, 1, 0) == pytest.approx(0.5, abs=1e-12)
+    assert coeff(c, -1, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_coeffs_rejects_nyquist():
     f = GridFunction2D.constant(1.0, 16)
     with pytest.raises(BandwidthError):
-        fourier_coeffs(f, 8, 2)
-    with pytest.raises(BandwidthError):
-        fourier_coeffs(f, 2, 8)
-    fourier_coeffs(f, 7, 7)
+        fourier_coeffs(f, 8)
+    fourier_coeffs(f, 7)
 
 
 def test_quadrature_exactness_recovers_random_polynomials(rng):
     grid, coeffs = random_band_limited(rng, 5, 32)
-    recovered = fourier_coeffs(grid, 5, 5)
+    recovered = fourier_coeffs(grid, 5)
     np.testing.assert_allclose(recovered.coeffs, coeffs.coeffs, atol=1e-10)
 
 
 def test_hermitian_symmetry_for_real_inputs(rng):
     for _ in range(5):
         grid, _ = random_band_limited(rng, 4, 32, real=True)
-        c = fourier_coeffs(grid, 6, 6)
-        assert c.hermitian_defect() <= 1e-10
+        c = fourier_coeffs(grid, 6)
+        assert hermitian_defect(c) <= 1e-10
 
 
 # ------------------------------------------------------------- partial sums
 
 def test_rect_sum_of_constant_is_one(rng):
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 5, 5)
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 5)
     for _ in range(5):
-        M, N = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        n = int(rng.integers(0, 6))
         x, y = rng.uniform(-math.pi, math.pi, 2)
-        assert rect_partial_sum(c, M, N, float(x), float(y)) == pytest.approx(1.0, abs=1e-12)
+        assert quad_partial_sum(c, n, float(x), float(y)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rect_sum_excludes_out_of_window_frequency():
     f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) + 0.0 * y, 32)
-    c = fourier_coeffs(f, 4, 4)
-    assert rect_partial_sum(c, 1, 1, 0.3, -0.7) == pytest.approx(0.0, abs=1e-12)
+    c = fourier_coeffs(f, 4)
+    assert quad_partial_sum(c, 1, 0.3, -0.7) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rect_sum_reproduces_cos_cos_at_origin():
     f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 32, real=True)
-    c = fourier_coeffs(f, 2, 2)
-    assert rect_partial_sum(c, 1, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    c = fourier_coeffs(f, 2)
+    assert quad_partial_sum(c, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rect_sum_bandwidth_error():
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3, 3)
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3)
     with pytest.raises(BandwidthError):
-        rect_partial_sum(c, 4, 0, 0.0, 0.0)
+        evaluate_grid(c, GridOp.quad(4))
 
 
 def test_rect_sum_linearity(rng):
     ga, ca = random_band_limited(rng, 3, 16)
     gb, cb = random_band_limited(rng, 3, 16)
     a, b = 1.7, -0.4
-    mix = SpectralCoeffs(coeffs=a * ca.coeffs + b * cb.coeffs, bandwidth_m=3, bandwidth_n=3)
+    mix = SpectralCoeffs(coeffs=a * ca.coeffs + b * cb.coeffs, bandwidth=3)
     for _ in range(10):
         x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
-        lhs = rect_partial_sum(mix, 2, 3, x, y)
-        rhs = a * rect_partial_sum(ca, 2, 3, x, y) + b * rect_partial_sum(cb, 2, 3, x, y)
+        lhs = quad_partial_sum(mix, 3, x, y)
+        rhs = a * quad_partial_sum(ca, 3, x, y) + b * quad_partial_sum(cb, 3, x, y)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -240,12 +243,12 @@ def test_quad_sum_reproduces_polynomial_and_degenerate_order(rng):
     for _ in range(5):
         x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
         direct = sum(
-            coeffs.get(m, n) * np.exp(1j * (m * x + n * y))
+            coeff(coeffs, m, n) * np.exp(1j * (m * x + n * y))
             for m in range(-3, 4)
             for n in range(-3, 4)
         )
         assert quad_partial_sum(coeffs, 3, x, y) == pytest.approx(direct, abs=1e-10)
-    assert quad_partial_sum(coeffs, 0, 0.4, 0.5) == pytest.approx(coeffs.get(0, 0), abs=0.0)
+    assert quad_partial_sum(coeffs, 0, 0.4, 0.5) == pytest.approx(coeff(coeffs, 0, 0), abs=0.0)
 
 
 def test_quad_sum_of_step_against_1d_oracle():
@@ -253,7 +256,7 @@ def test_quad_sum_of_step_against_1d_oracle():
     # the 1D Dirichlet partial sum of the sampled step at x.
     G = 64
     f = GridFunction2D.from_function(lambda x, y: np.where(x >= 0.0, 1.0, 0.0) + 0.0 * y, G, real=True)
-    c = fourier_coeffs(f, 8, 8)
+    c = fourier_coeffs(f, 8)
     pts = axis_points(G)
     samples = np.where(pts >= 0.0, 1.0, 0.0)
     x = math.pi / 2
@@ -269,15 +272,15 @@ def test_quad_sum_of_step_against_1d_oracle():
 # ------------------------------------------------------------ grid evaluation
 
 def test_evaluate_grid_constant_under_rect():
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 2, 2)
-    out = evaluate_grid(c, GridOp.rect(1, 1))
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 2)
+    out = evaluate_grid(c, GridOp.quad(1))
     np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
 
 
 def test_evaluate_grid_reproduces_low_degree_polynomial(rng):
     grid, _ = random_band_limited(rng, 1, 16)
-    wide = fourier_coeffs(grid, 4, 4)
-    out = evaluate_grid(wide, GridOp.rect(4, 4))
+    wide = fourier_coeffs(grid, 4)
+    out = evaluate_grid(wide, GridOp.quad(4))
     np.testing.assert_allclose(out.values, grid.values, atol=1e-10)
 
 
@@ -304,29 +307,27 @@ def test_evaluate_grid_matches_pointwise_quad_sums(rng):
 
 
 def test_evaluate_grid_requires_grid_size():
-    c = SpectralCoeffs(coeffs=np.zeros((3, 3), dtype=complex), bandwidth_m=1, bandwidth_n=1)
+    c = SpectralCoeffs(coeffs=np.zeros((3, 3), dtype=complex), bandwidth=1)
     with pytest.raises(ValueError):
-        evaluate_grid(c, GridOp.rect(1, 1))
-    evaluate_grid(c, GridOp.rect(1, 1), grid_size=8)
+        evaluate_grid(c, GridOp.quad(1))
+    evaluate_grid(c, GridOp.quad(1), grid_size=8)
 
 
 # ------------------------------------------------- FFT against the dense DFT
 
-def _random_coeffs(rng, bandwidth_m, bandwidth_n, source_grid=None):
-    shape = (2 * bandwidth_m + 1, 2 * bandwidth_n + 1)
+def _random_coeffs(rng, bandwidth, source_grid=None):
+    shape = (2 * bandwidth + 1, 2 * bandwidth + 1)
     return SpectralCoeffs(coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                          bandwidth_m=bandwidth_m, bandwidth_n=bandwidth_n, source_grid=source_grid)
+                          bandwidth=bandwidth, source_grid=source_grid)
 
 
 def _dense_op_values(c, op, G):
     """Reference values of ``op`` on the G-point grid: the weighted dense syntheses of its partial sums."""
-    def window(M, N):
-        return c.coeffs[c.bandwidth_m - M : c.bandwidth_m + M + 1, c.bandwidth_n - N : c.bandwidth_n + N + 1]
+    def window(j):
+        return c.coeffs[c.bandwidth - j : c.bandwidth + j + 1, c.bandwidth - j : c.bandwidth + j + 1]
 
-    if op.kind == "rect":
-        return dense_synthesis(window(*op.reach()), G)
     w = op.weights()
-    return sum(wj * dense_synthesis(window(j, j), G) for j, wj in enumerate(w) if wj) / w.sum()
+    return sum(wj * dense_synthesis(window(j), G) for j, wj in enumerate(w) if wj) / w.sum()
 
 
 @pytest.mark.parametrize("G", [8, 16, 32])
@@ -335,18 +336,17 @@ def test_fft_coeffs_match_dense_dft(G, rng):
     real_values = rng.normal(size=(G, G))
     # a complex grid takes fft2; a real one rfft2, mirrored into exactly Hermitian coefficients
     for f in (GridFunction2D(values=values), GridFunction2D(values=real_values, is_real=True)):
-        for M, N in [(G // 2 - 1, G // 2 - 1), (G // 2 - 1, 1), (0, G // 4), (1, 0), (0, 0)]:
-            c = fourier_coeffs(f, M, N)
-            np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, M, N), rtol=0, atol=1e-12)
+        for B in [G // 2 - 1, G // 4, 1, 0]:
+            c = fourier_coeffs(f, B)
+            np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, B), rtol=0, atol=1e-12)
             assert c.hermitian == f.is_real
             if f.is_real:
-                assert c.hermitian_defect() == 0.0
+                assert hermitian_defect(c) == 0.0
 
 
-def _random_hermitian_coeffs(rng, bandwidth_m, bandwidth_n, source_grid=None):
-    c = _random_coeffs(rng, bandwidth_m, bandwidth_n).coeffs
-    return SpectralCoeffs(coeffs=0.5 * (c + np.conj(c[::-1, ::-1])), bandwidth_m=bandwidth_m,
-                          bandwidth_n=bandwidth_n, source_grid=source_grid)
+def _random_hermitian_coeffs(rng, bandwidth, source_grid=None):
+    c = _random_coeffs(rng, bandwidth).coeffs
+    return SpectralCoeffs(coeffs=0.5 * (c + np.conj(c[::-1, ::-1])), bandwidth=bandwidth, source_grid=source_grid)
 
 
 def _assert_synthesis_matches_dense(c, op, G):
@@ -360,11 +360,11 @@ def _assert_synthesis_matches_dense(c, op, G):
 @pytest.mark.parametrize("G", [8, 16, 32])
 def test_fft_synthesis_matches_dense_dft(G, rng):
     bm, bn = G // 2 - 1, G // 4
-    complex_c = _random_coeffs(rng, bm, bn, source_grid=G)
-    hermitian_c = _random_hermitian_coeffs(rng, bm, bn, source_grid=G)
+    complex_c = _random_coeffs(rng, bm, source_grid=G)
+    hermitian_c = _random_hermitian_coeffs(rng, bm, source_grid=G)
     assert not complex_c.hermitian and hermitian_c.hermitian
     ops = [
-        GridOp.rect(bm, bn), GridOp.rect(1, bn), GridOp.rect(bm, 0), GridOp.rect(0, 0),
+        GridOp.quad(bm), GridOp.quad(0),
         GridOp.quad(1), GridOp.norlund_log(1), GridOp.marcinkiewicz(1), GridOp.riesz_log(2),
         GridOp.quad(bn), GridOp.norlund_log(bn + 1), GridOp.marcinkiewicz(bn), GridOp.riesz_log(bn + 1),
     ]
@@ -376,8 +376,8 @@ def test_fft_synthesis_matches_dense_dft(G, rng):
 @pytest.mark.parametrize("reach", [4, 7, 11])
 def test_synthesis_on_a_coarse_grid_sums_aliased_frequencies(reach, rng):
     # grid_size 8 < 2 reach + 1: frequencies m and m + 8 land on the same samples
-    for c in (_random_coeffs(rng, reach, reach), _random_hermitian_coeffs(rng, reach, reach)):
-        for op in (GridOp.rect(reach, reach - 1), GridOp.rect(1, reach), GridOp.marcinkiewicz(reach),
+    for c in (_random_coeffs(rng, reach), _random_hermitian_coeffs(rng, reach)):
+        for op in (GridOp.quad(reach - 1), GridOp.quad(1), GridOp.marcinkiewicz(reach),
                    GridOp.quad(reach), GridOp.norlund_log(reach + 1), GridOp.riesz_log(reach + 1)):
             _assert_synthesis_matches_dense(c, op, 8)
 
@@ -385,8 +385,11 @@ def test_synthesis_on_a_coarse_grid_sums_aliased_frequencies(reach, rng):
 def test_grid_op_validation():
     with pytest.raises(ValueError):
         GridOp("bogus", 1)
-    with pytest.raises(ValueError):
-        GridOp("rect", 1)  # missing second order
+    # every op is a mean of the quadratical partial sums: no rectangular kind, no second order
+    with pytest.raises(ValueError, match="unknown grid op kind 'rect'"):
+        GridOp("rect", 1)
+    with pytest.raises(TypeError):
+        GridOp("rect", 1, 1)
     # an order whose weight sequence has no nonzero entry
     for kind, order in [("riesz-log", 1), ("norlund-log", 0), ("marcinkiewicz", 0),
                         ("quad", -1), ("norlund-log", -3), ("riesz-log", -2)]:

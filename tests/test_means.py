@@ -7,9 +7,9 @@ import pytest
 
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
-from logmeans.means import harmonic_number, l1_distance, pointwise_mean
+from logmeans.means import harmonic_number, l1_distance
 
-from conftest import mean_via_kernel, random_band_limited, shrunken_window
+from conftest import mean_via_kernel, pointwise_mean, quad_partial_sum, random_band_limited, shrunken_window
 
 
 def test_harmonic_numbers():
@@ -31,14 +31,14 @@ def test_norlund_weights_sum_to_one():
 
 
 def test_norlund_fixes_constants():
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     for n in (1, 2, 5, 9):
         assert pointwise_mean(c, GridOp.norlund_log(n), 0.4, -1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norlund_first_nontrivial_order():
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
-    c = fourier_coeffs(f, 4, 4)
+    c = fourier_coeffs(f, 4)
     x, y = 0.3, 0.9
     expected = (2.0 / 3.0) * np.exp(1j * (x + y))
     assert pointwise_mean(c, GridOp.norlund_log(2), x, y) == pytest.approx(expected, abs=1e-12)
@@ -48,7 +48,7 @@ def test_norlund_weight_accounting_for_high_order():
     # t_n of a single frequency j* is f * H_{n-j*} / H_n; the deviation from f
     # is exactly the weight deficit (H_n - H_{n-j*}) / H_n.
     f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) * np.exp(1j * y), 64)
-    c = fourier_coeffs(f, 24, 24)
+    c = fourier_coeffs(f, 24)
     x, y = -0.7, 0.2
     fx = np.exp(1j * (2 * x + y))
     for n in (8, 16, 25):
@@ -60,44 +60,40 @@ def test_norlund_weight_accounting_for_high_order():
 
 
 def test_norlund_bandwidth_error():
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3, 3)
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3)
     with pytest.raises(BandwidthError):
         pointwise_mean(c, GridOp.norlund_log(5), 0.0, 0.0)
 
 
 def test_marcinkiewicz_examples(rng):
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     assert pointwise_mean(c, GridOp.marcinkiewicz(5), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
-    cf = fourier_coeffs(f, 4, 4)
+    cf = fourier_coeffs(f, 4)
     x, y = 0.2, -0.4
     assert pointwise_mean(cf, GridOp.marcinkiewicz(2), x, y) == pytest.approx(
         np.exp(1j * (x + y)), abs=1e-12
     )
 
     grid, cr = random_band_limited(rng, 8, 32)
-    from logmeans.fourier import quad_partial_sum
-
     x, y = 0.5, 1.2
     expected = sum(quad_partial_sum(cr, j, x, y) for j in range(1, 9)) / 8.0
     assert pointwise_mean(cr, GridOp.marcinkiewicz(8), x, y) == pytest.approx(expected, abs=1e-12)
 
 
 def test_riesz_examples():
-    c1 = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8, 8)
+    c1 = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     assert pointwise_mean(c1, GridOp.riesz_log(5), 0.1, 0.2) == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
-    cf = fourier_coeffs(f, 4, 4)
+    cf = fourier_coeffs(f, 4)
     x, y = 1.0, -0.3
     # n = 3: (1/H_2)(S_11 + S_22/2) = f * (1/1.5) * 1.5 = f
     assert pointwise_mean(cf, GridOp.riesz_log(3), x, y) == pytest.approx(
         np.exp(1j * (x + y)), abs=1e-12
     )
     # n = 2: the single term S_11
-    from logmeans.fourier import quad_partial_sum
-
     assert pointwise_mean(cf, GridOp.riesz_log(2), x, y) == pytest.approx(
         quad_partial_sum(cf, 1, x, y), abs=1e-14
     )
@@ -125,7 +121,7 @@ def test_mean_via_kernel_fixes_constants():
 
 def test_mean_via_kernel_matches_spectral_path():
     f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 256, real=True)
-    c = fourier_coeffs(f, 8, 8)
+    c = fourier_coeffs(f, 8)
     for x, y in [(0.3, 0.3), (-1.2, 2.0), (0.0, 0.9)]:
         vk = mean_via_kernel(f, 8, x, y)
         vs = pointwise_mean(c, GridOp.norlund_log(8), x, y)
@@ -207,7 +203,7 @@ def test_regularity_on_fixed_trig_polynomial():
     # below 1e-3 within desk-scale orders
     G = 128
     f = GridFunction2D.from_function(lambda x, y: 0.01 * np.cos(x) * np.cos(y), G, real=True)
-    c = fourier_coeffs(f, G // 2 - 1, G // 2 - 1)
+    c = fourier_coeffs(f, G // 2 - 1)
     errors = []
     for n in (8, 16, 32, 64):
         approx = evaluate_grid(c, GridOp.norlund_log(n))
@@ -219,7 +215,7 @@ def test_regularity_on_fixed_trig_polynomial():
 def test_marcinkiewicz_dominance_on_nonsmooth_member():
     G = 512
     f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
-    c = fourier_coeffs(f, G // 2 - 1, G // 2 - 1)
+    c = fourier_coeffs(f, G // 2 - 1)
     t_err, s_err = [], []
     for n in (16, 64, 255):
         t_err.append(l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f))
@@ -235,13 +231,12 @@ def test_mean_error_below_weighted_partial_sum_errors():
     # checkable inequality only, no rate is asserted anywhere.
     G = 256
     f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
-    c = fourier_coeffs(f, G // 2 - 1, G // 2 - 1)
+    c = fourier_coeffs(f, G // 2 - 1)
     for n in (4, 16):
         lhs = l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f)
         terms = []
         for k in range(n):
-            op = GridOp.quad(k) if k > 0 else GridOp.rect(0, 0)
-            terms.append(l1_distance(evaluate_grid(c, op), f) / (n - k))
+            terms.append(l1_distance(evaluate_grid(c, GridOp.quad(k)), f) / (n - k))
         rhs = math.fsum(terms) / harmonic_number(n)
         assert lhs <= rhs * (1.0 + 1e-12)
 

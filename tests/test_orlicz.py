@@ -16,12 +16,11 @@ from logmeans.orlicz import (
     inclusion_deficit,
     luxemburg_norm,
     modular,
-    unit_ball_member,
     young_log_power,
     young_power,
 )
 
-from conftest import raw_luxemburg_norm, raw_modular
+from conftest import raw_luxemburg_norm, raw_modular, unit_ball_member
 
 
 E_MINUS_1 = math.e - 1.0
