@@ -44,7 +44,6 @@ from .orlicz import (
 )
 from .counterexamples import (
     BUMP_PREFACTOR,
-    BumpSpec,
     bump_mean,
     bump_mean_lower_bound,
     exceedance_measure,

@@ -192,23 +192,21 @@ def quasi_random_points(count: int) -> np.ndarray:
     """
     First ``count`` points of the 2D low-discrepancy rotation sequence mapped
     to (-pi, pi)^2 and filtered to stay _TUBE_MARGIN away from the singular
-    tubes x, y, x+y, x-y = 0 (mod 2*pi).  Deterministic.
+    tubes x, y, x+y, x-y = 0 (mod 2*pi), shape (count, 2).  Deterministic.
     """
-    out = []
-    i = 1
-    while len(out) < count:
+    if count < 0:
+        raise ValueError(f"point count must be >= 0, got {count}")
+    # about 2.5% of the sequence lies within the margin of a tube; the rare
+    # shortfall doubles the candidates, which keeps the accepted prefix unchanged
+    candidates = count + count // 8 + 8
+    while True:
+        i = np.arange(1.0, candidates + 1.0)
         x = (2.0 * ((0.5 + _R2_A1 * i) % 1.0) - 1.0) * math.pi
         y = (2.0 * ((0.5 + _R2_A2 * i) % 1.0) - 1.0) * math.pi
-        i += 1
-        margins = (
-            abs(math.remainder(x, 2 * math.pi)),
-            abs(math.remainder(y, 2 * math.pi)),
-            abs(math.remainder(x + y, 2 * math.pi)),
-            abs(math.remainder(x - y, 2 * math.pi)),
-        )
-        if min(margins) >= _TUBE_MARGIN:
-            out.append((x, y))
-    return np.array(out)
+        keep = np.min(kernels.tube_distances(x, y)[1], axis=0) >= _TUBE_MARGIN
+        if np.count_nonzero(keep) >= count:
+            return np.column_stack([x[keep], y[keep]])[:count]
+        candidates *= 2
 
 
 # ----------------------------------------------------------------------------
@@ -232,7 +230,12 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 
 
 def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
-    xs, ys = quasi_random_points(cfg.samples_per_rect ** 2).T
+    points = cfg.samples_per_rect ** 2
+    # at most 530 bytes a point: the tracemalloc peak of kernel-verify at S = 64..256
+    kernels.refuse_beyond_memory_limit(
+        f"kernel-verify's {points} points at {cfg.samples_per_rect} samples", 530 * points
+    )
+    xs, ys = quasi_random_points(points).T
     rows = []
     all_ok = True
     for N in KERNEL_VERIFY_N:
@@ -304,8 +307,8 @@ def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
     rows = []
     if kept:
         # Lower-bound constant of the unscaled bump mean, fitted at the smallest
-        # kernel-feasible scale; with bound_coeff = c1 the certified set is pure
-        # region geometry, so the fit only documents the threshold actually used.
+        # kernel-feasible scale; c1 plays both roles of the threshold, so the
+        # certified set is pure region geometry and the fit only documents it.
         fit_n = min([n for n in kept if 3 <= n <= MAX_KERNEL_SCALE], default=3)
         c1 = cx.bump_mean_lower_bound(fit_n, cfg.samples_per_rect).min_ratio / cx.BUMP_PREFACTOR
         reports = [cx.exceedance_measure(n, c1) for n in kept]
@@ -382,8 +385,7 @@ def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
     vals = np.zeros((grid, grid))
     vals[:side, :side] = 1.0
     functions.append((f"indicator_{side}x{side}cells", GridFunction2D(values=vals, is_real=True)))
-    bump_grid, _spec = cx.make_bump(1, scaled=False, grid_size=grid)
-    functions.append(("bump_n1_unscaled", bump_grid))
+    functions.append(("bump_n1_unscaled", cx.make_bump(1, grid_size=grid)))
 
     youngs = (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))
     rows = []

@@ -21,6 +21,7 @@ from .kernels import (
     phase_rate,
     refuse_beyond_memory_limit,
     beta,
+    window_count,
 )
 from .fourier import GridOp, angle_table, finite_points
 from .orlicz import YoungFunction
@@ -29,25 +30,11 @@ from .orlicz import YoungFunction
 BUMP_PREFACTOR = ((0.5 * math.pi - math.acos(0.25)) / 8.0) ** 2
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Geometry of a concentrated square bump at scale n, snapped to a grid."""
-
-    n: int
-    scaled: bool
-    support_hi: float          # snapped right edge of [0, support_hi]^2
-    height: float              # exact 1/gamma^2 (times the prefactor if scaled)
-    snapped_measure: float
-    target_measure: float      # gamma(n)^2
-    measure_discrepancy: float  # snapped/target - 1
-
-
-def make_bump(n: int, scaled: bool, grid_size: int) -> tuple[GridFunction2D, BumpSpec]:
+def make_bump(n: int, grid_size: int) -> GridFunction2D:
     """
-    Grid indicator of [0, gamma(n)]^2 with exact height 1/gamma(n)^2 (times
-    the bump prefactor when ``scaled``).  The support is snapped to whole
-    grid cells; the snapped-vs-analytic measure discrepancy is reported in
-    the returned BumpSpec.
+    Grid indicator of [0, gamma(n)]^2 with exact height 1/gamma(n)^2, its
+    support snapped to whole grid cells (so its integral is 1 up to the
+    snapping).  The bump of the means experiments is this times BUMP_PREFACTOR.
     """
     min_grid = 16.0 * phase_rate(n) / math.pi
     if grid_size < min_grid:
@@ -55,24 +42,11 @@ def make_bump(n: int, scaled: bool, grid_size: int) -> tuple[GridFunction2D, Bum
             f"grid {grid_size} too coarse for bump scale {n} (need >= {min_grid:.0f})"
         )
     g = gamma(n)
-    h = 2.0 * math.pi / grid_size
-    cells = max(1, round(g / h))
-    height = (BUMP_PREFACTOR if scaled else 1.0) / g ** 2
+    cells = max(1, round(g / (2.0 * math.pi / grid_size)))
     values = np.zeros((grid_size, grid_size))
     origin = grid_size // 2  # index of the sample at x = 0
-    values[origin : origin + cells, origin : origin + cells] = height
-    grid = GridFunction2D(values=values, is_real=True)
-    snapped = (cells * h) ** 2
-    spec = BumpSpec(
-        n=n,
-        scaled=scaled,
-        support_hi=cells * h,
-        height=height,
-        snapped_measure=snapped,
-        target_measure=g ** 2,
-        measure_discrepancy=snapped / g ** 2 - 1.0,
-    )
-    return grid, spec
+    values[origin : origin + cells, origin : origin + cells] = 1.0 / g ** 2
+    return GridFunction2D(values=values, is_real=True)
 
 
 def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
@@ -142,8 +116,16 @@ def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
     """
     Minimum of x y t_{2^{2n}}(scaled bump; x, y) over the lattice of the
     shrunken region: the desk-scale content of the pointwise lower bound
-    t >= c / (x y) there.
+    t >= c / (x y) there.  A survey whose tables would exceed MAX_LATTICE_GIB is refused before
+    they are allocated.
     """
+    points = samples_per_rect * window_count(n)
+    # 16 bytes an (order, lattice) profile entry and about 33 a lattice pair of products and
+    # ratios: the tracemalloc peak at n = 3..5 for |X| up to 2000
+    refuse_beyond_memory_limit(
+        f"the bump survey at n = {n}, {samples_per_rect} samples per window",
+        16 * 4 ** n * points + 33 * points ** 2,
+    )
     xs = build_region(n, REGION_J).lattice(samples_per_rect)
     w = GridOp.norlund_log(4 ** n).weights()
     raw_min, argmin = lattice_survey(lambda u: _axis_profile(n, u), w, xs, (0.0,))
@@ -258,20 +240,15 @@ def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
     return left * (by - ay) + theta * excess + overshoot * u * x2
 
 
-def exceedance_measure(
-    n: int,
-    c1: float,
-    bound_coeff: float | None = None,
-) -> ExceedanceReport:
+def exceedance_measure(n: int, c1: float) -> ExceedanceReport:
     """
     Measure of the subset of the shrunken region where the kernel lower bound
-    t >= bound_coeff / (x y) certifies |t| > c1 * 2^{3n}; equivalently the
-    exact region geometry {x y < bound_coeff / (c1 2^{3n})}, computed
-    analytically over all window pairs at once.  ``bound_coeff`` defaults to
-    c1 (the fitted constant plays both roles), in which case the threshold
-    reduces to 1/(x y) > 2^{3n}.  ``bound`` is the normalized ratio measure * 2^{3n} / n.
-    A scale whose window-pair arrays would exceed the memory limit of
-    refuse_beyond_memory_limit is refused before they are allocated.
+    t >= c1 / (x y) certifies |t| > c1 * 2^{3n}, i.e. the exact region
+    geometry {x y < 2^{-3n}}, computed analytically over all window pairs at
+    once; c1 = 0 certifies the whole region.  ``bound`` is the normalized
+    ratio measure * 2^{3n} / n.  A scale whose window-pair arrays would exceed
+    the memory limit of refuse_beyond_memory_limit is refused before they are
+    allocated.
     """
     if c1 < 0.0:
         raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
@@ -285,18 +262,18 @@ def exceedance_measure(
     if c1 == 0.0:
         measure = region.total_measure()
     else:
-        coeff = c1 if bound_coeff is None else bound_coeff
-        theta = coeff / (c1 * scale)
         lo, hi = region.lo, region.hi
-        measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, theta).ravel())
+        measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, 1.0 / scale).ravel())
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
 
 
 def r_nm(n: int, m: int) -> int:
     """
     Largest window index l with beta(l, n) <= 1 / (2^{3n} (beta(m, n) -
-    gamma(n))) + gamma(n), by direct scan (beta is increasing in l), or 0
-    when no l qualifies.  Grows like 2^n / m.
+    gamma(n))) + gamma(n), or 0 when no l qualifies.  Grows like 2^n / m.
+    beta is affine in l, so l is the floor of (rate * rhs - pi/2) / (2 pi);
+    the floor is settled on beta itself, which the rounded quotient can miss
+    by one where the bound is met exactly.
     """
     if n < 3:
         raise ValueError(f"scale must be >= 3, got {n}")
@@ -304,12 +281,10 @@ def r_nm(n: int, m: int) -> int:
         raise ValueError(f"window index must lie in [1, 2^(n-3)], got {m}")
     g = gamma(n)
     rhs = 1.0 / (2 ** (3 * n) * (beta(m, n) - g)) + g
-    r = 0
-    l = 1
-    while beta(l, n) <= rhs:
-        r = l
-        l += 1
-    return r
+    r = max(0, math.floor((phase_rate(n) * rhs - 0.5 * math.pi) / (2.0 * math.pi)))
+    if beta(r + 1, n) <= rhs:
+        return r + 1
+    return r - 1 if r >= 1 and beta(r, n) > rhs else r
 
 
 @dataclass(frozen=True)

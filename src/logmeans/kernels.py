@@ -305,6 +305,17 @@ def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
 # kernel forms
 # ----------------------------------------------------------------------------
 
+def tube_distances(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The tube arguments x, y, x + y, x - y of the paired points, shape (4, P), and the distance
+    |remainder(arg, 2 pi)| of each to its singular tube arg = 0 (mod 2 pi).  The sums are
+    rounded once and the reduction is exact, as math.remainder is.  Refuses NaN and infinite points.
+    """
+    xs, ys = _paired(xs, ys)
+    args = np.stack([xs, ys, xs + ys, xs - ys])
+    return args, np.abs(reduce_angle(args)[0])
+
+
 def log_kernel_direct(N: int, t: float, s: float) -> float:
     """
     F_N(t, s) = (1/H_N) sum_{k=0}^{N-1} D_k(t) D_k(s) / (N - k), summed
@@ -365,10 +376,9 @@ def closed_form_terms(
     """
     if N < 3:
         raise ValueError(f"closed form needs N >= 3, got {N}")
-    xs, ys = _paired(xs, ys)
-    up, um = xs + ys, xs - ys
-    args = np.stack([xs, ys, up, um])
-    near = np.abs(reduce_angle(args)[0]) < eps_sing
+    args, distance = tube_distances(xs, ys)
+    near = distance < eps_sing
+    del distance
     # only exact zero takes the removable-limit branch on the diagonals;
     # anything else near a tube (including exact nonzero multiples of 2*pi)
     # is refused
@@ -377,6 +387,7 @@ def closed_form_terms(
         i, j = np.argwhere(near)[0]
         name = ("x", "y", "x+y", "x-y")[i]
         raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {eps_sing} of a singular tube")
+    xs, ys, up, um = args
 
     rate = N + 0.5
     sx, cx = np.sin(rate * xs), np.cos(rate * xs)
@@ -443,10 +454,10 @@ def phase_range_check(n: int, x: float) -> PhaseCheck:
     some window [alpha(m, n), beta(m, n)] the phase (2^{2n}+1/2) x lies in
     [arccos(1/4), pi/2] mod 2*pi, hence sin > 1/2 and cos <= 1/4 (with
     equality exactly on the window boundaries; a 1e-12 slack absorbs the
-    boundary roundoff).
+    boundary roundoff).  Refuses NaN and infinite x.
     """
     rate = phase_rate(n)
-    phase = rate * x
+    phase = rate * float(finite_points(x))
     m_guess = int(math.floor((phase - ARCCOS_QUARTER) / (2.0 * math.pi)))
     tol = 1e-12 * max(1.0, abs(phase))
     member = False
@@ -511,9 +522,12 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     """
     windows = window_count(n)  # EmptyRegionError below scale 3, before gamma(n) refuses n < 1
     N = 4 ** n
-    # the J survey holds two (N, |X|) kernel tables and one weighted copy at
-    # its peak, and the lattice has samples_per_rect points in each window
-    refuse_beyond_memory_limit(f"lemma's kernel matrices at n = {n}", 3 * 8 * N * samples_per_rect * windows)
+    # the J survey holds two (N, |X|) kernel tables and one weighted copy, then about 57 bytes a
+    # lattice pair of products and ratios: the tracemalloc peak at n = 3..5 for |X| up to 2000
+    points = samples_per_rect * windows
+    refuse_beyond_memory_limit(
+        f"lemma's survey at n = {n}, {samples_per_rect} samples per window", 24 * N * points + 57 * points ** 2
+    )
     k, w = np.arange(N), GridOp.norlund_log(N).weights()
     fields = []
     for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):

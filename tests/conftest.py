@@ -6,6 +6,7 @@ import pytest
 from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.kernels import alpha, beta, gamma
+from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, YoungFunction, luxemburg_norm
 
 
@@ -181,3 +182,45 @@ def mean_via_kernel(f: GridFunction2D, n, x, y):
     h2 = f.cell_area
     value = total * h2 / (math.fsum(w) * math.pi ** 2)
     return float(value.real)
+
+
+def quasi_random_points_loop(count):
+    """Reference R2 points one at a time, kept where every math.remainder tube margin is >= _TUBE_MARGIN."""
+    out = []
+    i = 1
+    while len(out) < count:
+        x = (2.0 * ((0.5 + _R2_A1 * i) % 1.0) - 1.0) * math.pi
+        y = (2.0 * ((0.5 + _R2_A2 * i) % 1.0) - 1.0) * math.pi
+        i += 1
+        margins = (
+            abs(math.remainder(x, 2 * math.pi)),
+            abs(math.remainder(y, 2 * math.pi)),
+            abs(math.remainder(x + y, 2 * math.pi)),
+            abs(math.remainder(x - y, 2 * math.pi)),
+        )
+        if min(margins) >= _TUBE_MARGIN:
+            out.append((x, y))
+    return np.array(out)
+
+
+def r_nm_scan(n, m):
+    """Reference r(n, m): scan l = 1, 2, ... while beta(l, n) <= 1 / (2^{3n} (beta(m, n) - gamma(n))) + gamma(n)."""
+    g = gamma(n)
+    rhs = 1.0 / (2 ** (3 * n) * (beta(m, n) - g)) + g
+    r = 0
+    l = 1
+    while beta(l, n) <= rhs:
+        r = l
+        l += 1
+    return r
+
+
+def bump_block(grid):
+    """(height, support_hi, snapped measure) of a bump grid, read off its one nonzero square block."""
+    rows, cols = np.nonzero(grid.values)
+    cells = rows.max() - rows.min() + 1
+    assert cols.max() - cols.min() + 1 == cells and len(rows) == cells ** 2
+    height = float(grid.values[rows[0], cols[0]])
+    assert np.all(grid.values[rows, cols] == height)
+    edge = cells * grid.spacing
+    return height, edge, edge ** 2

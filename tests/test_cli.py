@@ -21,6 +21,8 @@ from logmeans.cli import (
     quasi_random_points,
 )
 
+from conftest import quasi_random_points_loop
+
 
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -95,11 +97,21 @@ def test_nan_tolerance_is_usage_error(tmp_path, capsys, key, command):
 def test_quasi_random_points_avoid_tubes():
     pts = quasi_random_points(500)
     assert len(pts) == 500
-    import math
-
     for x, y in pts:
         for u in (x, y, x + y, x - y):
             assert abs(math.remainder(u, 2 * math.pi)) >= 0.02
+
+
+@pytest.mark.parametrize("count", [1, 500, 1000, 4096])
+def test_quasi_random_points_match_scalar_reference(count):
+    # the vectorized filter keeps the same points, bit for bit, as the one-point-at-a-time loop
+    assert np.array_equal(quasi_random_points(count), quasi_random_points_loop(count))
+
+
+def test_quasi_random_points_of_zero_count_is_empty():
+    assert quasi_random_points(0).shape == (0, 2)
+    with pytest.raises(ValueError, match="count"):
+        quasi_random_points(-1)
 
 
 # ---------------------------------------------------------------- exit codes
@@ -264,6 +276,32 @@ def test_grid_commands_refuse_grids_beyond_memory_limit(tmp_path, capsys, monkey
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "grid size 1024" in err and "GiB" in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 2e6
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [
+        (["lemma", "--n", "3", "--samples", "200"], "lemma's survey at n = 3, 200 samples"),
+        (["measure", "--samples", "200"], "bump survey at n = 3, 200 samples"),
+        (["kernel-verify", "--samples", "64"], "4096 points at 64 samples"),
+    ],
+)
+def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, argv, estimate):
+    # under a 1 MiB limit, lemma's 200^2 lattice pairs (57 bytes each), measure's
+    # c1 fit over 200^2 pairs (33 bytes each) and kernel-verify's 64^2 points
+    # (530 bytes each) are refused from the estimate, before anything is allocated
+    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert estimate in err and "GiB" in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 2e6
 

@@ -9,7 +9,7 @@ import pytest
 
 from logmeans import counterexamples
 from logmeans.fourier import GridOp, dirichlet_matrix
-from logmeans.grid import GridResolutionError
+from logmeans.grid import GridFunction2D, GridResolutionError
 from logmeans.kernels import build_region, gamma
 from logmeans.counterexamples import (
     BUMP_PREFACTOR,
@@ -27,7 +27,16 @@ from logmeans.counterexamples import (
 )
 from logmeans.orlicz import LOG, LOG2
 
-from conftest import LOG2_LOGLOG, rectangles, region_contains, shrunken_window, stratified_min, stratified_samples
+from conftest import (
+    LOG2_LOGLOG,
+    bump_block,
+    r_nm_scan,
+    rectangles,
+    region_contains,
+    shrunken_window,
+    stratified_min,
+    stratified_samples,
+)
 
 
 def test_bump_prefactor_value():
@@ -38,27 +47,29 @@ def test_bump_prefactor_value():
 # ------------------------------------------------------------------- bumps
 
 def test_bump_height_and_support():
-    grid, spec = make_bump(1, scaled=False, grid_size=4096)
-    assert spec.height == pytest.approx(1.0 / gamma(1) ** 2, rel=1e-14)
-    assert spec.support_hi == pytest.approx(gamma(1), rel=0.1)
-    assert abs(spec.measure_discrepancy) < 0.05
+    height, support_hi, snapped_measure = bump_block(make_bump(1, grid_size=4096))
+    assert height == pytest.approx(1.0 / gamma(1) ** 2, rel=1e-14)
+    assert support_hi == pytest.approx(gamma(1), rel=0.1)
+    assert abs(snapped_measure / gamma(1) ** 2 - 1.0) < 0.05
 
 
 def test_unscaled_bump_is_approximate_identity():
-    grid, spec = make_bump(1, scaled=False, grid_size=4096)
+    grid = make_bump(1, grid_size=4096)
+    measure_discrepancy = bump_block(grid)[2] / gamma(1) ** 2 - 1.0
     integral = grid.integral().real
-    assert integral == pytest.approx(1.0 + spec.measure_discrepancy, rel=1e-12)
+    assert integral == pytest.approx(1.0 + measure_discrepancy, rel=1e-12)
     assert abs(integral - 1.0) < 0.05
 
 
 def test_scaled_bump_integral():
-    grid, spec = make_bump(1, scaled=True, grid_size=4096)
-    expected = BUMP_PREFACTOR * (1.0 + spec.measure_discrepancy)
-    assert grid.integral().real == pytest.approx(expected, rel=1e-12)
+    grid = make_bump(1, grid_size=4096)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values, is_real=True)
+    expected = BUMP_PREFACTOR * bump_block(grid)[2] / gamma(1) ** 2
+    assert scaled.integral().real == pytest.approx(expected, rel=1e-12)
 
 
 def test_bump_support_sits_at_the_origin_cell():
-    grid, _ = make_bump(1, scaled=False, grid_size=4096)
+    grid = make_bump(1, grid_size=4096)
     origin = 2048  # index of x = 0
     assert grid.values[origin, origin].real > 0.0
     assert grid.values[origin - 1, origin].real == 0.0
@@ -67,8 +78,8 @@ def test_bump_support_sits_at_the_origin_cell():
 
 def test_bump_resolution_error():
     with pytest.raises(GridResolutionError):
-        make_bump(3, scaled=False, grid_size=256)  # needs >= 16*(2^6+1/2)/pi ~ 329
-    make_bump(3, scaled=False, grid_size=512)
+        make_bump(3, grid_size=256)  # needs >= 16*(2^6+1/2)/pi ~ 329
+    make_bump(3, grid_size=512)
 
 
 # --------------------------------------------------------------- bump means
@@ -390,15 +401,18 @@ def test_area_under_hyperbola_matches_three_case_reference():
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_exceedance_measure_matches_per_rectangle_reference(n):
-    rects = rectangles(build_region(n, "J"))
+    region = build_region(n, "J")
+    rects = rectangles(region)
     products = [ax * ay for ax, _, ay, _ in rects] + [bx * by for _, bx, _, by in rects]
     scale = float(2 ** (3 * n))
     want = math.fsum(_rect_area_under_hyperbola(*rect, 1.0 / scale) for rect in rects)
     assert exceedance_measure(n, 1.0).measure == pytest.approx(want, rel=1e-15, abs=0.0)
 
     # a threshold through the region, where the hyperbola barely cuts some
-    # rectangles: the bound relative to the larger log term held for the old
-    # area form, whose terms cancel; the area itself now keeps every digit
+    # rectangles, over the same window-pair broadcast exceedance_measure makes
+    # (its own threshold is fixed at 2^-3n): the bound relative to the larger
+    # log term held for the old area form, whose terms cancel; the area itself
+    # now keeps every digit
     coeff = scale * math.sqrt(min(products) * max(products))
     theta = coeff / scale
     want = math.fsum(_rect_area_under_hyperbola(*rect, theta) for rect in rects)
@@ -407,7 +421,8 @@ def test_exceedance_measure_matches_per_rectangle_reference(n):
         for ax, bx, ay, by in rects
     )
     assert want > 0.0
-    got = exceedance_measure(n, 1.0, bound_coeff=coeff).measure
+    lo, hi = region.lo, region.hi
+    got = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, theta).ravel())
     assert abs(got - want) <= 1e-15 * log_terms
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -469,6 +484,13 @@ def test_r_nm_smallest_case_has_empty_set():
     assert r_nm(3, 1) == 0
 
 
+def test_r_nm_matches_scan_reference():
+    # the closed-form floor against the scan l = 1, 2, ... over every window of n = 3..14
+    for n in range(3, 15):
+        for m in range(1, 2 ** (n - 3) + 1):
+            assert r_nm(n, m) == r_nm_scan(n, m), (n, m)
+
+
 def test_r_nm_validation():
     with pytest.raises(ValueError):
         r_nm(2, 1)
@@ -504,9 +526,11 @@ def test_norm_bounded_by_modular_with_one_constant():
     # the scalar route agrees with the grid-path norm on an actual bump
     from logmeans.orlicz import luxemburg_norm
 
-    grid, spec = make_bump(1, scaled=True, grid_size=2048)
-    scalar = scalar_norm(spec.height, spec.snapped_measure, LOG)
-    assert luxemburg_norm(grid, LOG) == pytest.approx(scalar, rel=1e-8)
+    grid = make_bump(1, grid_size=2048)
+    height, _, snapped_measure = bump_block(grid)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values, is_real=True)
+    scalar = scalar_norm(BUMP_PREFACTOR * height, snapped_measure, LOG)
+    assert luxemburg_norm(scaled, LOG) == pytest.approx(scalar, rel=1e-8)
 
 
 # ---------------------------------------------------------------- the probe

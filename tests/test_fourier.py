@@ -25,7 +25,6 @@ from conftest import (
     dense_synthesis,
     hermitian_defect,
     pointwise_mean,
-    quad_partial_sum,
     random_band_limited,
 )
 
@@ -204,20 +203,22 @@ def test_rect_sum_of_constant_is_one(rng):
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 5)
     for _ in range(5):
         n = int(rng.integers(0, 6))
-        x, y = rng.uniform(-math.pi, math.pi, 2)
-        assert quad_partial_sum(c, n, float(x), float(y)) == pytest.approx(1.0, abs=1e-12)
+        i, j = rng.integers(0, 32, 2)
+        assert evaluate_grid(c, GridOp.quad(n)).values[i, j] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rect_sum_excludes_out_of_window_frequency():
     f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) + 0.0 * y, 32)
     c = fourier_coeffs(f, 4)
-    assert quad_partial_sum(c, 1, 0.3, -0.7) == pytest.approx(0.0, abs=1e-12)
+    out = evaluate_grid(c, GridOp.quad(1))
+    np.testing.assert_allclose(out.values, 0.0, rtol=0.0, atol=1e-12)  # at every node
 
 
 def test_rect_sum_reproduces_cos_cos_at_origin():
     f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 32, real=True)
     c = fourier_coeffs(f, 2)
-    assert quad_partial_sum(c, 1, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+    origin = 16  # index of x = 0
+    assert evaluate_grid(c, GridOp.quad(1)).values[origin, origin] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rect_sum_bandwidth_error():
@@ -231,24 +232,26 @@ def test_rect_sum_linearity(rng):
     gb, cb = random_band_limited(rng, 3, 16)
     a, b = 1.7, -0.4
     mix = SpectralCoeffs(coeffs=a * ca.coeffs + b * cb.coeffs, bandwidth=3)
-    for _ in range(10):
-        x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
-        lhs = quad_partial_sum(mix, 3, x, y)
-        rhs = a * quad_partial_sum(ca, 3, x, y) + b * quad_partial_sum(cb, 3, x, y)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    lhs = evaluate_grid(mix, GridOp.quad(3), grid_size=16).values
+    rhs = a * evaluate_grid(ca, GridOp.quad(3)).values + b * evaluate_grid(cb, GridOp.quad(3)).values
+    for i, j in rng.integers(0, 16, (10, 2)):
+        assert lhs[i, j] == pytest.approx(rhs[i, j], abs=1e-10)
 
 
 def test_quad_sum_reproduces_polynomial_and_degenerate_order(rng):
     grid, coeffs = random_band_limited(rng, 3, 32)
-    for _ in range(5):
-        x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
+    pts = axis_points(32)
+    out = evaluate_grid(coeffs, GridOp.quad(3))
+    for i, j in rng.integers(0, 32, (5, 2)):
+        x, y = float(pts[i]), float(pts[j])
         direct = sum(
             coeff(coeffs, m, n) * np.exp(1j * (m * x + n * y))
             for m in range(-3, 4)
             for n in range(-3, 4)
         )
-        assert quad_partial_sum(coeffs, 3, x, y) == pytest.approx(direct, abs=1e-10)
-    assert quad_partial_sum(coeffs, 0, 0.4, 0.5) == pytest.approx(coeff(coeffs, 0, 0), abs=0.0)
+        assert out.values[i, j] == pytest.approx(direct, abs=1e-10)
+    degenerate = evaluate_grid(coeffs, GridOp.quad(0))
+    assert np.all(degenerate.values == coeff(coeffs, 0, 0))
 
 
 def test_quad_sum_of_step_against_1d_oracle():
@@ -259,14 +262,13 @@ def test_quad_sum_of_step_against_1d_oracle():
     c = fourier_coeffs(f, 8)
     pts = axis_points(G)
     samples = np.where(pts >= 0.0, 1.0, 0.0)
-    x = math.pi / 2
+    ix = 48  # x = pi/2
     oracle = 0.0j
     for m in range(-8, 9):
         coeff_1d = np.sum(samples * np.exp(-1j * m * pts)) / G
-        oracle += coeff_1d * np.exp(1j * m * x)
-    for y in (0.0, 1.1, -2.0):
-        val = quad_partial_sum(c, 8, x, y)
-        assert val == pytest.approx(complex(oracle), abs=1e-12)
+        oracle += coeff_1d * np.exp(1j * m * pts[ix])
+    # at every node y of the x = pi/2 line
+    np.testing.assert_allclose(evaluate_grid(c, GridOp.quad(8)).values[ix], complex(oracle), rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------ grid evaluation

@@ -142,13 +142,17 @@ def test_region_contains_matches_per_rectangle_reference():
     inside = a[pick] + rng.uniform(-0.1, 1.1, (400, 2)) * (b - a)[pick]
     anywhere = rng.uniform(a[0], b[-1], (400, 2))
     pts = np.where(rng.random((400, 2)) < 0.5, inside, anywhere)
+    # the rectangles come from the defining formulas alpha + gamma, beta - gamma,
+    # so membership through region.lo / hi checks build_region's endpoint arrays
+    windows = [shrunken_window(5, m) for m in range(1, 5)]
+    rects = [(ax, bx, ay, by) for ax, bx in windows for ay, by in windows]
     found = set()
     for x, y in pts:
-        want = any(ax <= x <= bx and ay <= y <= by for ax, bx, ay, by in rectangles(region))
+        want = any(ax <= x <= bx and ay <= y <= by for ax, bx, ay, by in rects)
         assert region_contains(region, x, y) == want
         found.add(want)
     assert found == {True, False}
-    ax, bx, ay, by = rectangles(region)[5]
+    ax, bx, ay, by = rects[5]
     assert region_contains(region, bx + 1e-13, ay, tol=1e-12)
     assert not region_contains(region, bx + 1e-13, ay)
 
@@ -252,6 +256,7 @@ def test_non_finite_points_are_refused(bad):
         lambda: bump_mean_many(3, other, pts),
         lambda: bump_mean(3, bad, 0.1),
         lambda: sin_sum(8, bad),
+        lambda: phase_range_check(3, bad),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

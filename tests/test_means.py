@@ -9,7 +9,7 @@ from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance
 
-from conftest import mean_via_kernel, pointwise_mean, quad_partial_sum, random_band_limited, shrunken_window
+from conftest import bump_block, mean_via_kernel, pointwise_mean, quad_partial_sum, random_band_limited, shrunken_window
 
 
 def test_harmonic_numbers():
@@ -148,20 +148,21 @@ def test_mean_via_kernel_bump_at_shrunken_region_point():
     # center of the first shrunken window's square: the grid path must
     # agree with a dense midpoint quadrature of the convolution over the
     # snapped support, and the region ratio x*y*t stays strictly positive.
-    from logmeans.counterexamples import make_bump
+    from logmeans.counterexamples import BUMP_PREFACTOR, make_bump
     from logmeans.kernels import log_kernel_direct_many
 
-    bump, spec = make_bump(2, scaled=True, grid_size=2048)
+    unscaled = make_bump(2, grid_size=2048)
+    bump = GridFunction2D(values=BUMP_PREFACTOR * unscaled.values, is_real=True)
+    height, edge, _ = bump_block(unscaled)
     (ax, bx), (ay, by) = shrunken_window(2), shrunken_window(2)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
     got = mean_via_kernel(bump, 16, x, y)
 
     q = 150
-    edge = spec.support_hi
     ss = (np.arange(q) + 0.5) * edge / q
     sg, tg = np.meshgrid(ss, ss, indexing="ij")
     kern = log_kernel_direct_many(16, x - sg.ravel(), y - tg.ravel())
-    oracle = float(np.mean(kern)) * edge ** 2 * spec.height / math.pi ** 2
+    oracle = float(np.mean(kern)) * edge ** 2 * BUMP_PREFACTOR * height / math.pi ** 2
     # the grid path anchors the one-cell support at its corner, so it differs
     # from the cell average at first order in the cell width (~1% here)
     assert got == pytest.approx(oracle, rel=3e-2)

@@ -1,9 +1,12 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch and CLI examples run as written."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
+
+from logmeans.cli import EXIT_OK, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,23 @@ def test_library_sketch_runs():
     sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     with contextlib.redirect_stdout(io.StringIO()):
         exec(compile(sketch, str(README), "exec"), {})
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    # every `logmeans` line of an sh block, except the usage synopsis, runs through cli.main
+    # in a scratch directory; the block's `mkdir -p` lines make its output directories
+    lines = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        for line in block.splitlines()
+    ]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["logmeans"] and "<command>" not in argv]
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        if argv[:2] == ["mkdir", "-p"]:
+            for path in argv[2:]:
+                (tmp_path / path).mkdir(parents=True, exist_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in examples:
+            assert main(argv) == EXIT_OK, argv
