@@ -2,8 +2,8 @@
 Command-line surface: every experiment as a subcommand emitting deterministic,
 plot-ready CSV (optionally mirrored as JSON).
 
-Exit codes: 0 all checks passed, 1 tolerance violation, 2 usage/config error,
-3 I/O error.
+Exit codes: 0 all checks passed, 1 tolerance violation, 2 usage error (a bad
+command, flag or run value), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,108 +32,11 @@ CONVERGE_DEFAULT_N = (4, 16, 64, 256)
 REGION_DEFAULT_N = (3, 4, 5)
 #: largest scale whose kernel order 2^{2n} stays desk-sized
 MAX_KERNEL_SCALE = 5
-#: Fewest samples per window and axis a command accepts where RunConfig's
-#: floor of 1 is too low: lemma and measure sample every window's corners.
+#: Fewest samples per window and axis a command accepts (1 for the others):
+#: lemma and measure sample every window's corners.
 MIN_SAMPLES = {"lemma": 2, "measure": 2}
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat, losslessly serializable run configuration."""
-
-    grid_size: int = 256
-    n_list: tuple[int, ...] | None = None
-    samples_per_rect: int = 9
-    tol_bisection: float = 1e-9
-    tol_kernel: float = 1e-8
-    output_dir: str = "."
-
-    def __post_init__(self) -> None:
-        try:
-            validate_grid_size(self.grid_size)
-        except ValueError as exc:
-            raise ConfigError(f"grid_size: {exc}") from exc
-        if self.samples_per_rect < 1:
-            raise ConfigError(f"samples_per_rect must be >= 1, got {self.samples_per_rect}")
-        if not math.isfinite(self.tol_kernel):
-            raise ConfigError(f"tol_kernel must be finite, got {self.tol_kernel}")
-        if not (math.isfinite(self.tol_bisection) and self.tol_bisection > 0.0):
-            raise ConfigError(f"tol_bisection must be finite and > 0, got {self.tol_bisection}")
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "n_list":
-                text = "" if value is None else ",".join(str(v) for v in value)
-            else:
-                text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-            kwargs[key] = _parse_value(key, value)
-        return cls(**kwargs)
-
-
-def _parse_value(key: str, value: str):
-    if key == "n_list":
-        if value == "":
-            return None
-        try:
-            return tuple(int(part) for part in value.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad n_list {value!r}") from exc
-    if key in ("grid_size", "samples_per_rect"):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad integer for {key}: {value!r}") from exc
-    if key == "output_dir":
-        return value
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad float for {key}: {value!r}") from exc
-
-
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then flag overrides (flags win)."""
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    if args.grid_size is not None:
-        overrides["grid_size"] = args.grid_size
-    if args.n is not None:
-        overrides["n_list"] = tuple(args.n)
-    if args.samples is not None:
-        overrides["samples_per_rect"] = args.samples
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+#: Slack, relative to 1 + |direct|, that kernel-verify allows past the closed form's truncation bound.
+KERNEL_TOL = 1e-8
 
 
 # ----------------------------------------------------------------------------
@@ -146,23 +48,24 @@ def _fmt(value) -> str:
     return str(int(v)) if isinstance(v, bool) else str(v)
 
 
-def write_report(cfg: RunConfig, name: str, comments: list[str], header: list[str],
-                 rows: list[list], json_mirror: bool) -> str:
-    path = os.path.join(cfg.output_dir, name + ".csv")
+def write_report(args: argparse.Namespace, name: str, comments: list[str], header: list[str],
+                 rows: list[list]) -> str:
+    """Write ``name``.csv into ``--out``, and with ``--json`` its JSON mirror; returns the CSV path."""
+    path = os.path.join(args.out, name + ".csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    if json_mirror:
+    if args.json:
         payload = {
             "comments": comments,
             "header": header,
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "rows": [[_json_cell(v) for v in row] for row in rows],
         }
-        with open(os.path.join(cfg.output_dir, name + ".json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        with open(os.path.join(args.out, name + ".json"), "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return path
 
@@ -175,6 +78,12 @@ def _json_value(v):
     if isinstance(v, (float, np.floating)):
         return float(v)
     return str(v)
+
+
+def _json_cell(v):
+    """A cell of the JSON mirror: JSON (RFC 8259) has no NaN or infinity, so a non-finite float is null."""
+    v = _json_value(v)
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 # ----------------------------------------------------------------------------
@@ -229,11 +138,11 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
     return results, comments
 
 
-def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
-    points = cfg.samples_per_rect ** 2
+def cmd_kernel_verify(args: argparse.Namespace) -> int:
+    points = args.samples ** 2
     # at most 530 bytes a point: the tracemalloc peak of kernel-verify at S = 64..256
     kernels.refuse_beyond_memory_limit(
-        f"kernel-verify's {points} points at {cfg.samples_per_rect} samples", 530 * points
+        f"kernel-verify's {points} points at {args.samples} samples", 530 * points
     )
     xs, ys = quasi_random_points(points).T
     rows = []
@@ -243,23 +152,23 @@ def cmd_kernel_verify(cfg: RunConfig, json_mirror: bool) -> int:
         closed = np.sum(terms, axis=1) / harmonic_number(N)
         direct = kernels.log_kernel_direct_many(N, xs, ys)
         err = np.abs(closed - direct)
-        worst_margin = float(np.max(err - (bound + cfg.tol_kernel * (1.0 + np.abs(direct)))))
+        worst_margin = float(np.max(err - (bound + KERNEL_TOL * (1.0 + np.abs(direct)))))
         ok = worst_margin <= 0.0
         all_ok &= ok
         rows.append([N, len(xs), float(np.max(err)), worst_margin, ok])
 
     write_report(
-        cfg, "kernel_verify",
+        args, "kernel_verify",
         ["report=closed-vs-direct kernel equivalence"],
         ["N", "points", "max_abs_diff", "worst_margin", "pass"],
-        rows, json_mirror,
+        rows,
     )
     return EXIT_OK if all_ok else EXIT_TOLERANCE
 
 
-def cmd_lemma(cfg: RunConfig, json_mirror: bool) -> int:
+def cmd_lemma(args: argparse.Namespace) -> int:
     reports, skipped = _skip_empty_regions(
-        cfg.n_list or REGION_DEFAULT_N, lambda n: kernels.lemma_survey(n, cfg.samples_per_rect)
+        args.n or REGION_DEFAULT_N, lambda n: kernels.lemma_survey(n, args.samples)
     )
     rows = [row for rep in reports for row in rep.csv_rows()]
     comments = ["paper_display=lemma-main", *skipped]
@@ -267,25 +176,25 @@ def cmd_lemma(cfg: RunConfig, json_mirror: bool) -> int:
     if positive:
         comments.append(f"n0_estimate={min(positive)}")
     write_report(
-        cfg, "lemma", comments,
+        args, "lemma", comments,
         ["n", "kind", "min_ratio", "argmin_x", "argmin_y", "samples"],
-        rows, json_mirror,
+        rows,
     )
     ok = all(r.i_min_ratio > 0.0 and r.j_min_ratio > 0.0 for r in reports)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_growth(cfg: RunConfig, json_mirror: bool) -> int:
+def cmd_growth(args: argparse.Namespace) -> int:
     def row(n):
         gs = cx.geometric_sum(n)
         l1 = cx.l1_growth(n).l1_lower if n <= MAX_KERNEL_SCALE else float("nan")
         return [n, gs, gs / n ** 2, l1]
 
-    rows, skipped = _skip_empty_regions(cfg.n_list or REGION_DEFAULT_N, row)
+    rows, skipped = _skip_empty_regions(args.n or REGION_DEFAULT_N, row)
     write_report(
-        cfg, "growth", ["paper_display=(b)", *skipped],
+        args, "growth", ["paper_display=(b)", *skipped],
         ["n", "geometric_sum", "gs_over_n2", "l1_lower"],
-        rows, json_mirror,
+        rows,
     )
     gs_by_n = {n: gs for n, gs, _, _ in rows}
     l1_by_n = {n: l1 for n, _, _, l1 in rows if n <= MAX_KERNEL_SCALE}
@@ -300,8 +209,8 @@ def cmd_growth(cfg: RunConfig, json_mirror: bool) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
-    n_list = cfg.n_list or REGION_DEFAULT_N
+def cmd_measure(args: argparse.Namespace) -> int:
+    n_list = args.n or REGION_DEFAULT_N
     # window_count refuses an empty region without building its windows
     kept, comments = _skip_empty_regions(n_list, lambda n: kernels.window_count(n) and n)
     rows = []
@@ -310,13 +219,13 @@ def cmd_measure(cfg: RunConfig, json_mirror: bool) -> int:
         # kernel-feasible scale; c1 plays both roles of the threshold, so the
         # certified set is pure region geometry and the fit only documents it.
         fit_n = min([n for n in kept if 3 <= n <= MAX_KERNEL_SCALE], default=3)
-        c1 = cx.bump_mean_lower_bound(fit_n, cfg.samples_per_rect).min_ratio / cx.BUMP_PREFACTOR
+        c1 = cx.bump_mean_lower_bound(fit_n, args.samples).min_ratio / cx.BUMP_PREFACTOR
         reports = [cx.exceedance_measure(n, c1) for n in kept]
         rows = [[rep.n, c1, rep.measure, rep.bound] for rep in reports]
         comments.append(f"c1_fit_scale={fit_n}")
     write_report(
-        cfg, "measure", ["paper_display=est1", *comments], ["n", "c1", "measure", "bound"],
-        rows, json_mirror,
+        args, "measure", ["paper_display=est1", *comments], ["n", "c1", "measure", "bound"],
+        rows,
     )
     return EXIT_OK
 
@@ -333,12 +242,12 @@ def _fit_order(kind: str, n: int, bandwidth: int) -> int:
     raise BandwidthError(f"no {kind} order <= {n} fits bandwidth {bandwidth}")
 
 
-def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
-    orders = cfg.n_list or CONVERGE_DEFAULT_N
+def cmd_converge(args: argparse.Namespace) -> int:
+    orders = args.n or CONVERGE_DEFAULT_N
     if min(orders) < 1:
         raise ValueError(f"orders must be >= 1, got {min(orders)}")
     max_order = max(orders)
-    grid = cfg.grid_size
+    grid = args.grid_size
     while grid < 2 * max_order:
         grid *= 2
     bandwidth = grid // 2 - 1
@@ -364,17 +273,17 @@ def cmd_converge(cfg: RunConfig, json_mirror: bool) -> int:
     if clamped:
         comments.append("order_clamped=" + ",".join(clamped))
     write_report(
-        cfg, "converge", comments,
+        args, "converge", comments,
         ["kind", "n", "l1_error"],
-        rows, json_mirror,
+        rows,
     )
     tail = [err for kind, _, err in rows if kind == "norlund-log"][-3:]
     ok = all(b <= a for a, b in zip(tail, tail[1:]))
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
-    grid = cfg.grid_size
+def cmd_orlicz(args: argparse.Namespace) -> int:
+    grid = args.grid_size
     # 43 bytes a grid sample: the tracemalloc peak of orlicz at G = 256..2048
     kernels.refuse_beyond_memory_limit(f"orlicz's grids at grid size {grid}", 43 * grid ** 2)
     h = 2.0 * math.pi / grid
@@ -392,15 +301,15 @@ def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
     ok = True
     for fname, fgrid in functions:
         for Q in youngs:
-            norm = orlicz.luxemburg_norm(fgrid, Q, rel_tol=cfg.tol_bisection)
+            norm = orlicz.luxemburg_norm(fgrid, Q)
             mod = orlicz.modular(fgrid, Q, norm) if norm > 0.0 else 0.0
             rows.append([fname, Q.name, norm, mod])
             if norm > 0.0 and abs(mod - 1.0) > 1e-6:
                 ok = False
     write_report(
-        cfg, "orlicz", ["report=luxemburg norms"],
+        args, "orlicz", ["report=luxemburg norms"],
         ["function", "young", "norm", "modular_at_norm"],
-        rows, json_mirror,
+        rows,
     )
 
     u_grid = 2.0 ** np.arange(1, 41)
@@ -410,9 +319,9 @@ def cmd_orlicz(cfg: RunConfig, json_mirror: bool) -> int:
             top = orlicz.inclusion_deficit(Q, weight, u_grid[-1:])  # the ratio at the grid's top alone
             deficit_rows.append([Q.name, weight, orlicz.inclusion_deficit(Q, weight, u_grid), top])
     write_report(
-        cfg, "orlicz_deficit", ["report=inclusion probe u*log^p(u)/Q(u)"],
+        args, "orlicz_deficit", ["report=inclusion probe u*log^p(u)/Q(u)"],
         ["young", "weight", "probe_max", "probe_at_top"],
-        deficit_rows, json_mirror,
+        deficit_rows,
     )
     return EXIT_OK if ok else EXIT_TOLERANCE
 
@@ -433,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments on logarithmic means of double Fourier series.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--grid-size", type=int, dest="grid_size")
+    parser.add_argument("--grid-size", type=int, default=256, dest="grid_size",
+                        help="grid points per axis, a power of two >= 4 (converge, orlicz)")
     parser.add_argument("--n", type=lambda s: [int(p) for p in s.split(",")],
                         help="comma-separated scale/order list")
-    parser.add_argument("--samples", type=int,
+    parser.add_argument("--samples", type=int, default=9,
                         help="lattice samples per window on each axis (lemma, measure: >= 2; "
                              "kernel-verify: >= 1, it checks S^2 points)")
-    parser.add_argument("--out", help="output directory (must exist)")
+    parser.add_argument("--out", default=".", help="output directory (must exist)")
     parser.add_argument("--json", action="store_true", help="mirror each CSV as JSON")
     return parser
 
@@ -451,18 +360,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    least = MIN_SAMPLES.get(args.command, 1)
     try:
-        cfg = load_config(args)
-        least = MIN_SAMPLES.get(args.command, 1)
-        if cfg.samples_per_rect < least:
-            raise ConfigError(
-                f"{args.command} needs at least {least} samples per axis, got {cfg.samples_per_rect}"
-            )
-    except ConfigError as exc:
+        validate_grid_size(args.grid_size)
+        if args.samples < least:
+            raise ValueError(f"{args.command} needs at least {least} samples per axis, got {args.samples}")
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](cfg, args.json)
+        return COMMANDS[args.command](args)
     except OSError as exc:
         print(f"i/o error ({args.command}): {exc}", file=sys.stderr)
         return EXIT_IO

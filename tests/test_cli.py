@@ -1,4 +1,4 @@
-"""CLI surface: config handling, exit codes, CSV shape, determinism."""
+"""CLI surface: run-value checks, exit codes, CSV shape, determinism."""
 
 import json
 import math
@@ -15,8 +15,6 @@ from logmeans.cli import (
     EXIT_TOLERANCE,
     EXIT_USAGE,
     KERNEL_VERIFY_N,
-    ConfigError,
-    RunConfig,
     main,
     quasi_random_points,
 )
@@ -29,70 +27,7 @@ def read(path):
         return fh.read()
 
 
-# ------------------------------------------------------------------- config
-
-def test_config_round_trip_default():
-    cfg = RunConfig()
-    assert RunConfig.from_text(cfg.to_text()) == cfg
-
-
-def test_config_round_trip_custom():
-    cfg = RunConfig(
-        grid_size=128,
-        n_list=(3, 5, 7),
-        samples_per_rect=5,
-        tol_bisection=1e-8,
-        tol_kernel=1e-7,
-        output_dir="results",
-    )
-    assert RunConfig.from_text(cfg.to_text()) == cfg
-
-
-def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("grid_size=64\nbogus=1\n")
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("grid_size=not-a-number\n")
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("n_list=3,x\n")
-    # run values are validated when the config is built, before any command runs
-    for bad in (0, -8, 2, 100):
-        with pytest.raises(ConfigError, match=f"grid_size.*got {bad}"):
-            RunConfig(grid_size=bad)
-    with pytest.raises(ConfigError, match="samples_per_rect.*got 0"):
-        RunConfig(samples_per_rect=0)
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("grid_size=100\n")
-
-
-def test_config_rejects_bad_tolerances():
-    # built directly: a zero bisection tolerance would hang a command
-    for bad in (0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ConfigError, match=f"tol_bisection.*got {bad}"):
-            RunConfig(tol_bisection=bad)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError, match=f"tol_kernel.*got {bad}"):
-            RunConfig(tol_kernel=bad)
-    RunConfig(tol_kernel=0.0)  # zero is allowed: exact comparison
-
-
-@pytest.mark.parametrize(
-    "key, command",
-    [("tol_bisection", "orlicz"), ("tol_kernel", "kernel-verify")],
-)
-def test_nan_tolerance_is_usage_error(tmp_path, capsys, key, command):
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(f"{key}=nan\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main([command, "--config", str(cfg), "--out", str(out), "--grid-size", "16"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err and "nan" in err
-    assert os.listdir(out) == []
-
+# ---------------------------------------------------------- quasi-random points
 
 def test_quasi_random_points_avoid_tubes():
     pts = quasi_random_points(500)
@@ -121,13 +56,6 @@ def test_missing_output_dir_is_io_error(tmp_path):
     assert main(["lemma", "--out", str(missing)]) == EXIT_IO
 
 
-def test_bad_config_is_usage_error(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nope=1\n")
-    assert main(["lemma", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
-    assert main(["lemma", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
-
-
 def test_unknown_command_is_usage_error(tmp_path):
     assert main(["frobnicate", "--out", str(tmp_path)]) == EXIT_USAGE
 
@@ -139,6 +67,13 @@ def test_bad_run_values_are_usage_errors(tmp_path, capsys):
     assert main(["kernel-verify", "--samples", "0", "--out", str(tmp_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "concatenate" not in err
+    # run values are checked before any command runs, whichever command is named
+    for bad in (0, -8, 2, 100):
+        assert main(["lemma", f"--grid-size={bad}", "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"got {bad}" in err
+    assert main(["growth", "--samples", "0", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error:")
     assert os.listdir(tmp_path) == []
 
 
@@ -155,13 +90,11 @@ def test_one_sample_is_enough_for_kernel_verify(tmp_path):
     assert os.listdir(tmp_path) == ["kernel_verify.csv"]
 
 
-def test_zero_tolerance_fails_kernel_verify(tmp_path):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text("tol_kernel=0.0\n")
-    code = main([
-        "kernel-verify", "--config", str(cfg), "--out", str(tmp_path), "--samples", "3",
-    ])
-    assert code == EXIT_TOLERANCE
+def test_zero_tolerance_fails_kernel_verify(tmp_path, monkeypatch):
+    from logmeans import cli
+
+    monkeypatch.setattr(cli, "KERNEL_TOL", 0.0)
+    assert main(["kernel-verify", "--out", str(tmp_path), "--samples", "3"]) == EXIT_TOLERANCE
 
 
 def test_kernel_verify_makes_one_call_per_form_and_order(tmp_path, monkeypatch):
@@ -416,17 +349,17 @@ def test_json_mirror(tmp_path):
     assert len(payload["rows"]) == 2
 
 
-def test_flags_override_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(RunConfig(n_list=(4,), samples_per_rect=5).to_text())
-    assert main([
-        "lemma", "--config", str(cfg), "--out", str(tmp_path), "--n", "3",
-    ]) == EXIT_OK
-    rows = [
-        l.split(",") for l in read(tmp_path / "lemma.csv").splitlines()
-        if l and not l.startswith("#")
-    ][1:]
-    assert {r[0] for r in rows} == {"3"}
+def test_json_mirror_writes_null_for_nan(tmp_path):
+    # growth prints no l1_lower past MAX_KERNEL_SCALE: nan in the CSV, null in the JSON
+    assert main(["growth", "--out", str(tmp_path), "--n", "5,6", "--json"]) == EXIT_OK
+    assert read(tmp_path / "growth.csv").splitlines()[-1].endswith(",nan")
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads(read(tmp_path / "growth.json"), parse_constant=refuse)
+    assert [row[0] for row in payload["rows"]] == [5, 6]
+    assert payload["rows"][0][3] > 0.0 and payload["rows"][1][3] is None
 
 
 # -------------------------------------------------------------- determinism

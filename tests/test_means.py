@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError
+from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
 from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance
 
-from conftest import bump_block, mean_via_kernel, pointwise_mean, quad_partial_sum, random_band_limited, shrunken_window
+from conftest import bump_block, mean_via_kernel, quad_partial_sum, random_band_limited, shrunken_window
 
 
 def test_harmonic_numbers():
@@ -30,18 +30,24 @@ def test_norlund_weights_sum_to_one():
         assert math.fsum(w / H) == pytest.approx(1.0, abs=1e-14)
 
 
+def nodes(G):
+    """The nodes of a G x G grid as arrays X, Y with X[i, j] = x_i and Y[i, j] = y_j."""
+    pts = axis_points(G)
+    return np.meshgrid(pts, pts, indexing="ij")
+
+
 def test_norlund_fixes_constants():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     for n in (1, 2, 5, 9):
-        assert pointwise_mean(c, GridOp.norlund_log(n), 0.4, -1.0) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate_grid(c, GridOp.norlund_log(n)).values == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norlund_first_nontrivial_order():
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
     c = fourier_coeffs(f, 4)
-    x, y = 0.3, 0.9
+    x, y = nodes(32)
     expected = (2.0 / 3.0) * np.exp(1j * (x + y))
-    assert pointwise_mean(c, GridOp.norlund_log(2), x, y) == pytest.approx(expected, abs=1e-12)
+    assert evaluate_grid(c, GridOp.norlund_log(2)).values == pytest.approx(expected, abs=1e-12)
 
 
 def test_norlund_weight_accounting_for_high_order():
@@ -49,56 +55,58 @@ def test_norlund_weight_accounting_for_high_order():
     # is exactly the weight deficit (H_n - H_{n-j*}) / H_n.
     f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) * np.exp(1j * y), 64)
     c = fourier_coeffs(f, 24)
-    x, y = -0.7, 0.2
+    x, y = nodes(64)
     fx = np.exp(1j * (2 * x + y))
     for n in (8, 16, 25):
         expected = fx * harmonic_number(n - 2) / harmonic_number(n)
-        got = pointwise_mean(c, GridOp.norlund_log(n), x, y)
+        got = evaluate_grid(c, GridOp.norlund_log(n)).values
         assert got == pytest.approx(expected, abs=1e-12)
         deficit = 1.0 - harmonic_number(n - 2) / harmonic_number(n)
-        assert abs(got - fx) == pytest.approx(abs(fx) * deficit, abs=1e-12)
+        assert np.abs(got - fx) == pytest.approx(np.abs(fx) * deficit, abs=1e-12)
 
 
 def test_norlund_bandwidth_error():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3)
     with pytest.raises(BandwidthError):
-        pointwise_mean(c, GridOp.norlund_log(5), 0.0, 0.0)
+        evaluate_grid(c, GridOp.norlund_log(5))
 
 
 def test_marcinkiewicz_examples(rng):
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
-    assert pointwise_mean(c, GridOp.marcinkiewicz(5), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_grid(c, GridOp.marcinkiewicz(5)).values == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
     cf = fourier_coeffs(f, 4)
-    x, y = 0.2, -0.4
-    assert pointwise_mean(cf, GridOp.marcinkiewicz(2), x, y) == pytest.approx(
+    x, y = nodes(32)
+    assert evaluate_grid(cf, GridOp.marcinkiewicz(2)).values == pytest.approx(
         np.exp(1j * (x + y)), abs=1e-12
     )
 
     grid, cr = random_band_limited(rng, 8, 32)
-    x, y = 0.5, 1.2
-    expected = sum(quad_partial_sum(cr, j, x, y) for j in range(1, 9)) / 8.0
-    assert pointwise_mean(cr, GridOp.marcinkiewicz(8), x, y) == pytest.approx(expected, abs=1e-12)
+    i, j = 19, 22  # the node nearest (0.5, 1.2)
+    x, y = float(axis_points(32)[i]), float(axis_points(32)[j])
+    expected = sum(quad_partial_sum(cr, k, x, y) for k in range(1, 9)) / 8.0
+    assert evaluate_grid(cr, GridOp.marcinkiewicz(8)).values[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_riesz_examples():
     c1 = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
-    assert pointwise_mean(c1, GridOp.riesz_log(5), 0.1, 0.2) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_grid(c1, GridOp.riesz_log(5)).values == pytest.approx(1.0, abs=1e-12)
 
     f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
     cf = fourier_coeffs(f, 4)
-    x, y = 1.0, -0.3
+    x, y = nodes(32)
     # n = 3: (1/H_2)(S_11 + S_22/2) = f * (1/1.5) * 1.5 = f
-    assert pointwise_mean(cf, GridOp.riesz_log(3), x, y) == pytest.approx(
+    assert evaluate_grid(cf, GridOp.riesz_log(3)).values == pytest.approx(
         np.exp(1j * (x + y)), abs=1e-12
     )
-    # n = 2: the single term S_11
-    assert pointwise_mean(cf, GridOp.riesz_log(2), x, y) == pytest.approx(
-        quad_partial_sum(cf, 1, x, y), abs=1e-14
+    # n = 2: the single term S_11, at the node nearest (1.0, -0.3)
+    i, j = 21, 14
+    assert evaluate_grid(cf, GridOp.riesz_log(2)).values[i, j] == pytest.approx(
+        quad_partial_sum(cf, 1, float(x[i, j]), float(y[i, j])), abs=1e-14
     )
     with pytest.raises(ValueError):
-        pointwise_mean(cf, GridOp.riesz_log(1), x, y)
+        evaluate_grid(cf, GridOp.riesz_log(1))
 
 
 def test_mean_spec_validation():
@@ -121,19 +129,21 @@ def test_mean_via_kernel_fixes_constants():
 
 def test_mean_via_kernel_matches_spectral_path():
     f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 256, real=True)
-    c = fourier_coeffs(f, 8)
-    for x, y in [(0.3, 0.3), (-1.2, 2.0), (0.0, 0.9)]:
-        vk = mean_via_kernel(f, 8, x, y)
-        vs = pointwise_mean(c, GridOp.norlund_log(8), x, y)
-        assert vk == pytest.approx(vs.real, abs=1e-6)
+    mean = evaluate_grid(fourier_coeffs(f, 8), GridOp.norlund_log(8)).values
+    pts = axis_points(256)
+    # the nodes nearest (0.3, 0.3), (-1.2, 2.0) and (0.0, 0.9)
+    for i, j in [(140, 140), (79, 209), (128, 165)]:
+        vk = mean_via_kernel(f, 8, float(pts[i]), float(pts[j]))
+        assert vk == pytest.approx(mean[i, j], abs=1e-6)
 
 
 def test_mean_via_kernel_on_random_band_limited(rng):
     grid, c = random_band_limited(rng, 5, 128, real=True, scale=0.3)
-    for _ in range(3):
-        x, y = (float(v) for v in rng.uniform(-math.pi, math.pi, 2))
-        assert mean_via_kernel(grid, 6, x, y) == pytest.approx(
-            pointwise_mean(c, GridOp.norlund_log(6), x, y).real, abs=1e-6
+    mean = evaluate_grid(c, GridOp.norlund_log(6)).values
+    pts = axis_points(128)
+    for i, j in rng.integers(0, 128, size=(3, 2)):
+        assert mean_via_kernel(grid, 6, float(pts[i]), float(pts[j])) == pytest.approx(
+            mean[i, j], abs=1e-6
         )
 
 
@@ -245,8 +255,6 @@ def test_mean_error_below_weighted_partial_sum_errors():
 def test_path_equivalence_on_random_inputs(rng):
     grid, c = random_band_limited(rng, 6, 256, real=True, scale=0.2)
     mean_grid = evaluate_grid(c, GridOp.norlund_log(7))
-    from logmeans.grid import axis_points
-
     pts = axis_points(256)
     for i, j in rng.integers(0, 256, size=(5, 2)):
         spectral = mean_grid.values[i, j].real

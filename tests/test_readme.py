@@ -6,7 +6,7 @@ import pathlib
 import re
 import shlex
 
-from logmeans.cli import EXIT_OK, main
+from logmeans.cli import EXIT_OK, build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +37,16 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in examples:
             assert main(argv) == EXIT_OK, argv
+
+
+def test_cli_synopsis_names_every_option():
+    # the usage synopsis names exactly the parser's long options, so a flag added to or
+    # removed from one of them without the other fails here
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    synopsis = next(block for block in blocks if "logmeans <command>" in block)
+    documented = set(re.findall(r"\[(--[\w-]+)", synopsis))
+    parsed = {
+        option for action in build_parser()._actions for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == parsed
