@@ -20,12 +20,10 @@ from .kernels import (
     KernelEvaluation,
     LemmaReport,
     RegionSpec,
-    SingularArgumentError,
     SingularTubeError,
     alpha,
     beta,
     build_region,
-    cos_sum_telescoped,
     gamma,
     lemma_main_check,
     log_kernel_closed,
@@ -44,7 +42,6 @@ from .orlicz import (
 )
 from .counterexamples import (
     BUMP_PREFACTOR,
-    bump_mean,
     bump_mean_lower_bound,
     exceedance_measure,
     geometric_sum,

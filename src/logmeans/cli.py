@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--grid-size", type=int, default=256, dest="grid_size",
-                        help="grid points per axis, a power of two >= 4 (converge, orlicz)")
+                        help="grid points per axis, a power of two >= 4 (converge) or >= 32 (orlicz)")
     parser.add_argument("--n", type=lambda s: [int(p) for p in s.split(",")],
                         help="comma-separated scale/order list")
     parser.add_argument("--samples", type=int, default=9,

@@ -100,10 +100,6 @@ def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, hx=0.0, hy=0.0) -> np
     return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
-def bump_mean(n: int, x: float, y: float) -> float:
-    return float(bump_mean_many(n, np.array([x]), np.array([y]))[0, 0])
-
-
 @dataclass(frozen=True)
 class BumpMeanReport:
     n: int
@@ -250,8 +246,8 @@ def exceedance_measure(n: int, c1: float) -> ExceedanceReport:
     the memory limit of refuse_beyond_memory_limit is refused before they are
     allocated.
     """
-    if c1 < 0.0:
-        raise ValueError(f"threshold coefficient must be >= 0, got {c1}")
+    if not 0.0 <= c1 < math.inf:
+        raise ValueError(f"threshold coefficient must be finite and >= 0, got {c1}")
     if c1 > 0.0:
         # _area_under_hyperbola holds about seven float arrays and one mask over
         # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
@@ -295,15 +291,13 @@ class ProbeReport:
     ratio: float
 
 
-def operator_norm_probe(n: int, Q: YoungFunction, l1_lower: float | None = None) -> ProbeReport:
+def operator_norm_probe(n: int, Q: YoungFunction, l1_lower: float) -> ProbeReport:
     """
     Desk-scale probe of the operator-norm divergence mechanism: the ratio
-    l1_lower(n) * 2^{4n} / Q(2^{4n}).  Growth of the ratio in n signals a
-    Young function too weak to control the means; pass a precomputed
-    ``l1_lower`` to share one l1_growth across several Q.
+    l1_lower * 2^{4n} / Q(2^{4n}), for l1_lower = l1_growth(n).l1_lower, computed
+    once and shared across several Q.  Growth of the ratio in n signals a
+    Young function too weak to control the means.
     """
-    if l1_lower is None:
-        l1_lower = l1_growth(n).l1_lower
     u = float(2 ** (4 * n))
     ratio = l1_lower * u / float(Q(u))
     return ProbeReport(n=n, young=Q.name, l1_lower=l1_lower, ratio=ratio)

@@ -46,10 +46,6 @@ class EmptyRegionError(ValueError):
     """The requested region has no windows (scale n < 3)."""
 
 
-class SingularArgumentError(ValueError):
-    """A trigonometric sum was requested at a singular argument (u = 0 mod 2*pi)."""
-
-
 class SingularTubeError(ValueError):
     """Closed-form evaluation requested too close to a singular tube."""
 
@@ -196,7 +192,7 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------------
 
 def sin_sum(N: int, u) -> float | np.ndarray:
-    """sum_{k=1}^{N} sin(ku)/k by direct summation; uniformly bounded in N.  Refuses NaN and infinite u."""
+    """sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  Refuses NaN and infinite u."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     u_arr = np.ravel(finite_points(u))
@@ -206,7 +202,7 @@ def sin_sum(N: int, u) -> float | np.ndarray:
         terms = angle_table(u_arr[b], 1, N)
         terms /= k
         out[b] = terms.sum(axis=1)  # per row: no block dependence
-    return float(out[0]) if np.ndim(u) == 0 else out
+    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
 
 def fejer_ratio(m: int, u) -> float | np.ndarray:
@@ -222,22 +218,6 @@ def _telescoped_weights(k: np.ndarray) -> np.ndarray:
     return 2.0 / (k * (k + 1.0) * (k + 2.0))
 
 
-def telescoped_tail_bound(K, N: int, u) -> float | np.ndarray:
-    """
-    Certified bound on the discarded telescoped tail when the cubic-weight sum
-    stops at K < N - 2: every term is at most 2/(k(k+1)(k+2)) / (2 sin^2(u/2))
-    and the cubic tail sums below 1/K^2.  Returns 0 for the full sum.  ``K``
-    and ``u`` may be per-point arrays.
-    """
-    _, half_sin, zero = reduce_angle(u)
-    truncated = np.asarray(K) < N - 2
-    if np.any(truncated & zero):
-        raise SingularArgumentError("tail bound undefined at u = 0 mod 2*pi")
-    with np.errstate(divide="ignore"):
-        bound = np.where(truncated, 1.0 / (2.0 * K * K * half_sin * half_sin), 0.0)
-    return float(bound) if bound.ndim == 0 else bound
-
-
 def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     The parts (T, V, W, tail) of the telescoped cosine-sum form at every
@@ -247,10 +227,13 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
 
     so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 up to ``tail``, the
-    certified bound on the terms past K.  ``K`` caps the sum: a scalar or
-    one cap per point, each 1 <= K <= N - 2, with K = N - 2 the full sum;
-    only here is the cap checked.  At u = 0 mod 2*pi the removable limits of
-    the full sums are used and the tail is 0.  Every row of the sum has
+    certified bound on the terms past K: each is at most
+    [2/(k(k+1)(k+2))] / (2 sin^2(u/2)) and the cubic weights past K sum below
+    1/K^2, so tail = 1/(2 K^2 sin^2(u/2)), and 0 for the full sum.  ``K``
+    caps the sum: a scalar or one cap per point, each 1 <= K <= N - 2, with
+    K = N - 2 the full sum; only here is the cap checked.  At u = 0 mod 2*pi
+    the full sums are taken whatever the cap, at their removable limits, so
+    T + V + W - 3/4 is H_N there and the tail is 0.  Every row of the sum has
     N - 2 terms, those past the cap zeroed, so a point's values do not
     depend on the rest of the batch (a sum's rounding depends on its length).
     The table is built in row blocks of at most KERNEL_TABLE_ELEMS elements;
@@ -274,31 +257,11 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         sums[b] = terms.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         T = sums / (2.0 * half_sin ** 2)
+        tail = np.where(K < N - 2, 1.0 / (2.0 * K * K * half_sin * half_sin), 0.0)
     T = np.where(zero, np.sum(weights * 0.5 * (k + 1.0) ** 2), T)
     V = fejer_ratio(N, r) / (N * (N - 1.0))
     W = dirichlet_kernel(N, r) / N
-    return T, V, W, telescoped_tail_bound(K, N, r)
-
-
-def cos_sum_telescoped(N: int, u: float, K: int) -> tuple[float, float]:
-    """
-    Evaluate sum_{k=1}^{N} cos(ku)/k through the telescoped closed form
-
-        sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u)
-        + Phi_N(u)/(N(N-1)) + D~_N(u)/N - 3/4,
-
-    truncating the cubic-weight sum at K (1 <= K <= N-2) and returning
-    (value, certified tail bound).  The Fejer remainder term enters with a
-    plus sign; that is what makes the identity exact (checked against direct
-    summation at machine precision), and it is consistent with the u -> 0
-    limit where both sides reduce to the harmonic number H_N.
-    """
-    if N < 3:
-        raise ValueError(f"telescoped form needs N >= 3, got {N}")
-    if reduce_angle(u)[2]:
-        raise SingularArgumentError("cosine sum closed form is singular at u = 0 mod 2*pi")
-    T, V, W, tail = telescoped_sums(N, u, K)
-    return float(T[0] + V[0] + W[0] - 0.75), float(tail[0])
+    return T, V, W, tail
 
 
 # ----------------------------------------------------------------------------
@@ -414,21 +377,15 @@ def closed_form_terms(
     return terms, bound
 
 
-def log_kernel_closed(
-    N: int,
-    x: float,
-    y: float,
-    K: int | None = None,
-    eps_sing: float = EPS_SING,
-) -> KernelEvaluation:
+def log_kernel_closed(N: int, x: float, y: float, K: int | None = None) -> KernelEvaluation:
     """
     Closed-form F_N(x, y) with the 15-term breakdown: closed_form_terms at
-    one point, with the same singular-tube refusal and truncation cap
+    one point, with its EPS_SING tube refusal and the same truncation cap
     (``K=None`` is the full sum; telescoped_sums checks the cap).  The
     certified truncation error of ``value`` (on the F_N scale) is returned as
     ``truncation_bound``.
     """
-    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K, eps_sing)
+    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K)
     value = float(np.sum(terms[0])) / harmonic_number(N)
     return KernelEvaluation(value=value, terms=terms[0], truncation_bound=float(bound[0]))
 
@@ -453,13 +410,13 @@ def phase_range_check(n: int, x: float) -> PhaseCheck:
     Verify the phase bounds that drive the kernel lower bound: for x inside
     some window [alpha(m, n), beta(m, n)] the phase (2^{2n}+1/2) x lies in
     [arccos(1/4), pi/2] mod 2*pi, hence sin > 1/2 and cos <= 1/4 (with
-    equality exactly on the window boundaries; a 1e-12 slack absorbs the
-    boundary roundoff).  Refuses NaN and infinite x.
+    equality exactly on the window boundaries; a slack of 1e-12 max(1, |phase|)
+    on the phase absorbs the boundary roundoff).  Refuses NaN and infinite x.
     """
     rate = phase_rate(n)
     phase = rate * float(finite_points(x))
     m_guess = int(math.floor((phase - ARCCOS_QUARTER) / (2.0 * math.pi)))
-    tol = 1e-12 * max(1.0, abs(phase))
+    tol = 1e-12 * max(1.0, abs(phase)) / rate  # the phase slack, in units of x
     member = False
     for m in (m_guess - 1, m_guess, m_guess + 1):
         if m < 0:
@@ -542,7 +499,7 @@ def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
     N = 4 ** n
     xs = build_region(n, REGION_I).lattice(samples_per_rect)
     xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
-    terms, _ = closed_form_terms(N, xx, yy, K=N - 2, eps_sing=0.0)
+    terms, _ = closed_form_terms(N, xx, yy, eps_sing=0.0)
     main_min_over_n = float(np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
     remainder_max = float(np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
     return LemmaReport(**vars(survey), main_min_over_n=main_min_over_n, remainder_max=remainder_max)

@@ -11,31 +11,24 @@ import numpy as np
 from .grid import GridFunction2D
 
 
-def _young(formula: Callable) -> Callable:
-    """Evaluator of an array formula on u >= 0: rejects negative u, returns floats for scalars."""
-
-    def evaluator(u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0.0):
-            raise ValueError("Young functions are evaluated on u >= 0")
-        out = formula(u_arr)
-        return float(out) if np.ndim(u) == 0 else out
-
-    return evaluator
-
-
 @dataclass(frozen=True)
 class YoungFunction:
     """
     Convex Young function Q with Q(0) = 0, Q(u)/u -> 0 at 0 and -> infinity
-    at infinity.  ``evaluator`` must accept nonnegative scalars and arrays.
+    at infinity.  ``evaluator`` is the bare array formula; calling Q checks
+    u >= 0 and hands it a float array.
     """
 
     name: str
     evaluator: Callable
 
     def __call__(self, u):
-        return self.evaluator(u)
+        """Q(u) for u >= 0, a float for a scalar ``u``; refuses negative u."""
+        u_arr = np.asarray(u, dtype=float)
+        if np.any(u_arr < 0.0):
+            raise ValueError("Young functions are evaluated on u >= 0")
+        out = self.evaluator(u_arr)
+        return float(out) if np.ndim(u) == 0 else out
 
     def validate(self, seed: int = 0, triples: int = 1000) -> None:
         """
@@ -43,31 +36,31 @@ class YoungFunction:
         triples, and the slope Q(u)/u decaying at u = 2^-40 and exploding at
         u = 2^40 relative to u = 1.
         """
-        if abs(float(self.evaluator(0.0))) > 1e-300:
+        if abs(self(0.0)) > 1e-300:
             raise ValueError(f"{self.name}: Q(0) != 0")
         rng = np.random.default_rng(seed)
         lo = rng.uniform(0.0, 50.0, triples)
         hi = lo + rng.uniform(0.0, 50.0, triples)
-        mid_val = np.asarray(self.evaluator((lo + hi) / 2.0))
-        chord = (np.asarray(self.evaluator(lo)) + np.asarray(self.evaluator(hi))) / 2.0
+        mid_val = self((lo + hi) / 2.0)
+        chord = (self(lo) + self(hi)) / 2.0
         if np.any(mid_val > chord + 1e-9 * (1.0 + np.abs(chord))):
             raise ValueError(f"{self.name}: midpoint convexity violated")
-        slope = lambda u: float(self.evaluator(u)) / u
+        slope = lambda u: self(u) / u
         if not slope(2.0 ** -40) < slope(1.0) < slope(2.0 ** 40):
             raise ValueError(f"{self.name}: slope not increasing across the probe range")
 
 
 def young_power(p: float) -> YoungFunction:
     """Power Young function u^p, p > 1."""
-    if p <= 1.0:
-        raise ValueError(f"power Young function needs p > 1, got {p}")
-    return YoungFunction(name=f"u^{p}", evaluator=_young(lambda u: u ** p))
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"power Young function needs finite p > 1, got {p}")
+    return YoungFunction(name=f"u^{p}", evaluator=lambda u: u ** p)
 
 
 def young_log_power(p: float) -> YoungFunction:
     """u log^p(1+u) for fractional log strength (p > 0)."""
-    if p <= 0.0:
-        raise ValueError(f"log power must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"log power must be finite and positive, got {p}")
 
     def formula(u):
         out = np.log1p(u)  # in place from here: Q runs over whole grids
@@ -75,7 +68,7 @@ def young_log_power(p: float) -> YoungFunction:
         out *= u
         return out
 
-    return YoungFunction(name=f"u*log^{p}(1+u)", evaluator=_young(formula))
+    return YoungFunction(name=f"u*log^{p}(1+u)", evaluator=formula)
 
 
 #: u log(1 + u), which generates the space L log L.

@@ -328,6 +328,13 @@ def test_orlicz_csv(tmp_path):
     assert os.path.exists(tmp_path / "orlicz_deficit.csv")
 
 
+def test_orlicz_refuses_grids_too_coarse_for_its_bump(tmp_path, capsys):
+    # the n = 1 bump needs 16 (4 + 1/2) / pi ~ 23 points per axis, so a 16-point grid is refused before any report
+    assert main(["orlicz", "--out", str(tmp_path), "--grid-size", "16"]) == EXIT_USAGE
+    assert "need >= 23" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "orlicz.csv")
+
+
 def test_orlicz_builds_one_magnitude_histogram_per_grid(tmp_path, monkeypatch):
     # luxemburg_norm and modular share the grid's cached histogram: 3 grids, 3 np.unique calls
     calls = []

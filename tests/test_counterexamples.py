@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from logmeans import counterexamples
+from logmeans import counterexamples, kernels
 from logmeans.fourier import GridOp, dirichlet_matrix
 from logmeans.grid import GridFunction2D, GridResolutionError
 from logmeans.kernels import build_region, gamma
@@ -15,7 +15,6 @@ from logmeans.counterexamples import (
     BUMP_PREFACTOR,
     _area_under_hyperbola,
     _axis_profile,
-    bump_mean,
     bump_mean_many,
     bump_mean_lower_bound,
     exceedance_measure,
@@ -91,7 +90,7 @@ def test_bump_mean_matches_dense_quadrature_oracle():
     g = gamma(n)
     (ax, bx), (ay, by) = shrunken_window(n), shrunken_window(n)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
-    got = bump_mean(n, x, y)
+    got = float(bump_mean_many(n, np.array([x]), np.array([y]))[0, 0])
 
     q = 400
     ss = (np.arange(q) + 0.5) * g / q
@@ -457,6 +456,16 @@ def test_area_under_hyperbola_barely_cut_matches_mpmath():
 def test_exceedance_rejects_negative_threshold():
     with pytest.raises(ValueError):
         exceedance_measure(4, -1.0)
+
+
+@pytest.mark.parametrize("c1", [math.nan, math.inf])
+def test_exceedance_refuses_non_finite_threshold_before_the_memory_check(monkeypatch, c1):
+    # under a tiny limit a positive c1 is refused for memory; a non-finite one must not slip past to the pair arrays
+    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 1e-6)
+    with pytest.raises(ValueError, match="GiB limit"):
+        exceedance_measure(6, 1.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        exceedance_measure(6, c1)
 
 
 # ------------------------------------------------------------------- r_nm

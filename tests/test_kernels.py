@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 
 from logmeans import kernels
 from logmeans.cli import quasi_random_points
-from logmeans.counterexamples import bump_mean, bump_mean_many
+from logmeans.counterexamples import bump_mean_many
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
     RegionMembershipError,
-    SingularArgumentError,
     SingularTubeError,
     alpha,
     beta,
     build_region,
     closed_form_terms,
-    cos_sum_telescoped,
     fejer_ratio,
     gamma,
     lattice_min,
@@ -37,7 +35,6 @@ from logmeans.kernels import (
     phase_rate,
     sin_sum,
     telescoped_sums,
-    telescoped_tail_bound,
 )
 from logmeans.means import harmonic_number
 
@@ -254,7 +251,7 @@ def test_non_finite_points_are_refused(bad):
         lambda: closed_form_terms(16, other, pts),
         lambda: bump_mean_many(3, pts, other),
         lambda: bump_mean_many(3, other, pts),
-        lambda: bump_mean(3, bad, 0.1),
+        lambda: bump_mean_many(3, np.array([bad]), np.array([0.1])),
         lambda: sin_sum(8, bad),
         lambda: phase_range_check(3, bad),
     ]
@@ -267,24 +264,30 @@ def test_non_finite_points_are_refused(bad):
 
 # ------------------------------------------------------------ cosine-sum form
 
+def telescoped_value(N, u, K):
+    """sum_{k<=N} cos(ku)/k as T + V + W - 3/4 of telescoped_sums at one point, and its tail bound."""
+    T, V, W, tail = telescoped_sums(N, u, K)
+    return float(T[0] + V[0] + W[0] - 0.75), float(tail[0])
+
+
 @pytest.mark.parametrize("N", [3, 4, 7, 16, 100, 511])
 def test_telescoped_full_matches_direct(N, rng):
     for u in rng.uniform(0.05, 2 * math.pi - 0.05, 20):
-        value, bound = cos_sum_telescoped(N, float(u), N - 2)
+        value, bound = telescoped_value(N, float(u), N - 2)
         assert bound == 0.0
         assert value == pytest.approx(cos_sum_direct(N, float(u)), abs=1e-10)
 
 
 def test_telescoped_example_quarter_period():
-    value, _ = cos_sum_telescoped(4, math.pi / 2, 2)
+    value, _ = telescoped_value(4, math.pi / 2, 2)
     assert value == pytest.approx(-0.25, abs=1e-14)
 
 
 def test_telescoped_large_full_and_truncated():
     direct = cos_sum_direct(1024, 1.0)
-    full, _ = cos_sum_telescoped(1024, 1.0, 1022)
+    full, _ = telescoped_value(1024, 1.0, 1022)
     assert full == pytest.approx(direct, abs=1e-10)
-    truncated, bound = cos_sum_telescoped(1024, 1.0, 32)
+    truncated, bound = telescoped_value(1024, 1.0, 32)
     assert abs(truncated - direct) <= bound
     assert bound == pytest.approx(1.0 / (2.0 * 32 ** 2 * math.sin(0.5) ** 2), rel=1e-12)
 
@@ -294,21 +297,24 @@ def test_telescoped_truncation_certified(rng):
         N = int(rng.integers(4, 1025))
         u = float(rng.uniform(0.02, 2 * math.pi - 0.02))
         K = int(rng.integers(1, N - 1))
-        value, bound = cos_sum_telescoped(N, u, K)
+        value, bound = telescoped_value(N, u, K)
         assert abs(value - cos_sum_direct(N, u)) <= bound + 1e-12
 
 
-def test_telescoped_rejects_singular_argument_and_bad_cap():
-    with pytest.raises(SingularArgumentError):
-        cos_sum_telescoped(16, 0.0, 4)
+def test_telescoped_rejects_bad_cap():
     with pytest.raises(ValueError):
-        cos_sum_telescoped(16, 1.0, 0)
+        telescoped_sums(16, 1.0, 0)
     with pytest.raises(ValueError):
-        cos_sum_telescoped(16, 1.0, 15)
-    with pytest.raises(SingularArgumentError):
-        telescoped_tail_bound(4, 100, 0.0)
-    with pytest.raises(SingularArgumentError):
-        cos_sum_telescoped(16, 2 * math.pi, 4)
+        telescoped_sums(16, 1.0, 15)
+
+
+@pytest.mark.parametrize("N", [3, 16, 1024])
+def test_telescoped_sums_take_the_harmonic_limit_at_multiples_of_two_pi(N):
+    # at u = 0 mod 2 pi the full sums are taken whatever the cap: sum cos(ku)/k is H_N, with no tail
+    T, V, W, tail = telescoped_sums(N, np.array([0.0, 2 * math.pi, -4 * math.pi]), 1)
+    harmonic = math.fsum(1.0 / k for k in range(1, N + 1))
+    assert np.all(np.abs(T + V + W - 0.75 - harmonic) <= 1e-14 * harmonic)
+    assert np.array_equal(tail, np.zeros(3))
 
 
 def test_telescoped_sums_stop_at_the_cap():
@@ -351,6 +357,13 @@ def test_sin_sum_basics():
             terms = [math.sin(k * u) / k for k in range(1, N + 1)]
             bound = N * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
             assert abs(got - math.fsum(terms)) <= bound, (N, u)
+
+
+def test_sin_sum_keeps_the_shape_of_its_points():
+    us = np.linspace(-3.0, 3.0, 6)
+    got = sin_sum(8, us.reshape(2, 3))
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, sin_sum(8, us).reshape(2, 3))
 
 
 def test_sin_sum_uniformly_bounded():
@@ -531,7 +544,7 @@ def test_per_point_caps_must_match_the_points():
     for K in (0, 15):
         for call in (
             lambda: telescoped_sums(16, xs, K),
-            lambda: cos_sum_telescoped(16, 0.3, K),
+            lambda: telescoped_sums(16, 0.3, K),
             lambda: closed_form_terms(16, xs, ys, K=K),
             lambda: log_kernel_closed(16, 0.3, 0.2, K=K),
         ):
@@ -577,6 +590,15 @@ def test_phase_check_rejects_points_between_windows():
     gap = 0.5 * (beta(1, 3) + alpha(2, 3))
     with pytest.raises(RegionMembershipError):
         phase_range_check(3, gap)
+
+
+def test_phase_check_slack_is_on_the_phase_not_on_x():
+    # the 1e-12 slack is relative to the phase, so 1e-10 relative past a window's end is outside it
+    for n in (3, 6, 10):
+        for m in (1, 2 ** (n - 3)):
+            for x in (alpha(m, n) * (1 - 1e-10), beta(m, n) * (1 + 1e-10)):
+                with pytest.raises(RegionMembershipError):
+                    phase_range_check(n, x)
 
 
 def test_phase_identity_links_window_to_phase():

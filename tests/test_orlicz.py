@@ -41,6 +41,13 @@ def test_young_rejects_negative_input():
         young_power(2.0)(-1.0)
 
 
+@pytest.mark.parametrize("family", [young_power, young_log_power])
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_young_families_refuse_non_finite_powers(family, p):
+    with pytest.raises(ValueError, match="finite"):
+        family(p)
+
+
 def test_shipped_young_functions_validate():
     for Q in (LOG, LOG2, young_power(1.5), young_power(2.0), young_log_power(0.5)):
         Q.validate()
