@@ -265,7 +265,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             if order != n:
                 clamped.append(f"{kind}:{n}->{order}")
             ops.append(GridOp(kind, order))
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid)
     reach = max(op.reach() for op in ops)  # no coefficient past the ops' reach is used
     coeffs = fourier_coeffs(f, reach)
     rows = [[op.kind, op.order, l1_distance(evaluate_grid(coeffs, op), f)] for op in ops]
@@ -293,7 +293,7 @@ def cmd_orlicz(args: argparse.Namespace) -> int:
     functions.append(("const_1", GridFunction2D.constant(1.0, grid)))
     vals = np.zeros((grid, grid))
     vals[:side, :side] = 1.0
-    functions.append((f"indicator_{side}x{side}cells", GridFunction2D(values=vals, is_real=True)))
+    functions.append((f"indicator_{side}x{side}cells", GridFunction2D(values=vals)))
     functions.append(("bump_n1_unscaled", cx.make_bump(1, grid_size=grid)))
 
     youngs = (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))

@@ -46,7 +46,7 @@ def make_bump(n: int, grid_size: int) -> GridFunction2D:
     values = np.zeros((grid_size, grid_size))
     origin = grid_size // 2  # index of the sample at x = 0
     values[origin : origin + cells, origin : origin + cells] = 1.0 / g ** 2
-    return GridFunction2D(values=values, is_real=True)
+    return GridFunction2D(values=values)
 
 
 def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction2D, IMAG_TOL, read_only_view, validate_grid_size
+from .grid import GridFunction2D, read_only_view, validate_grid_size
 
 
 class BandwidthError(ValueError):
@@ -110,68 +110,67 @@ def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
     return table.T
 
 
+def validate_bandwidth(bandwidth: int, grid_size: int) -> None:
+    """Refuse a negative bandwidth B, and any 2B >= G: the rectangle rule is spectrally exact only below Nyquist."""
+    if bandwidth < 0:
+        raise ValueError("bandwidth must be nonnegative")
+    if 2 * bandwidth >= grid_size:
+        raise BandwidthError(f"bandwidth {bandwidth} at or above Nyquist for grid {grid_size}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralCoeffs:
     """
-    Complex Fourier coefficients c(m, n) for |m|, |n| <= B, the bandwidth.
+    Fourier coefficients c(m, n) for |m|, |n| <= B, the bandwidth, of a real
+    grid of G = ``source_grid`` points an axis, on which they are synthesised.
 
-    ``coeffs[B + m, B + n]`` stores c(m, n).  ``source_grid`` remembers the
-    grid the coefficients were computed from (used as the default synthesis
-    resolution).  ``hermitian`` records whether c(-m, -n) = conj(c(m, n))
-    holds exactly, as it does for the coefficients of a real grid; such
-    coefficients synthesise real grids.  ``coeffs`` is a read-only view, so
-    the flag cannot go stale.
+    ``coeffs[B + m, B + n]`` stores c(m, n).  The coefficients of a real grid
+    are Hermitian, c(-m, -n) = conj(c(m, n)); any others are refused, as are
+    a G that is not a power of two (>= 4) and any 2B >= G.  ``coeffs`` is a
+    read-only view.
     """
 
     coeffs: np.ndarray
     bandwidth: int
-    source_grid: int | None = None
-    hermitian: bool = field(init=False)
+    source_grid: int
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         expected = (2 * self.bandwidth + 1,) * 2
         if coeffs.shape != expected:
             raise ValueError(f"coefficient array shape {coeffs.shape} != {expected}")
-        object.__setattr__(self, "coeffs", read_only_view(coeffs))
+        validate_grid_size(self.source_grid)
+        validate_bandwidth(self.bandwidth, self.source_grid)
         rows = self.bandwidth + 1  # rows m <= 0 against their mirrors m >= 0 cover every pair
-        object.__setattr__(
-            self, "hermitian", np.array_equal(coeffs[:rows], np.conj(coeffs[::-1, ::-1][:rows]))
-        )
+        if not np.array_equal(coeffs[:rows], np.conj(coeffs[::-1, ::-1][:rows])):
+            raise ValueError("coefficients are not exactly Hermitian: c(-m, -n) != conj(c(m, n))")
+        object.__setattr__(self, "coeffs", read_only_view(coeffs))
 
 
 def fourier_coeffs(f: GridFunction2D, bandwidth: int) -> SpectralCoeffs:
     """
     Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy,
     |m|, |n| <= B = ``bandwidth``, by rectangle-rule quadrature on the sample
-    grid, taken by one 2D FFT.  A real grid takes the half spectrum n >= 0 by
-    ``rfft2`` and the rest by c(m, n) = conj(c(-m, -n)), so its coefficients
+    grid, taken by one ``rfft2``: the half spectrum n >= 0 comes from the
+    transform and the rest by c(m, n) = conj(c(-m, -n)), so the coefficients
     are exactly Hermitian.
 
     The rule is spectrally exact below Nyquist, so the bandwidth must stay
     under half the grid: 2B < G.
     """
-    B = bandwidth
-    if B < 0:
-        raise ValueError("bandwidth must be nonnegative")
-    G = f.grid_size
-    if 2 * B >= G:
-        raise BandwidthError(f"bandwidth {B} at or above Nyquist for grid {G}")
+    B, G = bandwidth, f.grid_size
+    validate_bandwidth(B, G)
     m = np.arange(-B, B + 1)
     sign = (-1.0) ** m
     # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k} is one FFT: the grid
     # origin x_0 = -pi puts the phase (-1)^(m + n) on bin (m mod G, n mod G).
-    if f.is_real:
-        spectrum = np.fft.rfft2(f.values, norm="forward")  # bins n = 0..G/2 only
-        coeffs = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
-        np.multiply(spectrum[np.ix_(m % G, m[B:])], np.outer(sign, sign[B:]), out=coeffs[:, B:])
-        # c(m, n) = conj(c(-m, -n)): the real c(0, 0), then c(m, 0) for m < 0, then every n < 0
-        coeffs[B, B] = coeffs[B, B].real
-        coeffs[:B, B] = np.conj(coeffs[:B:-1, B])
-        np.conj(coeffs[::-1, :B:-1], out=coeffs[:, :B])
-    else:
-        spectrum = np.fft.fft2(f.values, norm="forward")
-        coeffs = spectrum[np.ix_(m % G, m % G)] * np.outer(sign, sign)
+    spectrum = np.fft.rfft2(f.values, norm="forward")  # bins n = 0..G/2 only
+    coeffs = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
+    np.multiply(spectrum[np.ix_(m % G, m[B:])], np.outer(sign, sign[B:]), out=coeffs[:, B:])
+    # c(m, n) = conj(c(-m, -n)): the real c(0, 0), then c(m, 0) for m < 0, then every n < 0
+    coeffs[B, B] = coeffs[B, B].real
+    coeffs[:B, B] = np.conj(coeffs[:B:-1, B])
+    np.conj(coeffs[::-1, :B:-1], out=coeffs[:, :B])
     return SpectralCoeffs(coeffs=coeffs, bandwidth=B, source_grid=G)
 
 
@@ -232,65 +231,33 @@ class GridOp:
         return len(self.weights()) - 1
 
 
-def _fold(spectrum: np.ndarray, G: int, axis: int, bins: int | None = None) -> np.ndarray:
+def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
     """
-    Place the frequencies -r..r along ``axis`` of ``spectrum`` (length 2r + 1)
-    in their FFT bins m mod G, summing the frequencies that alias when
-    2r + 1 > G, and apply the phase (-1)^m of the grid origin -pi.  G is even,
-    so every frequency in a bin shares the bin's parity.  Only the first
-    ``bins`` bins (default all G) are kept.
-    """
-    reach = (spectrum.shape[axis] - 1) // 2
-    bins = G if bins is None else bins
-    shape = list(spectrum.shape)
-    shape[axis] = bins
-    out = np.zeros(shape, dtype=complex)
-    src, dst = np.moveaxis(spectrum, axis, 0), np.moveaxis(out, axis, 0)
-    for start in range(0, 2 * reach + 1, G):  # G consecutive frequencies fill G distinct bins
-        block = src[start : start + G]
-        first = (start - reach) % G
-        split = min(len(block), G - first)  # where the block wraps past bin G - 1
-        for lo, piece in ((first, block[:split]), (0, block[split:])):
-            piece = piece[: max(bins - lo, 0)]
-            dst[lo : lo + len(piece)] += piece
-    dst[1::2] *= -1.0
-    return out
+    Evaluate the quadratical partial sum or mean specified by ``op`` on the
+    coefficients' source grid, as a float64 grid.
 
-
-def evaluate_grid(c: SpectralCoeffs, op: GridOp, grid_size: int | None = None) -> GridFunction2D:
+    The op's weights are applied in coefficient space; every op's weights are
+    symmetric in +-m and +-n, so the Hermitian coefficients give a real grid,
+    which the columns n = 0..reach determine.  Since 2 reach < G no two
+    frequencies share an FFT bin, so the synthesis places those columns at
+    rows m mod G, runs one ``ifft`` along m and one ``irfft`` along n, which
+    zero-pads the bins past reach.  Deterministic.
     """
-    Evaluate the quadratical partial sum or mean specified by ``op`` on the full grid.
-
-    The op's weights are applied in coefficient space, then one inverse FFT
-    per axis synthesises the grid: first along m over the op's coefficient
-    columns only, then along n over every row.  Every op's weights are
-    symmetric in +-m and +-n, so Hermitian coefficients give a real grid: the
-    n transform is then ``irfft`` of bins 0..G/2 and the grid is float64.
-    Deterministic.  ``grid_size`` defaults to the coefficients' source grid.
-    """
-    G = grid_size if grid_size is not None else c.source_grid
-    if G is None:
-        raise ValueError("no grid size available; pass grid_size explicitly")
-    validate_grid_size(G)
-    reach, B = op.reach(), c.bandwidth
+    G, reach, B = c.source_grid, op.reach(), c.bandwidth
     if reach > B:
         raise BandwidthError(f"op reaches {reach} beyond bandwidth {B}")
 
     # frequency j* = max(|m|, |n|) lies in S_{j,j} for every j >= j*
     tail = np.cumsum(op.weights()[::-1])[::-1]
     profile = tail / tail[0]
-    j_abs = np.abs(np.arange(-reach, reach + 1))
-    window = slice(B - reach, B + reach + 1)
-    weighted = c.coeffs[window, window] * profile[np.maximum(j_abs[:, None], j_abs[None, :])]
+    m = np.arange(-reach, reach + 1)
+    n = m[reach:]
+    # the grid origin x_0 = -pi puts the phase (-1)^(m + n) on frequency (m, n)
+    sign = (-1.0) ** m
+    weights = profile[np.maximum(np.abs(m)[:, None], n[None, :])] * np.outer(sign, sign[reach:])
 
     # sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j}, unscaled inverse FFTs
-    if c.hermitian:
-        # bins 0..G/2 along n determine a real grid, and without aliasing only
-        # n = 0..reach land there; irfft zero-pads the bins past them
-        half = _fold(weighted, G, axis=1, bins=min(G // 2, reach) + 1)
-        cols = np.fft.ifft(_fold(half, G, axis=0), axis=0, norm="forward")
-        return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"), is_real=True)
-    cols = np.fft.ifft(_fold(weighted, G, axis=0), axis=0, norm="forward")
-    values = np.fft.ifft(_fold(cols, G, axis=1), axis=1, norm="forward")
-    is_real = bool(np.max(np.abs(values.imag)) <= IMAG_TOL)
-    return GridFunction2D(values=values, is_real=is_real)
+    spectrum = np.zeros((G, reach + 1), dtype=complex)
+    spectrum[m % G] = c.coeffs[B - reach : B + reach + 1, B : B + reach + 1] * weights
+    cols = np.fft.ifft(spectrum, axis=0, norm="forward")
+    return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"))

@@ -8,16 +8,13 @@ from functools import cached_property
 
 import numpy as np
 
-#: A grid flagged `real` may carry imaginary parts up to this size.
-IMAG_TOL = 1e-12
-
 
 class GridResolutionError(ValueError):
     """The grid is too coarse for the requested operation."""
 
 
 class GridMismatchError(ValueError):
-    """Two grids that must share size/flags do not."""
+    """Two grids that must share a size do not."""
 
 
 def axis_points(grid_size: int) -> np.ndarray:
@@ -40,36 +37,26 @@ def validate_grid_size(grid_size: int) -> None:
 @dataclass(frozen=True, eq=False)
 class GridFunction2D:
     """
-    Samples of a function on the uniform grid over [-pi, pi)^2.
+    Real samples of a function on the uniform grid over [-pi, pi)^2.
 
     ``values[i, j]`` holds ``f(x_i, y_j)`` with ``x_i = -pi + 2*pi*i/G``; the
-    spacing is ``2*pi/G`` on both axes and G is a power of two (>= 4).  A grid
-    flagged ``is_real`` must have all imaginary parts below ``IMAG_TOL`` and
-    stores its real parts as a contiguous float64 array; any other grid stores
-    complex samples.  ``values`` is a read-only view (of the caller's array
-    when no conversion was needed), so the cached ``magnitude_histogram``
-    cannot go stale through the grid.
+    spacing is ``2*pi/G`` on both axes and G is a power of two (>= 4).  The
+    samples are stored as a contiguous float64 array; a complex array is
+    refused.  ``values`` is a read-only view (of the caller's array when no
+    conversion was needed), so the cached ``magnitude_histogram`` cannot go
+    stale through the grid.
     """
 
     values: np.ndarray
-    is_real: bool = False
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
+        if np.iscomplexobj(values):
+            raise ValueError("grid samples must be real, got a complex array")
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"expected a square 2D sample array, got shape {values.shape}")
         validate_grid_size(values.shape[0])
-        if self.is_real:
-            if np.iscomplexobj(values):
-                worst = float(np.max(np.abs(values.imag)))
-                if worst > IMAG_TOL:
-                    raise ValueError(
-                        f"grid flagged real has imaginary parts up to {worst:.3e} > {IMAG_TOL:.0e}"
-                    )
-            values = np.ascontiguousarray(values.real, dtype=float)
-        else:
-            values = values.astype(complex, copy=False)
-        object.__setattr__(self, "values", read_only_view(values))
+        object.__setattr__(self, "values", read_only_view(np.ascontiguousarray(values, dtype=float)))
 
     @property
     def grid_size(self) -> int:
@@ -84,23 +71,16 @@ class GridFunction2D:
         return self.spacing ** 2
 
     @classmethod
-    def from_function(cls, func, grid_size: int, real: bool | None = None) -> "GridFunction2D":
-        """
-        Sample ``func(x, y)`` on the grid.  ``func`` must accept numpy arrays
-        (meshgrid evaluation).  ``real=None`` detects the flag from the samples.
-        """
+    def from_function(cls, func, grid_size: int) -> "GridFunction2D":
+        """Sample ``func(x, y)`` on the grid; ``func`` must accept numpy arrays (meshgrid evaluation)."""
         validate_grid_size(grid_size)
         pts = axis_points(grid_size)
         xx, yy = np.meshgrid(pts, pts, indexing="ij")
-        values = np.asarray(func(xx, yy))
-        if real is None:
-            real = not np.iscomplexobj(values) or bool(np.max(np.abs(values.imag)) <= IMAG_TOL)
-        return cls(values=values, is_real=real)
+        return cls(values=np.asarray(func(xx, yy)))
 
     @classmethod
-    def constant(cls, value: complex, grid_size: int) -> "GridFunction2D":
-        values = np.full((grid_size, grid_size), value)
-        return cls(values=values, is_real=abs(complex(value).imag) <= IMAG_TOL)
+    def constant(cls, value: float, grid_size: int) -> "GridFunction2D":
+        return cls(values=np.full((grid_size, grid_size), float(value)))
 
     @cached_property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +94,6 @@ class GridFunction2D:
         distinct, counts = np.unique(mags, return_counts=True)
         return read_only_view(distinct), read_only_view(counts)
 
-    def integral(self) -> complex:
+    def integral(self) -> float:
         """Rectangle-rule value of the double integral over [-pi, pi)^2."""
-        return complex(np.sum(self.values)) * self.cell_area
+        return float(np.sum(self.values)) * self.cell_area

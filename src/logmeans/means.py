@@ -17,9 +17,8 @@ def harmonic_number(n: int) -> float:
 
 
 def l1_distance(f: GridFunction2D, g: GridFunction2D) -> float:
-    """Rectangle-rule approximation of Int |f - g| over the torus."""
+    """Rectangle-rule approximation of Int |f - g| over the torus, for two real grids of one size."""
     if f.grid_size != g.grid_size:
         raise GridMismatchError(f"grid sizes differ: {f.grid_size} vs {g.grid_size}")
     d = f.values - g.values
-    d = np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)  # one G x G temporary for real grids
-    return float(np.sum(d) * f.cell_area)
+    return float(np.sum(np.abs(d, out=d)) * f.cell_area)  # one G x G temporary

@@ -15,15 +15,17 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_band_limited(rng, bandwidth, grid_size, real=False, scale=1.0):
-    """Random trig polynomial as (GridFunction2D, SpectralCoeffs)."""
+def random_hermitian(rng, bandwidth, scale=1.0):
+    """Random coefficients c(m, n), |m|, |n| <= bandwidth, made exactly Hermitian: c(-m, -n) = conj(c(m, n))."""
     shape = (2 * bandwidth + 1, 2 * bandwidth + 1)
     c = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    if real:
-        c = 0.5 * (c + np.conj(c[::-1, ::-1]))
-    coeffs = SpectralCoeffs(coeffs=c, bandwidth=bandwidth, source_grid=grid_size)
-    grid = evaluate_grid(coeffs, GridOp.quad(bandwidth), grid_size)
-    return grid, coeffs
+    return 0.5 * (c + np.conj(c[::-1, ::-1]))
+
+
+def random_band_limited(rng, bandwidth, grid_size, scale=1.0):
+    """Random real trig polynomial as (GridFunction2D, SpectralCoeffs)."""
+    coeffs = SpectralCoeffs(coeffs=random_hermitian(rng, bandwidth, scale), bandwidth=bandwidth, source_grid=grid_size)
+    return evaluate_grid(coeffs, GridOp.quad(bandwidth)), coeffs
 
 
 def coeff(c, m, n):

@@ -157,7 +157,7 @@ def test_criterion_06_divergence_vs_convergence_contrast():
     ok &= max(log2_ratios) / min(log2_ratios) <= 2.0
 
     G = 512
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G)
     c = fourier_coeffs(f, G // 2 - 1)
     errors = [
         l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f) for n in (16, 64, 256)
@@ -204,9 +204,9 @@ def test_criterion_09_orlicz_machinery():
     G = 256
     h = 2.0 * math.pi / G
     side = int(round(math.sqrt(round(1.0 / h ** 2))))
-    vals = np.zeros((G, G), dtype=complex)
+    vals = np.zeros((G, G))
     vals[:side, :side] = 1.0
-    indicator = GridFunction2D(values=vals, is_real=True)
+    indicator = GridFunction2D(values=vals)
     area = (side * h) ** 2
     lo, hi = 1e-6, 1e6
     for _ in range(220):
@@ -221,17 +221,17 @@ def test_criterion_09_orlicz_machinery():
     rng = np.random.default_rng(9)
     for _ in range(500):
         base = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        f = GridFunction2D(values=base)
+        f = GridFunction2D(values=np.abs(base))
         c = float(rng.uniform(1e-3, 1e3))
         n_f = luxemburg_norm(f, LOG)
-        n_cf = luxemburg_norm(GridFunction2D(values=c * base), LOG)
+        n_cf = luxemburg_norm(GridFunction2D(values=np.abs(c * base)), LOG)
         if abs(n_cf - c * n_f) > 1e-8 * max(1.0, c * n_f):
             ok = False
     for _ in range(500):
         a = np.abs(rng.normal(size=(8, 8)))
         b = a + np.abs(rng.normal(size=(8, 8)))
-        n_a = luxemburg_norm(GridFunction2D(values=a.astype(complex), is_real=True), LOG2)
-        n_b = luxemburg_norm(GridFunction2D(values=b.astype(complex), is_real=True), LOG2)
+        n_a = luxemburg_norm(GridFunction2D(values=a), LOG2)
+        n_b = luxemburg_norm(GridFunction2D(values=b), LOG2)
         if n_a > n_b + 1e-9:
             ok = False
 

@@ -55,24 +55,24 @@ def test_bump_height_and_support():
 def test_unscaled_bump_is_approximate_identity():
     grid = make_bump(1, grid_size=4096)
     measure_discrepancy = bump_block(grid)[2] / gamma(1) ** 2 - 1.0
-    integral = grid.integral().real
+    integral = grid.integral()
     assert integral == pytest.approx(1.0 + measure_discrepancy, rel=1e-12)
     assert abs(integral - 1.0) < 0.05
 
 
 def test_scaled_bump_integral():
     grid = make_bump(1, grid_size=4096)
-    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values, is_real=True)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values)
     expected = BUMP_PREFACTOR * bump_block(grid)[2] / gamma(1) ** 2
-    assert scaled.integral().real == pytest.approx(expected, rel=1e-12)
+    assert scaled.integral() == pytest.approx(expected, rel=1e-12)
 
 
 def test_bump_support_sits_at_the_origin_cell():
     grid = make_bump(1, grid_size=4096)
     origin = 2048  # index of x = 0
-    assert grid.values[origin, origin].real > 0.0
-    assert grid.values[origin - 1, origin].real == 0.0
-    assert grid.values[0, 0].real == 0.0
+    assert grid.values[origin, origin] > 0.0
+    assert grid.values[origin - 1, origin] == 0.0
+    assert grid.values[0, 0] == 0.0
 
 
 def test_bump_resolution_error():
@@ -331,8 +331,12 @@ def test_exceedance_zero_threshold_gives_region_measure():
     assert rep.measure == pytest.approx(region.total_measure(), rel=1e-12)
 
 
-def test_exceedance_vanishes_for_large_threshold():
-    assert exceedance_measure(4, 1e12).measure == 0.0
+def test_exceedance_measure_is_the_same_for_every_positive_threshold():
+    # any c1 > 0 certifies the same set {x y < 2^{-3n}} of the shrunken region
+    for n in (6, 8):
+        measures = [exceedance_measure(n, c1).measure for c1 in (1e-12, 0.06, 1e12)]
+        assert measures[0] > 0.0
+        assert measures == [measures[0]] * 3
 
 
 def test_exceedance_empty_at_small_scales():
@@ -537,7 +541,7 @@ def test_norm_bounded_by_modular_with_one_constant():
 
     grid = make_bump(1, grid_size=2048)
     height, _, snapped_measure = bump_block(grid)
-    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values, is_real=True)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values)
     scalar = scalar_norm(BUMP_PREFACTOR * height, snapped_measure, LOG)
     assert luxemburg_norm(scaled, LOG) == pytest.approx(scalar, rel=1e-8)
 

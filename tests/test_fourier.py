@@ -26,6 +26,7 @@ from conftest import (
     hermitian_defect,
     pointwise_mean,
     random_band_limited,
+    random_hermitian,
 )
 
 
@@ -38,29 +39,17 @@ def test_grid_size_must_be_power_of_two():
     GridFunction2D(values=np.zeros((4, 4)))  # smallest legal
 
 
-def test_real_flag_rejects_complex_samples():
-    values = np.zeros((8, 8), dtype=complex)
-    values[1, 2] = 1e-6j
-    with pytest.raises(ValueError):
-        GridFunction2D(values=values, is_real=True)
-    GridFunction2D(values=values, is_real=False)
-
-
-def test_grid_dtype_follows_the_real_flag():
-    values = np.zeros((8, 8), dtype=complex)
-    values[1, 2] = 2.0 + 1e-13j
-    real = GridFunction2D(values=values, is_real=True)
-    assert real.values.dtype == np.float64 and real.values.flags.c_contiguous
-    assert real.values[1, 2] == 2.0
-    assert GridFunction2D(values=values.real).values.dtype == np.complex128
-    assert GridFunction2D.constant(3.0, 8).values.dtype == np.float64
-    assert GridFunction2D.from_function(lambda x, y: np.cos(x) * y, 8).values.dtype == np.float64
-    assert GridFunction2D.from_function(lambda x, y: np.exp(1j * x) + y, 8).values.dtype == np.complex128
+def test_grid_refuses_complex_samples():
+    # a complex array is refused even when every imaginary part is zero
+    with pytest.raises(ValueError, match="must be real"):
+        GridFunction2D(values=np.zeros((8, 8), dtype=complex))
+    with pytest.raises(ValueError, match="must be real"):
+        GridFunction2D.from_function(lambda x, y: np.exp(1j * x) + y, 8)
 
 
 def test_grid_values_are_read_only():
     # the magnitude histogram is cached on the grid, so its samples must not change
-    grid = GridFunction2D(values=np.ones((8, 8)), is_real=True)
+    grid = GridFunction2D(values=np.ones((8, 8)))
     with pytest.raises(ValueError):
         grid.values[0, 0] = 2.0
     mags, counts = grid.magnitude_histogram
@@ -163,15 +152,17 @@ def test_coeffs_of_constant():
 
 
 def test_coeffs_of_single_exponential():
-    f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) * np.exp(-1j * y), 64)
+    # on a real grid e^{i(2x - y)} comes with its conjugate: cos(2x - y)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(2 * x - y), 64)
     c = fourier_coeffs(f, 4)
-    assert coeff(c, 2, -1) == pytest.approx(1.0, abs=1e-12)
+    assert coeff(c, 2, -1) == pytest.approx(0.5, abs=1e-12)
+    assert coeff(c, -2, 1) == pytest.approx(0.5, abs=1e-12)
     mask = np.abs(c.coeffs) > 1e-12
-    assert mask.sum() == 1
+    assert mask.sum() == 2
 
 
 def test_coeffs_of_cosine():
-    f = GridFunction2D.from_function(lambda x, y: np.cos(x) + 0.0 * y, 32, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x) + 0.0 * y, 32)
     c = fourier_coeffs(f, 2)
     assert coeff(c, 1, 0) == pytest.approx(0.5, abs=1e-12)
     assert coeff(c, -1, 0) == pytest.approx(0.5, abs=1e-12)
@@ -192,14 +183,14 @@ def test_quadrature_exactness_recovers_random_polynomials(rng):
 
 def test_hermitian_symmetry_for_real_inputs(rng):
     for _ in range(5):
-        grid, _ = random_band_limited(rng, 4, 32, real=True)
+        grid, _ = random_band_limited(rng, 4, 32)
         c = fourier_coeffs(grid, 6)
         assert hermitian_defect(c) <= 1e-10
 
 
 # ------------------------------------------------------------- partial sums
 
-def test_rect_sum_of_constant_is_one(rng):
+def test_quad_sum_of_constant_is_one(rng):
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 5)
     for _ in range(5):
         n = int(rng.integers(0, 6))
@@ -207,32 +198,32 @@ def test_rect_sum_of_constant_is_one(rng):
         assert evaluate_grid(c, GridOp.quad(n)).values[i, j] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rect_sum_excludes_out_of_window_frequency():
-    f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) + 0.0 * y, 32)
+def test_quad_sum_excludes_out_of_window_frequency():
+    f = GridFunction2D.from_function(lambda x, y: np.cos(2 * x) + 0.0 * y, 32)
     c = fourier_coeffs(f, 4)
     out = evaluate_grid(c, GridOp.quad(1))
     np.testing.assert_allclose(out.values, 0.0, rtol=0.0, atol=1e-12)  # at every node
 
 
-def test_rect_sum_reproduces_cos_cos_at_origin():
-    f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 32, real=True)
+def test_quad_sum_reproduces_cos_cos_at_origin():
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 32)
     c = fourier_coeffs(f, 2)
     origin = 16  # index of x = 0
     assert evaluate_grid(c, GridOp.quad(1)).values[origin, origin] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rect_sum_bandwidth_error():
+def test_quad_sum_bandwidth_error():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 3)
     with pytest.raises(BandwidthError):
         evaluate_grid(c, GridOp.quad(4))
 
 
-def test_rect_sum_linearity(rng):
+def test_quad_sum_linearity(rng):
     ga, ca = random_band_limited(rng, 3, 16)
     gb, cb = random_band_limited(rng, 3, 16)
     a, b = 1.7, -0.4
-    mix = SpectralCoeffs(coeffs=a * ca.coeffs + b * cb.coeffs, bandwidth=3)
-    lhs = evaluate_grid(mix, GridOp.quad(3), grid_size=16).values
+    mix = SpectralCoeffs(coeffs=a * ca.coeffs + b * cb.coeffs, bandwidth=3, source_grid=16)
+    lhs = evaluate_grid(mix, GridOp.quad(3)).values
     rhs = a * evaluate_grid(ca, GridOp.quad(3)).values + b * evaluate_grid(cb, GridOp.quad(3)).values
     for i, j in rng.integers(0, 16, (10, 2)):
         assert lhs[i, j] == pytest.approx(rhs[i, j], abs=1e-10)
@@ -258,7 +249,7 @@ def test_quad_sum_of_step_against_1d_oracle():
     # f(x, y) = 1 on x in [0, pi): y-independent, so S_{8,8} at any y equals
     # the 1D Dirichlet partial sum of the sampled step at x.
     G = 64
-    f = GridFunction2D.from_function(lambda x, y: np.where(x >= 0.0, 1.0, 0.0) + 0.0 * y, G, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.where(x >= 0.0, 1.0, 0.0) + 0.0 * y, G)
     c = fourier_coeffs(f, 8)
     pts = axis_points(G)
     samples = np.where(pts >= 0.0, 1.0, 0.0)
@@ -273,7 +264,7 @@ def test_quad_sum_of_step_against_1d_oracle():
 
 # ------------------------------------------------------------ grid evaluation
 
-def test_evaluate_grid_constant_under_rect():
+def test_evaluate_grid_constant_under_quad():
     c = fourier_coeffs(GridFunction2D.constant(1.0, 16), 2)
     out = evaluate_grid(c, GridOp.quad(1))
     np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
@@ -308,20 +299,33 @@ def test_evaluate_grid_matches_pointwise_quad_sums(rng):
             assert out.values[i, j] == pytest.approx(expected, abs=1e-12), op
 
 
-def test_evaluate_grid_requires_grid_size():
-    c = SpectralCoeffs(coeffs=np.zeros((3, 3), dtype=complex), bandwidth=1)
-    with pytest.raises(ValueError):
-        evaluate_grid(c, GridOp.quad(1))
-    evaluate_grid(c, GridOp.quad(1), grid_size=8)
+def test_evaluate_grid_returns_a_real_grid_on_the_source_grid(rng):
+    for G in (8, 16, 32):
+        c = SpectralCoeffs(coeffs=random_hermitian(rng, 3), bandwidth=3, source_grid=G)
+        for op in (GridOp.quad(0), GridOp.quad(3), GridOp.norlund_log(4), GridOp.riesz_log(2)):
+            values = evaluate_grid(c, op).values
+            assert values.dtype == np.float64 and values.shape == (G, G)
+        with pytest.raises(TypeError):  # no resampling: the source grid is the only grid
+            evaluate_grid(c, GridOp.quad(3), grid_size=2 * G)
+
+
+def test_spectral_coeffs_refuse_what_no_real_grid_has(rng):
+    hermitian = random_hermitian(rng, 3)
+    SpectralCoeffs(coeffs=hermitian, bandwidth=3, source_grid=8)
+    skewed, complex_mean = hermitian.copy(), hermitian.copy()
+    skewed[0, 1] += 1e-12j  # c(-3, -2) is no longer conj(c(3, 2))
+    complex_mean[3, 3] += 1e-12j  # c(0, 0) is no longer real
+    for bad in (skewed, complex_mean):
+        with pytest.raises(ValueError, match="Hermitian"):
+            SpectralCoeffs(coeffs=bad, bandwidth=3, source_grid=8)
+    for B, G in ((3, 4), (4, 8)):  # 2B >= G
+        with pytest.raises(BandwidthError):
+            SpectralCoeffs(coeffs=random_hermitian(rng, B), bandwidth=B, source_grid=G)
+    with pytest.raises(ValueError, match="power of two"):
+        SpectralCoeffs(coeffs=random_hermitian(rng, 4), bandwidth=4, source_grid=12)
 
 
 # ------------------------------------------------- FFT against the dense DFT
-
-def _random_coeffs(rng, bandwidth, source_grid=None):
-    shape = (2 * bandwidth + 1, 2 * bandwidth + 1)
-    return SpectralCoeffs(coeffs=rng.normal(size=shape) + 1j * rng.normal(size=shape),
-                          bandwidth=bandwidth, source_grid=source_grid)
-
 
 def _dense_op_values(c, op, G):
     """Reference values of ``op`` on the G-point grid: the weighted dense syntheses of its partial sums."""
@@ -334,54 +338,27 @@ def _dense_op_values(c, op, G):
 
 @pytest.mark.parametrize("G", [8, 16, 32])
 def test_fft_coeffs_match_dense_dft(G, rng):
-    values = rng.normal(size=(G, G)) + 1j * rng.normal(size=(G, G))
-    real_values = rng.normal(size=(G, G))
-    # a complex grid takes fft2; a real one rfft2, mirrored into exactly Hermitian coefficients
-    for f in (GridFunction2D(values=values), GridFunction2D(values=real_values, is_real=True)):
-        for B in [G // 2 - 1, G // 4, 1, 0]:
-            c = fourier_coeffs(f, B)
-            np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, B), rtol=0, atol=1e-12)
-            assert c.hermitian == f.is_real
-            if f.is_real:
-                assert hermitian_defect(c) == 0.0
-
-
-def _random_hermitian_coeffs(rng, bandwidth, source_grid=None):
-    c = _random_coeffs(rng, bandwidth).coeffs
-    return SpectralCoeffs(coeffs=0.5 * (c + np.conj(c[::-1, ::-1])), bandwidth=bandwidth, source_grid=source_grid)
-
-
-def _assert_synthesis_matches_dense(c, op, G):
-    """Complex coefficients take the ifft path, Hermitian ones the irfft path to a float64 grid."""
-    out = evaluate_grid(c, op, grid_size=G)
-    assert out.values.dtype == (np.float64 if c.hermitian else np.complex128)
-    np.testing.assert_allclose(out.values, _dense_op_values(c, op, G), rtol=0, atol=1e-12,
-                               err_msg=f"{op}, hermitian={c.hermitian}")
+    # rfft2, mirrored into exactly Hermitian coefficients
+    f = GridFunction2D(values=rng.normal(size=(G, G)))
+    for B in [G // 2 - 1, G // 4, 1, 0]:
+        c = fourier_coeffs(f, B)
+        np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, B), rtol=0, atol=1e-12)
+        assert hermitian_defect(c) == 0.0
 
 
 @pytest.mark.parametrize("G", [8, 16, 32])
 def test_fft_synthesis_matches_dense_dft(G, rng):
     bm, bn = G // 2 - 1, G // 4
-    complex_c = _random_coeffs(rng, bm, source_grid=G)
-    hermitian_c = _random_hermitian_coeffs(rng, bm, source_grid=G)
-    assert not complex_c.hermitian and hermitian_c.hermitian
+    c = SpectralCoeffs(coeffs=random_hermitian(rng, bm), bandwidth=bm, source_grid=G)
     ops = [
         GridOp.quad(bm), GridOp.quad(0),
         GridOp.quad(1), GridOp.norlund_log(1), GridOp.marcinkiewicz(1), GridOp.riesz_log(2),
         GridOp.quad(bn), GridOp.norlund_log(bn + 1), GridOp.marcinkiewicz(bn), GridOp.riesz_log(bn + 1),
     ]
-    for c in (complex_c, hermitian_c):
-        for op in ops:
-            _assert_synthesis_matches_dense(c, op, G)
-
-
-@pytest.mark.parametrize("reach", [4, 7, 11])
-def test_synthesis_on_a_coarse_grid_sums_aliased_frequencies(reach, rng):
-    # grid_size 8 < 2 reach + 1: frequencies m and m + 8 land on the same samples
-    for c in (_random_coeffs(rng, reach), _random_hermitian_coeffs(rng, reach)):
-        for op in (GridOp.quad(reach - 1), GridOp.quad(1), GridOp.marcinkiewicz(reach),
-                   GridOp.quad(reach), GridOp.norlund_log(reach + 1), GridOp.riesz_log(reach + 1)):
-            _assert_synthesis_matches_dense(c, op, 8)
+    for op in ops:
+        out = evaluate_grid(c, op)
+        assert out.values.dtype == np.float64
+        np.testing.assert_allclose(out.values, _dense_op_values(c, op, G), rtol=0, atol=1e-12, err_msg=str(op))
 
 
 def test_grid_op_validation():

@@ -43,20 +43,20 @@ def test_norlund_fixes_constants():
 
 
 def test_norlund_first_nontrivial_order():
-    f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x + y), 32)
     c = fourier_coeffs(f, 4)
     x, y = nodes(32)
-    expected = (2.0 / 3.0) * np.exp(1j * (x + y))
+    expected = (2.0 / 3.0) * np.cos(x + y)
     assert evaluate_grid(c, GridOp.norlund_log(2)).values == pytest.approx(expected, abs=1e-12)
 
 
 def test_norlund_weight_accounting_for_high_order():
     # t_n of a single frequency j* is f * H_{n-j*} / H_n; the deviation from f
     # is exactly the weight deficit (H_n - H_{n-j*}) / H_n.
-    f = GridFunction2D.from_function(lambda x, y: np.exp(2j * x) * np.exp(1j * y), 64)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(2 * x + y), 64)
     c = fourier_coeffs(f, 24)
     x, y = nodes(64)
-    fx = np.exp(1j * (2 * x + y))
+    fx = np.cos(2 * x + y)
     for n in (8, 16, 25):
         expected = fx * harmonic_number(n - 2) / harmonic_number(n)
         got = evaluate_grid(c, GridOp.norlund_log(n)).values
@@ -75,12 +75,10 @@ def test_marcinkiewicz_examples(rng):
     c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     assert evaluate_grid(c, GridOp.marcinkiewicz(5)).values == pytest.approx(1.0, abs=1e-12)
 
-    f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x + y), 32)
     cf = fourier_coeffs(f, 4)
     x, y = nodes(32)
-    assert evaluate_grid(cf, GridOp.marcinkiewicz(2)).values == pytest.approx(
-        np.exp(1j * (x + y)), abs=1e-12
-    )
+    assert evaluate_grid(cf, GridOp.marcinkiewicz(2)).values == pytest.approx(np.cos(x + y), abs=1e-12)
 
     grid, cr = random_band_limited(rng, 8, 32)
     i, j = 19, 22  # the node nearest (0.5, 1.2)
@@ -93,13 +91,11 @@ def test_riesz_examples():
     c1 = fourier_coeffs(GridFunction2D.constant(1.0, 32), 8)
     assert evaluate_grid(c1, GridOp.riesz_log(5)).values == pytest.approx(1.0, abs=1e-12)
 
-    f = GridFunction2D.from_function(lambda x, y: np.exp(1j * x) * np.exp(1j * y), 32)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x + y), 32)
     cf = fourier_coeffs(f, 4)
     x, y = nodes(32)
     # n = 3: (1/H_2)(S_11 + S_22/2) = f * (1/1.5) * 1.5 = f
-    assert evaluate_grid(cf, GridOp.riesz_log(3)).values == pytest.approx(
-        np.exp(1j * (x + y)), abs=1e-12
-    )
+    assert evaluate_grid(cf, GridOp.riesz_log(3)).values == pytest.approx(np.cos(x + y), abs=1e-12)
     # n = 2: the single term S_11, at the node nearest (1.0, -0.3)
     i, j = 21, 14
     assert evaluate_grid(cf, GridOp.riesz_log(2)).values[i, j] == pytest.approx(
@@ -128,7 +124,7 @@ def test_mean_via_kernel_fixes_constants():
 
 
 def test_mean_via_kernel_matches_spectral_path():
-    f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 256, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x) * np.cos(y), 256)
     mean = evaluate_grid(fourier_coeffs(f, 8), GridOp.norlund_log(8)).values
     pts = axis_points(256)
     # the nodes nearest (0.3, 0.3), (-1.2, 2.0) and (0.0, 0.9)
@@ -138,7 +134,7 @@ def test_mean_via_kernel_matches_spectral_path():
 
 
 def test_mean_via_kernel_on_random_band_limited(rng):
-    grid, c = random_band_limited(rng, 5, 128, real=True, scale=0.3)
+    grid, c = random_band_limited(rng, 5, 128, scale=0.3)
     mean = evaluate_grid(c, GridOp.norlund_log(6)).values
     pts = axis_points(128)
     for i, j in rng.integers(0, 128, size=(3, 2)):
@@ -162,7 +158,7 @@ def test_mean_via_kernel_bump_at_shrunken_region_point():
     from logmeans.kernels import log_kernel_direct_many
 
     unscaled = make_bump(2, grid_size=2048)
-    bump = GridFunction2D(values=BUMP_PREFACTOR * unscaled.values, is_real=True)
+    bump = GridFunction2D(values=BUMP_PREFACTOR * unscaled.values)
     height, edge, _ = bump_block(unscaled)
     (ax, bx), (ay, by) = shrunken_window(2), shrunken_window(2)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
@@ -189,17 +185,10 @@ def test_l1_distance_basics():
 
 
 def test_l1_distance_of_cosine():
-    f = GridFunction2D.from_function(lambda x, y: np.cos(x) + 0.0 * y, 256, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.cos(x) + 0.0 * y, 256)
     g = GridFunction2D.constant(0.0, 256)
     # analytic value 8*pi; the rectangle rule sees the |.| kinks at O(h^2)
     assert l1_distance(f, g) == pytest.approx(8.0 * math.pi, abs=2e-3)
-
-
-def test_l1_distance_of_complex_grids():
-    f = GridFunction2D.constant(3.0 + 4.0j, 16)
-    g = GridFunction2D.constant(0.0, 16)
-    assert l1_distance(f, g) == pytest.approx(5.0 * 4.0 * math.pi ** 2, rel=1e-12)
-    assert l1_distance(g, f) == l1_distance(f, g)
 
 
 def test_l1_distance_grid_mismatch():
@@ -213,7 +202,7 @@ def test_regularity_on_fixed_trig_polynomial():
     # small-amplitude polynomial so the logarithmic weight deficit drops
     # below 1e-3 within desk-scale orders
     G = 128
-    f = GridFunction2D.from_function(lambda x, y: 0.01 * np.cos(x) * np.cos(y), G, real=True)
+    f = GridFunction2D.from_function(lambda x, y: 0.01 * np.cos(x) * np.cos(y), G)
     c = fourier_coeffs(f, G // 2 - 1)
     errors = []
     for n in (8, 16, 32, 64):
@@ -225,7 +214,7 @@ def test_regularity_on_fixed_trig_polynomial():
 
 def test_marcinkiewicz_dominance_on_nonsmooth_member():
     G = 512
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G)
     c = fourier_coeffs(f, G // 2 - 1)
     t_err, s_err = [], []
     for n in (16, 64, 255):
@@ -241,7 +230,7 @@ def test_mean_error_below_weighted_partial_sum_errors():
     # || t_n(f) - f ||_1 <= (1/H_n) sum_k || S_kk(f) - f ||_1 / (n - k);
     # checkable inequality only, no rate is asserted anywhere.
     G = 256
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G, real=True)
+    f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G)
     c = fourier_coeffs(f, G // 2 - 1)
     for n in (4, 16):
         lhs = l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f)
@@ -253,10 +242,10 @@ def test_mean_error_below_weighted_partial_sum_errors():
 
 
 def test_path_equivalence_on_random_inputs(rng):
-    grid, c = random_band_limited(rng, 6, 256, real=True, scale=0.2)
+    grid, c = random_band_limited(rng, 6, 256, scale=0.2)
     mean_grid = evaluate_grid(c, GridOp.norlund_log(7))
     pts = axis_points(256)
     for i, j in rng.integers(0, 256, size=(5, 2)):
-        spectral = mean_grid.values[i, j].real
+        spectral = mean_grid.values[i, j]
         kernel = mean_via_kernel(grid, 7, float(pts[i]), float(pts[j]))
         assert kernel == pytest.approx(spectral, abs=1e-6)

@@ -83,9 +83,9 @@ def test_norm_of_unit_measure_indicator():
     G = 512
     h = 2.0 * math.pi / G
     side = int(round(math.sqrt(round(1.0 / h ** 2))))
-    vals = np.zeros((G, G), dtype=complex)
+    vals = np.zeros((G, G))
     vals[:side, :side] = 1.0
-    f = GridFunction2D(values=vals, is_real=True)
+    f = GridFunction2D(values=vals)
     area = (side * h) ** 2
 
     # scalar oracle: k solving area * (1/k) log(1 + 1/k) = 1, bisected
@@ -104,8 +104,8 @@ def test_norm_of_unit_measure_indicator():
 
 def test_norm_rejects_nonfinite_samples():
     # the modular shares the norm's check
-    for bad in (math.inf, math.nan, complex(0.0, -math.inf)):
-        vals = np.zeros((8, 8), dtype=complex)
+    for bad in (math.inf, math.nan, -math.inf):
+        vals = np.zeros((8, 8))
         vals[0, 0] = bad
         f = GridFunction2D(values=vals)
         with pytest.raises(ValueError, match="samples must be finite"):
@@ -128,8 +128,8 @@ def test_norm_refuses_bad_tolerance(rel_tol):
 
 
 def _many_magnitude_grids(rng):
-    abs_x = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, 64, real=True)
-    noise = GridFunction2D(values=rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    abs_x = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, 64)
+    noise = GridFunction2D(values=np.abs(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))))
     return abs_x, noise
 
 
@@ -146,9 +146,9 @@ def test_histogram_norm_and_modular_match_the_raw_sample_loop(rng):
 
 def test_modular_calibration_at_the_norm(rng):
     for _ in range(10):
-        vals = np.zeros((16, 16), dtype=complex)
+        vals = np.zeros((16, 16))
         vals[:8, :4] = float(rng.uniform(0.2, 30.0))
-        f = GridFunction2D(values=vals, is_real=True)
+        f = GridFunction2D(values=vals)
         for Q in (LOG, LOG2, young_power(2.0)):
             k = luxemburg_norm(f, Q)
             assert modular(f, Q, k) == pytest.approx(1.0, abs=1e-6)
@@ -159,8 +159,8 @@ def test_modular_calibration_at_the_norm(rng):
 def test_norm_scaling_property(c, seed):
     local = np.random.default_rng(seed)
     vals = local.normal(size=(16, 16)) + 1j * local.normal(size=(16, 16))
-    f = GridFunction2D(values=vals)
-    scaled = GridFunction2D(values=c * vals)
+    f = GridFunction2D(values=np.abs(vals))
+    scaled = GridFunction2D(values=np.abs(c * vals))
     base = luxemburg_norm(f, LOG)
     assert luxemburg_norm(scaled, LOG) == pytest.approx(c * base, rel=1e-8)
 
@@ -169,8 +169,8 @@ def test_norm_monotonicity(rng):
     for _ in range(50):
         a = np.abs(rng.normal(size=(16, 16)))
         b = a + np.abs(rng.normal(size=(16, 16)))
-        fa = GridFunction2D(values=a.astype(complex), is_real=True)
-        fb = GridFunction2D(values=b.astype(complex), is_real=True)
+        fa = GridFunction2D(values=a)
+        fb = GridFunction2D(values=b)
         assert luxemburg_norm(fa, LOG2) <= luxemburg_norm(fb, LOG2) + 1e-9
 
 
@@ -227,9 +227,9 @@ def test_rescaled_bump_membership_on_grid():
     cells = max(1, round(g / h))
     u = 2.0 ** (4 * n)
     peak = 2.0 ** (4 * n - 1) / float(LOG(u)) / g ** 2
-    vals = np.zeros((G, G), dtype=complex)
+    vals = np.zeros((G, G))
     vals[:cells, :cells] = peak
-    f = GridFunction2D(values=vals, is_real=True)
+    f = GridFunction2D(values=vals)
     assert unit_ball_member(f, LOG)
 
 
