@@ -302,9 +302,9 @@ def cmd_orlicz(args: argparse.Namespace) -> int:
     for fname, fgrid in functions:
         for Q in youngs:
             norm = orlicz.luxemburg_norm(fgrid, Q)
-            mod = orlicz.modular(fgrid, Q, norm) if norm > 0.0 else 0.0
+            mod = orlicz.modular(fgrid, Q, norm)
             rows.append([fname, Q.name, norm, mod])
-            if norm > 0.0 and abs(mod - 1.0) > 1e-6:
+            if abs(mod - 1.0) > 1e-6:
                 ok = False
     write_report(
         args, "orlicz", ["report=luxemburg norms"],

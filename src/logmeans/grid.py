@@ -93,7 +93,3 @@ class GridFunction2D:
             raise ValueError("samples must be finite")
         distinct, counts = np.unique(mags, return_counts=True)
         return read_only_view(distinct), read_only_view(counts)
-
-    def integral(self) -> float:
-        """Rectangle-rule value of the double integral over [-pi, pi)^2."""
-        return float(np.sum(self.values)) * self.cell_area

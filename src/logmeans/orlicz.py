@@ -36,7 +36,7 @@ class YoungFunction:
         triples, and the slope Q(u)/u decaying at u = 2^-40 and exploding at
         u = 2^40 relative to u = 1.
         """
-        if abs(self(0.0)) > 1e-300:
+        if self(0.0) != 0.0:
             raise ValueError(f"{self.name}: Q(0) != 0")
         rng = np.random.default_rng(seed)
         lo = rng.uniform(0.0, 50.0, triples)
@@ -61,14 +61,7 @@ def young_log_power(p: float) -> YoungFunction:
     """u log^p(1+u) for fractional log strength (p > 0)."""
     if not 0.0 < p < math.inf:
         raise ValueError(f"log power must be finite and positive, got {p}")
-
-    def formula(u):
-        out = np.log1p(u)  # in place from here: Q runs over whole grids
-        out **= p
-        out *= u
-        return out
-
-    return YoungFunction(name=f"u*log^{p}(1+u)", evaluator=formula)
+    return YoungFunction(name=f"u*log^{p}(1+u)", evaluator=lambda u: u * np.log1p(u) ** p)
 
 
 #: u log(1 + u), which generates the space L log L.
@@ -77,58 +70,41 @@ LOG = replace(young_log_power(1.0), name="u*log(1+u)")
 LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)")
 
 
-def _histogram_modular(mags: np.ndarray, counts: np.ndarray, Q: YoungFunction, k: float, area: float) -> float:
-    """Rectangle-rule Int Q(|f| / k) from the magnitude histogram: each distinct value once, times its count."""
-    return float(counts @ np.asarray(Q(mags / k)) * area)
+#: Relative width of the final Luxemburg bisection bracket.
+NORM_REL_TOL = 1e-9
 
 
 def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
-    """Rectangle-rule value of Int Q(|f| / k) over the torus."""
+    """
+    Rectangle-rule value of Int Q(|f| / k) over the torus, read from the
+    grid's magnitude histogram: each distinct |f| once, times its count.
+    """
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale must be finite and positive, got {k}")
     mags, counts = f.magnitude_histogram
-    return _histogram_modular(mags, counts, Q, k, f.cell_area)
+    return float(counts @ np.asarray(Q(mags / k)) * f.cell_area)
 
 
-def luxemburg_norm(f: GridFunction2D, Q: YoungFunction, rel_tol: float = 1e-9) -> float:
+def luxemburg_norm(f: GridFunction2D, Q: YoungFunction) -> float:
     """
-    inf { k > 0 : Int Q(|f| / k) <= 1 }, computed by bracketing (double k
-    until the modular drops to <= 1, halve until it exceeds 1) followed by
-    bisection to relative tolerance ``rel_tol``.  Returns 0 for f = 0; the
-    returned k sits on the feasible side (modular(k) <= 1).  Every modular
-    runs over the distinct magnitudes of f weighted by their sample counts
-    (the grid's ``magnitude_histogram``, built once per grid).
+    inf { k > 0 : Int Q(|f| / k) <= 1 }: double k from 1 while the modular
+    exceeds 1, halve it until the modular exceeds 1, then bisect to relative
+    width ``NORM_REL_TOL``.  Returns 0 for f = 0; otherwise the returned k
+    sits on the feasible side (modular(k) <= 1).  A norm beyond the float
+    range, where the doubling reaches inf or the halving reaches 0, is
+    refused with the ``ValueError`` of ``modular``.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"relative tolerance must be finite and positive, got {rel_tol}")
-    mags, counts = f.magnitude_histogram
-    if mags[-1] == 0.0:  # sorted: the largest magnitude
+    if f.magnitude_histogram[0][-1] == 0.0:  # sorted: the largest magnitude
         return 0.0
-    area = f.cell_area
-
-    def mod(k: float) -> float:
-        return _histogram_modular(mags, counts, Q, k, area)
-
     hi = 1.0
-    for _ in range(1100):
-        if mod(hi) <= 1.0:
-            break
+    while modular(f, Q, hi) > 1.0:
         hi *= 2.0
-    else:  # pragma: no cover - float range exhausted long before this
-        raise ValueError("failed to bracket the Luxemburg norm from above")
-    lo = hi
-    for _ in range(1100):
-        candidate = lo / 2.0
-        if mod(candidate) > 1.0:
-            lo = candidate
-            break
-        lo = candidate
-        if lo < 1e-300:
-            # modular stays <= 1 for arbitrarily small k: only possible for f = 0
-            return 0.0
-    while hi - lo > rel_tol * hi:
+    lo = hi / 2.0
+    while modular(f, Q, lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > NORM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if mod(mid) <= 1.0:
+        if modular(f, Q, mid) <= 1.0:
             hi = mid
         else:
             lo = mid
@@ -148,8 +124,8 @@ def inclusion_deficit(Q: YoungFunction, weight: str, u_grid) -> float:
     u = np.asarray(u_grid, dtype=float)
     if u.ndim != 1 or len(u) == 0:
         raise ValueError("u_grid must be a nonempty 1D sequence")
-    if np.any(u <= 0.0) or np.any(np.diff(u) <= 0.0):
-        raise ValueError("u_grid must be increasing and positive")
+    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(np.diff(u) <= 0.0):
+        raise ValueError("u_grid must be finite, increasing and positive")
     p = 1 if weight == "log" else 2
     ratios = u * np.log(u) ** p / np.asarray(Q(u))
     return float(np.max(ratios))

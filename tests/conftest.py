@@ -7,7 +7,7 @@ from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_m
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.kernels import alpha, beta, gamma
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
-from logmeans.orlicz import LOG2, YoungFunction, luxemburg_norm
+from logmeans.orlicz import LOG2, NORM_REL_TOL, YoungFunction, luxemburg_norm
 
 
 @pytest.fixture
@@ -31,11 +31,6 @@ def random_band_limited(rng, bandwidth, grid_size, scale=1.0):
 def coeff(c, m, n):
     """c(m, n) of SpectralCoeffs ``c``, for |m|, |n| <= its bandwidth."""
     return complex(c.coeffs[c.bandwidth + m, c.bandwidth + n])
-
-
-def hermitian_defect(c):
-    """max |c(-m,-n) - conj(c(m,n))|; exactly 0 for the coefficients of a real grid."""
-    return float(np.max(np.abs(c.coeffs - np.conj(c.coeffs[::-1, ::-1]))))
 
 
 def quad_partial_sum(c, n, x, y):
@@ -126,7 +121,7 @@ def raw_modular(values, Q, k, cell_area):
     return float(np.sum(np.asarray(Q(np.abs(values) / k))) * cell_area)
 
 
-def raw_luxemburg_norm(values, Q, cell_area, rel_tol=1e-9):
+def raw_luxemburg_norm(values, Q, cell_area):
     """Reference Luxemburg norm: the bracketing and bisection over raw samples."""
     if np.max(np.abs(values)) == 0.0:
         return 0.0
@@ -142,7 +137,7 @@ def raw_luxemburg_norm(values, Q, cell_area, rel_tol=1e-9):
         lo /= 2.0
         if mod(lo) > 1.0:
             break
-    while hi - lo > rel_tol * hi:
+    while hi - lo > NORM_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mod(mid) <= 1.0:
             hi = mid

@@ -12,6 +12,7 @@ from logmeans.kernels import gamma
 from logmeans.orlicz import (
     LOG,
     LOG2,
+    NORM_REL_TOL,
     YoungFunction,
     inclusion_deficit,
     luxemburg_norm,
@@ -120,11 +121,25 @@ def test_modular_refuses_bad_scale(k):
         modular(GridFunction2D.constant(1.0, 8), LOG, k)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1e-9, math.nan, math.inf])
-def test_norm_refuses_bad_tolerance(rel_tol):
-    # a zero tolerance would bisect forever, NaN would skip the bisection
-    with pytest.raises(ValueError, match="relative tolerance"):
-        luxemburg_norm(GridFunction2D.constant(1.0, 8), LOG, rel_tol=rel_tol)
+def test_norm_of_a_tiny_nonzero_function_is_not_zero():
+    f = GridFunction2D.constant(1e-305, 8)  # a normal float, and so is its norm 2*pi*1e-305
+    norm = luxemburg_norm(f, young_power(2.0))
+    assert norm == pytest.approx(2.0 * math.pi * 1e-305, rel=NORM_REL_TOL, abs=0)
+    assert modular(f, young_power(2.0), norm) <= 1.0
+    norm = luxemburg_norm(f, LOG)
+    assert norm > 0.0
+    assert modular(f, LOG, norm) <= 1.0
+
+
+def test_norm_outside_the_float_range_is_refused():
+    # one cell of the smallest subnormal: the modular stays <= 1 until the halving reaches k = 0
+    vals = np.zeros((64, 64))
+    vals[0, 0] = 5e-324
+    with pytest.raises(ValueError, match="scale"):
+        luxemburg_norm(GridFunction2D(values=vals), young_power(2.0))
+    # the norm 2*pi*1e308 overflows: the doubling reaches k = inf
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="scale"):
+        luxemburg_norm(GridFunction2D.constant(1e308, 8), young_power(2.0))
 
 
 def _many_magnitude_grids(rng):
@@ -267,3 +282,6 @@ def test_inclusion_probe_validation():
         inclusion_deficit(LOG, "log", [2.0, 1.0])
     with pytest.raises(ValueError):
         inclusion_deficit(LOG, "log", [])
+    for u_grid in ([math.nan], [1.0, math.nan], [2.0, 4.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            inclusion_deficit(LOG, "log", u_grid)
