@@ -17,7 +17,7 @@ from .kernels import (
     REGION_J,
     build_region,
     gamma,
-    lattice_survey,
+    lattice_min,
     phase_rate,
     refuse_beyond_memory_limit,
     beta,
@@ -84,20 +84,20 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     return profile.T
 
 
-def bump_mean_many(n: int, xs: np.ndarray, ys: np.ndarray, hx=0.0, hy=0.0) -> np.ndarray:
+def bump_mean_many(n: int, xs: np.ndarray, h=0.0) -> np.ndarray:
     """
-    The order-2^{2n} logarithmic mean of the scaled bump on the lattice xs x ys,
-    shape (len(xs), len(ys)), exact: every quadratical partial sum of the
+    The order-2^{2n} logarithmic mean of the scaled bump on the square lattice xs x xs,
+    shape (len(xs), len(xs)), exact: every quadratical partial sum of the
     product bump factors into the two per-axis integrals of the Dirichlet
     kernel over the support [0, gamma(n)], so the mean is one matrix product
-    A(xs)^T (w o A(ys)).  With cell widths ``hx``, ``hy`` (one per point) the
-    entry (i, j) is the exact average of the mean over the cell
-    [xs_i -+ hx_i/2] x [ys_j -+ hy_j/2] instead.
+    A(xs)^T (w o A(xs)) of one profile table.  With cell widths ``h`` (one per
+    point) the entry (i, j) is the exact average of the mean over the cell
+    [xs_i -+ h_i/2] x [xs_j -+ h_j/2] instead.
     """
+    profile = _axis_profile(n, xs, h)
     mean_weights = GridOp.norlund_log(4 ** n).weights()
-    raw = _axis_profile(n, xs, hx).T @ (mean_weights[:, None] * _axis_profile(n, ys, hy))
-    height = BUMP_PREFACTOR / gamma(n) ** 2
-    return height * raw / (math.fsum(mean_weights) * math.pi ** 2)
+    raw = profile.T @ (mean_weights[:, None] * profile)
+    return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (math.fsum(mean_weights) * math.pi ** 2)
 
 
 @dataclass(frozen=True)
@@ -116,16 +116,14 @@ def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
     they are allocated.
     """
     points = samples_per_rect * window_count(n)
-    # 16 bytes an (order, lattice) profile entry and about 33 a lattice pair of products and
-    # ratios: the tracemalloc peak at n = 3..5 for |X| up to 2000
+    # 16 bytes an (order, lattice) profile entry and 33 a lattice pair bound the tracemalloc peak
+    # at n = 3..5 for |X| up to 2000: it is at most 0.88 of this, about 24 bytes a pair
     refuse_beyond_memory_limit(
         f"the bump survey at n = {n}, {samples_per_rect} samples per window",
         16 * 4 ** n * points + 33 * points ** 2,
     )
     xs = build_region(n, REGION_J).lattice(samples_per_rect)
-    w = GridOp.norlund_log(4 ** n).weights()
-    raw_min, argmin = lattice_survey(lambda u: _axis_profile(n, u), w, xs, (0.0,))
-    min_ratio = BUMP_PREFACTOR / gamma(n) ** 2 * raw_min / math.pi ** 2
+    min_ratio, argmin = lattice_min(xs, bump_mean_many(n, xs))
     return BumpMeanReport(n=n, min_ratio=min_ratio, argmin=argmin, samples=len(xs) ** 2)
 
 
@@ -156,7 +154,7 @@ def l1_growth(n: int) -> GrowthReport:
     """
     region = build_region(n, REGION_J)
     mids, widths = 0.5 * (region.lo + region.hi), region.hi - region.lo
-    means = bump_mean_many(n, mids, mids, hx=widths, hy=widths)
+    means = bump_mean_many(n, mids, widths)
     total = float(widths @ np.abs(means) @ widths)
     return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
 

@@ -31,7 +31,7 @@ HALF_PI = 0.5 * math.pi
 #: gamma(n) = GAMMA_SCALE / (2^{2n} + 1/2)
 GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 
-#: Default keep-out distance from the removable-singularity tubes.
+#: Keep-out distance from the removable-singularity tubes: closed_form_terms refuses points nearer.
 EPS_SING = 1e-6
 
 #: Elements a (points, order) table may hold: telescoped_sums, sin_sum and
@@ -157,14 +157,15 @@ def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, 
     return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
 
 
-def lattice_survey(table, weights: np.ndarray, xs: np.ndarray, shifts) -> tuple[float, tuple[float, float]]:
+def lattice_survey(N: int, xs: np.ndarray, shifts) -> tuple[float, tuple[float, float]]:
     """
-    Minimum of x y min_{s, t in shifts} sum_k w_k T_k(x - s) T_k(y - t) / sum_k w_k over the
-    lattice xs x xs and its first row-major argmin, for a per-axis factor table ``table(u)`` of
-    shape (orders, len(u)) and order weights w.  One table per shift, one product per pair
-    s <= t: the (t, s) product is its transpose, which lattice_min's symmetrization covers.
+    Minimum of x y min_{s, t in shifts} F_N(x - s, y - t) over the lattice xs x xs and its first
+    row-major argmin.  One Dirichlet table D_k(xs - s), k < N, per shift, and one Norlund-weighted
+    product per pair s <= t: the (t, s) product is its transpose, which lattice_min's
+    symmetrization covers.
     """
-    tables = [table(xs - s) for s in shifts]
+    weights = GridOp.norlund_log(N).weights()
+    tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
     weighted = np.empty_like(tables[0])
     products = []
     for b, right in enumerate(tables):
@@ -319,14 +320,13 @@ def closed_form_terms(
     xs: np.ndarray,
     ys: np.ndarray,
     K=None,
-    eps_sing: float = EPS_SING,
 ) -> tuple[np.ndarray, np.ndarray]:
     """
     The 15-term breakdown R_1..R_15 of H_N * F_N at the points (xs, ys),
     shape (P, 15) in display order, and the certified truncation error of
     each row's value on the F_N scale, shape (P,).
 
-    Refuses points within ``eps_sing`` of the singular tubes x = 0, y = 0,
+    Refuses points within EPS_SING of the singular tubes x = 0, y = 0,
     x + y = 0, x - y = 0 (mod 2*pi); callers should fall back to
     log_kernel_direct there.  Arguments with x - y or x + y *exactly* zero are
     allowed: the terms have removable limits on the diagonals and the full
@@ -340,7 +340,7 @@ def closed_form_terms(
     if N < 3:
         raise ValueError(f"closed form needs N >= 3, got {N}")
     args, distance = tube_distances(xs, ys)
-    near = distance < eps_sing
+    near = distance < EPS_SING
     del distance
     # only exact zero takes the removable-limit branch on the diagonals;
     # anything else near a tube (including exact nonzero multiples of 2*pi)
@@ -349,7 +349,7 @@ def closed_form_terms(
     if np.any(near):
         i, j = np.argwhere(near)[0]
         name = ("x", "y", "x+y", "x-y")[i]
-        raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {eps_sing} of a singular tube")
+        raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {EPS_SING} of a singular tube")
     xs, ys, up, um = args
 
     rate = N + 0.5
@@ -485,21 +485,23 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     refuse_beyond_memory_limit(
         f"lemma's survey at n = {n}, {samples_per_rect} samples per window", 24 * N * points + 57 * points ** 2
     )
-    k, w = np.arange(N), GridOp.norlund_log(N).weights()
     fields = []
     for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):
         xs = build_region(n, kind).lattice(samples_per_rect)
-        fields += [len(xs) ** 2, *lattice_survey(lambda u: dirichlet_matrix(k, u), w, xs, shifts)]
+        fields += [len(xs) ** 2, *lattice_survey(N, xs, shifts)]
     return LemmaSurvey(n, samples_per_rect, *fields)
 
 
 def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
-    """lemma_survey plus the closed form's main/remainder split at full caps on the I-region lattice."""
+    """
+    lemma_survey plus the closed form's main/remainder split at full caps on the I-region lattice;
+    refuses, with SingularTubeError, scales whose lattice comes within EPS_SING of a tube (n >= 8).
+    """
     survey = lemma_survey(n, samples_per_rect)
     N = 4 ** n
     xs = build_region(n, REGION_I).lattice(samples_per_rect)
     xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
-    terms, _ = closed_form_terms(N, xx, yy, eps_sing=0.0)
+    terms, _ = closed_form_terms(N, xx, yy)
     main_min_over_n = float(np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
     remainder_max = float(np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
     return LemmaReport(**vars(survey), main_min_over_n=main_min_over_n, remainder_max=remainder_max)

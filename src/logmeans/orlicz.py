@@ -30,25 +30,6 @@ class YoungFunction:
         out = self.evaluator(u_arr)
         return float(out) if np.ndim(u) == 0 else out
 
-    def validate(self, seed: int = 0, triples: int = 1000) -> None:
-        """
-        Sampled invariant check: Q(0) = 0, midpoint convexity on random
-        triples, and the slope Q(u)/u decaying at u = 2^-40 and exploding at
-        u = 2^40 relative to u = 1.
-        """
-        if self(0.0) != 0.0:
-            raise ValueError(f"{self.name}: Q(0) != 0")
-        rng = np.random.default_rng(seed)
-        lo = rng.uniform(0.0, 50.0, triples)
-        hi = lo + rng.uniform(0.0, 50.0, triples)
-        mid_val = self((lo + hi) / 2.0)
-        chord = (self(lo) + self(hi)) / 2.0
-        if np.any(mid_val > chord + 1e-9 * (1.0 + np.abs(chord))):
-            raise ValueError(f"{self.name}: midpoint convexity violated")
-        slope = lambda u: self(u) / u
-        if not slope(2.0 ** -40) < slope(1.0) < slope(2.0 ** 40):
-            raise ValueError(f"{self.name}: slope not increasing across the probe range")
-
 
 def young_power(p: float) -> YoungFunction:
     """Power Young function u^p, p > 1."""
@@ -78,11 +59,14 @@ def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
     """
     Rectangle-rule value of Int Q(|f| / k) over the torus, read from the
     grid's magnitude histogram: each distinct |f| once, times its count.
+    A value that overflows to inf is a correct "modular above 1", so it
+    raises no overflow warning.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale must be finite and positive, got {k}")
     mags, counts = f.magnitude_histogram
-    return float(counts @ np.asarray(Q(mags / k)) * f.cell_area)
+    with np.errstate(over="ignore"):
+        return float(counts @ np.asarray(Q(mags / k)) * f.cell_area)
 
 
 def luxemburg_norm(f: GridFunction2D, Q: YoungFunction) -> float:

@@ -91,7 +91,7 @@ def test_bump_mean_matches_dense_quadrature_oracle():
     g = gamma(n)
     (ax, bx), (ay, by) = shrunken_window(n), shrunken_window(n)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
-    got = float(bump_mean_many(n, np.array([x]), np.array([y]))[0, 0])
+    got = float(bump_mean_many(n, np.array([x, y]))[0, 1])
 
     q = 400
     ss = (np.arange(q) + 0.5) * g / q
@@ -200,14 +200,14 @@ def _gauss_legendre_bump_mean(n, xs, ys, quad_points=16):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_bump_mean_matches_gauss_legendre_oracle(n):
-    # the region lattice against itself reversed: the same points as X x X,
-    # but a transposed product no longer lands on the right entries
-    xs = build_region(n, "J").lattice(9)
-    ys = xs[::-1]
-    xx, yy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
-    want = _gauss_legendre_bump_mean(n, xx, yy).reshape(len(xs), len(ys))
-    np.testing.assert_allclose(bump_mean_many(n, xs, ys), want, rtol=1e-12)
+def test_bump_mean_matches_gauss_legendre_oracle(n, rng):
+    # the region lattice in a shuffled order, so an entry placed by the
+    # sorted lattice instead of by xs lands on the wrong pair
+    xs = rng.permutation(build_region(n, "J").lattice(9))
+    assert np.any(np.diff(xs) < 0.0) and np.any(np.diff(xs) > 0.0)
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+    want = _gauss_legendre_bump_mean(n, xx, yy).reshape(len(xs), len(xs))
+    np.testing.assert_allclose(bump_mean_many(n, xs), want, rtol=1e-12)
 
 
 def _paired_bump_mean(n, xs, ys):
@@ -237,6 +237,20 @@ def test_bump_mean_lower_bound_builds_one_profile_table(monkeypatch):
     monkeypatch.setattr(counterexamples, "_axis_profile", counted)
     rep = bump_mean_lower_bound(4)
     assert len(calls) == 1 and calls[0] ** 2 == rep.samples
+
+
+def test_l1_growth_builds_one_profile_table(monkeypatch):
+    # the cell means are a square lattice of the window midpoints: one
+    # profile table serves both axes
+    calls = []
+
+    def counted(n, u, h=0.0):
+        calls.append(len(u))
+        return _axis_profile(n, u, h)
+
+    monkeypatch.setattr(counterexamples, "_axis_profile", counted)
+    l1_growth(5)
+    assert calls == [len(build_region(5, "J").lo)]
 
 
 def test_bump_mean_lower_bound_positive_and_stable():

@@ -35,6 +35,7 @@ from logmeans.kernels import (
     phase_rate,
     sin_sum,
     telescoped_sums,
+    tube_distances,
 )
 from logmeans.means import harmonic_number
 
@@ -199,7 +200,7 @@ def test_lattice_survey_matches_paired_form(N, rng):
     xs = np.concatenate([rng.uniform(-4.0, 4.0, 7), [0.0, 2.0 * math.pi, -math.pi]])
     shifts = (0.0, 0.3)
     w, k = GridOp.norlund_log(N).weights(), np.arange(N)
-    got, argmin = lattice_survey(lambda u: dirichlet_matrix(k, u), w, xs, shifts)
+    got, argmin = lattice_survey(N, xs, shifts)
     xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
     want = np.minimum.reduce([xx * yy * log_kernel_direct_many(N, xx - s, yy - t) for s in shifts for t in shifts])
     # the two forms share the D_k values and differ only in summation order,
@@ -247,11 +248,10 @@ def test_non_finite_points_are_refused(bad):
         lambda: log_kernel_direct_many(16, np.array([math.nan, 0.3]), np.array([0.2, math.inf])),
         lambda: dirichlet_kernel(5, bad),
         lambda: log_kernel_direct_many(16, pts, other),
-        lambda: lattice_survey(lambda u: dirichlet_matrix(np.arange(16), u), np.ones(16), pts, (0.0,)),
+        lambda: lattice_survey(16, pts, (0.0,)),
         lambda: closed_form_terms(16, other, pts),
-        lambda: bump_mean_many(3, pts, other),
-        lambda: bump_mean_many(3, other, pts),
-        lambda: bump_mean_many(3, np.array([bad]), np.array([0.1])),
+        lambda: bump_mean_many(3, pts),
+        lambda: bump_mean_many(3, np.array([bad])),
         lambda: sin_sum(8, bad),
         lambda: phase_range_check(3, bad),
     ]
@@ -619,6 +619,21 @@ def test_lemma_survey_positive_and_stable_across_scales():
     assert r4.i_min_ratio > r3.i_min_ratio / 4.0
     assert r4.i_min_ratio < r3.i_min_ratio * 4.0
     assert r3.j_min_ratio > 0.0 and r4.j_min_ratio > 0.0
+
+
+@pytest.mark.parametrize("samples", [5, 9])
+def test_lemma_lattice_keeps_out_of_the_tubes_through_n_7(samples):
+    # lemma_main_check's closed form refuses points within EPS_SING of a tube
+    # off the exact diagonals: the I lattice keeps out at n = 3..7 (1.9e-6 at
+    # n = 7, 9 samples) and first comes nearer at n = 8
+    for n in range(3, 9):
+        xs = build_region(n, "I").lattice(samples)
+        xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+        args, distance = tube_distances(xx, yy)
+        distance[2:][args[2:] == 0.0] = np.inf  # exact diagonals take the removable limits
+        assert (distance.min() >= kernels.EPS_SING) == (n <= 7), n
+    with pytest.raises(SingularTubeError):  # the n = 8 lattice of the last pass
+        closed_form_terms(4 ** 8, xx, yy)
 
 
 def test_lemma_survey_degenerate_scale():
