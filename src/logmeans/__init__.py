@@ -12,6 +12,7 @@ from .fourier import (
     SpectralCoeffs,
     dirichlet_kernel,
     evaluate_grid,
+    evaluate_l1_distance,
     fourier_coeffs,
 )
 from .means import harmonic_number, l1_distance

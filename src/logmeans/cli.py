@@ -18,9 +18,9 @@ import numpy as np
 
 from . import counterexamples as cx
 from . import kernels, orlicz
-from .fourier import BandwidthError, GridOp, fourier_coeffs, evaluate_grid
+from .fourier import BLOCK_ROWS, BandwidthError, GridOp, evaluate_l1_distance, fourier_coeffs
 from .grid import GridFunction2D, validate_grid_size
-from .means import harmonic_number, l1_distance
+from .means import harmonic_number
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -251,11 +251,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
     while grid < 2 * max_order:
         grid *= 2
     bandwidth = grid // 2 - 1
-    # 25 bytes a grid sample and 41 a coefficient |m|, |n| <= reach: the tracemalloc peak of
-    # converge at G = 512..4096 for reaches 16..G/2 - 1; no op reaches past min(max_order, bandwidth)
-    coeff_side = 2 * min(max_order, bandwidth) + 1
+    # 8 bytes a sample of the one grid, 16 a row of each of the reach + 1 coefficient columns and
+    # the 2 BLOCK_ROWS columns of row-block temporaries, 32 a coefficient |m|, |n| <= reach: above
+    # the tracemalloc peak of converge at G = 512..4096 for reaches 16..G/2 - 1
+    top = min(max_order, bandwidth)  # no op reaches past it
     kernels.refuse_beyond_memory_limit(
-        f"converge's grids at grid size {grid}", 25 * grid ** 2 + 41 * coeff_side ** 2
+        f"converge's grids at grid size {grid}",
+        8 * grid ** 2 + 16 * grid * (top + 1 + 2 * BLOCK_ROWS) + 32 * (2 * top + 1) ** 2,
     )
 
     ops, clamped = [], []
@@ -268,7 +270,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid)
     reach = max(op.reach() for op in ops)  # no coefficient past the ops' reach is used
     coeffs = fourier_coeffs(f, reach)
-    rows = [[op.kind, op.order, l1_distance(evaluate_grid(coeffs, op), f)] for op in ops]
+    rows = [[op.kind, op.order, evaluate_l1_distance(coeffs, op, f)] for op in ops]
     comments = ["function=|x|", f"grid_size={grid}"]
     if clamped:
         comments.append("order_clamped=" + ",".join(clamped))
@@ -284,28 +286,34 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_orlicz(args: argparse.Namespace) -> int:
     grid = args.grid_size
-    # 43 bytes a grid sample: the tracemalloc peak of orlicz at G = 256..2048
-    kernels.refuse_beyond_memory_limit(f"orlicz's grids at grid size {grid}", 43 * grid ** 2)
+    # 18 bytes a grid sample, for one grid and its sorted magnitudes: above the tracemalloc
+    # peak of orlicz at G = 512..4096
+    kernels.refuse_beyond_memory_limit(f"orlicz's grids at grid size {grid}", 18 * grid ** 2)
     h = 2.0 * math.pi / grid
     side = int(round(1.0 / h))  # ~unit-measure square, snapped to cells
 
-    functions: list[tuple[str, GridFunction2D]] = []
-    functions.append(("const_1", GridFunction2D.constant(1.0, grid)))
-    vals = np.zeros((grid, grid))
-    vals[:side, :side] = 1.0
-    functions.append((f"indicator_{side}x{side}cells", GridFunction2D(values=vals)))
-    functions.append(("bump_n1_unscaled", cx.make_bump(1, grid_size=grid)))
+    def indicator() -> GridFunction2D:
+        vals = np.zeros((grid, grid))
+        vals[:side, :side] = 1.0
+        return GridFunction2D(values=vals)
 
+    makers = (
+        ("const_1", lambda: GridFunction2D.constant(1.0, grid)),
+        (f"indicator_{side}x{side}cells", indicator),
+        ("bump_n1_unscaled", lambda: cx.make_bump(1, grid_size=grid)),
+    )
     youngs = (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))
     rows = []
     ok = True
-    for fname, fgrid in functions:
+    for fname, make in makers:
+        fgrid = make()
         for Q in youngs:
             norm = orlicz.luxemburg_norm(fgrid, Q)
             mod = orlicz.modular(fgrid, Q, norm)
             rows.append([fname, Q.name, norm, mod])
             if abs(mod - 1.0) > 1e-6:
                 ok = False
+        del fgrid  # one grid at a time: drop it before the next is built
     write_report(
         args, "orlicz", ["report=luxemburg norms"],
         ["function", "young", "norm", "modular_at_norm"],

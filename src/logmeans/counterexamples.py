@@ -58,7 +58,8 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     With cell widths ``h`` (scalar or one per point) the entries are the cell
     averages (1/h) Int_{u-h/2}^{u+h/2} A_k: averaging multiplies the j-th term
     by sin(jh/2)/(jh/2), exactly 1 where h = 0, so point values keep every bit.
-    Refuses NaN and infinite points, as every kernel form does.
+    Refuses NaN and infinite points, as every kernel form does, and NaN,
+    infinite and negative widths.
 
     The terms are one (points, orders) angle_table, from j = 0, whose cosine is
     exactly 1, so the gamma/2 row needs no second array; the partial sums run
@@ -72,6 +73,8 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     profile = angle_table(u - 0.5 * g, 0, 4 ** n, cosine=True)
     profile *= coeff
     half = np.broadcast_to(0.5 * np.asarray(h, dtype=float), u.shape)
+    if not np.all((0.0 <= half) & (half < math.inf)):  # NaN fails both
+        raise ValueError("cell widths must be finite and nonnegative")
     if np.any(half):
         cell = angle_table(half, 0, 4 ** n)  # sin(j h/2), then / j / (h/2)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -72,11 +72,16 @@ class GridFunction2D:
 
     @classmethod
     def from_function(cls, func, grid_size: int) -> "GridFunction2D":
-        """Sample ``func(x, y)`` on the grid; ``func`` must accept numpy arrays (meshgrid evaluation)."""
+        """
+        Sample ``func(x, y)`` on the grid: ``func`` must accept numpy arrays,
+        and is called once on the axis points as a (G, 1) column x and a
+        (1, G) row y; its result is broadcast to G x G, so a function of x
+        alone may return a column.
+        """
         validate_grid_size(grid_size)
         pts = axis_points(grid_size)
-        xx, yy = np.meshgrid(pts, pts, indexing="ij")
-        return cls(values=np.asarray(func(xx, yy)))
+        values = np.asarray(func(pts[:, None], pts[None, :]))
+        return cls(values=np.broadcast_to(values, (grid_size, grid_size)))
 
     @classmethod
     def constant(cls, value: float, grid_size: int) -> "GridFunction2D":
@@ -88,8 +93,11 @@ class GridFunction2D:
         The distinct values of |f| in increasing order and how many samples
         take each, built once per grid; refuses non-finite samples.
         """
-        mags = np.abs(self.values)
-        if not np.all(np.isfinite(mags)):
+        mags = np.abs(self.values).ravel()
+        mags.sort()  # in place, so one copy of |f| is all the histogram holds
+        if not math.isfinite(mags[-1]):  # NaN sorts last, infinity just before it
             raise ValueError("samples must be finite")
-        distinct, counts = np.unique(mags, return_counts=True)
+        starts = np.flatnonzero(mags[1:] != mags[:-1]) + 1  # where each later value begins
+        distinct = mags[np.concatenate(([0], starts))]
+        counts = np.diff(starts, prepend=0, append=mags.size)
         return read_only_view(distinct), read_only_view(counts)

@@ -109,6 +109,23 @@ def dense_fourier_coeffs(values, B):
     return (e @ values @ e.T) / G ** 2
 
 
+def rfft2_fourier_coeffs(values, B):
+    """
+    Reference coefficients c(m, n), |m|, |n| <= B, from the whole (G, G/2 + 1)
+    half spectrum of one ``rfft2``, mirrored by c(m, n) = conj(c(-m, -n)).
+    """
+    G = values.shape[0]
+    m = np.arange(-B, B + 1)
+    sign = (-1.0) ** m
+    spectrum = np.fft.rfft2(values, norm="forward")
+    coeffs = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
+    np.multiply(spectrum[np.ix_(m % G, m[B:])], np.outer(sign, sign[B:]), out=coeffs[:, B:])
+    coeffs[B, B] = coeffs[B, B].real
+    coeffs[:B, B] = np.conj(coeffs[:B:-1, B])
+    np.conj(coeffs[::-1, :B:-1], out=coeffs[:, :B])
+    return coeffs
+
+
 def dense_synthesis(weighted, G):
     """Reference sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j} on the G-point grid, by dense DFT matrices."""
     reach = (len(weighted) - 1) // 2

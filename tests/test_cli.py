@@ -213,6 +213,28 @@ def test_grid_commands_refuse_grids_beyond_memory_limit(tmp_path, capsys, monkey
     assert peak < 2e6
 
 
+@pytest.mark.parametrize("command, cap", [("converge", 22e6), ("orlicz", 21e6)])
+def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, command, cap):
+    # at G = 1024 converge holds its one grid, the coefficients and one coefficient-column
+    # table at a time, and orlicz one grid and its sorted magnitudes at a time
+    estimates = []
+    refuse = kernels.refuse_beyond_memory_limit
+
+    def recording_refuse(what, nbytes):
+        estimates.append(nbytes)
+        refuse(what, nbytes)
+
+    monkeypatch.setattr(kernels, "refuse_beyond_memory_limit", recording_refuse)
+    tracemalloc.start()
+    try:
+        code = main([command, "--out", str(tmp_path), "--grid-size", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(estimates) == 1 and peak < estimates[0] and peak < cap
+
+
 @pytest.mark.parametrize(
     "argv, estimate",
     [
@@ -336,15 +358,16 @@ def test_orlicz_refuses_grids_too_coarse_for_its_bump(tmp_path, capsys):
 
 
 def test_orlicz_builds_one_magnitude_histogram_per_grid(tmp_path, monkeypatch):
-    # luxemburg_norm and modular share the grid's cached histogram: 3 grids, 3 np.unique calls
+    # luxemburg_norm and modular share the grid's cached histogram: 3 grids, 3 histogram
+    # builds, each of which finds its distinct magnitudes by one np.flatnonzero call
     calls = []
-    unique = np.unique
+    flatnonzero = np.flatnonzero
 
-    def counting_unique(*args, **kwargs):
+    def counting_flatnonzero(*args, **kwargs):
         calls.append(args)
-        return unique(*args, **kwargs)
+        return flatnonzero(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counting_unique)
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
     assert main(["orlicz", "--grid-size", "64", "--out", str(tmp_path)]) == EXIT_OK
     assert len(calls) == 3
 

@@ -26,6 +26,7 @@ from conftest import (
     pointwise_mean,
     random_band_limited,
     random_hermitian,
+    rfft2_fourier_coeffs,
 )
 
 
@@ -54,6 +55,25 @@ def test_grid_values_are_read_only():
     mags, counts = grid.magnitude_histogram
     assert mags.tolist() == [1.0] and counts.tolist() == [64]
     assert grid.magnitude_histogram is grid.magnitude_histogram
+
+
+@pytest.mark.parametrize("func, column", [(lambda x, y: np.abs(x), True), (lambda x, y: np.cos(x + y), False)])
+def test_from_function_matches_meshgrid_sampling(func, column):
+    # |x| of the axis column is a (G, 1) column, broadcast to the grid
+    for G in (4, 64, 1024):
+        pts = axis_points(G)
+        assert np.shape(func(pts[:, None], pts[None, :])) == ((G, 1) if column else (G, G))
+        xx, yy = np.meshgrid(pts, pts, indexing="ij")
+        assert np.array_equal(GridFunction2D.from_function(func, G).values, func(xx, yy))
+
+
+def test_magnitude_histogram_matches_np_unique(rng):
+    for values in (rng.normal(size=(64, 64)), np.round(rng.normal(size=(64, 64)), 1),
+                   np.zeros((8, 8)), -rng.exponential(size=(32, 32)), np.round(-rng.exponential(size=(32, 32)))):
+        distinct, counts = GridFunction2D(values=values).magnitude_histogram
+        want_distinct, want_counts = np.unique(np.abs(values), return_counts=True)
+        assert np.array_equal(distinct, want_distinct) and distinct.dtype == want_distinct.dtype
+        assert np.array_equal(counts, want_counts) and counts.dtype == want_counts.dtype
 
 
 # ---------------------------------------------------------- dirichlet kernel
@@ -335,6 +355,14 @@ def test_fft_coeffs_match_dense_dft(G, rng):
     for B in [G // 2 - 1, G // 4, 1, 0]:
         c = fourier_coeffs(f, B)
         np.testing.assert_allclose(c.coeffs, dense_fourier_coeffs(f.values, B), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("G", [4, 64, 1024])
+def test_row_block_coeffs_equal_rfft2_bit_for_bit(G, rng):
+    # one block (G = 4, 64) and several (G = 1024)
+    f = GridFunction2D(values=rng.normal(size=(G, G)))
+    for B in sorted({0, 1, G // 4, G // 2 - 1}):
+        assert np.array_equal(fourier_coeffs(f, B).coeffs, rfft2_fourier_coeffs(f.values, B)), B
 
 
 @pytest.mark.parametrize("G", [8, 16, 32])

@@ -252,6 +252,8 @@ def test_non_finite_points_are_refused(bad):
         lambda: closed_form_terms(16, other, pts),
         lambda: bump_mean_many(3, pts),
         lambda: bump_mean_many(3, np.array([bad])),
+        lambda: bump_mean_many(3, other, np.array([bad, 0.1])),
+        lambda: bump_mean_many(3, other, np.array([-0.1, 0.1])),
         lambda: sin_sum(8, bad),
         lambda: phase_range_check(3, bad),
     ]

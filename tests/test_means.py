@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
-from logmeans.fourier import BandwidthError, GridOp, evaluate_grid, fourier_coeffs
+from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, evaluate_grid, evaluate_l1_distance, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance
 
-from conftest import bump_block, mean_via_kernel, quad_partial_sum, random_band_limited, shrunken_window
+from conftest import (
+    bump_block,
+    mean_via_kernel,
+    quad_partial_sum,
+    random_band_limited,
+    random_hermitian,
+    shrunken_window,
+)
 
 
 def test_harmonic_numbers():
@@ -194,6 +201,23 @@ def test_l1_distance_of_cosine():
 def test_l1_distance_grid_mismatch():
     with pytest.raises(GridMismatchError):
         l1_distance(GridFunction2D.constant(1.0, 32), GridFunction2D.constant(1.0, 64))
+    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 1)
+    with pytest.raises(GridMismatchError):
+        evaluate_l1_distance(c, GridOp.quad(1), GridFunction2D.constant(1.0, 64))
+
+
+@pytest.mark.parametrize("G", [4, 64, 1024])
+def test_streamed_l1_distance_equals_whole_grid_route(G, rng):
+    # one row block (G = 4, 64) and several (G = 1024); only the summation order differs
+    B = G // 2 - 1
+    c = SpectralCoeffs(coeffs=random_hermitian(rng, B), bandwidth=B, source_grid=G)
+    g = GridFunction2D(values=rng.normal(size=(G, G)))
+    reach = max(1, G // 4)
+    for op in (GridOp.quad(reach), GridOp.norlund_log(reach + 1), GridOp.marcinkiewicz(reach),
+               GridOp.riesz_log(reach + 1)):
+        assert op.reach() == reach
+        want = l1_distance(evaluate_grid(c, op), g)
+        assert evaluate_l1_distance(c, op, g) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), op
 
 
 # ----------------------------------------------------------- convergence
