@@ -38,6 +38,12 @@ EPS_SING = 1e-6
 #: log_kernel_direct_many walk their points in blocks of max(1, this // N) rows.
 KERNEL_TABLE_ELEMS = 16 * 1024
 
+#: Elements one (points, orders) angle table of norlund_cosine_table may hold (8 MB): its order
+#: blocks take max(1, this // points) orders.  Not KERNEL_TABLE_ELEMS: as elements it leaves under
+#: 64 orders a block at n = 10, where lemma's survey then takes 27 s against 8 s, and as orders it
+#: makes 35 MB tables there (13 s), which the allocator maps afresh every block past 32 MB.
+COSINE_TABLE_ELEMS = 2 ** 20
+
 REGION_I = "I"
 REGION_J = "J"
 
@@ -155,23 +161,6 @@ def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, 
     ratios = np.minimum(ratios, ratios.T)
     i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
     return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
-
-
-def lattice_survey(N: int, xs: np.ndarray, shifts) -> tuple[float, tuple[float, float]]:
-    """
-    Minimum of x y min_{s, t in shifts} F_N(x - s, y - t) over the lattice xs x xs and its first
-    row-major argmin.  One Dirichlet table D_k(xs - s), k < N, per shift, and one Norlund-weighted
-    product per pair s <= t: the (t, s) product is its transpose, which lattice_min's
-    symmetrization covers.
-    """
-    weights = GridOp.norlund_log(N).weights()
-    tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
-    weighted = np.empty_like(tables[0])
-    products = []
-    for b, right in enumerate(tables):
-        np.multiply(weights[:, None], right, out=weighted)
-        products += [left.T @ weighted for left in tables[: b + 1]]
-    return lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
 
 
 def _row_blocks(N: int, P: int):
@@ -301,6 +290,34 @@ def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         table *= w
         out[b] = table.sum(axis=1)
     return out / math.fsum(w)
+
+
+def norlund_cosine_table(N: int, distances, offsets) -> np.ndarray:
+    """
+    The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k) at u = 2 pi d / (N + 1/2) + c
+    for every offset c in ``offsets`` (rows) and window distance d in ``distances`` (columns).  Since
+    D_k(x) D_k(y) = [cos((k + 1/2)(x - y)) - cos((k + 1/2)(x + y))] / (8 sin(x/2) sin(y/2)),
+
+        H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)).
+
+    By cos(a (t + c)) = cos(a t) cos(a c) - sin(a t) sin(a c), each block of orders adds two products
+    of angle_table tables, the offsets' weighted by the Norlund weights; a block's table of both
+    vectors holds at most COSINE_TABLE_ELEMS elements.  Refuses NaN and infinite offsets and distances.
+    """
+    weights = GridOp.norlund_log(N).weights()
+    offsets = finite_points(offsets)
+    angles = np.concatenate([offsets, 2.0 * math.pi / (N + 0.5) * finite_points(distances)])
+    c = len(offsets)
+    table = np.zeros((c, len(angles) - c))
+    step = max(1, COSINE_TABLE_ELEMS // len(angles))
+    for start in range(0, N, step):
+        count = min(step, N - start)
+        cos = angle_table(angles, start, count, 0.5, cosine=True)
+        sin = angle_table(angles, start, count, 0.5)
+        cos[:c] *= weights[start : start + count]
+        sin[:c] *= weights[start : start + count]
+        table += cos[:c] @ cos[c:].T - sin[:c] @ sin[c:].T
+    return table
 
 
 @dataclass(frozen=True)
@@ -469,26 +486,62 @@ class LemmaReport(LemmaSurvey):
     remainder_max: float
 
 
+def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray) -> np.ndarray:
+    """
+    min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n, on the lattice xs x xs of
+    build_region(n, kind).lattice(per_axis); the shifts are 0 and, on J, gamma(n).
+
+    C_N's arguments come from integer indices, never from float sums x +- y.  With rho = N + 1/2,
+    the point of window m and step i is x = (arccos(1/4) + 2 pi m)/rho + shrink + i step, and the
+    step is the same on every window.  The shift gamma(n) is (per_axis - 1)/2 steps, so in units of
+    a step (of a half step when per_axis is even) every shifted point has an integer offset o, and
+
+        x - y = 2 pi (m - l)/rho + (o_x - o_y) unit,
+        x + y = 2 pi (m + l)/rho + 2 arccos(1/4)/rho + 2 shrink + (o_x + o_y) unit.
+
+    C_N is even, so the difference table is built for offsets >= 0 and mirrored.  Each shift pair
+    is one gather from the two tables over the lattice pairs.
+    """
+    N, rho, windows = 4 ** n, phase_rate(n), window_count(n)
+    halves = 2 - per_axis % 2  # units a step
+    shift_units = (per_axis - 1) * halves // 2  # gamma(n)
+    shrink, shifts = (gamma(n), np.array([0, 1])) if kind == REGION_J else (0.0, np.array([0]))  # in gamma(n)
+    unit = (4.0 * GAMMA_SCALE / rho - 2.0 * shrink) / (halves * (per_axis - 1))
+    m = np.repeat(np.arange(1, windows + 1), per_axis)
+    o = halves * np.tile(np.arange(per_axis), windows) - shift_units * shifts[:, None]
+    top, low, high = o.max() - o.min(), 2 * o.min(), 2 * o.max()
+    half = norlund_cosine_table(N, np.arange(1 - windows, windows), unit * np.arange(top + 1))
+    diff = np.concatenate([half[:0:-1, ::-1], half])  # offsets -top..top
+    base = 2.0 * (ARCCOS_QUARTER / rho + shrink)
+    total = norlund_cosine_table(N, np.arange(2, 2 * windows + 1), base + unit * np.arange(low, high + 1))
+    x, y = (slice(None), None, slice(None), None), (None, slice(None), None, slice(None))  # (s, t, x, y) axes
+    f = diff[(o + top)[x] - o[y], (m + windows - 1)[:, None] - m]
+    f -= total[(o - low)[x] + o[y], m[:, None] + m - 2]
+    half_sin = np.sin(0.5 * (xs - gamma(n) * shifts[:, None]))
+    f /= half_sin[x] * half_sin[y]
+    return f.min(axis=(0, 1))
+
+
 def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     """
-    Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on the I-region lattice (direct
-    kernel form) and report the minimum, together with the corner-offset
-    minimum over the J-region lattice.  Deterministic: fixed sample lattice,
-    fixed reductions.  A scale whose kernel matrices would exceed
-    MAX_LATTICE_GIB is refused before they are allocated.
+    Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on the I-region lattice (through the cosine kernel C_N of
+    norlund_cosine_table) and report the minimum, together with the corner-offset minimum over the
+    J-region lattice.  Deterministic: fixed sample lattice, fixed reductions.  A scale whose survey
+    would exceed MAX_LATTICE_GIB is refused before anything is allocated.
     """
     windows = window_count(n)  # EmptyRegionError below scale 3, before gamma(n) refuses n < 1
-    N = 4 ** n
-    # the J survey holds two (N, |X|) kernel tables and one weighted copy, then about 57 bytes a
-    # lattice pair of products and ratios: the tracemalloc peak at n = 3..5 for |X| up to 2000
+    # the J survey gathers its four shift pairs at once, about 104 bytes a lattice pair, after at
+    # most three angle tables of COSINE_TABLE_ELEMS and the 16 N bytes of building the Norlund
+    # weights: the tracemalloc peaks at n = 3..10 with 2 and 9 samples and n = 3..6 with 200
     points = samples_per_rect * windows
     refuse_beyond_memory_limit(
-        f"lemma's survey at n = {n}, {samples_per_rect} samples per window", 24 * N * points + 57 * points ** 2
+        f"lemma's survey at n = {n}, {samples_per_rect} samples per window",
+        104 * points ** 2 + 16 * 4 ** n + 32 * COSINE_TABLE_ELEMS,
     )
-    fields = []
-    for kind, shifts in ((REGION_I, (0.0,)), (REGION_J, (0.0, gamma(n)))):
+    fields, scale = [], 8.0 * harmonic_number(4 ** n)
+    for kind in (REGION_I, REGION_J):
         xs = build_region(n, kind).lattice(samples_per_rect)
-        fields += [len(xs) ** 2, *lattice_survey(N, xs, shifts)]
+        fields += [len(xs) ** 2, *lattice_min(xs, _lattice_kernel(n, kind, samples_per_rect, xs) / scale)]
     return LemmaSurvey(n, samples_per_rect, *fields)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
-from logmeans.kernels import alpha, beta, gamma
+from logmeans.kernels import alpha, beta, gamma, lattice_min
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, NORM_REL_TOL, YoungFunction, luxemburg_norm
 
@@ -100,6 +100,19 @@ def stratified_min(pts, values):
     ratios = xs * ys * values
     arg = int(np.argmin(ratios))
     return len(xs), float(ratios[arg]), (float(xs[arg]), float(ys[arg]))
+
+
+def lattice_survey(N, xs, shifts):
+    """
+    Reference lattice survey through the (order x lattice) Dirichlet tables: the minimum of
+    x y min_{s, t in shifts} F_N(x - s, y - t) over the lattice xs x xs and its first row-major
+    argmin.  One table D_k(xs - s), k < N, per shift, and one Norlund-weighted product per pair
+    s <= t: the (t, s) product is its transpose, which lattice_min's symmetrization covers.
+    """
+    weights = GridOp.norlund_log(N).weights()
+    tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
+    products = [left.T @ (weights[:, None] * right) for b, right in enumerate(tables) for left in tables[: b + 1]]
+    return lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
 
 
 def dense_fourier_coeffs(values, B):

@@ -142,10 +142,10 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert [l.split(",")[0] for l in lines if l and not l.startswith("#")][1:] == ["3", "3"]
 
 
-@pytest.mark.parametrize("n", ["9", "12"])
+@pytest.mark.parametrize("n", ["12"])
 def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 9 needs 3.4 GiB of (N, |X|) kernel matrices, n = 12 about 1.7 TiB:
-    # both are refused from the estimate, before anything is allocated
+    # n = 12 needs about 2.3 GiB, mostly the 104 bytes of each of its 4608^2 lattice
+    # pairs: it is refused from the estimate, before anything is allocated
     tracemalloc.start()
     try:
         code = main(["lemma", "--out", str(tmp_path), "--n", n])
@@ -157,6 +157,14 @@ def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     assert f"n = {n}" in err and "GiB" in err
     assert not (tmp_path / "lemma.csv").exists()
     assert peak < 10e6
+
+
+def test_lemma_runs_scale_nine(tmp_path):
+    # N = 4^9 = 262144 orders on 3 samples a window (192 lattice points an axis)
+    assert main(["lemma", "--out", str(tmp_path), "--n", "9", "--samples", "3"]) == EXIT_OK
+    rows = [l.split(",") for l in read(tmp_path / "lemma.csv").splitlines() if l and not l.startswith("#")][1:]
+    assert [row[:2] for row in rows] == [["9", "I"], ["9", "J"]]
+    assert all(float(row[2]) > 0.0 and row[5] == str(192 ** 2) for row in rows)
 
 
 @pytest.mark.parametrize("n", ["16", "18", "25"])
@@ -244,7 +252,7 @@ def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, 
     ],
 )
 def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, argv, estimate):
-    # under a 1 MiB limit, lemma's 200^2 lattice pairs (57 bytes each), measure's
+    # under a 1 MiB limit, lemma's 200^2 lattice pairs (104 bytes each), measure's
     # c1 fit over 200^2 pairs (33 bytes each) and kernel-verify's 64^2 points
     # (530 bytes each) are refused from the estimate, before anything is allocated
     monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)

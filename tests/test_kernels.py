@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmeans import kernels
+from logmeans import fourier, kernels
 from logmeans.cli import quasi_random_points
 from logmeans.counterexamples import bump_mean_many
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
@@ -25,12 +25,12 @@ from logmeans.kernels import (
     fejer_ratio,
     gamma,
     lattice_min,
-    lattice_survey,
     lemma_main_check,
     lemma_survey,
     log_kernel_closed,
     log_kernel_direct,
     log_kernel_direct_many,
+    norlund_cosine_table,
     phase_range_check,
     phase_rate,
     sin_sum,
@@ -41,6 +41,7 @@ from logmeans.means import harmonic_number
 
 from conftest import (
     cos_sum_direct,
+    lattice_survey,
     rectangles,
     region_contains,
     shrunken_window,
@@ -241,6 +242,40 @@ def test_kernel_forms_match_mpmath_near_the_tubes(N, d):
         assert abs(closed[i] - exact) <= 1e-18 / d ** 2 * (1.0 + abs(exact)), (x, y)
 
 
+def _mp_cosine_kernel(N, d, c):
+    """C_N(2 pi d / (N + 1/2) + c) = sum_{k<N} cos((k + 1/2) u) / (N - k) in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        u = 2 * mpmath.pi * d / (N + mpmath.mpf(0.5)) + mpmath.mpf(c)
+        return mpmath.fsum(mpmath.cos((k + mpmath.mpf(0.5)) * u) / (N - k) for k in range(N))
+
+
+@pytest.mark.parametrize("N", [64, 4096])
+def test_norlund_cosine_table_matches_mpmath(N):
+    distances, offsets = np.array([0, 3, -7]), np.array([0.0, 1e-3, -2.5])
+    table = norlund_cosine_table(N, distances, offsets)
+    assert table.shape == (3, 3)
+    w = GridOp.norlund_log(N).weights()
+    k = np.arange(N) + 0.5
+    for i, c in enumerate(offsets):
+        for j, d in enumerate(distances):
+            u = abs(2.0 * math.pi * d / (N + 0.5) + c)
+            # angle_table's 2 eps (1 + |(k + 1/2) u|) on each factor, and the rounded angle
+            tol = 8.0 * np.finfo(float).eps * float(np.sum(w * (1.0 + k * u)))
+            assert abs(table[i, j] - float(_mp_cosine_kernel(N, int(d), float(c)))) <= tol, (d, c)
+
+
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_cosine_kernel_form_matches_direct_form(N, rng):
+    # H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)), at distance 0
+    xs, ys = rng.uniform(-3.0, 3.0, (2, 64))
+    diff, total = norlund_cosine_table(N, [0], np.concatenate([xs - ys, xs + ys])).reshape(2, -1)
+    got = (diff - total) / (8.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys) * harmonic_number(N))
+    want = log_kernel_direct_many(N, xs, ys)
+    # each form rounds at O(N eps) of its terms, which are at most about 1 / |sin(x/2) sin(y/2)|
+    scale = (N + 1) * np.finfo(float).eps / np.abs(np.sin(0.5 * xs) * np.sin(0.5 * ys))
+    assert np.all(np.abs(got - want) <= 8.0 * scale)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_points_are_refused(bad):
     pts, other = np.array([bad, 0.3]), np.array([0.2, 0.4])
@@ -248,7 +283,8 @@ def test_non_finite_points_are_refused(bad):
         lambda: log_kernel_direct_many(16, np.array([math.nan, 0.3]), np.array([0.2, math.inf])),
         lambda: dirichlet_kernel(5, bad),
         lambda: log_kernel_direct_many(16, pts, other),
-        lambda: lattice_survey(16, pts, (0.0,)),
+        lambda: norlund_cosine_table(16, [0, 1], pts),
+        lambda: norlund_cosine_table(16, [bad, 1], other),
         lambda: closed_form_terms(16, other, pts),
         lambda: bump_mean_many(3, pts),
         lambda: bump_mean_many(3, np.array([bad])),
@@ -501,7 +537,8 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
 
 def test_lattice_kernel_tables_are_one_allocation_each():
     # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix divides its
-    # angle table and sets its limits in place, and lemma_survey(6) holds no more than its three tables
+    # angle table and sets its limits in place; lemma_survey(6) holds no such table, and at its
+    # peak (2.79e6 bytes) it gathers the four J shift pairs over the 72^2 lattice pairs
     xs = build_region(6, "I").lattice(9)
     tracemalloc.start()
     try:
@@ -516,7 +553,7 @@ def test_lattice_kernel_tables_are_one_allocation_each():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.44e6
+    assert peak <= 2.9e6
 
 
 def test_unpaired_points_are_refused_before_any_table(monkeypatch):
@@ -660,6 +697,21 @@ def test_stratified_samples_cover_corners():
         region.lattice(1)
 
 
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_lattice_steps_are_equal_and_gamma_is_whole_half_steps(n):
+    # lemma_survey's index form rests on these: one step on every window, and on J the shift
+    # gamma(n) is (per_axis - 1)/2 steps, a whole number of half steps
+    for kind in ("I", "J"):
+        region = build_region(n, kind)
+        for per_axis in (*range(2, 41), 200):
+            xs = region.lattice(per_axis)
+            steps = np.diff(xs.reshape(-1, per_axis), axis=1)
+            tol = 4.0 * np.finfo(float).eps * xs.max()  # the rounding of two lattice points
+            assert np.ptp(steps) <= tol, (kind, per_axis)
+            if kind == "J":
+                assert abs(0.5 * (per_axis - 1) * steps.mean() - gamma(n)) <= per_axis * tol, per_axis
+
+
 def test_lattice_min_reports_the_first_of_two_mirror_points():
     # a BLAS product need not be bit-symmetric: when the mirror of the minimum
     # comes out one ulp lower, the argmin stays on the first of the pair in
@@ -673,8 +725,8 @@ def test_lattice_min_reports_the_first_of_two_mirror_points():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_lemma_survey_builds_three_kernel_tables_per_scale(n, monkeypatch):
-    # one table for the I lattice, one per shift for the J lattice
+def test_lemma_survey_builds_no_dirichlet_table(n, monkeypatch):
+    # the survey goes through the 1-D cosine kernel C_N alone, never an (order x lattice) table
     calls = []
 
     def counted(orders, t):
@@ -682,9 +734,22 @@ def test_lemma_survey_builds_three_kernel_tables_per_scale(n, monkeypatch):
         return dirichlet_matrix(orders, t)
 
     monkeypatch.setattr(kernels, "dirichlet_matrix", counted)
+    monkeypatch.setattr(fourier, "dirichlet_matrix", counted)
     survey = lemma_survey(n)
-    assert len(calls) == 3
-    assert calls[0] ** 2 == survey.i_samples and calls[1] ** 2 == calls[2] ** 2 == survey.j_samples
+    assert calls == []
+    assert survey.i_min_ratio > 0.0 and survey.j_min_ratio > 0.0
+
+
+@pytest.mark.parametrize("per_axis", [2, 4, 9])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_lemma_survey_matches_dirichlet_table_reference(n, per_axis):
+    # an even per_axis puts the J shift gamma(n) on a half step
+    survey = lemma_survey(n, per_axis)
+    got = [(survey.i_min_ratio, survey.i_argmin), (survey.j_min_ratio, survey.j_argmin)]
+    for (ratio, argmin), (kind, shifts) in zip(got, (("I", (0.0,)), ("J", (0.0, gamma(n))))):
+        want, want_argmin = lattice_survey(4 ** n, build_region(n, kind).lattice(per_axis), shifts)
+        assert ratio == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert argmin == want_argmin
 
 
 def _paired_lemma_survey(n, per_axis=9):
