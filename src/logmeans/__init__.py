@@ -10,9 +10,9 @@ from .fourier import (
     BandwidthError,
     GridOp,
     SpectralCoeffs,
+    axis_l1_distance,
     dirichlet_kernel,
     evaluate_grid,
-    evaluate_l1_distance,
     fourier_coeffs,
 )
 from .means import harmonic_number, l1_distance

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import counterexamples as cx
 from . import kernels, orlicz
-from .fourier import BLOCK_ROWS, BandwidthError, GridOp, evaluate_l1_distance, fourier_coeffs
-from .grid import GridFunction2D, validate_grid_size
+from .fourier import BandwidthError, GridOp, axis_l1_distance
+from .grid import GridFunction2D, axis_points, validate_grid_size
 from .means import harmonic_number
 
 EXIT_OK = 0
@@ -251,13 +251,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
     while grid < 2 * max_order:
         grid *= 2
     bandwidth = grid // 2 - 1
-    # 8 bytes a sample of the one grid, 16 a row of each of the reach + 1 coefficient columns and
-    # the 2 BLOCK_ROWS columns of row-block temporaries, 32 a coefficient |m|, |n| <= reach: above
-    # the tracemalloc peak of converge at G = 512..4096 for reaches 16..G/2 - 1
+    # 24 bytes a sample for the three G-point arrays held at once (the samples of |x|, their half
+    # spectrum, the synthesis), 16 an order for the weights and profile of the largest order beside
+    # them, 64 KiB for the parser and the report: above the tracemalloc peak of converge at
+    # G = 2^10..2^22 for orders 16..G/2 - 1 (the first call in a process also imports numpy.fft)
     top = min(max_order, bandwidth)  # no op reaches past it
     kernels.refuse_beyond_memory_limit(
-        f"converge's grids at grid size {grid}",
-        8 * grid ** 2 + 16 * grid * (top + 1 + 2 * BLOCK_ROWS) + 32 * (2 * top + 1) ** 2,
+        f"converge's grids at grid size {grid}", 24 * grid + 16 * (top + 1) + 2 ** 16
     )
 
     ops, clamped = [], []
@@ -267,10 +267,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
             if order != n:
                 clamped.append(f"{kind}:{n}->{order}")
             ops.append(GridOp(kind, order))
-    f = GridFunction2D.from_function(lambda x, y: np.abs(x), grid)
-    reach = max(op.reach() for op in ops)  # no coefficient past the ops' reach is used
-    coeffs = fourier_coeffs(f, reach)
-    rows = [[op.kind, op.order, evaluate_l1_distance(coeffs, op, f)] for op in ops]
+    f = np.abs(axis_points(grid))  # |x| depends on x alone, so its grid is one axis
+    rows = [[op.kind, op.order, axis_l1_distance(f, op)] for op in ops]
     comments = ["function=|x|", f"grid_size={grid}"]
     if clamped:
         comments.append("order_clamped=" + ",".join(clamped))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction2D, GridMismatchError, read_only_view, validate_grid_size
+from .grid import GridFunction2D, read_only_view, validate_grid_size
 
 #: Rows of a G x G grid in one block of the row-block transforms (the rfft of
 #: fourier_coeffs, the irfft of the synthesis), whose temporaries so stay a
@@ -242,6 +242,15 @@ class GridOp:
         """Largest |m| and |n| the operator can touch."""
         return len(self.weights()) - 1
 
+    def profile(self) -> np.ndarray:
+        """
+        The op's factor on frequency j* = max(|m|, |n|), j* = 0..reach:
+        frequency j* lies in S_{j,j} for every j >= j*, so its factor is the
+        tail sum of the weights from j* on, normalised to 1 at j* = 0.
+        """
+        tail = np.cumsum(self.weights()[::-1])[::-1]
+        return tail / tail[0]
+
 
 def _synthesis_blocks(c: SpectralCoeffs, op: GridOp):
     """
@@ -262,14 +271,11 @@ def _synthesis_blocks(c: SpectralCoeffs, op: GridOp):
     if reach > B:
         raise BandwidthError(f"op reaches {reach} beyond bandwidth {B}")
 
-    # frequency j* = max(|m|, |n|) lies in S_{j,j} for every j >= j*
-    tail = np.cumsum(op.weights()[::-1])[::-1]
-    profile = tail / tail[0]
     m = np.arange(-reach, reach + 1)
     n = m[reach:]
     # the grid origin x_0 = -pi puts the phase (-1)^(m + n) on frequency (m, n)
     sign = (-1.0) ** m
-    weights = profile[np.maximum(np.abs(m)[:, None], n[None, :])] * np.outer(sign, sign[reach:])
+    weights = op.profile()[np.maximum(np.abs(m)[:, None], n[None, :])] * np.outer(sign, sign[reach:])
 
     # sum_{m,n} w(m, n) e^{i m x_i} e^{i n y_j}, unscaled inverse FFTs
     cols = np.zeros((G, reach + 1), dtype=complex)
@@ -292,18 +298,29 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
     return GridFunction2D(values=values)
 
 
-def evaluate_l1_distance(c: SpectralCoeffs, op: GridOp, g: GridFunction2D) -> float:
+def axis_l1_distance(samples, op: GridOp) -> float:
     """
-    ``l1_distance(evaluate_grid(c, op), g)``, the rectangle-rule Int |t - g|
-    over the torus for the partial sum or mean t = ``op`` of ``c``, summed
-    block by block as the synthesis runs, so neither t nor t - g is ever
-    held.  It agrees with the whole-grid sum to rounding of the summation
-    order.  ``g`` must lie on the coefficients' source grid.
+    The rectangle-rule Int |t - f| over the G x G grid for a function f of
+    x alone, given by its real samples at ``axis_points(G)``, and t its
+    partial sum or mean ``op``: ``l1_distance(evaluate_grid(fourier_coeffs(
+    F, B), op), F)`` on the grid F of f, for any B >= reach, to rounding.
+
+    Every c(m, n) of F with n != 0 vanishes, so S_{j,j} f = S_j f and t is
+    one ``rfft`` of the samples, ``op.profile()`` on bins 0..reach and one
+    ``irfft`` of G points; the grid origin -pi puts the phase (-1)^m on bin
+    m in the analysis and again in the synthesis, so it cancels.  Every
+    column of t - F is the same, so the grid sum is G h^2 sum_i |t_i - f_i|
+    = 2 pi h sum_i |t_i - f_i|, h = 2 pi / G.  G must be a power of two
+    (>= 4) and 2 reach < G.
     """
-    if g.grid_size != c.source_grid:
-        raise GridMismatchError(f"grid sizes differ: {c.source_grid} vs {g.grid_size}")
-    total = 0.0
-    for rows, block in _synthesis_blocks(c, op):
-        block -= g.values[rows]
-        total += float(np.sum(np.abs(block, out=block)))
-    return total * g.cell_area
+    samples = np.asarray(samples)
+    if np.iscomplexobj(samples) or samples.ndim != 1:
+        raise ValueError(f"expected real 1-D axis samples, got shape {samples.shape}, dtype {samples.dtype}")
+    G, reach = len(samples), op.reach()
+    validate_grid_size(G)
+    validate_bandwidth(reach, G)
+    spectrum = np.fft.rfft(samples, norm="forward")[: reach + 1]
+    spectrum *= op.profile()
+    diff = np.fft.irfft(spectrum, n=G, norm="forward")
+    diff -= samples
+    return 2.0 * math.pi * (2.0 * math.pi / G) * float(np.sum(np.abs(diff, out=diff)))

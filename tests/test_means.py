@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
-from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, evaluate_grid, evaluate_l1_distance, fourier_coeffs
+from logmeans.fourier import BandwidthError, GridOp, axis_l1_distance, evaluate_grid, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance
 
 from conftest import (
@@ -14,7 +14,6 @@ from conftest import (
     mean_via_kernel,
     quad_partial_sum,
     random_band_limited,
-    random_hermitian,
     shrunken_window,
 )
 
@@ -201,26 +200,59 @@ def test_l1_distance_of_cosine():
 def test_l1_distance_grid_mismatch():
     with pytest.raises(GridMismatchError):
         l1_distance(GridFunction2D.constant(1.0, 32), GridFunction2D.constant(1.0, 64))
-    c = fourier_coeffs(GridFunction2D.constant(1.0, 32), 1)
-    with pytest.raises(GridMismatchError):
-        evaluate_l1_distance(c, GridOp.quad(1), GridFunction2D.constant(1.0, 64))
 
 
-@pytest.mark.parametrize("G", [4, 64, 1024])
-def test_streamed_l1_distance_equals_whole_grid_route(G, rng):
-    # one row block (G = 4, 64) and several (G = 1024); only the summation order differs
-    B = G // 2 - 1
-    c = SpectralCoeffs(coeffs=random_hermitian(rng, B), bandwidth=B, source_grid=G)
-    g = GridFunction2D(values=rng.normal(size=(G, G)))
-    reach = max(1, G // 4)
-    for op in (GridOp.quad(reach), GridOp.norlund_log(reach + 1), GridOp.marcinkiewicz(reach),
-               GridOp.riesz_log(reach + 1)):
-        assert op.reach() == reach
-        want = l1_distance(evaluate_grid(c, op), g)
-        assert evaluate_l1_distance(c, op, g) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), op
+def ops_of_reach(reach):
+    """One op of each kind that reaches exactly ``reach``; Marcinkiewicz and Riesz-log start at reach 1."""
+    ops = [GridOp.quad(reach), GridOp.norlund_log(reach + 1)]
+    if reach >= 1:
+        ops += [GridOp.marcinkiewicz(reach), GridOp.riesz_log(reach + 1)]
+    assert all(op.reach() == reach for op in ops)
+    return ops
+
+
+@pytest.mark.parametrize("G", [4, 8, 64, 1024])
+def test_axis_l1_distance_equals_whole_grid_route(G):
+    # for f of x alone the 1-D route is the G x G route to rounding: 4 eps times the grid
+    # integral of |f| bounds the gap, of which these cases use at most 0.39 (cos 3x at G = 64)
+    eps = np.finfo(float).eps
+    pts = axis_points(G)
+    top = G // 2 - 1
+    reaches = sorted({0, 1, 2, top // 4, top // 2, top - 1, top} & set(range(top + 1)))
+    for func in (np.abs, lambda x: (x >= 1.0).astype(float), lambda x: np.cos(3 * x)):
+        f = GridFunction2D.from_function(lambda x, y: func(x), G)
+        c = fourier_coeffs(f, top)
+        bound = 4 * eps * l1_distance(f, GridFunction2D.constant(0.0, G))
+        for op in (op for reach in reaches for op in ops_of_reach(reach)):
+            want = l1_distance(evaluate_grid(c, op), f)
+            assert abs(axis_l1_distance(func(pts), op) - want) <= bound, (func, op)
+
+
+def test_axis_l1_distance_refusals():
+    samples = np.abs(axis_points(64))
+    with pytest.raises(ValueError):
+        axis_l1_distance(np.outer(samples, samples), GridOp.quad(4))  # a 2-D grid
+    with pytest.raises(ValueError):
+        axis_l1_distance(samples + 0j, GridOp.quad(4))  # complex samples
+    with pytest.raises(ValueError):
+        axis_l1_distance(np.ones(100), GridOp.quad(4))  # not a power of two
+    with pytest.raises(BandwidthError):
+        axis_l1_distance(samples, GridOp.quad(32))  # reach G/2
+    assert axis_l1_distance(samples, GridOp.quad(31)) > 0.0
 
 
 # ----------------------------------------------------------- convergence
+
+def test_grid_l1_error_of_abs_x_shrinks_like_inverse_square_grid():
+    # converge's l1_error is a G x G rectangle-rule sum, whose gap to the torus integral shrinks
+    # about like 1/G^2 (the |.| kinks of |t - f| cost O(h^2)); against G = 2^22, |l1(G) -
+    # l1(2^22)| G^2 measured at most 103 (marcinkiewicz:4, G = 2048) for G = 256..8192, where
+    # an O(1/G) gap would reach G times a constant; 150 leaves a half again of headroom
+    for op in (GridOp.marcinkiewicz(4), GridOp.riesz_log(64)):
+        reference = axis_l1_distance(np.abs(axis_points(2 ** 22)), op)
+        for G in 2 ** np.arange(8, 14):
+            assert abs(axis_l1_distance(np.abs(axis_points(G)), op) - reference) * G ** 2 <= 150.0, (op, G)
+
 
 def test_regularity_on_fixed_trig_polynomial():
     # small-amplitude polynomial so the logarithmic weight deficit drops
