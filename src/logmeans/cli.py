@@ -139,19 +139,25 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 
 
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
+    orders = sorted(set(args.n or KERNEL_VERIFY_N))
     points = args.samples ** 2
-    # at most 530 bytes a point: the tracemalloc peak of kernel-verify at S = 64..256
+    # every order's 15 terms, bound and table sums live together: 176 bytes a point and order and
+    # 360 a point besides, above the tracemalloc peaks at S = 64..256 for 1, 7, 14 and 30 orders
+    # (444, 1524, 2637 and 5197 bytes a point), plus 64 bytes an order for the weights and the
+    # one-row tables of a large order, and the row blocks of the tables
     kernels.refuse_beyond_memory_limit(
-        f"kernel-verify's {points} points at {args.samples} samples", 530 * points
+        f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders",
+        (360 + 176 * len(orders)) * points + 64 * sum(orders) + 24 * kernels.KERNEL_TABLE_ELEMS,
     )
     xs, ys = quasi_random_points(points).T
+    terms, bounds = kernels.closed_form_terms(orders, xs, ys)  # orders below 3 are refused here
+    closed = np.sum(terms, axis=2)
+    del terms  # every order's 15 terms need not outlive their sums into the direct form's tables
+    directs = kernels.log_kernel_direct_many(orders, xs, ys)
     rows = []
     all_ok = True
-    for N in KERNEL_VERIFY_N:
-        terms, bound = kernels.closed_form_terms(N, xs, ys)
-        closed = np.sum(terms, axis=1) / harmonic_number(N)
-        direct = kernels.log_kernel_direct_many(N, xs, ys)
-        err = np.abs(closed - direct)
+    for N, total, bound, direct in zip(orders, closed, bounds, directs):
+        err = np.abs(total / harmonic_number(N) - direct)
         worst_margin = float(np.max(err - (bound + KERNEL_TOL * (1.0 + np.abs(direct)))))
         ok = worst_margin <= 0.0
         all_ok &= ok
@@ -252,12 +258,13 @@ def cmd_converge(args: argparse.Namespace) -> int:
         grid *= 2
     bandwidth = grid // 2 - 1
     # 24 bytes a sample for the three G-point arrays held at once (the samples of |x|, their half
-    # spectrum, the synthesis), 16 an order for the weights and profile of the largest order beside
-    # them, 64 KiB for the parser and the report: above the tracemalloc peak of converge at
-    # G = 2^10..2^22 for orders 16..G/2 - 1 (the first call in a process also imports numpy.fft)
+    # spectrum, one synthesis), 32 an order for the weights, profile and weighted bins of the
+    # largest order beside them, 64 KiB for the parser and the report: above the tracemalloc peak
+    # of converge at G = 2^10..2^22 for orders 16..G/2 - 1 (the first call in a process also
+    # imports numpy.fft)
     top = min(max_order, bandwidth)  # no op reaches past it
     kernels.refuse_beyond_memory_limit(
-        f"converge's grids at grid size {grid}", 24 * grid + 16 * (top + 1) + 2 ** 16
+        f"converge's grids at grid size {grid}", 24 * grid + 32 * (top + 1) + 2 ** 16
     )
 
     ops, clamped = [], []
@@ -268,7 +275,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
                 clamped.append(f"{kind}:{n}->{order}")
             ops.append(GridOp(kind, order))
     f = np.abs(axis_points(grid))  # |x| depends on x alone, so its grid is one axis
-    rows = [[op.kind, op.order, axis_l1_distance(f, op)] for op in ops]
+    rows = [[op.kind, op.order, err] for op, err in zip(ops, axis_l1_distance(f, ops))]
     comments = ["function=|x|", f"grid_size={grid}"]
     if clamped:
         comments.append("order_clamped=" + ",".join(clamped))

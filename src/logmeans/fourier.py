@@ -89,12 +89,17 @@ def dirichlet_kernel(k: int, t):
     Dirichlet kernel D_k(t) = sin((k + 1/2) t) / (2 sin(t/2)).
 
     Accepts scalar or array ``t``; at t = 0 (mod 2*pi) returns the limit
-    value k + 1/2.  Total on the real line, 2*pi-periodic.
+    value k + 1/2.  Total on the real line, 2*pi-periodic.  One order builds
+    no table: np.sin of the angle is dirichlet_matrix's one-order row, bit
+    for bit (see angle_table).
     """
     if k < 0:
         raise ValueError(f"kernel order must be >= 0, got {k}")
-    out = dirichlet_matrix(np.array([k]), np.ravel(t))[0]
-    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+    r, half_sin, zero = reduce_angle(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin((k + 0.5) * r) / (2.0 * half_sin)
+    out = np.where(zero, k + 0.5, ratio)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
@@ -298,12 +303,14 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
     return GridFunction2D(values=values)
 
 
-def axis_l1_distance(samples, op: GridOp) -> float:
+def axis_l1_distance(samples, op):
     """
     The rectangle-rule Int |t - f| over the G x G grid for a function f of
     x alone, given by its real samples at ``axis_points(G)``, and t its
     partial sum or mean ``op``: ``l1_distance(evaluate_grid(fourier_coeffs(
     F, B), op), F)`` on the grid F of f, for any B >= reach, to rounding.
+    ``op`` may be a sequence of GridOps: then one distance per op, in a list,
+    all from one ``rfft`` of the samples.
 
     Every c(m, n) of F with n != 0 vanishes, so S_{j,j} f = S_j f and t is
     one ``rfft`` of the samples, ``op.profile()`` on bins 0..reach and one
@@ -311,16 +318,22 @@ def axis_l1_distance(samples, op: GridOp) -> float:
     m in the analysis and again in the synthesis, so it cancels.  Every
     column of t - F is the same, so the grid sum is G h^2 sum_i |t_i - f_i|
     = 2 pi h sum_i |t_i - f_i|, h = 2 pi / G.  G must be a power of two
-    (>= 4) and 2 reach < G.
+    (>= 4) and 2 reach < G for every op.
     """
+    ops = [op] if isinstance(op, GridOp) else list(op)
     samples = np.asarray(samples)
     if np.iscomplexobj(samples) or samples.ndim != 1:
         raise ValueError(f"expected real 1-D axis samples, got shape {samples.shape}, dtype {samples.dtype}")
-    G, reach = len(samples), op.reach()
+    G = len(samples)
     validate_grid_size(G)
-    validate_bandwidth(reach, G)
-    spectrum = np.fft.rfft(samples, norm="forward")[: reach + 1]
-    spectrum *= op.profile()
-    diff = np.fft.irfft(spectrum, n=G, norm="forward")
-    diff -= samples
-    return 2.0 * math.pi * (2.0 * math.pi / G) * float(np.sum(np.abs(diff, out=diff)))
+    for each in ops:
+        validate_bandwidth(each.reach(), G)
+    spectrum = np.fft.rfft(samples, norm="forward")
+
+    def distance(each: GridOp) -> float:  # one synthesis held at a time
+        diff = np.fft.irfft(spectrum[: each.reach() + 1] * each.profile(), n=G, norm="forward")
+        diff -= samples
+        return 2.0 * math.pi * (2.0 * math.pi / G) * float(np.sum(np.abs(diff, out=diff)))
+
+    distances = [distance(each) for each in ops]
+    return distances[0] if isinstance(op, GridOp) else distances

@@ -34,9 +34,12 @@ GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 #: Keep-out distance from the removable-singularity tubes: closed_form_terms refuses points nearer.
 EPS_SING = 1e-6
 
-#: Elements a (points, order) table may hold: telescoped_sums, sin_sum and
-#: log_kernel_direct_many walk their points in blocks of max(1, this // N) rows.
-KERNEL_TABLE_ELEMS = 16 * 1024
+#: Elements a (points, order) table may hold (256 KB): telescoped_sums, sin_sum and
+#: log_kernel_direct_many walk their points in blocks of max(1, this // N) rows, N the
+#: largest order asked for.  Kernel-verify's seven orders at 1024 points take about 0.076 s
+#: a run at 16K elements (16 rows at N = 1024), where the per-block calls dominate, 0.063 s
+#: here, and 0.059 s at 64K, which doubles the tables held at once.
+KERNEL_TABLE_ELEMS = 32 * 1024
 
 #: Elements one (points, orders) angle table of norlund_cosine_table may hold (8 MB): its order
 #: blocks take max(1, this // points) orders.  Not KERNEL_TABLE_ELEMS: as elements it leaves under
@@ -169,6 +172,19 @@ def _row_blocks(N: int, P: int):
     return (slice(start, start + step) for start in range(0, P, step))
 
 
+def _orders(N) -> tuple[list[int], bool]:
+    """
+    The kernel order argument ``N`` as a list of orders and whether it was one int order: an int,
+    or a nonempty sequence of strictly ascending orders whose tables are prefixes of the largest's.
+    """
+    if np.ndim(N) == 0:
+        return [int(N)], True
+    orders = [int(n) for n in N]
+    if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
+        raise ValueError(f"kernel orders must be a nonempty strictly ascending sequence, got {list(N)}")
+    return orders, False
+
+
 def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """``xs`` and ``ys`` as float arrays of paired points; refuses arrays that do not pair up."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
@@ -181,18 +197,27 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 # trigonometric sums
 # ----------------------------------------------------------------------------
 
-def sin_sum(N: int, u) -> float | np.ndarray:
-    """sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  Refuses NaN and infinite u."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+def sin_sum(N, u) -> float | np.ndarray:
+    """
+    sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  For a
+    sequence of ascending orders, one such result per order (a leading order axis), each summed
+    over its prefix of the largest order's table.  Refuses NaN and infinite u.
+    """
+    orders, one = _orders(N)
+    if orders[0] < 1:
+        raise ValueError(f"N must be >= 1, got {orders[0]}")
     u_arr = np.ravel(finite_points(u))
-    k = np.arange(1, N + 1)
-    out = np.empty(u_arr.shape)
-    for b in _row_blocks(N, len(u_arr)):
-        terms = angle_table(u_arr[b], 1, N)
+    top = orders[-1]
+    k = np.arange(1, top + 1)
+    out = np.empty((len(orders), len(u_arr)))
+    for b in _row_blocks(top, len(u_arr)):
+        terms = angle_table(u_arr[b], 1, top)
         terms /= k
-        out[b] = terms.sum(axis=1)  # per row: no block dependence
-    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
+        for i, n in enumerate(orders):
+            out[i, b] = terms[:, :n].sum(axis=1)  # per row: no block dependence
+    out = out.reshape((len(orders), *np.shape(u)))
+    out = out[0] if one else out
+    return float(out) if out.ndim == 0 else out
 
 
 def fejer_ratio(m: int, u) -> float | np.ndarray:
@@ -208,7 +233,7 @@ def _telescoped_weights(k: np.ndarray) -> np.ndarray:
     return 2.0 / (k * (k + 1.0) * (k + 2.0))
 
 
-def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
     The parts (T, V, W, tail) of the telescoped cosine-sum form at every
     point of ``u``:
@@ -221,37 +246,60 @@ def telescoped_sums(N: int, u, K) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     [2/(k(k+1)(k+2))] / (2 sin^2(u/2)) and the cubic weights past K sum below
     1/K^2, so tail = 1/(2 K^2 sin^2(u/2)), and 0 for the full sum.  ``K``
     caps the sum: a scalar or one cap per point, each 1 <= K <= N - 2, with
-    K = N - 2 the full sum; only here is the cap checked.  At u = 0 mod 2*pi
+    K = N - 2 (or None) the full sum; only here is the cap checked.  At u = 0 mod 2*pi
     the full sums are taken whatever the cap, at their removable limits, so
     T + V + W - 3/4 is H_N there and the tail is 0.  Every row of the sum has
     N - 2 terms, those past the cap zeroed, so a point's values do not
     depend on the rest of the batch (a sum's rounding depends on its length).
     The table is built in row blocks of at most KERNEL_TABLE_ELEMS elements;
     each row is the same sum in any block, so every block width is bit-identical.
+
+    ``N`` may be a sequence of ascending orders: each part then has one row per
+    order, and every order sums its prefix of the largest order's table.  A cap
+    ``K`` caps every order, so it is checked against the smallest; None sums
+    each order in full.
     """
-    if not (np.all(1 <= np.asarray(K)) and np.all(np.asarray(K) <= N - 2)):
-        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {K}")
+    orders, one = _orders(N)
+    parts = np.stack([np.stack(order_parts) for order_parts in _telescoped_orders(orders, u, K)], axis=1)
+    return tuple(parts[:, 0] if one else parts)
+
+
+def _telescoped_orders(orders: list[int], u, K):
+    """
+    telescoped_sums' checks and table sums for every order at once, then an iterator over the
+    orders of their parts (T, V, W, tail), each finished only when it is reached, so a caller
+    that uses one order at a time holds one order's parts, not all of them.
+    """
+    top = orders[-1]
+    cap = np.asarray(orders[0] - 2 if K is None else K)
+    if not (np.all(1 <= cap) and np.all(cap <= orders[0] - 2)):
+        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {cap}")
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
-    if np.ndim(K) > 0 and np.shape(K) != r.shape:
-        raise ValueError(f"per-point caps K must be one per point, got cap shape {np.shape(K)} for {len(r)} points")
-    K = np.where(zero, N - 2, K)
-    k = np.arange(1.0, N - 1.0)
+    if cap.ndim > 0 and cap.shape != r.shape:
+        raise ValueError(f"per-point caps K must be one per point, got cap shape {cap.shape} for {len(r)} points")
+    # None sums every order in full; the rows at u = 0 are zero whatever the cap, and T takes its limit there
+    cap = np.where(zero | (K is None), top - 2, cap)
+    k = np.arange(1.0, top - 1.0)
     weights, half = _telescoped_weights(k), 0.5 * r
-    sums = np.empty(r.shape)
-    for b in _row_blocks(N, len(r)):
-        terms = angle_table(half[b], 2, N - 2)  # sin((k + 1) u/2)
+    sums = np.empty((len(orders), len(r)))
+    for b in _row_blocks(top, len(r)):
+        terms = angle_table(half[b], 2, top - 2)  # sin((k + 1) u/2)
         terms *= terms
         terms *= weights
-        if K[b].min() < N - 2:
-            terms *= k <= K[b, None]
-        sums[b] = terms.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T = sums / (2.0 * half_sin ** 2)
-        tail = np.where(K < N - 2, 1.0 / (2.0 * K * K * half_sin * half_sin), 0.0)
-    T = np.where(zero, np.sum(weights * 0.5 * (k + 1.0) ** 2), T)
-    V = fejer_ratio(N, r) / (N * (N - 1.0))
-    W = dirichlet_kernel(N, r) / N
-    return T, V, W, tail
+        if cap[b].min() < top - 2:
+            terms *= k <= cap[b, None]
+        for i, n in enumerate(orders):
+            sums[i, b] = terms[:, : n - 2].sum(axis=1)
+
+    def finish(n: int, order_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        capped = np.minimum(cap, n - 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            T = order_sums / (2.0 * half_sin ** 2)
+            tail = np.where(capped < n - 2, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
+        T = np.where(zero, np.sum(weights[: n - 2] * 0.5 * (k[: n - 2] + 1.0) ** 2), T)
+        return T, fejer_ratio(n, r) / (n * (n - 1.0)), dirichlet_kernel(n, r) / n, tail
+
+    return map(finish, orders, sums)
 
 
 # ----------------------------------------------------------------------------
@@ -278,18 +326,25 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
     return float(log_kernel_direct_many(N, np.array([t]), np.array([s]))[0])
 
 
-def log_kernel_direct_many(N: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Direct-form F_N over paired point arrays; one per-row sum per point, in row blocks."""
+def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """
+    Direct-form F_N over paired point arrays; one per-row sum per point, in row blocks.  For a
+    sequence of ascending orders, one row of values per order, each weighting its prefix of the
+    largest order's table D_k(t) D_k(s).
+    """
+    orders, one = _orders(N)
     t, s = _paired(t, s)
-    w = GridOp.norlund_log(N).weights()
-    k = np.arange(N)
-    out = np.empty(t.shape)
-    for b in _row_blocks(N, len(t)):
+    weights = [GridOp.norlund_log(n).weights() for n in orders]
+    k = np.arange(orders[-1])
+    out = np.empty((len(orders), len(t)))
+    for b in _row_blocks(orders[-1], len(t)):
         table = dirichlet_matrix(k, t[b]).T  # (points, orders) as angle_table built it
         table *= dirichlet_matrix(k, s[b]).T
-        table *= w
-        out[b] = table.sum(axis=1)
-    return out / math.fsum(w)
+        for i, w in enumerate(weights):
+            out[i, b] = (table[:, : len(w)] * w).sum(axis=1)
+    for row, w in zip(out, weights):
+        row /= math.fsum(w)
+    return out[0] if one else out
 
 
 def norlund_cosine_table(N: int, distances, offsets) -> np.ndarray:
@@ -333,7 +388,7 @@ class KernelEvaluation:
 
 
 def closed_form_terms(
-    N: int,
+    N,
     xs: np.ndarray,
     ys: np.ndarray,
     K=None,
@@ -349,13 +404,19 @@ def closed_form_terms(
     allowed: the terms have removable limits on the diagonals and the full
     (untruncated) sums are used.
 
-    ``K`` caps both telescoped sums (scalar or per point), checked by
-    telescoped_sums; ``K=None`` sums all N - 2 terms, with a zero bound.
-    The per-point work runs once on the batch; only the tables of telescoped_sums
-    and sin_sum are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
+    ``K`` caps both telescoped sums (scalar or per point), checked as
+    telescoped_sums checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
+    The per-point work runs on the whole batch, once an order; only the tables of
+    telescoped_sums and sin_sum are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
+
+    ``N`` may be a sequence of ascending orders: the results then gain a leading
+    order axis, (orders, P, 15) and (orders, P), and the tables at x + y and x - y
+    are built once, for the largest order, each order summing its prefix; an
+    order's telescoped parts are finished when its terms are, one order at a time.
     """
-    if N < 3:
-        raise ValueError(f"closed form needs N >= 3, got {N}")
+    orders, one = _orders(N)
+    if orders[0] < 3:
+        raise ValueError(f"closed form needs N >= 3, got {orders[0]}")
     args, distance = tube_distances(xs, ys)
     near = distance < EPS_SING
     del distance
@@ -368,30 +429,26 @@ def closed_form_terms(
         name = ("x", "y", "x+y", "x-y")[i]
         raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {EPS_SING} of a singular tube")
     xs, ys, up, um = args
-
-    rate = N + 0.5
-    sx, cx = np.sin(rate * xs), np.cos(rate * xs)
-    sy, cy = np.sin(rate * ys), np.cos(rate * ys)
     denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
-    SS, CC = sx * sy / denom, cx * cy / denom
-    SC, CS = sx * cy / denom, cx * sy / denom
-
-    K = N - 2 if K is None else K
-    Tp, Vp, Wp, tb_p = telescoped_sums(N, up, K)
-    Tm, Vm, Wm, tb_m = telescoped_sums(N, um, K)
-    Sp, Sm = sin_sum(N, up), sin_sum(N, um)
-
-    products = (  # (coefficient, factor, part) of R1..R15 in display order
-        (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
-        (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
-        (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
-        (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
-    )
-    terms = np.empty((len(xs), len(products)))
-    for col, (coeff, factor, part) in enumerate(products):
-        terms[:, col] = coeff * factor * part
-    bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic_number(N)
-    return terms, bound
+    plus, minus = _telescoped_orders(orders, up, K), _telescoped_orders(orders, um, K)
+    sines = sin_sum(orders, up), sin_sum(orders, um)
+    terms, bound = np.empty((len(orders), len(xs), 15)), np.empty((len(orders), len(xs)))
+    for i, (n, (Tp, Vp, Wp, tb_p), (Tm, Vm, Wm, tb_m), Sp, Sm) in enumerate(zip(orders, plus, minus, *sines)):
+        rate = n + 0.5
+        sx, cx = np.sin(rate * xs), np.cos(rate * xs)
+        sy, cy = np.sin(rate * ys), np.cos(rate * ys)
+        SS, CC = sx * sy / denom, cx * cy / denom
+        SC, CS = sx * cy / denom, cx * sy / denom
+        products = (  # (coefficient, factor, part) of R1..R15 in display order
+            (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
+            (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
+            (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
+            (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
+        )
+        for col, (coeff, factor, part) in enumerate(products):
+            terms[i, :, col] = coeff * factor * part
+        bound[i] = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic_number(n)
+    return (terms[0], bound[0]) if one else (terms, bound)
 
 
 def log_kernel_closed(N: int, x: float, y: float, K: int | None = None) -> KernelEvaluation:

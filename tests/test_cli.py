@@ -97,18 +97,74 @@ def test_zero_tolerance_fails_kernel_verify(tmp_path, monkeypatch):
     assert main(["kernel-verify", "--out", str(tmp_path), "--samples", "3"]) == EXIT_TOLERANCE
 
 
-def test_kernel_verify_makes_one_call_per_form_and_order(tmp_path, monkeypatch):
+def test_kernel_verify_makes_one_call_per_form_for_all_orders(tmp_path, monkeypatch):
     calls = []
     for name in ("closed_form_terms", "log_kernel_direct_many"):
         def spy(N, *args, _form=getattr(kernels, name), _name=name, **kwargs):
-            calls.append((_name, N, len(args[0])))
+            calls.append((_name, list(N), len(args[0])))
             return _form(N, *args, **kwargs)
 
         monkeypatch.setattr(kernels, name, spy)
     assert main(["kernel-verify", "--samples", "8", "--out", str(tmp_path)]) == EXIT_OK
-    assert calls == [
-        (name, N, 64) for N in KERNEL_VERIFY_N for name in ("closed_form_terms", "log_kernel_direct_many")
-    ]
+    assert calls == [(name, list(KERNEL_VERIFY_N), 64) for name in ("closed_form_terms", "log_kernel_direct_many")]
+
+
+def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_path, monkeypatch):
+    # every order sums a prefix of the largest order's tables: the direct form's at x and at y,
+    # the telescoped and sine tables at x + y and at x - y
+    from logmeans import fourier
+
+    built = []
+
+    def spy(u, start, count, *args, _table=fourier.angle_table, **kwargs):
+        built.append(np.size(u) * count)
+        return _table(u, start, count, *args, **kwargs)
+
+    for module in (fourier, kernels):
+        monkeypatch.setattr(module, "angle_table", spy)
+    entries = []
+    for n_arg in ([], ["--n", str(max(KERNEL_VERIFY_N))]):
+        built.clear()
+        assert main(["kernel-verify", "--samples", "8", *n_arg, "--out", str(tmp_path)]) == EXIT_OK
+        entries.append(sum(built))
+    assert entries == [64 * (2 * 1024 + 2 * 1022 + 2 * 1024)] * 2
+
+
+def test_kernel_verify_checks_the_given_orders(tmp_path):
+    # --n names the orders, in any order and with repeats; the report lists each once, ascending
+    assert main(["kernel-verify", "--samples", "4", "--n", "64,5,5", "--out", str(tmp_path)]) == EXIT_OK
+    rows = [l.split(",") for l in read(tmp_path / "kernel_verify.csv").splitlines() if l and not l.startswith("#")]
+    assert [row[:2] for row in rows[1:]] == [["5", "16"], ["64", "16"]]
+    assert all(row[4] == "1" for row in rows[1:])
+
+
+def test_kernel_verify_refuses_orders_below_three(tmp_path, capsys):
+    # the closed form has no order below 3: its ValueError exits 2 before any report is written
+    assert main(["kernel-verify", "--samples", "4", "--n", "2,8", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "closed form needs N >= 3, got 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples, n_arg", [("64", []), ("32", ["--n", ",".join(str(n) for n in range(3, 33))])])
+def test_kernel_verify_stays_under_its_memory_estimate(tmp_path, monkeypatch, samples, n_arg):
+    # every order's outputs live together, so the estimate grows with the order count
+    assert main(["kernel-verify", "--samples", "2", "--out", str(tmp_path)]) == EXIT_OK
+    estimates = []
+    refuse = kernels.refuse_beyond_memory_limit
+
+    def recording_refuse(what, nbytes):
+        estimates.append(nbytes)
+        refuse(what, nbytes)
+
+    monkeypatch.setattr(kernels, "refuse_beyond_memory_limit", recording_refuse)
+    tracemalloc.start()
+    try:
+        code = main(["kernel-verify", "--samples", samples, *n_arg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert len(estimates) == 1 and peak < estimates[0]
 
 
 def test_kernel_verify_default_passes(tmp_path):
@@ -258,7 +314,8 @@ def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, 
 def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, argv, estimate):
     # under a 1 MiB limit, lemma's 200^2 lattice pairs (104 bytes each), measure's
     # c1 fit over 200^2 pairs (33 bytes each) and kernel-verify's 64^2 points
-    # (530 bytes each) are refused from the estimate, before anything is allocated
+    # (1592 bytes each at its seven orders) are refused from the estimate, before
+    # anything is allocated
     monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)
     tracemalloc.start()
     try:

@@ -148,6 +148,7 @@ def test_one_order_angle_table_is_np_sin_bit_for_bit(rng):
     r, half_sin, _ = reduce_angle(ts)
     for k in (0, 5, 300):
         assert np.array_equal(dirichlet_kernel(k, ts), np.sin((k + 0.5) * r) / (2.0 * half_sin))
+        assert np.array_equal(dirichlet_kernel(k, ts), dirichlet_matrix(np.array([k]), ts)[0])
 
 
 def test_kernel_tables_need_a_range_of_consecutive_orders():

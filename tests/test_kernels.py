@@ -522,6 +522,52 @@ def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
             assert np.array_equal(part, whole)
 
 
+@pytest.mark.parametrize("K", [None, 1])
+def test_each_order_of_a_multi_order_call_matches_its_one_order_call(K):
+    # every order sums its prefix of the largest order's tables, whose entries angle_table
+    # rounds by the table's length: a row matches its one-order call to rounding, and the
+    # largest order, whose tables are the same, bit for bit
+    orders = [3, 64, 1024]
+    xs, ys = quasi_random_points(256).T
+    us = np.concatenate([xs + ys, [0.0]])
+    terms, bounds = closed_form_terms(orders, xs, ys, K=K)
+    direct = log_kernel_direct_many(orders, xs, ys)
+    parts, sines = telescoped_sums(orders, us, K), sin_sum(orders, us)
+    assert terms.shape == (3, 256, 15) and bounds.shape == direct.shape == (3, 256)
+    assert all(part.shape == (3, 257) for part in parts) and sines.shape == (3, 257)
+    for i, N in enumerate(orders):
+        one_terms, one_bounds = closed_form_terms(N, xs, ys, K=K)
+        one_direct = log_kernel_direct_many(N, xs, ys)
+        tol = 1e-12 * (1.0 + np.abs(one_direct))
+        assert np.all(np.abs(direct[i] - one_direct) <= tol), N
+        closed, one_closed = (np.sum(t, axis=1) / harmonic_number(N) for t in (terms[i], one_terms))
+        assert np.all(np.abs(closed - one_closed) <= tol), N
+        assert np.array_equal(bounds[i], one_bounds), N
+        for part, one_part in zip(parts, telescoped_sums(N, us, K)):
+            assert np.all(np.abs(part[i] - one_part) <= 1e-12 * (1.0 + np.abs(one_part))), N
+        one_sines = sin_sum(N, us)
+        assert np.all(np.abs(sines[i] - one_sines) <= 1e-12 * (1.0 + np.abs(one_sines))), N
+    assert np.array_equal(terms[-1], one_terms) and np.array_equal(direct[-1], one_direct)
+
+
+def test_kernel_orders_must_ascend():
+    xs, ys = np.array([0.3, 0.5]), np.array([0.2, 0.9])
+    for orders in ([], [64, 8], [8, 8]):
+        for call in (
+            lambda: closed_form_terms(orders, xs, ys),
+            lambda: log_kernel_direct_many(orders, xs, ys),
+            lambda: telescoped_sums(orders, xs, 1),
+            lambda: sin_sum(orders, xs),
+        ):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                call()
+    with pytest.raises(ValueError, match="closed form needs N >= 3, got 2"):
+        closed_form_terms([2, 8], xs, ys)
+    # a cap caps every order, so it is checked against the smallest
+    with pytest.raises(ValueError, match="1 <= K <= N - 2, got 2"):
+        closed_form_terms([3, 8], xs, ys, K=2)
+
+
 @pytest.mark.parametrize("form", [closed_form_terms, log_kernel_direct_many])
 def test_kernel_forms_hold_one_table_block_at_a_time(form):
     # a whole (4096, 1024) table is 32 MiB; the row blocks keep the peak small

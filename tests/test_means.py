@@ -238,7 +238,30 @@ def test_axis_l1_distance_refusals():
         axis_l1_distance(np.ones(100), GridOp.quad(4))  # not a power of two
     with pytest.raises(BandwidthError):
         axis_l1_distance(samples, GridOp.quad(32))  # reach G/2
+    with pytest.raises(BandwidthError):
+        axis_l1_distance(samples, [GridOp.quad(4), GridOp.quad(32)])  # any op of the list
     assert axis_l1_distance(samples, GridOp.quad(31)) > 0.0
+
+
+def axis_l1_distance_per_call(samples, op):
+    """The one-op route of axis_l1_distance as each op took it alone: its own rfft, weighted in place."""
+    G = len(samples)
+    spectrum = np.fft.rfft(samples, norm="forward")[: op.reach() + 1]
+    spectrum *= op.profile()
+    diff = np.fft.irfft(spectrum, n=G, norm="forward")
+    diff -= samples
+    return 2.0 * math.pi * (2.0 * math.pi / G) * float(np.sum(np.abs(diff, out=diff)))
+
+
+@pytest.mark.parametrize("G", [256, 4096])
+def test_axis_l1_distance_of_many_ops_is_each_op_alone_bit_for_bit(G):
+    # converge's means share one rfft of the samples, and each distance is still its own call's
+    samples = np.abs(axis_points(G))
+    orders = (2, 4, 16, 64, G // 2 - 1)
+    ops = [GridOp(kind, n) for kind in ("norlund-log", "marcinkiewicz", "riesz-log") for n in orders]
+    got = axis_l1_distance(samples, ops)
+    assert got == [axis_l1_distance_per_call(samples, op) for op in ops]
+    assert got == [axis_l1_distance(samples, op) for op in ops]
 
 
 # ----------------------------------------------------------- convergence
