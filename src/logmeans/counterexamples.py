@@ -24,6 +24,7 @@ from .kernels import (
     window_count,
 )
 from .fourier import GridOp, angle_table, finite_points
+from .means import harmonic_number
 from .orlicz import YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
@@ -100,7 +101,7 @@ def bump_mean_many(n: int, xs: np.ndarray, h=0.0) -> np.ndarray:
     profile = _axis_profile(n, xs, h)
     mean_weights = GridOp.norlund_log(4 ** n).weights()
     raw = profile.T @ (mean_weights[:, None] * profile)
-    return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (math.fsum(mean_weights) * math.pi ** 2)
+    return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (harmonic_number(4 ** n) * math.pi ** 2)
 
 
 @dataclass(frozen=True)
@@ -240,27 +241,22 @@ def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
 def exceedance_measure(n: int, c1: float) -> ExceedanceReport:
     """
     Measure of the subset of the shrunken region where the kernel lower bound
-    t >= c1 / (x y) certifies |t| > c1 * 2^{3n}, i.e. the exact region
-    geometry {x y < 2^{-3n}}, computed analytically over all window pairs at
-    once; c1 = 0 certifies the whole region.  ``bound`` is the normalized
-    ratio measure * 2^{3n} / n.  A scale whose window-pair arrays would exceed
-    the memory limit of refuse_beyond_memory_limit is refused before they are
-    allocated.
+    t >= c1 / (x y), c1 > 0, certifies |t| > c1 * 2^{3n}, i.e. the exact
+    region geometry {x y < 2^{-3n}}, computed analytically over all window
+    pairs at once.  ``bound`` is the normalized ratio measure * 2^{3n} / n.  A
+    scale whose window-pair arrays would exceed the memory limit of
+    refuse_beyond_memory_limit is refused before they are allocated.
     """
-    if not 0.0 <= c1 < math.inf:
-        raise ValueError(f"threshold coefficient must be finite and >= 0, got {c1}")
-    if c1 > 0.0:
-        # _area_under_hyperbola holds about seven float arrays and one mask over
-        # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
-        # the estimate needs only n, so it is checked before the windows are built
-        refuse_beyond_memory_limit(f"measure's window-pair arrays at n = {n}", 57 * 4 ** (n - 3))
+    if not 0.0 < c1 < math.inf:
+        raise ValueError(f"threshold coefficient must be finite and > 0, got {c1}")
+    # _area_under_hyperbola holds about seven float arrays and one mask over
+    # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
+    # the estimate needs only n, so it is checked before the windows are built
+    refuse_beyond_memory_limit(f"measure's window-pair arrays at n = {n}", 57 * 4 ** (n - 3))
     region = build_region(n, REGION_J)
     scale = float(2 ** (3 * n))
-    if c1 == 0.0:
-        measure = region.total_measure()
-    else:
-        lo, hi = region.lo, region.hi
-        measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, 1.0 / scale).ravel())
+    lo, hi = region.lo, region.hi
+    measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, 1.0 / scale).ravel())
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
 
 

@@ -9,11 +9,6 @@ import numpy as np
 
 from .grid import GridFunction2D, read_only_view, validate_grid_size
 
-#: Rows of a G x G grid in one block of the row-block transforms (the rfft of
-#: fourier_coeffs, the irfft of the synthesis), whose temporaries so stay a
-#: small fraction of one grid.
-BLOCK_ROWS = 64
-
 
 class BandwidthError(ValueError):
     """Requested frequencies exceed the available bandwidth or the Nyquist limit."""
@@ -161,10 +156,9 @@ def fourier_coeffs(f: GridFunction2D, bandwidth: int) -> SpectralCoeffs:
     """
     Coefficients c(m, n) = (1/4 pi^2) Int f(x, y) e^{-imx} e^{-iny} dx dy,
     |m|, |n| <= B = ``bandwidth``, by rectangle-rule quadrature on the sample
-    grid, taken by the 1-D transforms of one ``rfft2``, bit for bit: an
-    ``rfft`` along n in blocks of BLOCK_ROWS rows, of which only the columns
-    n = 0..B are kept, then one in-place ``fft`` along m over those columns,
-    so the (G, G/2 + 1) spectrum is never held.  The rest of the
+    grid, taken by the 1-D transforms of one ``rfft2``, bit for bit: one
+    ``rfft`` along n, of which only the columns n = 0..B are kept, then one
+    ``fft`` along m over those columns.  The rest of the
     coefficients follow by c(m, n) = conj(c(-m, -n)), so they are exactly
     Hermitian.
 
@@ -177,11 +171,7 @@ def fourier_coeffs(f: GridFunction2D, bandwidth: int) -> SpectralCoeffs:
     sign = (-1.0) ** m
     # (1/G^2) sum_jk f(x_j, y_k) e^{-i m x_j} e^{-i n y_k} is one FFT: the grid
     # origin x_0 = -pi puts the phase (-1)^(m + n) on bin (m mod G, n mod G).
-    cols = np.empty((G, B + 1), dtype=complex)
-    for start in range(0, G, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        cols[rows] = np.fft.rfft(f.values[rows], axis=1, norm="forward")[:, : B + 1]
-    np.fft.fft(cols, axis=0, norm="forward", out=cols)
+    cols = np.fft.fft(np.fft.rfft(f.values, axis=1, norm="forward")[:, : B + 1], axis=0, norm="forward")
     coeffs = np.empty((2 * B + 1, 2 * B + 1), dtype=complex)
     np.multiply(cols[m % G], np.outer(sign, sign[B:]), out=coeffs[:, B:])
     # c(m, n) = conj(c(-m, -n)): the real c(0, 0), then c(m, 0) for m < 0, then every n < 0
@@ -257,20 +247,17 @@ class GridOp:
         return tail / tail[0]
 
 
-def _synthesis_blocks(c: SpectralCoeffs, op: GridOp):
+def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
     """
-    The grid of the partial sum or mean ``op`` on the coefficients' source
-    grid, as (rows, block) pairs: the float64 rows ``rows`` of the grid, in
-    blocks of BLOCK_ROWS rows from the top.
+    Evaluate the quadratical partial sum or mean specified by ``op`` on the
+    coefficients' source grid, as a float64 grid.  Deterministic.
 
     The op's weights are applied in coefficient space; every op's weights are
     symmetric in +-m and +-n, so the Hermitian coefficients give a real grid,
     which the columns n = 0..reach determine.  Since 2 reach < G no two
     frequencies share an FFT bin, so the synthesis places those columns at
-    rows m mod G and runs one in-place ``ifft`` along m over them; each block
-    is then one ``irfft`` along n, which zero-pads the bins past reach.  A
-    row's ``irfft`` does not depend on the other rows, so the blocks are the
-    rows of one whole-grid ``irfft``, bit for bit.
+    rows m mod G, runs one in-place ``ifft`` along m over them and one
+    ``irfft`` along n, which zero-pads the bins past reach.
     """
     G, reach, B = c.source_grid, op.reach(), c.bandwidth
     if reach > B:
@@ -286,21 +273,7 @@ def _synthesis_blocks(c: SpectralCoeffs, op: GridOp):
     cols = np.zeros((G, reach + 1), dtype=complex)
     cols[m % G] = c.coeffs[B - reach : B + reach + 1, B : B + reach + 1] * weights
     np.fft.ifft(cols, axis=0, norm="forward", out=cols)
-    for start in range(0, G, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        yield rows, np.fft.irfft(cols[rows], n=G, axis=1, norm="forward")
-
-
-def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
-    """
-    Evaluate the quadratical partial sum or mean specified by ``op`` on the
-    coefficients' source grid, as a float64 grid, block by block (see
-    ``_synthesis_blocks``).  Deterministic.
-    """
-    values = np.empty((c.source_grid, c.source_grid))
-    for rows, block in _synthesis_blocks(c, op):
-        values[rows] = block
-    return GridFunction2D(values=values)
+    return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"))
 
 
 def axis_l1_distance(samples, op):

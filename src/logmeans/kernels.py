@@ -19,6 +19,7 @@ first sum truncatable with a certified tail bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,6 @@ class RegionSpec:
     lo: np.ndarray
     hi: np.ndarray
 
-    def total_measure(self) -> float:
-        return math.fsum(self.hi - self.lo) ** 2
-
     def lattice(self, per_axis: int = 9) -> np.ndarray:
         """
         Deterministic per-axis sample: an inclusive ``per_axis``-point grid on
@@ -176,10 +174,14 @@ def _orders(N) -> tuple[list[int], bool]:
     """
     The kernel order argument ``N`` as a list of orders and whether it was one int order: an int,
     or a nonempty sequence of strictly ascending orders whose tables are prefixes of the largest's.
+    Refuses an order that is not an integer (a float is not truncated).
     """
-    if np.ndim(N) == 0:
-        return [int(N)], True
-    orders = [int(n) for n in N]
+    try:
+        if np.ndim(N) == 0:
+            return [operator.index(N)], True
+        orders = [operator.index(n) for n in N]
+    except TypeError:
+        raise ValueError(f"kernel orders must be integers, got {N!r}") from None
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise ValueError(f"kernel orders must be a nonempty strictly ascending sequence, got {list(N)}")
     return orders, False
@@ -342,8 +344,8 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         table *= dirichlet_matrix(k, s[b]).T
         for i, w in enumerate(weights):
             out[i, b] = (table[:, : len(w)] * w).sum(axis=1)
-    for row, w in zip(out, weights):
-        row /= math.fsum(w)
+    for row, n in zip(out, orders):
+        row /= harmonic_number(n)
     return out[0] if one else out
 
 

@@ -340,12 +340,6 @@ def test_l1_lower_consistent_with_pointwise_bound():
 
 # -------------------------------------------------------------- exceedance
 
-def test_exceedance_zero_threshold_gives_region_measure():
-    region = build_region(4, "J")
-    rep = exceedance_measure(4, 0.0)
-    assert rep.measure == pytest.approx(region.total_measure(), rel=1e-12)
-
-
 def test_exceedance_measure_is_the_same_for_every_positive_threshold():
     # any c1 > 0 certifies the same set {x y < 2^{-3n}} of the shrunken region
     for n in (6, 8):
@@ -477,13 +471,14 @@ def test_exceedance_rejects_negative_threshold():
         exceedance_measure(4, -1.0)
 
 
-@pytest.mark.parametrize("c1", [math.nan, math.inf])
+@pytest.mark.parametrize("c1", [math.nan, math.inf, 0.0, -1.0])
 def test_exceedance_refuses_non_finite_threshold_before_the_memory_check(monkeypatch, c1):
-    # under a tiny limit a positive c1 is refused for memory; a non-finite one must not slip past to the pair arrays
+    # under a tiny limit a positive c1 is refused for memory; a non-finite or
+    # nonpositive one must not slip past to the pair arrays
     monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 1e-6)
     with pytest.raises(ValueError, match="GiB limit"):
         exceedance_measure(6, 1.0)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match="finite and > 0"):
         exceedance_measure(6, c1)
 
 

@@ -360,7 +360,7 @@ def test_fft_coeffs_match_dense_dft(G, rng):
 
 @pytest.mark.parametrize("G", [4, 64, 1024])
 def test_row_block_coeffs_equal_rfft2_bit_for_bit(G, rng):
-    # one block (G = 4, 64) and several (G = 1024)
+    # one rfft along n, then one fft along m over the kept columns, are rfft2's 1-D transforms
     f = GridFunction2D(values=rng.normal(size=(G, G)))
     for B in sorted({0, 1, G // 4, G // 2 - 1}):
         assert np.array_equal(fourier_coeffs(f, B).coeffs, rfft2_fourier_coeffs(f.values, B)), B

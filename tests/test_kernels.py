@@ -98,12 +98,6 @@ def test_region_rectangle_counts():
     assert len(rectangles(build_region(5, "I"))) == 16
 
 
-def test_region_total_measure_matches_direct_summation():
-    spec = build_region(4, "I")
-    per_axis_width = beta(1, 4) - alpha(1, 4)  # same width for every window
-    assert spec.total_measure() == pytest.approx(4.0 * per_axis_width ** 2, rel=1e-12)
-
-
 def test_region_rectangles_inside_quarter_square():
     for n in (3, 4, 5):
         for ax, bx, ay, by in rectangles(build_region(n, "I")):
@@ -566,6 +560,24 @@ def test_kernel_orders_must_ascend():
     # a cap caps every order, so it is checked against the smallest
     with pytest.raises(ValueError, match="1 <= K <= N - 2, got 2"):
         closed_form_terms([3, 8], xs, ys, K=2)
+
+
+def test_kernel_orders_must_be_integers():
+    # a float order is refused, not truncated to the int below it; NumPy integers pass unchanged
+    xs, ys = np.array([0.3, 0.5]), np.array([0.2, 0.9])
+    for form in (
+        lambda N: closed_form_terms(N, xs, ys),
+        lambda N: log_kernel_direct_many(N, xs, ys),
+        lambda N: telescoped_sums(N, xs, 1),
+        lambda N: sin_sum(N, xs),
+    ):
+        for bad in (3.7, np.float64(16.0), [3.5, 8], [3, 8.0]):
+            with pytest.raises(ValueError, match="kernel orders must be integers"):
+                form(bad)
+        for N, same in ((np.int64(8), 8), (np.array([3, 8]), [3, 8])):
+            got, want = form(N), form(same)
+            for a, b in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("form", [closed_form_terms, log_kernel_direct_many])

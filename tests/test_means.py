@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logmeans.cli import KERNEL_VERIFY_N
 from logmeans.grid import GridFunction2D, GridMismatchError, GridResolutionError, axis_points
 from logmeans.fourier import BandwidthError, GridOp, axis_l1_distance, evaluate_grid, fourier_coeffs
 from logmeans.means import harmonic_number, l1_distance
@@ -28,8 +29,9 @@ def test_harmonic_numbers():
 
 def test_norlund_weights_sum_to_one():
     # the normalised weights 1/(H_n (n-i)), i = 0..n-1, sum to 1; the kernel
-    # paths normalise by the fsum of the weights, which must be H_n exactly
-    for n in (1, 2, 7, 50, 300):
+    # paths normalise by H_n, which must be the fsum of the weights exactly,
+    # at every order kernel-verify runs and at the bump mean's N = 4^n
+    for n in (1, 2, 7, 50, 300, *KERNEL_VERIFY_N, *(4 ** s for s in range(3, 7))):
         w = GridOp.norlund_log(n).weights()
         H = harmonic_number(n)
         assert math.fsum(w) == H
