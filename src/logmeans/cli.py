@@ -19,7 +19,7 @@ import numpy as np
 from . import counterexamples as cx
 from . import kernels, orlicz
 from .fourier import BandwidthError, GridOp, axis_l1_distance
-from .grid import GridFunction2D, axis_points, validate_grid_size
+from .grid import axis_points, validate_grid_size
 from .means import harmonic_number
 
 EXIT_OK = 0
@@ -204,12 +204,8 @@ def cmd_growth(args: argparse.Namespace) -> int:
     )
     gs_by_n = {n: gs for n, gs, _, _ in rows}
     l1_by_n = {n: l1 for n, _, _, l1 in rows if n <= MAX_KERNEL_SCALE}
-    ok = True
     ns = sorted(gs_by_n)
-    for i, n in enumerate(ns):
-        for smaller in ns[:i]:
-            if gs_by_n[n] < 0.5 * (n / smaller) ** 2 * gs_by_n[smaller]:
-                ok = False
+    ok = not any(gs_by_n[n] < 0.5 * (n / small) ** 2 * gs_by_n[small] for i, n in enumerate(ns) for small in ns[:i])
     l1_ns = sorted(l1_by_n)
     ok &= all(l1_by_n[a] < l1_by_n[b] for a, b in zip(l1_ns, l1_ns[1:]))
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -291,34 +287,19 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_orlicz(args: argparse.Namespace) -> int:
     grid = args.grid_size
-    # 18 bytes a grid sample, for one grid and its sorted magnitudes: above the tracemalloc
-    # peak of orlicz at G = 512..4096
-    kernels.refuse_beyond_memory_limit(f"orlicz's grids at grid size {grid}", 18 * grid ** 2)
     h = 2.0 * math.pi / grid
     side = int(round(1.0 / h))  # ~unit-measure square, snapped to cells
-
-    def indicator() -> GridFunction2D:
-        vals = np.zeros((grid, grid))
-        vals[:side, :side] = 1.0
-        return GridFunction2D(values=vals)
-
-    makers = (
-        ("const_1", lambda: GridFunction2D.constant(1.0, grid)),
-        (f"indicator_{side}x{side}cells", indicator),
-        ("bump_n1_unscaled", lambda: cx.make_bump(1, grid_size=grid)),
+    functions = (
+        ("const_1", orlicz.StepFunction(1.0, grid ** 2, h ** 2)),
+        (f"indicator_{side}x{side}cells", orlicz.StepFunction(1.0, side ** 2, h ** 2)),
+        ("bump_n1_unscaled", cx.make_bump(1, grid_size=grid)),
     )
     youngs = (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))
     rows = []
-    ok = True
-    for fname, make in makers:
-        fgrid = make()
+    for fname, f in functions:
         for Q in youngs:
-            norm = orlicz.luxemburg_norm(fgrid, Q)
-            mod = orlicz.modular(fgrid, Q, norm)
-            rows.append([fname, Q.name, norm, mod])
-            if abs(mod - 1.0) > 1e-6:
-                ok = False
-        del fgrid  # one grid at a time: drop it before the next is built
+            norm = orlicz.luxemburg_norm(f, Q)
+            rows.append([fname, Q.name, norm, orlicz.modular(f, Q, norm)])
     write_report(
         args, "orlicz", ["report=luxemburg norms"],
         ["function", "young", "norm", "modular_at_norm"],
@@ -336,6 +317,7 @@ def cmd_orlicz(args: argparse.Namespace) -> int:
         ["young", "weight", "probe_max", "probe_at_top"],
         deficit_rows,
     )
+    ok = not any(abs(mod - 1.0) > 1e-6 for *_, mod in rows)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction2D, GridResolutionError
+from .grid import GridResolutionError
 from .kernels import (
     REGION_J,
     build_region,
@@ -25,17 +25,17 @@ from .kernels import (
 )
 from .fourier import GridOp, angle_table, finite_points
 from .means import harmonic_number
-from .orlicz import YoungFunction
+from .orlicz import StepFunction, YoungFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
 BUMP_PREFACTOR = ((0.5 * math.pi - math.acos(0.25)) / 8.0) ** 2
 
 
-def make_bump(n: int, grid_size: int) -> GridFunction2D:
+def make_bump(n: int, grid_size: int) -> StepFunction:
     """
-    Grid indicator of [0, gamma(n)]^2 with exact height 1/gamma(n)^2, its
-    support snapped to whole grid cells (so its integral is 1 up to the
-    snapping).  The bump of the means experiments is this times BUMP_PREFACTOR.
+    Indicator of [0, gamma(n)]^2 with exact height 1/gamma(n)^2, its support snapped to
+    whole cells of the G x G grid (so its integral is 1 up to the snapping), as a step.
+    The bump of the means experiments is this times BUMP_PREFACTOR.
     """
     min_grid = 16.0 * phase_rate(n) / math.pi
     if grid_size < min_grid:
@@ -43,11 +43,9 @@ def make_bump(n: int, grid_size: int) -> GridFunction2D:
             f"grid {grid_size} too coarse for bump scale {n} (need >= {min_grid:.0f})"
         )
     g = gamma(n)
-    cells = max(1, round(g / (2.0 * math.pi / grid_size)))
-    values = np.zeros((grid_size, grid_size))
-    origin = grid_size // 2  # index of the sample at x = 0
-    values[origin : origin + cells, origin : origin + cells] = 1.0 / g ** 2
-    return GridFunction2D(values=values)
+    h = 2.0 * math.pi / grid_size
+    cells = max(1, round(g / h))
+    return StepFunction(1.0 / g ** 2, cells ** 2, h ** 2)
 
 
 def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
@@ -135,7 +133,6 @@ def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
 class GrowthReport:
     n: int
     l1_lower: float
-    geometric_sum: float
 
 
 def geometric_sum(n: int) -> float:
@@ -153,14 +150,13 @@ def l1_growth(n: int) -> GrowthReport:
     Region-restricted lower bound on || t_{2^{2n}}(scaled bump) ||_1 in closed
     form: the sum over the cells R = I_m x I_l of the shrunken region of |Int_R t|
     (at most Int_R |t|, equal where t keeps its sign on R), each Int_R t being
-    R's area times the exact cell mean from bump_mean_many.  Reported next to
-    the exact geometric integral of 1/(x y) over the same region.
+    R's area times the exact cell mean from bump_mean_many.
     """
     region = build_region(n, REGION_J)
     mids, widths = 0.5 * (region.lo + region.hi), region.hi - region.lo
     means = bump_mean_many(n, mids, widths)
     total = float(widths @ np.abs(means) @ widths)
-    return GrowthReport(n=n, l1_lower=total, geometric_sum=geometric_sum(n))
+    return GrowthReport(n=n, l1_lower=total)
 
 
 @dataclass(frozen=True)

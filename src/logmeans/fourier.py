@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +202,7 @@ class GridOp:
     sums S_{j,j}, j = 0..reach, given by its weights (``weights``).
 
     kind is ``quad`` (S_{n,n} itself) or one of the mean kinds
-    ``norlund-log`` / ``marcinkiewicz`` / ``riesz-log``, each of order n.
+    ``norlund-log`` / ``marcinkiewicz`` / ``riesz-log``, each of integer order n.
     """
 
     kind: str
@@ -210,6 +211,10 @@ class GridOp:
     def __post_init__(self) -> None:
         if self.kind not in _MEAN_WEIGHTS:
             raise ValueError(f"unknown grid op kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "order", operator.index(self.order))
+        except TypeError:
+            raise ValueError(f"grid op orders must be integers, got {self.order!r}") from None
         if not np.any(self.weights()):
             raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
 

@@ -91,8 +91,8 @@ def gamma(n: int) -> float:
 
 
 #: Ceiling on the memory (GiB) one computation may hold at once: the lemma kernel tables,
-#: the measure window-pair arrays, the region window arrays and the converge and orlicz
-#: grids (refuse_beyond_memory_limit).
+#: the kernel-verify point tables, the measure window-pair arrays, the bump survey, the
+#: region window arrays and the converge axis arrays (refuse_beyond_memory_limit).
 MAX_LATTICE_GIB = 2
 
 

@@ -55,7 +55,24 @@ LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)")
 NORM_REL_TOL = 1e-9
 
 
-def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
+@dataclass(frozen=True)
+class StepFunction:
+    """
+    ``value`` on ``cells`` grid cells of area ``cell_area``, 0 elsewhere: its grid's histogram
+    without the grid (zero cells add Q(0) = 0 to a modular).  The count is a float, so the
+    G x G cells of G = 2^40 do not overflow it.
+    """
+
+    value: float
+    cells: int
+    cell_area: float
+
+    @property
+    def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([abs(self.value)]), np.array([self.cells], dtype=float)
+
+
+def modular(f: GridFunction2D | StepFunction, Q: YoungFunction, k: float) -> float:
     """
     Rectangle-rule value of Int Q(|f| / k) over the torus, read from the
     grid's magnitude histogram: each distinct |f| once, times its count.
@@ -69,7 +86,7 @@ def modular(f: GridFunction2D, Q: YoungFunction, k: float) -> float:
         return float(counts @ np.asarray(Q(mags / k)) * f.cell_area)
 
 
-def luxemburg_norm(f: GridFunction2D, Q: YoungFunction) -> float:
+def luxemburg_norm(f: GridFunction2D | StepFunction, Q: YoungFunction) -> float:
     """
     inf { k > 0 : Int Q(|f| / k) <= 1 }: double k from 1 while the modular
     exceeds 1, halve it until the modular exceeds 1, then bisect to relative

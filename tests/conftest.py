@@ -242,12 +242,14 @@ def r_nm_scan(n, m):
     return r
 
 
-def bump_block(grid):
-    """(height, support_hi, snapped measure) of a bump grid, read off its one nonzero square block."""
-    rows, cols = np.nonzero(grid.values)
-    cells = rows.max() - rows.min() + 1
-    assert cols.max() - cols.min() + 1 == cells and len(rows) == cells ** 2
-    height = float(grid.values[rows[0], cols[0]])
-    assert np.all(grid.values[rows, cols] == height)
-    edge = cells * grid.spacing
-    return height, edge, edge ** 2
+def bump_grid(step, grid_size):
+    """
+    The G x G grid that a snapped bump step (``make_bump``) stands for: its value on a square
+    block of whole cells whose corner sample sits at x = y = 0, and 0 elsewhere.
+    """
+    side = math.isqrt(step.cells)
+    assert side ** 2 == step.cells and step.cell_area == (2.0 * math.pi / grid_size) ** 2
+    values = np.zeros((grid_size, grid_size))
+    origin = grid_size // 2  # index of the sample at x = 0
+    values[origin : origin + side, origin : origin + side] = step.value
+    return GridFunction2D(values=values)

@@ -18,6 +18,7 @@ from logmeans.cli import (
     main,
     quasi_random_points,
 )
+from logmeans.grid import GridFunction2D
 
 from conftest import quasi_random_points_loop
 
@@ -259,12 +260,11 @@ def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
     assert peak < 10e6
 
 
-@pytest.mark.parametrize("command", ["converge", "orlicz"])
+@pytest.mark.parametrize("command", ["converge"])
 def test_grid_commands_refuse_grids_beyond_memory_limit(tmp_path, capsys, monkeypatch, command):
-    # under a 1 MiB limit converge's 65536-point axis (24 bytes a sample) and orlicz's
-    # 1024 x 1024 grids (8 MiB a grid) are refused from the estimate, before the first
-    # array is built
-    grid = {"converge": "65536", "orlicz": "1024"}[command]
+    # under a 1 MiB limit converge's 65536-point axis (24 bytes a sample) is refused from the
+    # estimate, before the first array is built
+    grid = "65536"
     monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)
     tracemalloc.start()
     try:
@@ -279,11 +279,10 @@ def test_grid_commands_refuse_grids_beyond_memory_limit(tmp_path, capsys, monkey
     assert peak < 2e6
 
 
-@pytest.mark.parametrize("command, cap", [("converge", 1e6), ("orlicz", 21e6)])
+@pytest.mark.parametrize("command, cap", [("converge", 1e6)])
 def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, command, cap):
-    # at G = 1024 converge holds three 1024-point arrays and no grid, and orlicz one grid and
-    # its sorted magnitudes at a time; a first run at a small grid does the lazy imports
-    # (numpy.fft, about 0.3 MB), which no estimate of the arrays covers
+    # at G = 1024 converge holds three 1024-point arrays and no grid; a first run at a small
+    # grid does the lazy imports (numpy.fft, about 0.3 MB), which no estimate of the arrays covers
     assert main([command, "--out", str(tmp_path), "--grid-size", "64"]) == EXIT_OK
     estimates = []
     refuse = kernels.refuse_beyond_memory_limit
@@ -434,19 +433,53 @@ def test_orlicz_refuses_grids_too_coarse_for_its_bump(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "orlicz.csv")
 
 
-def test_orlicz_builds_one_magnitude_histogram_per_grid(tmp_path, monkeypatch):
-    # luxemburg_norm and modular share the grid's cached histogram: 3 grids, 3 histogram
-    # builds, each of which finds its distinct magnitudes by one np.flatnonzero call
-    calls = []
-    flatnonzero = np.flatnonzero
+def test_no_command_constructs_a_grid(tmp_path, monkeypatch):
+    # orlicz reports one-value steps and converge runs on one axis, so no command builds a
+    # GridFunction2D (the bench tracer counts its constructions as grid.GridFunction2D)
+    built = []
+    post_init = GridFunction2D.__post_init__
 
-    def counting_flatnonzero(*args, **kwargs):
-        calls.append(args)
-        return flatnonzero(*args, **kwargs)
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
-    assert main(["orlicz", "--grid-size", "64", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(calls) == 3
+    monkeypatch.setattr(GridFunction2D, "__post_init__", counting_post_init)
+    GridFunction2D.constant(0.0, 4)
+    assert len(built) == 1  # the count sees a construction
+    for argv in (["orlicz", "--grid-size", "1024"], ["converge", "--grid-size", "1024"], ["lemma", "--n", "3"],
+                 ["growth", "--n", "3"], ["measure", "--n", "3"], ["kernel-verify", "--samples", "4"]):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK, argv
+    assert len(built) == 1
+
+
+def test_orlicz_memory_does_not_grow_with_the_grid(tmp_path):
+    # every reported function is a step held as one value and a cell count, so G = 2^20, which
+    # as grids would take 8 TiB a grid, runs in well under 1 MB
+    assert main(["orlicz", "--grid-size", "64", "--out", str(tmp_path)]) == EXIT_OK  # lazy imports
+    tracemalloc.start()
+    try:
+        code = main(["orlicz", "--grid-size", str(2 ** 20), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 1e6
+
+
+def test_orlicz_counts_the_cells_of_huge_grids_without_overflow(tmp_path):
+    # at G = 2^40 the constant covers 2^80 cells, past int64; its norms are the small grids'
+    # (every cell count times the cell area is 4 pi^2 exactly), and the bump reads its unsnapped
+    # L log L norm 6.6402
+    rows = {}
+    for grid in (64, 2 ** 40):
+        out = tmp_path / str(grid)
+        out.mkdir()
+        assert main(["orlicz", "--grid-size", str(grid), "--out", str(out), "--json"]) == EXIT_OK
+        rows[grid] = json.loads(read(out / "orlicz.json"))["rows"]
+    assert rows[2 ** 40][:3] == rows[64][:3]  # const_1 under the three Young functions
+    norms = {(f, young): norm for f, young, norm, _ in rows[2 ** 40]}
+    assert all(math.isfinite(norm) and norm > 0.0 for norm in norms.values())
+    assert norms["bump_n1_unscaled", "u*log(1+u)"] == pytest.approx(6.6402, abs=5e-5)
 
 
 def test_json_mirror(tmp_path):

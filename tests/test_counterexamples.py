@@ -25,11 +25,11 @@ from logmeans.counterexamples import (
     operator_norm_probe,
     r_nm,
 )
-from logmeans.orlicz import LOG, LOG2
+from logmeans.orlicz import LOG, LOG2, StepFunction
 
 from conftest import (
     LOG2_LOGLOG,
-    bump_block,
+    bump_grid,
     r_nm_scan,
     rectangles,
     region_contains,
@@ -47,33 +47,44 @@ def test_bump_prefactor_value():
 # ------------------------------------------------------------------- bumps
 
 def test_bump_height_and_support():
-    height, support_hi, snapped_measure = bump_block(make_bump(1, grid_size=4096))
-    assert height == pytest.approx(1.0 / gamma(1) ** 2, rel=1e-14)
-    assert support_hi == pytest.approx(gamma(1), rel=0.1)
-    assert abs(snapped_measure / gamma(1) ** 2 - 1.0) < 0.05
+    step = make_bump(1, grid_size=4096)
+    h = 2.0 * math.pi / 4096
+    side = math.isqrt(step.cells)
+    assert side ** 2 == step.cells and step.cell_area == h ** 2
+    assert step.value == 1.0 / gamma(1) ** 2
+    assert side * h == pytest.approx(gamma(1), rel=0.1)
+    assert abs(step.cells * step.cell_area / gamma(1) ** 2 - 1.0) < 0.05
 
 
 def test_unscaled_bump_is_approximate_identity():
-    grid = make_bump(1, grid_size=4096)
-    measure_discrepancy = bump_block(grid)[2] / gamma(1) ** 2 - 1.0
-    integral = l1_distance(grid, GridFunction2D.constant(0.0, 4096))  # the bump is nonnegative
-    assert integral == pytest.approx(1.0 + measure_discrepancy, rel=1e-12)
+    step = make_bump(1, grid_size=4096)
+    integral = step.value * step.cells * step.cell_area
+    assert integral == pytest.approx(step.cells * step.cell_area / gamma(1) ** 2, rel=1e-15)
     assert abs(integral - 1.0) < 0.05
+    # the grid the step stands for has the same integral (the bump is nonnegative)
+    zero = GridFunction2D.constant(0.0, 4096)
+    assert l1_distance(bump_grid(step, 4096), zero) == pytest.approx(integral, rel=1e-12)
 
 
 def test_scaled_bump_integral():
-    grid = make_bump(1, grid_size=4096)
-    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values)
-    expected = BUMP_PREFACTOR * bump_block(grid)[2] / gamma(1) ** 2
+    step = make_bump(1, grid_size=4096)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * bump_grid(step, 4096).values)
+    expected = BUMP_PREFACTOR * step.cells * step.cell_area / gamma(1) ** 2
     assert l1_distance(scaled, GridFunction2D.constant(0.0, 4096)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_bump_support_sits_at_the_origin_cell():
-    grid = make_bump(1, grid_size=4096)
-    origin = 2048  # index of x = 0
-    assert grid.values[origin, origin] > 0.0
-    assert grid.values[origin - 1, origin] == 0.0
-    assert grid.values[0, 0] == 0.0
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bump_snaps_its_side_to_whole_cells(n):
+    # the side is gamma(n) rounded to whole cells, never fewer than one, at every grid the
+    # bump admits; the step holds the side's square and the grid's cell area
+    least = 16.0 * kernels.phase_rate(n) / math.pi
+    for G in [2 ** k for k in range(5, 23) if 2 ** k >= least] + [2 ** 40]:
+        h = 2.0 * math.pi / G
+        step = make_bump(n, grid_size=G)
+        side = max(1, round(gamma(n) / h))
+        assert (step.value, step.cells, step.cell_area) == (1.0 / gamma(n) ** 2, side ** 2, h ** 2)
+    assert make_bump(1, grid_size=32).cells == 1  # gamma(1) is 0.07 of a 32-point cell
+    assert make_bump(1, grid_size=4096).cells == 9 ** 2
 
 
 def test_bump_resolution_error():
@@ -335,7 +346,7 @@ def test_l1_lower_consistent_with_pointwise_bound():
     # the region-restricted integral of |t| dominates min(x y t) * Int 1/(xy)
     rep = l1_growth(3)
     low = bump_mean_lower_bound(3).min_ratio
-    assert rep.l1_lower >= low * rep.geometric_sum * (1.0 - 1e-9)
+    assert rep.l1_lower >= low * geometric_sum(3) * (1.0 - 1e-9)
 
 
 # -------------------------------------------------------------- exceedance
@@ -549,11 +560,13 @@ def test_norm_bounded_by_modular_with_one_constant():
     # the scalar route agrees with the grid-path norm on an actual bump
     from logmeans.orlicz import luxemburg_norm
 
-    grid = make_bump(1, grid_size=2048)
-    height, _, snapped_measure = bump_block(grid)
-    scaled = GridFunction2D(values=BUMP_PREFACTOR * grid.values)
-    scalar = scalar_norm(BUMP_PREFACTOR * height, snapped_measure, LOG)
+    step = make_bump(1, grid_size=2048)
+    scaled = GridFunction2D(values=BUMP_PREFACTOR * bump_grid(step, 2048).values)
+    scalar = scalar_norm(BUMP_PREFACTOR * step.value, step.cells * step.cell_area, LOG)
     assert luxemburg_norm(scaled, LOG) == pytest.approx(scalar, rel=1e-8)
+    # and the step the CLI reports gives the grid's norm bit for bit
+    scaled_step = StepFunction(BUMP_PREFACTOR * step.value, step.cells, step.cell_area)
+    assert luxemburg_norm(scaled_step, LOG) == luxemburg_norm(scaled, LOG)
 
 
 # ---------------------------------------------------------------- the probe

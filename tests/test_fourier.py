@@ -394,3 +394,15 @@ def test_grid_op_validation():
                         ("quad", -1), ("norlund-log", -3), ("riesz-log", -2)]:
         with pytest.raises(ValueError):
             GridOp(kind, order)
+
+
+@pytest.mark.parametrize("kind", ["quad", "norlund-log", "marcinkiewicz", "riesz-log"])
+def test_grid_op_orders_must_be_integers(kind):
+    # a float order is refused, not read as weights of no mean: norlund-log at 2.5 would weigh
+    # [0.4, 0.667, 2.0] and marcinkiewicz at 2.5 would reach 3; NumPy integers pass as ints
+    for bad in (2.5, 4.0, np.float64(4.0), "4"):
+        with pytest.raises(ValueError, match="grid op orders must be integers"):
+            GridOp(kind, bad)
+    op = GridOp(kind, np.int64(4))
+    assert op == GridOp(kind, 4) and type(op.order) is int
+    assert np.array_equal(op.weights(), GridOp(kind, 4).weights())

@@ -11,7 +11,7 @@ from logmeans.fourier import BandwidthError, GridOp, axis_l1_distance, evaluate_
 from logmeans.means import harmonic_number, l1_distance
 
 from conftest import (
-    bump_block,
+    bump_grid,
     mean_via_kernel,
     quad_partial_sum,
     random_band_limited,
@@ -165,9 +165,9 @@ def test_mean_via_kernel_bump_at_shrunken_region_point():
     from logmeans.counterexamples import BUMP_PREFACTOR, make_bump
     from logmeans.kernels import log_kernel_direct_many
 
-    unscaled = make_bump(2, grid_size=2048)
-    bump = GridFunction2D(values=BUMP_PREFACTOR * unscaled.values)
-    height, edge, _ = bump_block(unscaled)
+    step = make_bump(2, grid_size=2048)
+    bump = GridFunction2D(values=BUMP_PREFACTOR * bump_grid(step, 2048).values)
+    height, edge = step.value, math.isqrt(step.cells) * 2.0 * math.pi / 2048
     (ax, bx), (ay, by) = shrunken_window(2), shrunken_window(2)
     x, y = 0.5 * (ax + bx), 0.5 * (ay + by)
     got = mean_via_kernel(bump, 16, x, y)

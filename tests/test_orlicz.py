@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logmeans.counterexamples import make_bump
 from logmeans.grid import GridFunction2D
 from logmeans.kernels import gamma
 from logmeans.orlicz import (
     LOG,
     LOG2,
     NORM_REL_TOL,
+    StepFunction,
     YoungFunction,
     inclusion_deficit,
     luxemburg_norm,
@@ -21,7 +23,7 @@ from logmeans.orlicz import (
     young_power,
 )
 
-from conftest import raw_luxemburg_norm, raw_modular, unit_ball_member
+from conftest import bump_grid, raw_luxemburg_norm, raw_modular, unit_ball_member
 
 
 E_MINUS_1 = math.e - 1.0
@@ -307,3 +309,44 @@ def test_inclusion_probe_validation():
     for u_grid in ([math.nan], [1.0, math.nan], [2.0, 4.0, math.inf]):
         with pytest.raises(ValueError, match="finite"):
             inclusion_deficit(LOG, "log", u_grid)
+
+
+# ------------------------------------------------------------- step functions
+
+def _report_functions(G):
+    """orlicz's three reported functions at grid size G, each as (step, the grid it stands for)."""
+    h = 2.0 * math.pi / G
+    side = int(round(1.0 / h))
+    indicator = np.zeros((G, G))
+    indicator[:side, :side] = 1.0
+    bump = make_bump(1, grid_size=G)
+    yield StepFunction(1.0, G * G, h ** 2), lambda: GridFunction2D.constant(1.0, G)
+    yield StepFunction(1.0, side ** 2, h ** 2), lambda: GridFunction2D(values=indicator)
+    yield bump, lambda: bump_grid(bump, G)
+
+
+@pytest.mark.parametrize("G", [32, 64, 128, 256, 1024, 4096])
+def test_step_gives_its_grids_modular_and_norm_bit_for_bit(G):
+    # the one Luxemburg loop serves both producers: a step's one value and cell count read
+    # exactly like the histogram of the grid it stands for, zero cells and all
+    for step, make_grid in _report_functions(G):
+        grid = make_grid()
+        for Q in (LOG, LOG2, young_power(2.0)):
+            norm = luxemburg_norm(grid, Q)
+            assert luxemburg_norm(step, Q) == norm
+            for k in (1e-3, 0.1, 0.5 * norm, norm, 2.0 * norm, 10.0):
+                assert modular(step, Q, k) == modular(grid, Q, k)
+                # one cell more or fewer is seen
+                for cells in (step.cells - 1, step.cells + 1):
+                    assert modular(StepFunction(step.value, cells, step.cell_area), Q, k) != modular(grid, Q, k)
+        del grid  # one grid at a time
+
+
+def test_step_histogram_and_zero_step():
+    step = StepFunction(-2.5, 7, 0.25)
+    mags, counts = step.magnitude_histogram
+    assert mags.tolist() == [2.5] and counts.tolist() == [7.0]
+    assert luxemburg_norm(StepFunction(0.0, 7, 0.25), LOG) == 0.0
+    # 2^80 cells, past int64, count as a float
+    assert StepFunction(1.0, 2 ** 80, 2.0 ** -80).magnitude_histogram[1][0] == 2.0 ** 80
+    assert modular(StepFunction(1.0, 2 ** 80, 2.0 ** -80), young_power(2.0), 1.0) == 1.0
