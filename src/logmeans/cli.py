@@ -143,11 +143,13 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
     points = args.samples ** 2
     # every order's 15 terms, bound and table sums live together: 176 bytes a point and order and
     # 360 a point besides, above the tracemalloc peaks at S = 64..256 for 1, 7, 14 and 30 orders
-    # (444, 1524, 2637 and 5197 bytes a point), plus 64 bytes an order for the weights and the
-    # one-row tables of a large order, and the row blocks of the tables
+    # (432, 1505, 2625 and 5185 bytes a point at S = 256), plus 64 bytes an order for the weights
+    # and the one-row tables of a large order, and one row block's two tables (the half-angle pair,
+    # or the direct form's tables at x and at y) with what builds them: 18.5 bytes an element of
+    # KERNEL_TABLE_ELEMS at S = 8, where the block holds every point
     kernels.refuse_beyond_memory_limit(
         f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders",
-        (360 + 176 * len(orders)) * points + 64 * sum(orders) + 24 * kernels.KERNEL_TABLE_ELEMS,
+        (360 + 176 * len(orders)) * points + 64 * sum(orders) + 20 * kernels.KERNEL_TABLE_ELEMS,
     )
     xs, ys = quasi_random_points(points).T
     terms, bounds = kernels.closed_form_terms(orders, xs, ys)  # orders below 3 are refused here

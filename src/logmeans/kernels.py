@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import GridOp, angle_table, dirichlet_kernel, dirichlet_matrix, finite_points, reduce_angle
+from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, dirichlet_matrix, finite_points, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -35,12 +35,13 @@ GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 #: Keep-out distance from the removable-singularity tubes: closed_form_terms refuses points nearer.
 EPS_SING = 1e-6
 
-#: Elements a (points, order) table may hold (256 KB): telescoped_sums, sin_sum and
-#: log_kernel_direct_many walk their points in blocks of max(1, this // N) rows, N the
-#: largest order asked for.  Kernel-verify's seven orders at 1024 points take about 0.076 s
-#: a run at 16K elements (16 rows at N = 1024), where the per-block calls dominate, 0.063 s
-#: here, and 0.059 s at 64K, which doubles the tables held at once.
-KERNEL_TABLE_ELEMS = 32 * 1024
+#: Elements a (points, order) table may hold (512 KB): _half_angle_sums and log_kernel_direct_many
+#: walk their points in blocks of max(1, this // N) rows, N the largest order asked for, and a
+#: block holds two such tables (the half-angle pair, or the direct form's tables at t and at s).
+#: Kernel-verify's seven orders at 1024 points take 71, 55, 48 and 43 ms a run at 16K, 32K, 64K
+#: (here) and 128K elements (in-process medians on a shared 2-core box): the per-block calls
+#: dominate small blocks, and 128K adds about 1 MB to the command's peak RSS.
+KERNEL_TABLE_ELEMS = 64 * 1024
 
 #: Elements one (points, orders) angle table of norlund_cosine_table may hold (8 MB): its order
 #: blocks take max(1, this // points) orders.  Not KERNEL_TABLE_ELEMS: as elements it leaves under
@@ -203,23 +204,51 @@ def sin_sum(N, u) -> float | np.ndarray:
     """
     sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  For a
     sequence of ascending orders, one such result per order (a leading order axis), each summed
-    over its prefix of the largest order's table.  Refuses NaN and infinite u.
+    over its prefix of the largest order's table.  The terms are 2 sin(k r/2) cos(k r/2) / k of
+    the half-angle pair of _half_angle_sums, at u reduced to r in [-pi, pi].  Refuses NaN and
+    infinite u.
     """
     orders, one = _orders(N)
     if orders[0] < 1:
         raise ValueError(f"N must be >= 1, got {orders[0]}")
-    u_arr = np.ravel(finite_points(u))
-    top = orders[-1]
-    k = np.arange(1, top + 1)
-    out = np.empty((len(orders), len(u_arr)))
-    for b in _row_blocks(top, len(u_arr)):
-        terms = angle_table(u_arr[b], 1, top)
-        terms /= k
-        for i, n in enumerate(orders):
-            out[i, b] = terms[:, :n].sum(axis=1)  # per row: no block dependence
-    out = out.reshape((len(orders), *np.shape(u)))
+    r = reduce_angle(np.ravel(u))[0]
+    out = _half_angle_sums(orders, r, None)[1].reshape((len(orders), *np.shape(u)))
     out = out[0] if one else out
     return float(out) if out.ndim == 0 else out
+
+
+def _row_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """
+    sum_j a_ij b_ij w_j for every row i (``w`` one row of weights, or one a row), with no product
+    table: one sequential reduction a row, so a row's sum does not depend on the rows beside it,
+    as a BLAS product's may.
+    """
+    return np.einsum("...j,...j,...j->...", a, b, w)
+
+
+def _half_angle_sums(orders: list[int], r: np.ndarray, cap) -> np.ndarray:
+    """
+    For every order n and every reduced point r, shape (2, orders, points): the telescoped table
+    sum sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2, its terms past the point's ``cap`` zeroed
+    (None: no cap), and the sine sum sum_{k=1}^{n} 2 S_k C_k / k = sum sin(k r)/k, where
+    S_j = sin(j r/2) and C_j = cos(j r/2).  One angle_pair for j = 1..N, N the largest order, built
+    in row blocks of at most KERNEL_TABLE_ELEMS elements a table, serves both sums of every order,
+    each summing its prefix.
+    """
+    top = orders[-1]
+    k = np.arange(1.0, top + 1.0)
+    weights, sine_weights = _telescoped_weights(k[: top - 2]), 2.0 / k
+    sums = np.empty((2, len(orders), len(r)))
+    for b in _row_blocks(top, len(r)):
+        S, C = angle_pair(0.5 * r[b], 1, top)
+        kept = weights
+        if cap is not None and cap[b].min() < top - 2:
+            kept = np.where(k[: top - 2] <= cap[b, None], weights, 0.0)
+        for i, n in enumerate(orders):
+            sums[0, i, b] = _row_sums(S[:, 1 : n - 1], S[:, 1 : n - 1], kept[..., : n - 2])
+            sums[1, i, b] = _row_sums(S[:, :n], C[:, :n], sine_weights[:n])
+        del S, C, kept  # freed before the next block's tables are built
+    return sums
 
 
 def fejer_ratio(m: int, u) -> float | np.ndarray:
@@ -253,8 +282,9 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     T + V + W - 3/4 is H_N there and the tail is 0.  Every row of the sum has
     N - 2 terms, those past the cap zeroed, so a point's values do not
     depend on the rest of the batch (a sum's rounding depends on its length).
-    The table is built in row blocks of at most KERNEL_TABLE_ELEMS elements;
-    each row is the same sum in any block, so every block width is bit-identical.
+    The half-angle tables (_half_angle_sums) are built in row blocks of at most
+    KERNEL_TABLE_ELEMS elements; each row is the same sum in any block, so every
+    block width is bit-identical.
 
     ``N`` may be a sequence of ascending orders: each part then has one row per
     order, and every order sums its prefix of the largest order's table.  A cap
@@ -262,15 +292,16 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     each order in full.
     """
     orders, one = _orders(N)
-    parts = np.stack([np.stack(order_parts) for order_parts in _telescoped_orders(orders, u, K)], axis=1)
+    parts = np.stack([np.stack(order_parts[:4]) for order_parts in _telescoped_orders(orders, u, K)], axis=1)
     return tuple(parts[:, 0] if one else parts)
 
 
 def _telescoped_orders(orders: list[int], u, K):
     """
     telescoped_sums' checks and table sums for every order at once, then an iterator over the
-    orders of their parts (T, V, W, tail), each finished only when it is reached, so a caller
-    that uses one order at a time holds one order's parts, not all of them.
+    orders of their parts (T, V, W, tail) and sin_sum(n, u), which _half_angle_sums reads from
+    the same half-angle pair; each order is finished only when it is reached, so a caller that
+    uses one order at a time holds one order's parts, not all of them.
     """
     top = orders[-1]
     cap = np.asarray(orders[0] - 2 if K is None else K)
@@ -282,26 +313,18 @@ def _telescoped_orders(orders: list[int], u, K):
     # None sums every order in full; the rows at u = 0 are zero whatever the cap, and T takes its limit there
     cap = np.where(zero | (K is None), top - 2, cap)
     k = np.arange(1.0, top - 1.0)
-    weights, half = _telescoped_weights(k), 0.5 * r
-    sums = np.empty((len(orders), len(r)))
-    for b in _row_blocks(top, len(r)):
-        terms = angle_table(half[b], 2, top - 2)  # sin((k + 1) u/2)
-        terms *= terms
-        terms *= weights
-        if cap[b].min() < top - 2:
-            terms *= k <= cap[b, None]
-        for i, n in enumerate(orders):
-            sums[i, b] = terms[:, : n - 2].sum(axis=1)
+    weights = _telescoped_weights(k)
+    sums, sines = _half_angle_sums(orders, r, cap)
 
-    def finish(n: int, order_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def finish(n: int, order_sums: np.ndarray, sine: np.ndarray):
         capped = np.minimum(cap, n - 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             T = order_sums / (2.0 * half_sin ** 2)
             tail = np.where(capped < n - 2, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
         T = np.where(zero, np.sum(weights[: n - 2] * 0.5 * (k[: n - 2] + 1.0) ** 2), T)
-        return T, fejer_ratio(n, r) / (n * (n - 1.0)), dirichlet_kernel(n, r) / n, tail
+        return T, fejer_ratio(n, r) / (n * (n - 1.0)), dirichlet_kernel(n, r) / n, tail, sine
 
-    return map(finish, orders, sums)
+    return map(finish, orders, sums, sines)
 
 
 # ----------------------------------------------------------------------------
@@ -330,9 +353,9 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 
 def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
-    Direct-form F_N over paired point arrays; one per-row sum per point, in row blocks.  For a
-    sequence of ascending orders, one row of values per order, each weighting its prefix of the
-    largest order's table D_k(t) D_k(s).
+    Direct-form F_N over paired point arrays; one weighted per-row sum of D_k(t) D_k(s) per point,
+    in row blocks of the tables at t and at s.  For a sequence of ascending orders, one row of
+    values per order, each weighting its prefix of the largest order's tables.
     """
     orders, one = _orders(N)
     t, s = _paired(t, s)
@@ -340,10 +363,10 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     k = np.arange(orders[-1])
     out = np.empty((len(orders), len(t)))
     for b in _row_blocks(orders[-1], len(t)):
-        table = dirichlet_matrix(k, t[b]).T  # (points, orders) as angle_table built it
-        table *= dirichlet_matrix(k, s[b]).T
+        at_t, at_s = dirichlet_matrix(k, t[b]).T, dirichlet_matrix(k, s[b]).T  # (points, orders) as built
         for i, w in enumerate(weights):
-            out[i, b] = (table[:, : len(w)] * w).sum(axis=1)
+            out[i, b] = _row_sums(at_t[:, : len(w)], at_s[:, : len(w)], w)
+        del at_t, at_s  # freed before the next block's tables are built
     for row, n in zip(out, orders):
         row /= harmonic_number(n)
     return out[0] if one else out
@@ -408,13 +431,14 @@ def closed_form_terms(
 
     ``K`` caps both telescoped sums (scalar or per point), checked as
     telescoped_sums checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
-    The per-point work runs on the whole batch, once an order; only the tables of
-    telescoped_sums and sin_sum are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
+    The per-point work runs on the whole batch, once an order; only the half-angle
+    pairs of _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
 
     ``N`` may be a sequence of ascending orders: the results then gain a leading
-    order axis, (orders, P, 15) and (orders, P), and the tables at x + y and x - y
-    are built once, for the largest order, each order summing its prefix; an
-    order's telescoped parts are finished when its terms are, one order at a time.
+    order axis, (orders, P, 15) and (orders, P).  One half-angle pair at x + y and
+    one at x - y, of the largest order, serve the telescoped and the sine sums of
+    every order, each order summing its prefix; an order's telescoped parts are
+    finished when its terms are, one order at a time.
     """
     orders, one = _orders(N)
     if orders[0] < 3:
@@ -433,9 +457,8 @@ def closed_form_terms(
     xs, ys, up, um = args
     denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
     plus, minus = _telescoped_orders(orders, up, K), _telescoped_orders(orders, um, K)
-    sines = sin_sum(orders, up), sin_sum(orders, um)
     terms, bound = np.empty((len(orders), len(xs), 15)), np.empty((len(orders), len(xs)))
-    for i, (n, (Tp, Vp, Wp, tb_p), (Tm, Vm, Wm, tb_m), Sp, Sm) in enumerate(zip(orders, plus, minus, *sines)):
+    for i, (n, (Tp, Vp, Wp, tb_p, Sp), (Tm, Vm, Wm, tb_m, Sm)) in enumerate(zip(orders, plus, minus)):
         rate = n + 0.5
         sx, cx = np.sin(rate * xs), np.cos(rate * xs)
         sy, cy = np.sin(rate * ys), np.cos(rate * ys)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,24 +112,27 @@ def test_kernel_verify_makes_one_call_per_form_for_all_orders(tmp_path, monkeypa
 
 
 def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_path, monkeypatch):
-    # every order sums a prefix of the largest order's tables: the direct form's at x and at y,
-    # the telescoped and sine tables at x + y and at x - y
+    # every order sums a prefix of the largest order's tables: the direct form's angle tables at x
+    # and at y, and one half-angle pair (sine and cosine tables) at x + y and one at x - y
     from logmeans import fourier
 
-    built = []
+    built = Counter()  # points tabled, per kind of table and order count
 
-    def spy(u, start, count, *args, _table=fourier.angle_table, **kwargs):
-        built.append(np.size(u) * count)
-        return _table(u, start, count, *args, **kwargs)
+    def spy(kind, make):
+        def counted(u, start, count, *args, **kwargs):
+            built[kind, count] += np.size(u)
+            return make(u, start, count, *args, **kwargs)
 
+        return counted
+
+    table = spy("table", fourier.angle_table)
     for module in (fourier, kernels):
-        monkeypatch.setattr(module, "angle_table", spy)
-    entries = []
+        monkeypatch.setattr(module, "angle_table", table)
+    monkeypatch.setattr(kernels, "angle_pair", spy("pair", fourier.angle_pair))
     for n_arg in ([], ["--n", str(max(KERNEL_VERIFY_N))]):
         built.clear()
         assert main(["kernel-verify", "--samples", "8", *n_arg, "--out", str(tmp_path)]) == EXIT_OK
-        entries.append(sum(built))
-    assert entries == [64 * (2 * 1024 + 2 * 1022 + 2 * 1024)] * 2
+        assert built == {("table", 1024): 2 * 64, ("pair", 1024): 2 * 64}
 
 
 def test_kernel_verify_checks_the_given_orders(tmp_path):

@@ -11,6 +11,7 @@ from logmeans.fourier import (
     BandwidthError,
     GridOp,
     SpectralCoeffs,
+    angle_pair,
     angle_table,
     dirichlet_kernel,
     dirichlet_matrix,
@@ -121,20 +122,29 @@ def _sampled_orders(count, rng):
 def test_angle_table_matches_mpmath(N, cosine, start, offset, rng):
     # each sampled entry lies within 2 eps (1 + |(k + offset) u|) of the
     # 40-digit value at the float point u, and each point's row is the same
-    # whether it is tabled alone or with the others
+    # whether it is tabled alone or with the others; both hold for the table
+    # and for its half of angle_pair, which equals it bit for bit
     us = np.concatenate([[math.pi, -math.pi, 1e-6, 2 * math.pi - 1e-6], rng.uniform(-2 * math.pi, 2 * math.pi, 4)])
-    table = angle_table(us, start, N, offset, cosine)
-    assert table.shape == (len(us), N)
-    for p, u in enumerate(us):
-        assert np.array_equal(angle_table(us[p : p + 1], start, N, offset, cosine)[0], table[p])
+    tables = {
+        "table": lambda pts: angle_table(pts, start, N, offset, cosine),
+        "pair": lambda pts: angle_pair(pts, start, N, offset)[cosine],
+    }
+    batch = {form: make(us) for form, make in tables.items()}
+    assert np.array_equal(batch["pair"], batch["table"])
+    for form, make in tables.items():
+        assert batch[form].shape == (len(us), N)
+        for p, u in enumerate(us):
+            assert np.array_equal(make(us[p : p + 1])[0], batch[form][p]), form
     trig = mpmath.cos if cosine else mpmath.sin
     eps = np.finfo(float).eps
     with mpmath.workdps(40):
         for i in _sampled_orders(N, rng):
             order = mpmath.mpf(start + int(i)) + mpmath.mpf(offset)
             for p, u in enumerate(us):
-                err = abs(mpmath.mpf(float(table[p, i])) - trig(order * mpmath.mpf(float(u))))
-                assert err <= 2 * eps * (1 + abs(float(order) * u)), (N, int(i), float(u))
+                want = trig(order * mpmath.mpf(float(u)))
+                for form, table in batch.items():
+                    err = abs(mpmath.mpf(float(table[p, i])) - want)
+                    assert err <= 2 * eps * (1 + abs(float(order) * u)), (form, N, int(i), float(u))
 
 
 def test_one_order_angle_table_is_np_sin_bit_for_bit(rng):
@@ -144,6 +154,9 @@ def test_one_order_angle_table_is_np_sin_bit_for_bit(rng):
         for offset in (0.0, 0.5):
             assert np.array_equal(angle_table(us, k, 1, offset)[:, 0], np.sin((k + offset) * us))
             assert np.array_equal(angle_table(us, k, 1, offset, cosine=True)[:, 0], np.cos((k + offset) * us))
+            sin, cos = angle_pair(us, k, 1, offset)
+            assert np.array_equal(sin[:, 0], np.sin((k + offset) * us))
+            assert np.array_equal(cos[:, 0], np.cos((k + offset) * us))
     ts = rng.uniform(-3.0, 3.0, 50)
     r, half_sin, _ = reduce_angle(ts)
     for k in (0, 5, 300):
@@ -158,6 +171,8 @@ def test_kernel_tables_need_a_range_of_consecutive_orders():
             dirichlet_matrix(orders, ts)
     with pytest.raises(ValueError, match="at least one order"):
         angle_table(ts, 0, 0)
+    with pytest.raises(ValueError, match="at least one order"):
+        angle_pair(ts, 0, 0)
 
 
 # --------------------------------------------------------- fourier_coeffs

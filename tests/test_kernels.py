@@ -380,15 +380,69 @@ def test_telescoped_sums_do_not_depend_on_the_batch(N):
 def test_sin_sum_basics():
     assert sin_sum(37, 0.0) == 0.0
     assert sin_sum(1, math.pi / 2) == pytest.approx(1.0, abs=0.0)
-    # the terms come from one angle_table, so they may differ from the loop's
-    # np.sin in the last bits, and the summation order may differ too; the
-    # gamma_N bound on the absolute sum covers both
+    # the terms are 2 sin(ku/2) cos(ku/2) / k of one half-angle pair, so they
+    # may differ from the loop's np.sin in the last bits, and the summation
+    # order may differ too; the gamma_N bound on the absolute sum covers both
     us = np.array([-2.9, -0.4, 0.01, 1.3, 3.1])
     for N in (2, 9, 300, 1024):
         for u, got in zip(us, sin_sum(N, us)):
             terms = [math.sin(k * u) / k for k in range(1, N + 1)]
             bound = N * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
             assert abs(got - math.fsum(terms)) <= bound, (N, u)
+
+
+def _mp_half_angle_sums(N, u):
+    """
+    sum_{k<=N} sin(ku)/k, sum_{k<=N} |sin(ku)|/k and T = sum_{k<=N-2} [2/(k(k+1)(k+2))] Phi_{k+1}(u)
+    at the float point u, to far below 40 digits: e^{iku/2} by a fixed-point recurrence in units
+    of 2^-200 from its 60-digit mpmath seed (each step adds at most a few units of error), with
+    sin(ku) = 2 sin(ku/2) cos(ku/2) and Phi_{k+1}(u) = sin^2((k+1)u/2) / (2 sin^2(u/2)).
+    """
+    F = 200
+    with mpmath.workdps(60):
+        half = mpmath.mpf(float(u)) / 2
+        c, s = (int(mpmath.nint(v * 2 ** F)) for v in (mpmath.cos(half), mpmath.sin(half)))
+        ck, sk = 1 << F, 0
+        sine = abs_sine = tele = 0
+        for k in range(1, N + 1):
+            ck, sk = (ck * c - sk * s) >> F, (sk * c + ck * s) >> F
+            term = 2 * sk * ck // k
+            sine, abs_sine = sine + term, abs_sine + abs(term)
+            if 2 <= k <= N - 1:  # S_k^2 carries the weight of k - 1
+                tele += 2 * sk * sk // ((k - 1) * k * (k + 1))
+        unit = mpmath.mpf(2) ** (-2 * F)
+        return sine * unit, abs_sine * unit, tele * unit / (2 * mpmath.sin(half) ** 2)
+
+
+def test_half_angle_reference_matches_mpmath_fsum():
+    u = 2.3
+    with mpmath.workdps(40):
+        terms = [mpmath.sin(k * mpmath.mpf(u)) / k for k in range(1, 1025)]
+        sine = mpmath.fsum(terms)
+        tele = mpmath.fsum(
+            mpmath.mpf(2) / (k * (k + 1) * (k + 2)) * mpmath.sin((k + 1) * mpmath.mpf(u) / 2) ** 2
+            for k in range(1, 1023)
+        ) / (2 * mpmath.sin(mpmath.mpf(u) / 2) ** 2)
+        got = _mp_half_angle_sums(1024, u)
+        assert abs(got[0] - sine) < mpmath.mpf(10) ** -38
+        assert abs(got[1] - mpmath.fsum(abs(t) for t in terms)) < mpmath.mpf(10) ** -38
+        assert abs(got[2] - tele) < mpmath.mpf(10) ** -38
+
+
+@pytest.mark.parametrize("N", [1024, 65536])
+def test_half_angle_sums_match_mpmath(N, rng):
+    # sin_sum and the telescoped T both read the half-angle pair S_j = sin(j u/2), C_j = cos(j u/2):
+    # each lies within N eps sum |terms| of its high-precision sum, at kernel-verify's tube margin
+    # +-0.02, near +-pi and at random points (each sum is odd or even in u, so one reference serves +-u)
+    eps = np.finfo(float).eps
+    magnitudes = np.concatenate([[0.02, math.pi - 1e-3], rng.uniform(0.1, math.pi, 2)])
+    us = np.concatenate([magnitudes, -magnitudes])
+    sines, T = sin_sum(N, us), telescoped_sums(N, us)[0]
+    for i, u in enumerate(magnitudes):
+        sine, abs_sine, tele = _mp_half_angle_sums(N, u)
+        for j, sign in ((i, 1), (i + len(magnitudes), -1)):
+            assert abs(sines[j] - sign * sine) <= N * eps * abs_sine, (N, us[j])
+            assert abs(T[j] - tele) <= N * eps * tele, (N, us[j])
 
 
 def test_sin_sum_keeps_the_shape_of_its_points():
