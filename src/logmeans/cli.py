@@ -141,15 +141,16 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = sorted(set(args.n or KERNEL_VERIFY_N))
     points = args.samples ** 2
-    # every order's 15 terms, bound and table sums live together: 176 bytes a point and order and
-    # 360 a point besides, above the tracemalloc peaks at S = 64..256 for 1, 7, 14 and 30 orders
-    # (432, 1505, 2625 and 5185 bytes a point at S = 256), plus 64 bytes an order for the weights
-    # and the one-row tables of a large order, and one row block's two tables (the half-angle pair,
-    # or the direct form's tables at x and at y) with what builds them: 18.5 bytes an element of
-    # KERNEL_TABLE_ELEMS at S = 8, where the block holds every point
+    # the closed form finishes every order at once: the parts (T, V, W, sine sum) at x + y and at
+    # x - y, the four factors, the 15 terms and the bound peak at 248 bytes a point and order and
+    # 62 a point besides under tracemalloc at S = 64..256 for 1, 7, 14 and 30 orders (310, 1798,
+    # 3534 and 7502 bytes a point at S = 256), so 272 and 96 bound them; plus 64 bytes an order for
+    # the weights and the one-row tables of a large order, and one row block's two tables (the
+    # half-angle pair, or the direct form's tables at x and at y) with what builds them: 20 bytes
+    # an element of KERNEL_TABLE_ELEMS at S = 8, where the block holds every point
     kernels.refuse_beyond_memory_limit(
         f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders",
-        (360 + 176 * len(orders)) * points + 64 * sum(orders) + 20 * kernels.KERNEL_TABLE_ELEMS,
+        (96 + 272 * len(orders)) * points + 64 * sum(orders) + 20 * kernels.KERNEL_TABLE_ELEMS,
     )
     xs, ys = quasi_random_points(points).T
     terms, bounds = kernels.closed_form_terms(orders, xs, ys)  # orders below 3 are refused here
@@ -165,9 +166,13 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
         all_ok &= ok
         rows.append([N, len(xs), float(np.max(err)), worst_margin, ok])
 
+    certificates = [  # the nearest any point comes to a singular tube, and the largest truncation bound used
+        f"min_tube_distance={_fmt(np.min(kernels.tube_distances(xs, ys)[1]))}",
+        f"max_truncation_bound={_fmt(np.max(bounds))}",
+    ]
     write_report(
         args, "kernel_verify",
-        ["report=closed-vs-direct kernel equivalence"],
+        ["report=closed-vs-direct kernel equivalence", *certificates],
         ["N", "points", "max_abs_diff", "worst_margin", "pass"],
         rows,
     )

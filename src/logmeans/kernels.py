@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, dirichlet_matrix, finite_points, reduce_angle
+from .fourier import GridOp, angle_pair, angle_table, finite_points, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -292,16 +292,14 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     each order in full.
     """
     orders, one = _orders(N)
-    parts = np.stack([np.stack(order_parts[:4]) for order_parts in _telescoped_orders(orders, u, K)], axis=1)
-    return tuple(parts[:, 0] if one else parts)
+    return tuple(part[0] if one else part for part in _telescoped_orders(orders, u, K)[:4])
 
 
-def _telescoped_orders(orders: list[int], u, K):
+def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
     """
-    telescoped_sums' checks and table sums for every order at once, then an iterator over the
-    orders of their parts (T, V, W, tail) and sin_sum(n, u), which _half_angle_sums reads from
-    the same half-angle pair; each order is finished only when it is reached, so a caller that
-    uses one order at a time holds one order's parts, not all of them.
+    telescoped_sums' checks, then its parts (T, V, W, tail) and sin_sum(n, u) for every order n,
+    each one (orders, points) array: _half_angle_sums reads the table sums of T and the sine sums
+    from one half-angle pair, and the ratios of V and W are one np.sin each over all orders.
     """
     top = orders[-1]
     cap = np.asarray(orders[0] - 2 if K is None else K)
@@ -312,19 +310,22 @@ def _telescoped_orders(orders: list[int], u, K):
         raise ValueError(f"per-point caps K must be one per point, got cap shape {cap.shape} for {len(r)} points")
     # None sums every order in full; the rows at u = 0 are zero whatever the cap, and T takes its limit there
     cap = np.where(zero | (K is None), top - 2, cap)
+    T, sines = _half_angle_sums(orders, r, cap)
+    n = np.array(orders, dtype=float)[:, None]
+    capped = np.minimum(cap, n - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        two_sin2 = 2.0 * half_sin ** 2
+        T /= two_sin2
+        V = np.sin(0.5 * n * r) ** 2 / two_sin2 / (n * (n - 1.0))  # Phi_n / (n (n - 1))
+        W = np.sin((n + 0.5) * r) / (2.0 * half_sin) / n  # D~_n / n
+        tail = np.where(capped < n - 2.0, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
+    # the removable limits at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2 and D~_n is n + 1/2
     k = np.arange(1.0, top - 1.0)
-    weights = _telescoped_weights(k)
-    sums, sines = _half_angle_sums(orders, r, cap)
-
-    def finish(n: int, order_sums: np.ndarray, sine: np.ndarray):
-        capped = np.minimum(cap, n - 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            T = order_sums / (2.0 * half_sin ** 2)
-            tail = np.where(capped < n - 2, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
-        T = np.where(zero, np.sum(weights[: n - 2] * 0.5 * (k[: n - 2] + 1.0) ** 2), T)
-        return T, fejer_ratio(n, r) / (n * (n - 1.0)), dirichlet_kernel(n, r) / n, tail, sine
-
-    return map(finish, orders, sums, sines)
+    limit_terms = _telescoped_weights(k) * 0.5 * (k + 1.0) ** 2
+    T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
+    V[:, zero] = 0.5 * n * n / (n * (n - 1.0))
+    W[:, zero] = (n + 0.5) / n
+    return T, V, W, tail, sines
 
 
 # ----------------------------------------------------------------------------
@@ -353,22 +354,29 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 
 def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
-    Direct-form F_N over paired point arrays; one weighted per-row sum of D_k(t) D_k(s) per point,
-    in row blocks of the tables at t and at s.  For a sequence of ascending orders, one row of
-    values per order, each weighting its prefix of the largest order's tables.
+    Direct-form F_N over paired point arrays.  Since D_k(t) D_k(s) = sin((k + 1/2) t) sin((k + 1/2) s)
+    / (4 sin(t/2) sin(s/2)), each point is one weighted per-row sum over the raw sine tables at t and
+    at s, built together in row blocks, divided once by 4 sin(t/2) sin(s/2) and by H_N.  At
+    t = 0 mod 2 pi the table row at t is the limit k + 1/2 of D_k and its divisor factor is 1 (the
+    same for s).  For a sequence of ascending orders, one row of values per order, each weighting
+    its prefix of the largest order's tables.
     """
     orders, one = _orders(N)
     t, s = _paired(t, s)
+    r, half_sin, zero = reduce_angle(np.stack([t, s]))
     weights = [GridOp.norlund_log(n).weights() for n in orders]
-    k = np.arange(orders[-1])
+    top = orders[-1]
+    limit = np.arange(top) + 0.5
     out = np.empty((len(orders), len(t)))
-    for b in _row_blocks(orders[-1], len(t)):
-        at_t, at_s = dirichlet_matrix(k, t[b]).T, dirichlet_matrix(k, s[b]).T  # (points, orders) as built
+    for b in _row_blocks(top, len(t)):
+        tables = angle_table(r[:, b].ravel(), 0, top, 0.5)  # the rows at t, then the rows at s
+        tables[zero[:, b].ravel()] = limit
+        at_t, at_s = tables.reshape(2, -1, top)
         for i, w in enumerate(weights):
             out[i, b] = _row_sums(at_t[:, : len(w)], at_s[:, : len(w)], w)
-        del at_t, at_s  # freed before the next block's tables are built
-    for row, n in zip(out, orders):
-        row /= harmonic_number(n)
+        del tables, at_t, at_s  # freed before the next block's tables are built
+    divisor = np.prod(np.where(zero, 1.0, 2.0 * half_sin), axis=0)
+    out /= np.array([harmonic_number(n) for n in orders])[:, None] * divisor
     return out[0] if one else out
 
 
@@ -431,14 +439,14 @@ def closed_form_terms(
 
     ``K`` caps both telescoped sums (scalar or per point), checked as
     telescoped_sums checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
-    The per-point work runs on the whole batch, once an order; only the half-angle
-    pairs of _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
+    The per-point work runs on the whole batch; only the half-angle pairs of
+    _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
 
     ``N`` may be a sequence of ascending orders: the results then gain a leading
     order axis, (orders, P, 15) and (orders, P).  One half-angle pair at x + y and
     one at x - y, of the largest order, serve the telescoped and the sine sums of
-    every order, each order summing its prefix; an order's telescoped parts are
-    finished when its terms are, one order at a time.
+    every order, each order summing its prefix; the parts, factors and terms of
+    every order are then finished together, as (orders, P) arrays.
     """
     orders, one = _orders(N)
     if orders[0] < 3:
@@ -456,23 +464,25 @@ def closed_form_terms(
         raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {EPS_SING} of a singular tube")
     xs, ys, up, um = args
     denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
-    plus, minus = _telescoped_orders(orders, up, K), _telescoped_orders(orders, um, K)
-    terms, bound = np.empty((len(orders), len(xs), 15)), np.empty((len(orders), len(xs)))
-    for i, (n, (Tp, Vp, Wp, tb_p, Sp), (Tm, Vm, Wm, tb_m, Sm)) in enumerate(zip(orders, plus, minus)):
-        rate = n + 0.5
-        sx, cx = np.sin(rate * xs), np.cos(rate * xs)
-        sy, cy = np.sin(rate * ys), np.cos(rate * ys)
-        SS, CC = sx * sy / denom, cx * cy / denom
-        SC, CS = sx * cy / denom, cx * sy / denom
-        products = (  # (coefficient, factor, part) of R1..R15 in display order
-            (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
-            (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
-            (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
-            (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
-        )
-        for col, (coeff, factor, part) in enumerate(products):
-            terms[i, :, col] = coeff * factor * part
-        bound[i] = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic_number(n)
+    (Tp, Vp, Wp, tb_p, Sp), (Tm, Vm, Wm, tb_m, Sm) = (_telescoped_orders(orders, u, K) for u in (up, um))
+    rate = np.array(orders, dtype=float)[:, None] + 0.5
+    sx, cx = np.sin(rate * xs), np.cos(rate * xs)
+    sy, cy = np.sin(rate * ys), np.cos(rate * ys)
+    SS, CC = sx * sy / denom, cx * cy / denom
+    SC, CS = sx * cy / denom, cx * sy / denom
+    del sx, cx, sy, cy  # every order's arrays live at once: the terms are built without these
+    harmonic = np.array([harmonic_number(n) for n in orders])[:, None]
+    bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic
+    del tb_p, tb_m
+    products = (  # (coefficient, factor, part) of R1..R15 in display order
+        (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
+        (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
+        (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
+        (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
+    )
+    terms = np.empty((len(orders), len(xs), 15))
+    for col, (coeff, factor, part) in enumerate(products):
+        np.multiply(coeff * factor, part, out=terms[..., col])
     return (terms[0], bound[0]) if one else (terms, bound)
 
 

@@ -172,6 +172,18 @@ def test_kernel_verify_stays_under_its_memory_estimate(tmp_path, monkeypatch, sa
     assert len(estimates) == 1 and peak < estimates[0]
 
 
+def test_kernel_verify_states_its_certificates(tmp_path):
+    # the nearest its points come to a singular tube and the largest truncation bound it used
+    # (0 at full sums), recomputed from the library
+    assert main(["kernel-verify", "--samples", "8", "--n", "3,64", "--out", str(tmp_path)]) == EXIT_OK
+    lines = read(tmp_path / "kernel_verify.csv").splitlines()
+    stated = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
+    xs, ys = quasi_random_points(64).T
+    _, bounds = kernels.closed_form_terms([3, 64], xs, ys)
+    assert float(stated["min_tube_distance"]) == np.min(kernels.tube_distances(xs, ys)[1]) >= 0.02
+    assert float(stated["max_truncation_bound"]) == np.max(bounds) == 0.0
+
+
 def test_kernel_verify_default_passes(tmp_path):
     assert main(["kernel-verify", "--out", str(tmp_path), "--samples", "4"]) == EXIT_OK
     body = read(tmp_path / "kernel_verify.csv")

@@ -236,6 +236,28 @@ def test_kernel_forms_match_mpmath_near_the_tubes(N, d):
         assert abs(closed[i] - exact) <= 1e-18 / d ** 2 * (1.0 + abs(exact)), (x, y)
 
 
+@pytest.mark.parametrize("N", [3, 64, 1024])
+def test_direct_form_takes_the_removable_limits(N):
+    # x = 0, y = 0 and both, at 0, 2 pi and -4 pi, in one batch with a point off the tubes: the
+    # table row there is the limit k + 1/2 of D_k and its divisor factor is 1.  Each row is held to
+    # 1e-13 of its sum of |terms|: both sides round the angles (k + 1/2) x, which the sum's
+    # cancellation amplifies (at N = 1024 the plain relative gap is 5e-13 at (-1.9, 0) and 1.2e-13
+    # at (0, 0.7), where the sum of |terms| is 14 and 7 times the value); where x = y = 0 every
+    # term is positive, so the bound is plain relative there
+    w, h = GridOp.norlund_log(N).weights(), harmonic_number(N)
+    zeros = (0.0, 2 * math.pi, -4 * math.pi)
+    pts = [(z, 0.7) for z in zeros] + [(-1.9, z) for z in zeros] + [(a, b) for a in zeros for b in zeros]
+    pts.append((0.3, 0.2))
+    xs, ys = (np.array(v) for v in zip(*pts))
+    got = log_kernel_direct_many(N, xs, ys)
+    for value, (x, y) in zip(got, pts):
+        terms = [w[k] * dirichlet_kernel(k, x) * dirichlet_kernel(k, y) for k in range(N)]
+        want = math.fsum(terms) / h
+        assert abs(value - want) <= 1e-13 * math.fsum(map(abs, terms)) / h, (x, y)
+    both = math.fsum(w[k] * (k + 0.5) ** 2 for k in range(N)) / h
+    assert np.all(np.abs(got[6:15] - both) <= 1e-13 * both)
+
+
 def _mp_cosine_kernel(N, d, c):
     """C_N(2 pi d / (N + 1/2) + c) = sum_{k<N} cos((k + 1/2) u) / (N - k) in 40-digit arithmetic."""
     with mpmath.workdps(40):
@@ -672,7 +694,8 @@ def test_unpaired_points_are_refused_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built for unpaired points")
 
-    for name in ("dirichlet_matrix", "telescoped_sums", "sin_sum"):
+    # the builders both forms call: the direct form's angle_table, the closed form's angle_pair
+    for name in ("angle_table", "angle_pair"):
         monkeypatch.setattr(kernels, name, no_table)
     pairs = [
         (np.array([0.3, 0.5]), np.array([0.2])),
@@ -845,8 +868,7 @@ def test_lemma_survey_builds_no_dirichlet_table(n, monkeypatch):
         calls.append(len(t))
         return dirichlet_matrix(orders, t)
 
-    monkeypatch.setattr(kernels, "dirichlet_matrix", counted)
-    monkeypatch.setattr(fourier, "dirichlet_matrix", counted)
+    monkeypatch.setattr(fourier, "dirichlet_matrix", counted)  # kernels does not import it
     survey = lemma_survey(n)
     assert calls == []
     assert survey.i_min_ratio > 0.0 and survey.j_min_ratio > 0.0
