@@ -95,32 +95,51 @@ def _angle_tables(u, start: int, count: int, offset: float, cosines: tuple[bool,
     return tables[..., :count]
 
 
-def dirichlet_kernel(k: int, t):
+def integer_orders(orders, what: str, scalar: bool = False):
+    """
+    The one integer-order rule: ``orders`` as a Python int when 0-d, else (unless ``scalar``) as
+    an integer array of its shape, an empty one included.  Anything else is refused with
+    ValueError "<what> must be integers": a float is never truncated, not even an integral 4.0,
+    nor is a sequence holding one.  NumPy integers pass.
+    """
+    if np.ndim(orders) == 0:
+        try:
+            return operator.index(orders)
+        except TypeError:
+            pass
+    elif not scalar and ((array := np.asarray(orders)).dtype.kind in "iu" or array.size == 0):
+        return array.astype(int, copy=False)
+    raise ValueError(f"{what} must be integers, got {orders!r}")
+
+
+def dirichlet_kernel(k, t):
     """
     Dirichlet kernel D_k(t) = sin((k + 1/2) t) / (2 sin(t/2)).
 
-    Accepts scalar or array ``t``; at t = 0 (mod 2*pi) returns the limit
-    value k + 1/2.  Total on the real line, 2*pi-periodic.  One order builds
-    no table: np.sin of the angle is dirichlet_matrix's one-order row, bit
-    for bit (see angle_table).
+    ``k`` is an integer order, or an integer array of orders that broadcasts
+    against the points ``t`` (scalar or array); at t = 0 (mod 2*pi) returns
+    the limit value k + 1/2.  Total on the real line, 2*pi-periodic.  A float
+    for a 0-d result.  One order builds no table: np.sin of the angle is
+    dirichlet_matrix's one-order row, bit for bit (see angle_table).
     """
-    if k < 0:
-        raise ValueError(f"kernel order must be >= 0, got {k}")
+    k = integer_orders(k, "kernel orders")
+    if np.any(k < 0):
+        raise ValueError(f"kernel order must be >= 0, got {np.min(k)}")
     r, half_sin, zero = reduce_angle(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sin((k + 0.5) * r) / (2.0 * half_sin)
     out = np.where(zero, k + 0.5, ratio)
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
     """
-    D_k(t) for every k in ``orders``, a range of consecutive ascending orders,
-    and every point in ``t``, shape (len(orders), len(t)).  It is the
+    D_k(t) for every k in ``orders``, a range of consecutive ascending integer
+    orders, and every point in ``t``, shape (len(orders), len(t)).  It is the
     transpose of one (points, orders) angle_table, divided and given its
     removable limits in place.
     """
-    orders = np.asarray(orders)
+    orders = np.asarray(integer_orders(orders, "kernel orders"))
     if orders.ndim != 1 or orders.size == 0 or np.any(np.diff(orders) != 1):
         raise ValueError("kernel orders must be a nonempty range of consecutive ascending orders")
     r, half_sin, zero = reduce_angle(np.atleast_1d(t))
@@ -226,10 +245,7 @@ class GridOp:
     def __post_init__(self) -> None:
         if self.kind not in _MEAN_WEIGHTS:
             raise ValueError(f"unknown grid op kind {self.kind!r}")
-        try:
-            object.__setattr__(self, "order", operator.index(self.order))
-        except TypeError:
-            raise ValueError(f"grid op orders must be integers, got {self.order!r}") from None
+        object.__setattr__(self, "order", integer_orders(self.order, "grid op orders", scalar=True))
         if not np.any(self.weights()):
             raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
 

@@ -19,12 +19,11 @@ first sum truncatable with a certified tail bound.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import GridOp, angle_pair, angle_table, finite_points, reduce_angle
+from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, finite_points, integer_orders, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -66,7 +65,8 @@ class RegionMembershipError(ValueError):
 
 
 def phase_rate(n: int) -> float:
-    """Oscillation rate 2^{2n} + 1/2 of the phase (2^{2n} + 1/2) x."""
+    """Oscillation rate 2^{2n} + 1/2 of the phase (2^{2n} + 1/2) x, at an integer scale n >= 1."""
+    n = integer_orders(n, "scales", scalar=True)
     if n < 1:
         raise ValueError(f"scale must be >= 1, got {n}")
     return float(4 ** n) + 0.5
@@ -130,7 +130,8 @@ class RegionSpec:
 
 
 def window_count(n: int) -> int:
-    """Windows 2^(n-3) per axis of the region of scale n; EmptyRegionError below scale 3, where it has none."""
+    """Windows 2^(n-3) per axis of the region of integer scale n; EmptyRegionError below 3, where it has none."""
+    n = integer_orders(n, "scales", scalar=True)
     if n < 3:
         raise EmptyRegionError(f"region is empty for n = {n} (2^(n-3) < 1)")
     return 2 ** (n - 3)
@@ -175,17 +176,14 @@ def _orders(N) -> tuple[list[int], bool]:
     """
     The kernel order argument ``N`` as a list of orders and whether it was one int order: an int,
     or a nonempty sequence of strictly ascending orders whose tables are prefixes of the largest's.
-    Refuses an order that is not an integer (a float is not truncated).
+    Refuses an order that is not an integer (fourier.integer_orders; a float is not truncated).
     """
-    try:
-        if np.ndim(N) == 0:
-            return [operator.index(N)], True
-        orders = [operator.index(n) for n in N]
-    except TypeError:
-        raise ValueError(f"kernel orders must be integers, got {N!r}") from None
-    if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
+    orders = integer_orders(N, "kernel orders")
+    if np.ndim(orders) == 0:
+        return [orders], True
+    if orders.ndim != 1 or orders.size == 0 or np.any(np.diff(orders) <= 0):
         raise ValueError(f"kernel orders must be a nonempty strictly ascending sequence, got {list(N)}")
-    return orders, False
+    return orders.tolist(), False
 
 
 def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -251,13 +249,18 @@ def _half_angle_sums(orders: list[int], r: np.ndarray, cap) -> np.ndarray:
     return sums
 
 
-def fejer_ratio(m: int, u) -> float | np.ndarray:
-    """Phi_m(u) = sin^2(m u / 2) / (2 sin^2(u / 2)); limit m^2 / 2 at u = 0 mod 2*pi."""
+def fejer_ratio(m, u) -> float | np.ndarray:
+    """
+    Phi_m(u) = sin^2(m u / 2) / (2 sin^2(u / 2)); limit m^2 / 2 at u = 0 mod 2*pi.  ``m`` is an
+    integer order, or an integer array of orders that broadcasts against the points ``u``; a float
+    for a 0-d result.
+    """
+    m = integer_orders(m, "kernel orders")
     r, half_sin, zero = reduce_angle(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sin(0.5 * m * r) ** 2 / (2.0 * half_sin ** 2)
     out = np.where(zero, 0.5 * m * m, ratio)
-    return float(out) if np.ndim(u) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def _telescoped_weights(k: np.ndarray) -> np.ndarray:
@@ -299,7 +302,8 @@ def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
     """
     telescoped_sums' checks, then its parts (T, V, W, tail) and sin_sum(n, u) for every order n,
     each one (orders, points) array: _half_angle_sums reads the table sums of T and the sine sums
-    from one half-angle pair, and the ratios of V and W are one np.sin each over all orders.
+    from one half-angle pair, and V and W are one fejer_ratio and one dirichlet_kernel call each over
+    the column of all orders.
     """
     top = orders[-1]
     cap = np.asarray(orders[0] - 2 if K is None else K)
@@ -311,20 +315,17 @@ def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
     # None sums every order in full; the rows at u = 0 are zero whatever the cap, and T takes its limit there
     cap = np.where(zero | (K is None), top - 2, cap)
     T, sines = _half_angle_sums(orders, r, cap)
-    n = np.array(orders, dtype=float)[:, None]
+    n = np.array(orders)[:, None]
+    V = fejer_ratio(n, r) / (n * (n - 1.0))
+    W = dirichlet_kernel(n, r) / n
     capped = np.minimum(cap, n - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        two_sin2 = 2.0 * half_sin ** 2
-        T /= two_sin2
-        V = np.sin(0.5 * n * r) ** 2 / two_sin2 / (n * (n - 1.0))  # Phi_n / (n (n - 1))
-        W = np.sin((n + 0.5) * r) / (2.0 * half_sin) / n  # D~_n / n
+        T /= 2.0 * half_sin ** 2
         tail = np.where(capped < n - 2.0, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
-    # the removable limits at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2 and D~_n is n + 1/2
+    # T's removable limit at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2
     k = np.arange(1.0, top - 1.0)
     limit_terms = _telescoped_weights(k) * 0.5 * (k + 1.0) ** 2
     T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
-    V[:, zero] = 0.5 * n * n / (n * (n - 1.0))
-    W[:, zero] = (n + 0.5) / n
     return T, V, W, tail, sines
 
 

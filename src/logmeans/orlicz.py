@@ -60,12 +60,21 @@ class StepFunction:
     """
     ``value`` on ``cells`` grid cells of area ``cell_area``, 0 elsewhere: its grid's histogram
     without the grid (zero cells add Q(0) = 0 to a modular).  The count is a float, so the
-    G x G cells of G = 2^40 do not overflow it.
+    G x G cells of G = 2^40 do not overflow it.  Refuses a value that is not finite, a cell count
+    that is negative or not finite and a cell area that is not finite and positive.
     """
 
     value: float
     cells: int
     cell_area: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"step value must be finite, got {self.value}")
+        if not (math.isfinite(self.cells) and self.cells >= 0):
+            raise ValueError(f"cell count must be finite and >= 0, got {self.cells}")
+        if not (math.isfinite(self.cell_area) and self.cell_area > 0.0):
+            raise ValueError(f"cell area must be finite and positive, got {self.cell_area}")
 
     @property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:

@@ -153,6 +153,12 @@ def test_region_contains_matches_per_rectangle_reference():
 def test_region_empty_below_three_without_override():
     with pytest.raises(EmptyRegionError):
         build_region(2, "I")
+    # a scale is an integer: no windows are built between the scales the paper defines
+    for bad in (3.5, 2.5, np.float64(4.0)):
+        for call in (kernels.window_count, phase_rate, lambda n: build_region(n, "I")):
+            with pytest.raises(ValueError, match="scales must be integers"):
+                call(bad)
+    assert build_region(np.int64(4), "I").lo.tolist() == build_region(4, "I").lo.tolist()
     # the window itself exists at scale 2; only the index range 1..2^(n-3) is empty
     lo, hi = shrunken_window(2)
     assert 0.0 < lo < hi
@@ -378,6 +384,19 @@ def test_telescoped_sums_stop_at_the_cap():
     for u, K, got in zip(us, caps, T):
         want = math.fsum(2.0 / (k * (k + 1) * (k + 2)) * fejer_ratio(k + 1, u) for k in range(1, K + 1))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_ratio_kernels_take_an_order_column(rng):
+    # the closed form's V and W call each ratio kernel once over a column of orders; each row is
+    # that order's own call, bit for bit, at the removable points u = 0 mod 2 pi as well
+    orders = np.arange(3, 4097)
+    us = np.concatenate([[0.0, 2 * math.pi, -4 * math.pi], rng.uniform(-10.0, 10.0, 29)])
+    for kernel in (dirichlet_kernel, fejer_ratio):
+        column = kernel(orders[:, None], us)
+        assert column.shape == (len(orders), len(us))
+        assert np.array_equal(column, np.stack([kernel(int(n), us) for n in orders]))
+        assert np.array_equal(column[:, :3], np.stack([[kernel(int(n), u) for u in us[:3]] for n in orders]))
+        assert type(kernel(np.int64(5), 0.3)) is float
 
 
 @pytest.mark.parametrize("N", [64, 219, 1024])
@@ -641,15 +660,21 @@ def test_kernel_orders_must_ascend():
 def test_kernel_orders_must_be_integers():
     # a float order is refused, not truncated to the int below it; NumPy integers pass unchanged
     xs, ys = np.array([0.3, 0.5]), np.array([0.2, 0.9])
-    for form in (
+    forms = (
         lambda N: closed_form_terms(N, xs, ys),
         lambda N: log_kernel_direct_many(N, xs, ys),
         lambda N: telescoped_sums(N, xs, 1),
         lambda N: sin_sum(N, xs),
-    ):
+        lambda N: dirichlet_kernel(N, xs),
+        lambda N: fejer_ratio(N, xs),
+    )
+    for form in (*forms, lambda N: dirichlet_matrix(N, xs)):
         for bad in (3.7, np.float64(16.0), [3.5, 8], [3, 8.0]):
             with pytest.raises(ValueError, match="kernel orders must be integers"):
                 form(bad)
+    # any integer range passes dirichlet_matrix, whatever its integer type
+    assert np.array_equal(dirichlet_matrix(np.arange(3, 9, dtype=np.int32), xs), dirichlet_matrix(range(3, 9), xs))
+    for form in forms:
         for N, same in ((np.int64(8), 8), (np.array([3, 8]), [3, 8])):
             got, want = form(N), form(same)
             for a, b in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want))):

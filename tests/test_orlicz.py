@@ -350,3 +350,12 @@ def test_step_histogram_and_zero_step():
     # 2^80 cells, past int64, count as a float
     assert StepFunction(1.0, 2 ** 80, 2.0 ** -80).magnitude_histogram[1][0] == 2.0 ** 80
     assert modular(StepFunction(1.0, 2 ** 80, 2.0 ** -80), young_power(2.0), 1.0) == 1.0
+    # a step that is not a function is refused when it is built, not by a later modular
+    for bad, message in (
+        ((math.nan, 1, 1.0), "step value"), ((math.inf, 1, 1.0), "step value"),
+        ((1.0, -5, 1.0), "cell count"), ((1.0, math.inf, 1.0), "cell count"), ((1.0, math.nan, 1.0), "cell count"),
+        ((1.0, 1, 0.0), "cell area"), ((1.0, 1, -1.0), "cell area"), ((1.0, 1, math.inf), "cell area"),
+        ((1.0, 1, math.nan), "cell area"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            StepFunction(*bad)
