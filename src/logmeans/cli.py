@@ -141,42 +141,42 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = sorted(set(args.n or KERNEL_VERIFY_N))
     points = args.samples ** 2
-    # the closed form finishes every order at once: the parts (T, V, W, sine sum) at x + y and at
-    # x - y, the four factors, the 15 terms and the bound peak at 248 bytes a point and order and
-    # 62 a point besides under tracemalloc at S = 64..256 for 1, 7, 14 and 30 orders (310, 1798,
-    # 3534 and 7502 bytes a point at S = 256), so 272 and 96 bound them; plus 64 bytes an order for
-    # the weights and the one-row tables of a large order, and one row block's two tables (the
-    # half-angle pair, or the direct form's tables at x and at y) with what builds them: 20 bytes
-    # an element of KERNEL_TABLE_ELEMS at S = 8, where the block holds every point
-    kernels.refuse_beyond_memory_limit(
-        f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders",
-        (96 + 272 * len(orders)) * points + 64 * sum(orders) + 20 * kernels.KERNEL_TABLE_ELEMS,
-    )
+    # the Norlund weights of every order and four order-length rows of the largest, and the points:
+    # quasi_random_points screens 9/8 of them as candidates, under 32 floats a point at its peak
+    what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
+    kernels.refuse_beyond_memory_limit(what, 8 * (5 * sum(orders) + 32 * points))
     xs, ys = quasi_random_points(points).T
-    terms, bounds = kernels.closed_form_terms(orders, xs, ys)  # orders below 3 are refused here
-    closed = np.sum(terms, axis=2)
-    del terms  # every order's 15 terms need not outlive their sums into the direct form's tables
-    directs = kernels.log_kernel_direct_many(orders, xs, ys)
-    rows = []
-    all_ok = True
-    for N, total, bound, direct in zip(orders, closed, bounds, directs):
-        err = np.abs(total / harmonic_number(N) - direct)
-        worst_margin = float(np.max(err - (bound + KERNEL_TOL * (1.0 + np.abs(direct)))))
-        ok = worst_margin <= 0.0
-        all_ok &= ok
-        rows.append([N, len(xs), float(np.max(err)), worst_margin, ok])
-
-    certificates = [  # the nearest any point comes to a singular tube, and the largest truncation bound used
-        f"min_tube_distance={_fmt(np.min(kernels.tube_distances(xs, ys)[1]))}",
-        f"max_truncation_bound={_fmt(np.max(bounds))}",
+    harmonic = np.array([harmonic_number(N) for N in orders])[:, None]
+    max_err = np.full(len(orders), -math.inf)
+    worst_margin = np.full(len(orders), -math.inf)
+    min_distance = math.inf
+    max_bound = -math.inf
+    step = max(1, kernels.BLOCK_ELEMS // (15 * len(orders)))  # every order's 15 terms of a block
+    for start in range(0, points, step):
+        x, y = xs[start : start + step], ys[start : start + step]
+        terms, bounds = kernels.closed_form_terms(orders, x, y)  # orders below 3 are refused here
+        closed = np.sum(terms, axis=2)
+        del terms  # every order's 15 terms need not outlive their sums into the direct form's tables
+        direct = kernels.log_kernel_direct_many(orders, x, y)
+        err = np.abs(closed / harmonic - direct)
+        max_err = np.maximum(max_err, np.max(err, axis=1))
+        margin = err - (bounds + KERNEL_TOL * (1.0 + np.abs(direct)))
+        worst_margin = np.maximum(worst_margin, np.max(margin, axis=1))
+        min_distance = min(min_distance, np.min(kernels.tube_distances(x, y)[1]))
+        max_bound = max(max_bound, np.max(bounds))
+    rows = [
+        [N, points, float(err), float(margin), bool(margin <= 0.0)]
+        for N, err, margin in zip(orders, max_err, worst_margin)
     ]
+    # the nearest any point comes to a singular tube, and the largest truncation bound used
+    certificates = [f"min_tube_distance={_fmt(min_distance)}", f"max_truncation_bound={_fmt(max_bound)}"]
     write_report(
         args, "kernel_verify",
         ["report=closed-vs-direct kernel equivalence", *certificates],
         ["N", "points", "max_abs_diff", "worst_margin", "pass"],
         rows,
     )
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+    return EXIT_OK if np.all(worst_margin <= 0.0) else EXIT_TOLERANCE
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:

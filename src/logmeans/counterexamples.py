@@ -7,6 +7,7 @@ probe against a Young function.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .grid import GridResolutionError
 from .kernels import (
+    BLOCK_ELEMS,
     REGION_J,
     build_region,
     gamma,
@@ -86,6 +88,14 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
     return profile.T
 
 
+def _bump_mean_rows(n: int, xs: np.ndarray, h=0.0):
+    """rows(b): the rows in the slice b of bump_mean_many(n, xs, h), from one profile table and its weighted copy."""
+    profile = _axis_profile(n, xs, h)
+    weighted = GridOp.norlund_log(4 ** n).weights()[:, None] * profile
+    norm = harmonic_number(4 ** n) * math.pi ** 2
+    return lambda b: BUMP_PREFACTOR / gamma(n) ** 2 * (profile[:, b].T @ weighted) / norm
+
+
 def bump_mean_many(n: int, xs: np.ndarray, h=0.0) -> np.ndarray:
     """
     The order-2^{2n} logarithmic mean of the scaled bump on the square lattice xs x xs,
@@ -96,10 +106,7 @@ def bump_mean_many(n: int, xs: np.ndarray, h=0.0) -> np.ndarray:
     point) the entry (i, j) is the exact average of the mean over the cell
     [xs_i -+ h_i/2] x [xs_j -+ h_j/2] instead.
     """
-    profile = _axis_profile(n, xs, h)
-    mean_weights = GridOp.norlund_log(4 ** n).weights()
-    raw = profile.T @ (mean_weights[:, None] * profile)
-    return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (harmonic_number(4 ** n) * math.pi ** 2)
+    return _bump_mean_rows(n, xs, h)(slice(None))
 
 
 @dataclass(frozen=True)
@@ -112,20 +119,14 @@ class BumpMeanReport:
 
 def bump_mean_lower_bound(n: int, samples_per_rect: int = 9) -> BumpMeanReport:
     """
-    Minimum of x y t_{2^{2n}}(scaled bump; x, y) over the lattice of the
-    shrunken region: the desk-scale content of the pointwise lower bound
-    t >= c / (x y) there.  A survey whose tables would exceed MAX_LATTICE_GIB is refused before
-    they are allocated.
+    Minimum of x y t_{2^{2n}}(scaled bump; x, y) over the lattice of the shrunken region, in the row
+    blocks of lattice_min: the desk-scale content of the pointwise lower bound t >= c / (x y) there.  A
+    survey whose two profile tables (one 4^n column a point each) would exceed MAX_LATTICE_GIB is refused.
     """
-    points = samples_per_rect * window_count(n)
-    # 16 bytes an (order, lattice) profile entry and 33 a lattice pair bound the tracemalloc peak
-    # at n = 3..5 for |X| up to 2000: it is at most 0.88 of this, about 24 bytes a pair
-    refuse_beyond_memory_limit(
-        f"the bump survey at n = {n}, {samples_per_rect} samples per window",
-        16 * 4 ** n * points + 33 * points ** 2,
-    )
+    what = f"the bump survey at n = {n}, {samples_per_rect} samples per window"
+    refuse_beyond_memory_limit(what, 16 * 4 ** n * samples_per_rect * window_count(n))
     xs = build_region(n, REGION_J).lattice(samples_per_rect)
-    min_ratio, argmin = lattice_min(xs, bump_mean_many(n, xs))
+    min_ratio, argmin = lattice_min(xs, _bump_mean_rows(n, xs))
     return BumpMeanReport(n=n, min_ratio=min_ratio, argmin=argmin, samples=len(xs) ** 2)
 
 
@@ -234,25 +235,39 @@ def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
     return left * (by - ay) + theta * excess + overshoot * u * x2
 
 
+def _nonzero_areas(lo, hi, theta):
+    """
+    The nonzero _area_under_hyperbola of the window pairs (lo, hi) x (lo, hi), one list a block.  Row m
+    needs only the column prefix whose corner lo_m lo_l can lie under theta: every other pair's area is
+    exactly +-0 (``left``, ``u`` and ``overshoot`` clip to 0).  lo ascends, so the prefixes shrink down
+    the rows, and a block of rows takes its first row's prefix, in column slices: at most BLOCK_ELEMS pairs.
+    """
+    start = 0
+    while start < len(lo):
+        # the slack covers the rounding of theta / lo_m
+        width = int(np.searchsorted(lo, theta / lo[start] * (1.0 + 1e-9), side="right"))
+        if not width:
+            return
+        stop = start + max(1, BLOCK_ELEMS // width)
+        for col in range(0, width, BLOCK_ELEMS):
+            cols = slice(col, min(col + BLOCK_ELEMS, width))
+            area = _area_under_hyperbola(lo[start:stop, None], hi[start:stop, None], lo[cols], hi[cols], theta)
+            yield area[area != 0.0].tolist()
+        start = stop
+
+
 def exceedance_measure(n: int, c1: float) -> ExceedanceReport:
     """
-    Measure of the subset of the shrunken region where the kernel lower bound
-    t >= c1 / (x y), c1 > 0, certifies |t| > c1 * 2^{3n}, i.e. the exact
-    region geometry {x y < 2^{-3n}}, computed analytically over all window
-    pairs at once.  ``bound`` is the normalized ratio measure * 2^{3n} / n.  A
-    scale whose window-pair arrays would exceed the memory limit of
-    refuse_beyond_memory_limit is refused before they are allocated.
+    Measure of the subset of the shrunken region where the kernel lower bound t >= c1 / (x y), c1 > 0,
+    certifies |t| > c1 * 2^{3n}, i.e. the exact region geometry {x y < 2^{-3n}}, computed analytically
+    over the blocks of _nonzero_areas: one math.fsum over them is the full window-pair sum, bit for bit.
+    ``bound`` is measure * 2^{3n} / n.  Only the window arrays lo and hi grow with n, and build_region
+    refuses them past the limit.
     """
     if not 0.0 < c1 < math.inf:
         raise ValueError(f"threshold coefficient must be finite and > 0, got {c1}")
-    # _area_under_hyperbola holds about seven float arrays and one mask over
-    # the W^2 window pairs at its peak, 57 bytes a pair, with W = 2^(n-3);
-    # the estimate needs only n, so it is checked before the windows are built
-    refuse_beyond_memory_limit(f"measure's window-pair arrays at n = {n}", 57 * 4 ** (n - 3))
-    region = build_region(n, REGION_J)
-    scale = float(2 ** (3 * n))
-    lo, hi = region.lo, region.hi
-    measure = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, 1.0 / scale).ravel())
+    region, scale = build_region(n, REGION_J), float(2 ** (3 * n))
+    measure = math.fsum(itertools.chain.from_iterable(_nonzero_areas(region.lo, region.hi, 1.0 / scale)))
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
 
 

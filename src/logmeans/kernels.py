@@ -42,11 +42,10 @@ EPS_SING = 1e-6
 #: dominate small blocks, and 128K adds about 1 MB to the command's peak RSS.
 KERNEL_TABLE_ELEMS = 64 * 1024
 
-#: Elements one (points, orders) angle table of norlund_cosine_table may hold (8 MB): its order
-#: blocks take max(1, this // points) orders.  Not KERNEL_TABLE_ELEMS: as elements it leaves under
-#: 64 orders a block at n = 10, where lemma's survey then takes 27 s against 8 s, and as orders it
-#: makes 35 MB tables there (13 s), which the allocator maps afresh every block past 32 MB.
-COSINE_TABLE_ELEMS = 2 ** 20
+#: Elements one block of a survey may hold (8 MB): lattice_min's row blocks, kernel-verify's point
+#: blocks (15 terms an order a point) and norlund_cosine_table's (points, orders) angle tables.  As
+#: KERNEL_TABLE_ELEMS it leaves under 64 orders a cosine block at n = 10 (lemma 27 s against 8 s).
+BLOCK_ELEMS = 2 ** 20
 
 REGION_I = "I"
 REGION_J = "J"
@@ -91,14 +90,13 @@ def gamma(n: int) -> float:
     return GAMMA_SCALE / phase_rate(n)
 
 
-#: Ceiling on the memory (GiB) one computation may hold at once: the lemma kernel tables,
-#: the kernel-verify point tables, the measure window-pair arrays, the bump survey, the
-#: region window arrays and the converge axis arrays (refuse_beyond_memory_limit).
+#: Ceiling on the memory (GiB) of a command's arrays that grow with its flags, all of 1-D size: what
+#: grows with lattice pairs, or with points times orders, is reduced in blocks of BLOCK_ELEMS.
 MAX_LATTICE_GIB = 2
 
 
 def refuse_beyond_memory_limit(what: str, nbytes: float) -> None:
-    """Raise ValueError, naming ``what`` (with its scale or grid size) and the GiB estimate, over MAX_LATTICE_GIB."""
+    """Raise ValueError, naming ``what`` (with its scale or grid size) and the GiB count, over MAX_LATTICE_GIB."""
     if (gib := nbytes / 2 ** 30) > MAX_LATTICE_GIB:
         raise ValueError(f"{what} would take about {gib:.3g} GiB, over the {MAX_LATTICE_GIB} GiB limit")
 
@@ -141,29 +139,36 @@ def build_region(n: int, kind: str) -> RegionSpec:
     """
     Build the two-dimensional region of scale n >= 3: the windows 1 <= m <= 2^{n-3} on each axis (the second
     window constraint is applied to y, making the region a genuine product of phase windows), as endpoint arrays
-    in closed form over m.  A window is 4 gamma(n) wide, so the J shrink leaves 2 gamma(n) of it.  A scale
-    whose window arrays would exceed MAX_LATTICE_GIB is refused before they are allocated.
+    in closed form over m.  A window is 4 gamma(n) wide, so the J shrink leaves 2 gamma(n) of it.  A scale whose
+    window arrays (4 floats a window: m, a temporary, lo, hi) would exceed MAX_LATTICE_GIB is refused first.
     """
     if kind not in (REGION_I, REGION_J):
         raise ValueError(f"region kind must be {REGION_I!r} or {REGION_J!r}, got {kind!r}")
     windows = window_count(n)
-    # 32 bytes a window: the tracemalloc peak of build_region and of geometric_sum at n = 16..22
     refuse_beyond_memory_limit(f"the region's window arrays at n = {n}", 32 * windows)
     shrink = gamma(n) if kind == REGION_J else 0.0
     m = np.arange(1, windows + 1)
     return RegionSpec(n=n, lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
 
 
-def lattice_min(xs: np.ndarray, table: np.ndarray) -> tuple[float, tuple[float, float]]:
+def lattice_min(xs: np.ndarray, rows) -> tuple[float, tuple[float, float]]:
     """
-    Minimum of x y table[i, j] over the square lattice xs x xs and its first
-    row-major argmin (x, y).  The means are symmetric in (x, y), but a BLAS
-    product is not bit-symmetric, so the ratios are symmetrized first.
+    Minimum of the ratios r = x y table[i, j] over the lattice xs x xs, and the first row-major argmin
+    (x, y) of min(r, r^T): the means are symmetric in (x, y), but a BLAS product is not bit-symmetric.
+    ``rows(b)`` returns the table's rows in the slice b, in blocks of max(1, BLOCK_ELEMS // len(xs)).
+    That argmin is the least (min(i, j), max(i, j)) over r's minima: the blocks carry it and no transpose.
+    A NaN ratio ranks below every number, as in np.min: the minimum is then NaN, at the first NaN so found.
     """
-    ratios = xs[:, None] * xs[None, :] * table
-    ratios = np.minimum(ratios, ratios.T)
-    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
-    return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
+    step, best, pair = max(1, BLOCK_ELEMS // len(xs)), math.inf, (math.inf,)
+    for start in range(0, len(xs), step):
+        ratios = xs[start : start + step, None] * xs[None, :] * rows(slice(start, start + step))
+        low = ratios.min()
+        if math.isnan(low) or low <= best:
+            i, j = np.nonzero(np.isnan(ratios) if math.isnan(low) else ratios == low)
+            found = min(zip(np.minimum(i + start, j).tolist(), np.maximum(i + start, j).tolist()))
+            tie = math.isnan(best) if math.isnan(low) else low == best
+            best, pair = low, min(pair, found) if tie else found
+    return float(best), (float(xs[pair[0]]), float(xs[pair[1]]))
 
 
 def _row_blocks(N: int, P: int):
@@ -284,10 +289,8 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     the full sums are taken whatever the cap, at their removable limits, so
     T + V + W - 3/4 is H_N there and the tail is 0.  Every row of the sum has
     N - 2 terms, those past the cap zeroed, so a point's values do not
-    depend on the rest of the batch (a sum's rounding depends on its length).
-    The half-angle tables (_half_angle_sums) are built in row blocks of at most
-    KERNEL_TABLE_ELEMS elements; each row is the same sum in any block, so every
-    block width is bit-identical.
+    depend on the rest of the batch (a sum's rounding depends on its length),
+    nor on the row blocks of _half_angle_sums.
 
     ``N`` may be a sequence of ascending orders: each part then has one row per
     order, and every order sums its prefix of the largest order's table.  A cap
@@ -391,14 +394,14 @@ def norlund_cosine_table(N: int, distances, offsets) -> np.ndarray:
 
     By cos(a (t + c)) = cos(a t) cos(a c) - sin(a t) sin(a c), each block of orders adds two products
     of angle_table tables, the offsets' weighted by the Norlund weights; a block's table of both
-    vectors holds at most COSINE_TABLE_ELEMS elements.  Refuses NaN and infinite offsets and distances.
+    vectors holds at most BLOCK_ELEMS elements.  Refuses NaN and infinite offsets and distances.
     """
     weights = GridOp.norlund_log(N).weights()
     offsets = finite_points(offsets)
     angles = np.concatenate([offsets, 2.0 * math.pi / (N + 0.5) * finite_points(distances)])
     c = len(offsets)
     table = np.zeros((c, len(angles) - c))
-    step = max(1, COSINE_TABLE_ELEMS // len(angles))
+    step = max(1, BLOCK_ELEMS // len(angles))
     for start in range(0, N, step):
         count = min(step, N - start)
         cos = angle_table(angles, start, count, 0.5, cosine=True)
@@ -454,7 +457,6 @@ def closed_form_terms(
         raise ValueError(f"closed form needs N >= 3, got {orders[0]}")
     args, distance = tube_distances(xs, ys)
     near = distance < EPS_SING
-    del distance
     # only exact zero takes the removable-limit branch on the diagonals;
     # anything else near a tube (including exact nonzero multiples of 2*pi)
     # is refused
@@ -471,10 +473,8 @@ def closed_form_terms(
     sy, cy = np.sin(rate * ys), np.cos(rate * ys)
     SS, CC = sx * sy / denom, cx * cy / denom
     SC, CS = sx * cy / denom, cx * sy / denom
-    del sx, cx, sy, cy  # every order's arrays live at once: the terms are built without these
     harmonic = np.array([harmonic_number(n) for n in orders])[:, None]
     bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic
-    del tb_p, tb_m
     products = (  # (coefficient, factor, part) of R1..R15 in display order
         (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
         (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
@@ -579,10 +579,10 @@ class LemmaReport(LemmaSurvey):
     remainder_max: float
 
 
-def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray) -> np.ndarray:
+def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray):
     """
-    min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n, on the lattice xs x xs of
-    build_region(n, kind).lattice(per_axis); the shifts are 0 and, on J, gamma(n).
+    rows(b): the rows in the slice b of min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n,
+    on the lattice xs x xs of build_region(n, kind).lattice(per_axis); the shifts are 0 and, on J, gamma(n).
 
     C_N's arguments come from integer indices, never from float sums x +- y.  With rho = N + 1/2,
     the point of window m and step i is x = (arccos(1/4) + 2 pi m)/rho + shrink + i step, and the
@@ -592,8 +592,9 @@ def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray) -> np.ndar
         x - y = 2 pi (m - l)/rho + (o_x - o_y) unit,
         x + y = 2 pi (m + l)/rho + 2 arccos(1/4)/rho + 2 shrink + (o_x + o_y) unit.
 
-    C_N is even, so the difference table is built for offsets >= 0 and mirrored.  Each shift pair
-    is one gather from the two tables over the lattice pairs.
+    C_N is even, so the difference table is built for offsets >= 0 and mirrored.  Both tables have
+    1-D sizes (offsets by window distances); rows(b) gathers each shift pair from them over the rows
+    in b alone and keeps their running minimum.
     """
     N, rho, windows = 4 ** n, phase_rate(n), window_count(n)
     halves = 2 - per_axis % 2  # units a step
@@ -607,34 +608,36 @@ def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray) -> np.ndar
     diff = np.concatenate([half[:0:-1, ::-1], half])  # offsets -top..top
     base = 2.0 * (ARCCOS_QUARTER / rho + shrink)
     total = norlund_cosine_table(N, np.arange(2, 2 * windows + 1), base + unit * np.arange(low, high + 1))
-    x, y = (slice(None), None, slice(None), None), (None, slice(None), None, slice(None))  # (s, t, x, y) axes
-    f = diff[(o + top)[x] - o[y], (m + windows - 1)[:, None] - m]
-    f -= total[(o - low)[x] + o[y], m[:, None] + m - 2]
     half_sin = np.sin(0.5 * (xs - gamma(n) * shifts[:, None]))
-    f /= half_sin[x] * half_sin[y]
-    return f.min(axis=(0, 1))
+
+    def rows(b: slice) -> np.ndarray:
+        out = None
+        for s, t in np.ndindex(len(shifts), len(shifts)):
+            f = diff[(o[s, b] + top)[:, None] - o[t], (m[b] + windows - 1)[:, None] - m]
+            f -= total[(o[s, b] - low)[:, None] + o[t], m[b, None] + m - 2]
+            f /= half_sin[s, b, None] * half_sin[t]
+            out = f if out is None else np.minimum(out, f, out=out)
+        return out
+
+    return rows
 
 
 def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     """
     Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on the I-region lattice (through the cosine kernel C_N of
     norlund_cosine_table) and report the minimum, together with the corner-offset minimum over the
-    J-region lattice.  Deterministic: fixed sample lattice, fixed reductions.  A scale whose survey
-    would exceed MAX_LATTICE_GIB is refused before anything is allocated.
+    J-region lattice.  Deterministic: fixed sample lattice, fixed reductions.  lattice_min walks the
+    lattice pairs in blocks; a scale whose 1-D arrays would exceed MAX_LATTICE_GIB is refused first.
     """
     windows = window_count(n)  # EmptyRegionError below scale 3, before gamma(n) refuses n < 1
-    # the J survey gathers its four shift pairs at once, about 104 bytes a lattice pair, after at
-    # most three angle tables of COSINE_TABLE_ELEMS and the 16 N bytes of building the Norlund
-    # weights: the tracemalloc peaks at n = 3..10 with 2 and 9 samples and n = 3..6 with 200
-    points = samples_per_rect * windows
-    refuse_beyond_memory_limit(
-        f"lemma's survey at n = {n}, {samples_per_rect} samples per window",
-        104 * points ** 2 + 16 * 4 ** n + 32 * COSINE_TABLE_ELEMS,
-    )
+    # two order-length arrays build the Norlund weights; the points and the C_N tables take < 48 floats a point
+    what = f"lemma's survey at n = {n}, {samples_per_rect} samples per window"
+    refuse_beyond_memory_limit(what, 8 * (2 * 4 ** n + 48 * samples_per_rect * windows))
     fields, scale = [], 8.0 * harmonic_number(4 ** n)
     for kind in (REGION_I, REGION_J):
         xs = build_region(n, kind).lattice(samples_per_rect)
-        fields += [len(xs) ** 2, *lattice_min(xs, _lattice_kernel(n, kind, samples_per_rect, xs) / scale)]
+        rows = _lattice_kernel(n, kind, samples_per_rect, xs)
+        fields += [len(xs) ** 2, *lattice_min(xs, lambda b: rows(b) / scale)]
     return LemmaSurvey(n, samples_per_rect, *fields)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ import numpy as np
 from .grid import GridFunction2D, GridMismatchError
 
 
+@functools.cache
 def harmonic_number(n: int) -> float:
-    """Partial harmonic sum 1 + 1/2 + ... + 1/n (exactly accumulated)."""
+    """Partial harmonic sum 1 + 1/2 + ... + 1/n (exactly accumulated), summed once per n."""
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
     return math.fsum(1.0 / k for k in range(1, n + 1))

@@ -104,7 +104,8 @@ def luxemburg_norm(f: GridFunction2D | StepFunction, Q: YoungFunction) -> float:
     range, where the doubling reaches inf or the halving reaches 0, is
     refused with the ``ValueError`` of ``modular``.
     """
-    if f.magnitude_histogram[0][-1] == 0.0:  # sorted: the largest magnitude
+    mags, counts = f.magnitude_histogram
+    if not np.any(counts[mags > 0.0]):  # f = 0: no cell carries a nonzero magnitude
         return 0.0
     hi = 1.0
     while modular(f, Q, hi) > 1.0:

@@ -5,7 +5,8 @@ import pytest
 
 from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
-from logmeans.kernels import alpha, beta, gamma, lattice_min
+from logmeans.counterexamples import _area_under_hyperbola
+from logmeans.kernels import alpha, beta, build_region, gamma
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, NORM_REL_TOL, YoungFunction, luxemburg_norm
 
@@ -102,17 +103,35 @@ def stratified_min(pts, values):
     return len(xs), float(ratios[arg]), (float(xs[arg]), float(ys[arg]))
 
 
+def full_lattice_min(xs, table):
+    """
+    Reference lattice minimum over the whole table at once: the minimum of x y table[i, j] over the
+    lattice xs x xs and the first row-major argmin (x, y) of the symmetrized ratios min(r, r^T).
+    """
+    ratios = xs[:, None] * xs[None, :] * table
+    ratios = np.minimum(ratios, ratios.T)
+    i, j = np.unravel_index(np.argmin(ratios), ratios.shape)
+    return float(ratios[i, j]), (float(xs[i]), float(xs[j]))
+
+
+def full_exceedance_measure(n):
+    """Reference exceedance measure at scale n: one math.fsum over the areas of every window pair, broadcast at once."""
+    region = build_region(n, "J")
+    lo, hi = region.lo, region.hi
+    return math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, 1.0 / float(2 ** (3 * n))).ravel())
+
+
 def lattice_survey(N, xs, shifts):
     """
     Reference lattice survey through the (order x lattice) Dirichlet tables: the minimum of
     x y min_{s, t in shifts} F_N(x - s, y - t) over the lattice xs x xs and its first row-major
     argmin.  One table D_k(xs - s), k < N, per shift, and one Norlund-weighted product per pair
-    s <= t: the (t, s) product is its transpose, which lattice_min's symmetrization covers.
+    s <= t: the (t, s) product is its transpose, which full_lattice_min's symmetrization covers.
     """
     weights = GridOp.norlund_log(N).weights()
     tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
     products = [left.T @ (weights[:, None] * right) for b, right in enumerate(tables) for left in tables[: b + 1]]
-    return lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
+    return full_lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
 
 
 def dense_fourier_coeffs(values, B):

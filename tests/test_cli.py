@@ -150,28 +150,6 @@ def test_kernel_verify_refuses_orders_below_three(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("samples, n_arg", [("64", []), ("32", ["--n", ",".join(str(n) for n in range(3, 33))])])
-def test_kernel_verify_stays_under_its_memory_estimate(tmp_path, monkeypatch, samples, n_arg):
-    # every order's outputs live together, so the estimate grows with the order count
-    assert main(["kernel-verify", "--samples", "2", "--out", str(tmp_path)]) == EXIT_OK
-    estimates = []
-    refuse = kernels.refuse_beyond_memory_limit
-
-    def recording_refuse(what, nbytes):
-        estimates.append(nbytes)
-        refuse(what, nbytes)
-
-    monkeypatch.setattr(kernels, "refuse_beyond_memory_limit", recording_refuse)
-    tracemalloc.start()
-    try:
-        code = main(["kernel-verify", "--samples", samples, *n_arg, "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OK
-    assert len(estimates) == 1 and peak < estimates[0]
-
-
 def test_kernel_verify_states_its_certificates(tmp_path):
     # the nearest its points come to a singular tube and the largest truncation bound it used
     # (0 at full sums), recomputed from the library
@@ -215,10 +193,10 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert [l.split(",")[0] for l in lines if l and not l.startswith("#")][1:] == ["3", "3"]
 
 
-@pytest.mark.parametrize("n", ["12"])
+@pytest.mark.parametrize("n", ["14"])
 def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 12 needs about 2.3 GiB, mostly the 104 bytes of each of its 4608^2 lattice
-    # pairs: it is refused from the estimate, before anything is allocated
+    # n = 14 needs about 4 GiB, mostly the two order-length arrays of building the Norlund
+    # weights of N = 4^14: it is refused from the count, before anything is allocated
     tracemalloc.start()
     try:
         code = main(["lemma", "--out", str(tmp_path), "--n", n])
@@ -240,11 +218,17 @@ def test_lemma_runs_scale_nine(tmp_path):
     assert all(float(row[2]) > 0.0 and row[5] == str(192 ** 2) for row in rows)
 
 
-@pytest.mark.parametrize("n", ["16", "18", "25"])
+def test_measure_runs_scale_twenty(tmp_path):
+    # 4^17 window pairs, walked in blocks of rows of windows, each over its first row's prefix
+    assert main(["measure", "--out", str(tmp_path), "--n", "20"]) == EXIT_OK
+    rows = [l.split(",") for l in read(tmp_path / "measure.csv").splitlines() if l and not l.startswith("#")][1:]
+    assert [row[0] for row in rows] == ["20"] and float(rows[0][2]) > 0.0
+
+
+@pytest.mark.parametrize("n", ["30"])
 def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 16 needs 3.6 GiB of window-pair arrays, n = 18 about 57 GiB and
-    # n = 25 about 1e6 GiB: all are refused from the estimate, before any pair
-    # array and before the region's windows (about 100 MB at n = 25) are built
+    # measure holds no window-pair array: the first scale it refuses is n = 30, whose 2^27
+    # windows need 4 GiB of window arrays, refused by build_region before it allocates them
     tracemalloc.start()
     try:
         code = main(["measure", "--out", str(tmp_path), "--n", n])
@@ -261,8 +245,8 @@ def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
 @pytest.mark.parametrize("command", ["growth", "measure"])
 def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
     # the 2^37 windows of n = 40 would take 4096 GiB of endpoint arrays:
-    # growth's build_region refuses them from the estimate, before it allocates
-    # them, and measure refuses its larger window-pair estimate before that
+    # build_region refuses them from the count, for growth and for measure,
+    # before it allocates them
     tracemalloc.start()
     try:
         code = main([command, "--out", str(tmp_path), "--n", "40"])
@@ -327,11 +311,10 @@ def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, 
     ],
 )
 def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, argv, estimate):
-    # under a 1 MiB limit, lemma's 200^2 lattice pairs (104 bytes each), measure's
-    # c1 fit over 200^2 pairs (33 bytes each) and kernel-verify's 64^2 points
-    # (1592 bytes each at its seven orders) are refused from the estimate, before
-    # anything is allocated
-    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -10)
+    # under a 32 KiB limit, the 1-D arrays of lemma's 200 lattice points (48 floats each),
+    # measure's c1 fit over 200 profile columns (2 x 64 floats each) and kernel-verify's
+    # 64^2 points (32 floats each) are refused from the count, before anything is allocated
+    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -15)
     tracemalloc.start()
     try:
         code = main([*argv, "--out", str(tmp_path)])
@@ -343,6 +326,34 @@ def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, 
     assert estimate in err and "GiB" in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 2e6
+
+
+#: One tracemalloc budget for the blocked commands, whatever their lattice pairs, window pairs or points.
+MEMORY_BUDGET = 80e6
+
+
+@pytest.mark.parametrize(
+    "argv, flag, values",
+    [
+        (["lemma", "--n", "3"], "--samples", ("1600", "3200")),  # 2.56 M and 10.24 M lattice pairs
+        (["measure", "--n", "3"], "--samples", ("1600", "3200")),  # the same pairs in the c1 fit
+        (["measure"], "--n", ("16", "17")),  # 4^13 and 4^14 window pairs
+        (["kernel-verify", "--n", ",".join(map(str, range(3, 33)))], "--samples", ("64", "128")),  # 2 and 8 blocks
+    ],
+    ids=["lemma", "c1-fit", "measure", "kernel-verify"],
+)
+def test_blocked_commands_keep_one_memory_budget(tmp_path, argv, flag, values):
+    # each input is past one block and the second is 4x the first: lattice pairs, window pairs and
+    # points are reduced in blocks of kernels.BLOCK_ELEMS, so the peak does not grow with them
+    assert main(["kernel-verify", "--samples", "2", "--out", str(tmp_path)]) == EXIT_OK  # lazy imports
+    for value in values:
+        tracemalloc.start()
+        try:
+            code = main([*argv, flag, value, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and peak < MEMORY_BUDGET, (value, peak)
 
 
 @pytest.mark.parametrize("command, n_arg, kept", [("growth", "2", []), ("measure", "2,6", ["6"])])

@@ -30,6 +30,7 @@ from logmeans.orlicz import LOG, LOG2, StepFunction
 from conftest import (
     LOG2_LOGLOG,
     bump_grid,
+    full_exceedance_measure,
     r_nm_scan,
     rectangles,
     region_contains,
@@ -432,8 +433,8 @@ def test_exceedance_measure_matches_per_rectangle_reference(n):
     assert exceedance_measure(n, 1.0).measure == pytest.approx(want, rel=1e-15, abs=0.0)
 
     # a threshold through the region, where the hyperbola barely cuts some
-    # rectangles, over the same window-pair broadcast exceedance_measure makes
-    # (its own threshold is fixed at 2^-3n): the bound relative to the larger
+    # rectangles, over the full window-pair broadcast of _area_under_hyperbola
+    # (exceedance_measure's threshold is fixed at 2^-3n): the bound relative to the larger
     # log term held for the old area form, whose terms cancel; the area itself
     # now keeps every digit
     coeff = scale * math.sqrt(min(products) * max(products))
@@ -448,6 +449,29 @@ def test_exceedance_measure_matches_per_rectangle_reference(n):
     got = math.fsum(_area_under_hyperbola(lo[:, None], hi[:, None], lo, hi, theta).ravel())
     assert abs(got - want) <= 1e-15 * log_terms
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_exceedance_measure_is_the_full_broadcast_bit_for_bit(n):
+    # the pairs past each row's prefix add exact zeros, which math.fsum ignores
+    got, want = exceedance_measure(n, 1.0).measure, full_exceedance_measure(n)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("elems", [1, 7, 64, 500])
+def test_exceedance_measure_splits_long_rows_into_column_blocks(monkeypatch, elems):
+    # at n = 12 the first row's prefix is 84 windows: blocks of fewer pairs slice it by columns,
+    # and every block holds at most `elems` pairs; the sum stays the full broadcast's, bit for bit
+    sizes, area = [], counterexamples._area_under_hyperbola
+
+    def recorded(ax, bx, ay, by, theta):
+        sizes.append(len(ax) * len(ay))
+        return area(ax, bx, ay, by, theta)
+
+    monkeypatch.setattr(counterexamples, "BLOCK_ELEMS", elems)
+    monkeypatch.setattr(counterexamples, "_area_under_hyperbola", recorded)
+    assert exceedance_measure(12, 1.0).measure == full_exceedance_measure(12)
+    assert max(sizes) <= elems and len(sizes) > 1
 
 
 def _barely_cut_rectangles(rng, count):
@@ -484,9 +508,9 @@ def test_exceedance_rejects_negative_threshold():
 
 @pytest.mark.parametrize("c1", [math.nan, math.inf, 0.0, -1.0])
 def test_exceedance_refuses_non_finite_threshold_before_the_memory_check(monkeypatch, c1):
-    # under a tiny limit a positive c1 is refused for memory; a non-finite or
-    # nonpositive one must not slip past to the pair arrays
-    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 1e-6)
+    # under a tiny limit a positive c1 is refused for memory, by build_region's check on the
+    # 8 windows of n = 6; a non-finite or nonpositive one must not slip past to the windows
+    monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 1e-8)
     with pytest.raises(ValueError, match="GiB limit"):
         exceedance_measure(6, 1.0)
     with pytest.raises(ValueError, match="finite and > 0"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from logmeans import fourier, kernels
 from logmeans.cli import quasi_random_points
-from logmeans.counterexamples import bump_mean_many
+from logmeans.counterexamples import _bump_mean_rows, bump_mean_many
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
@@ -41,6 +41,7 @@ from logmeans.means import harmonic_number
 
 from conftest import (
     cos_sum_direct,
+    full_lattice_min,
     lattice_survey,
     rectangles,
     region_contains,
@@ -697,7 +698,7 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
 def test_lattice_kernel_tables_are_one_allocation_each():
     # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix divides its
     # angle table and sets its limits in place; lemma_survey(6) holds no such table, and at its
-    # peak (2.79e6 bytes) it gathers the four J shift pairs over the 72^2 lattice pairs
+    # peak (2.80e6 bytes) it holds the cosine and sine angle tables of one norlund_cosine_table block
     xs = build_region(6, "I").lattice(9)
     tracemalloc.start()
     try:
@@ -872,16 +873,69 @@ def test_lattice_steps_are_equal_and_gamma_is_whole_half_steps(n):
                 assert abs(0.5 * (per_axis - 1) * steps.mean() - gamma(n)) <= per_axis * tol, per_axis
 
 
-def test_lattice_min_reports_the_first_of_two_mirror_points():
+def _table_rows(table):
+    return lambda b: table[b]
+
+
+def test_lattice_min_reports_the_first_of_two_mirror_points(monkeypatch):
     # a BLAS product need not be bit-symmetric: when the mirror of the minimum
     # comes out one ulp lower, the argmin stays on the first of the pair in
-    # row-major (and rectangle) order, where the paired layout reports it
+    # row-major (and rectangle) order, where the paired layout reports it, also
+    # when the mirror comes in a later block of rows (blocks of 1, 1, 2 and 3 rows)
     xs = np.array([0.3, 0.5, 0.7])
     table = np.full((3, 3), 10.0)
     table[0, 2], table[2, 0] = 1.0, np.nextafter(1.0, 0.0)
-    value, argmin = lattice_min(xs, table)
-    assert argmin == (0.3, 0.7)
-    assert value == 0.7 * 0.3 * np.nextafter(1.0, 0.0)
+    for elems in (1, 3, 6, 9, kernels.BLOCK_ELEMS):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMS", elems)
+        value, argmin = lattice_min(xs, _table_rows(table))
+        assert argmin == (0.3, 0.7)
+        assert value == 0.7 * 0.3 * np.nextafter(1.0, 0.0)
+        assert (value, argmin) == full_lattice_min(xs, table)
+
+
+@pytest.mark.parametrize("elems", [4, 8, 12, kernels.BLOCK_ELEMS])
+def test_lattice_min_breaks_a_tie_across_blocks_as_the_full_table_does(monkeypatch, elems):
+    # powers of two make the ratios exact: (1, 3), (2, 0) and (3, 1) tie at 16, in rows 1, 2 and 3,
+    # and the first row-major argmin of the symmetrized ratios is (0, 2): with blocks of one row
+    # it comes after the first tie and before the last, with blocks of two it is in the later block
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", elems)
+    xs = np.array([1.0, 2.0, 4.0, 8.0])
+    table = np.full((4, 4), 100.0)
+    table[1, 3], table[2, 0], table[3, 1] = 1.0, 4.0, 1.0
+    got = lattice_min(xs, _table_rows(table))
+    assert got == full_lattice_min(xs, table) == (16.0, (1.0, 4.0))
+
+
+@pytest.mark.parametrize("elems", [4, 8, 16, kernels.BLOCK_ELEMS])
+def test_lattice_min_reports_a_nan_ratio_where_the_full_table_does(monkeypatch, elems):
+    # a finite minimum in row 0, NaNs at (1, 3) and in the last row at (3, 0): the minimum is NaN, at the
+    # first row-major NaN of the symmetrized ratios, (0, 3), which a one-row block finds after (1, 3)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", elems)
+    xs = np.array([1.0, 2.0, 4.0, 8.0])
+    table = np.full((4, 4), 100.0)
+    table[0, 1], table[1, 3], table[3, 0] = -1.0, np.nan, np.nan
+    (value, argmin), (want, want_argmin) = lattice_min(xs, _table_rows(table)), full_lattice_min(xs, table)
+    assert math.isnan(value) and math.isnan(want) and argmin == want_argmin == (1.0, 8.0)
+
+
+@pytest.mark.parametrize("kind", ["I", "J"])
+@pytest.mark.parametrize("n, per_axis", [(3, 9), (4, 4), (5, 9)])
+def test_lattice_min_walks_the_lemma_and_bump_lattices_in_blocks(monkeypatch, n, per_axis, kind):
+    # blocks of three rows: the blocked minimum and argmin are the full table's, where the table is
+    # the rows that lattice_min was served, stacked (a GEMM's row slices need not match the whole
+    # product bit for bit)
+    xs = build_region(n, kind).lattice(per_axis)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 3 * len(xs))
+    for rows in (kernels._lattice_kernel(n, kind, per_axis, xs), _bump_mean_rows(n, xs)):
+        served = []
+
+        def recorded(b, rows=rows):
+            served.append(rows(b))
+            return served[-1]
+
+        got = lattice_min(xs, recorded)
+        assert len(served) > 2 and sum(len(block) for block in served) == len(xs)
+        assert got == full_lattice_min(xs, np.concatenate(served))
 
 
 @pytest.mark.parametrize("n", [3, 4])

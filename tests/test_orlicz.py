@@ -1,6 +1,7 @@
 """Young functions, Luxemburg norm, unit ball, inclusion probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,10 @@ def test_step_histogram_and_zero_step():
     mags, counts = step.magnitude_histogram
     assert mags.tolist() == [2.5] and counts.tolist() == [7.0]
     assert luxemburg_norm(StepFunction(0.0, 7, 0.25), LOG) == 0.0
+    # a nonzero value on no cells is the zero function too: no halving down to the float range's end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert luxemburg_norm(StepFunction(2.0, 0, 1.0), LOG) == 0.0
     # 2^80 cells, past int64, count as a float
     assert StepFunction(1.0, 2 ** 80, 2.0 ** -80).magnitude_histogram[1][0] == 2.0 ** 80
     assert modular(StepFunction(1.0, 2 ** 80, 2.0 ** -80), young_power(2.0), 1.0) == 1.0
