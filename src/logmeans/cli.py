@@ -95,6 +95,8 @@ _R2_A1 = 1.0 / _PLASTIC
 _R2_A2 = 1.0 / _PLASTIC ** 2
 #: Distance every quasi-random point keeps from the singular tubes.
 _TUBE_MARGIN = 0.02
+#: Floats a screened candidate holds at most (its four tube arguments, their reductions and distances).
+SCREEN_FLOATS = 32
 
 
 def quasi_random_points(count: int) -> np.ndarray:
@@ -102,20 +104,27 @@ def quasi_random_points(count: int) -> np.ndarray:
     First ``count`` points of the 2D low-discrepancy rotation sequence mapped
     to (-pi, pi)^2 and filtered to stay _TUBE_MARGIN away from the singular
     tubes x, y, x+y, x-y = 0 (mod 2*pi), shape (count, 2).  Deterministic.
+    The candidates are screened in blocks of at most kernels.BLOCK_ELEMS //
+    SCREEN_FLOATS, in sequence order, so the accepted prefix does not depend
+    on the block size.
     """
     if count < 0:
         raise ValueError(f"point count must be >= 0, got {count}")
-    # about 2.5% of the sequence lies within the margin of a tube; the rare
-    # shortfall doubles the candidates, which keeps the accepted prefix unchanged
-    candidates = count + count // 8 + 8
-    while True:
-        i = np.arange(1.0, candidates + 1.0)
+    points, kept, start = np.empty((count, 2)), 0, 1
+    block = max(1, kernels.BLOCK_ELEMS // SCREEN_FLOATS)
+    while kept < count:
+        # about 2.5% of the sequence lies within the margin of a tube, so a block of the points
+        # still missing and 1/8 more rarely falls short; a shortfall screens the next block
+        need = count - kept
+        i = np.arange(start, start + min(need + need // 8 + 8, block), dtype=float)
+        start += len(i)
         x = (2.0 * ((0.5 + _R2_A1 * i) % 1.0) - 1.0) * math.pi
         y = (2.0 * ((0.5 + _R2_A2 * i) % 1.0) - 1.0) * math.pi
         keep = np.min(kernels.tube_distances(x, y)[1], axis=0) >= _TUBE_MARGIN
-        if np.count_nonzero(keep) >= count:
-            return np.column_stack([x[keep], y[keep]])[:count]
-        candidates *= 2
+        accepted = np.column_stack([x[keep], y[keep]])[:need]
+        points[kept : kept + len(accepted)] = accepted
+        kept += len(accepted)
+    return points
 
 
 # ----------------------------------------------------------------------------
@@ -141,10 +150,10 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = sorted(set(args.n or KERNEL_VERIFY_N))
     points = args.samples ** 2
-    # the Norlund weights of every order and four order-length rows of the largest, and the points:
-    # quasi_random_points screens 9/8 of them as candidates, under 32 floats a point at its peak
+    # the Norlund weights of every order and four order-length rows of the largest, and the points,
+    # 2 floats each: quasi_random_points screens its candidates, and both forms take the points, in blocks
     what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
-    kernels.refuse_beyond_memory_limit(what, 8 * (5 * sum(orders) + 32 * points))
+    kernels.refuse_beyond_memory_limit(what, 8 * (5 * sum(orders) + 2 * points))
     xs, ys = quasi_random_points(points).T
     harmonic = np.array([harmonic_number(N) for N in orders])[:, None]
     max_err = np.full(len(orders), -math.inf)
@@ -188,6 +197,8 @@ def cmd_lemma(args: argparse.Namespace) -> int:
     positive = [r.n for r in reports if r.i_min_ratio > 0.0]
     if positive:
         comments.append(f"n0_estimate={min(positive)}")
+    # the largest summation-by-parts remainder of any C_N entry (0 when every entry is near)
+    comments.append(f"max_tail_bound={_fmt(max((r.tail_bound for r in reports), default=0.0))}")
     write_report(
         args, "lemma", comments,
         ["n", "kind", "min_ratio", "argmin_x", "argmin_y", "samples"],

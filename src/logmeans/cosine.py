@@ -1,0 +1,142 @@
+"""
+The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k) in O(1) an entry, with no sum
+over the N orders: a logarithm in closed form less a tail that is summed by parts far from u = 0 mod 2 pi
+and taken by Euler-Maclaurin around the exponential integral E1 near it (Abramowitz & Stegun 5.1.11 and
+5.1.22 for E1).  kernels' lemma survey takes x y F_N through it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .fourier import finite_points, integer_orders
+
+
+#: C_N's near band: the entries with N |1 - e^{-iu}| below this sum their tail by Euler-Maclaurin
+#: around the exponential integral E1; the far entries sum it by parts in TAIL_TERMS terms, whose
+#: remainder bound 2 |c_24| / |1 - e^{-iu}|^25 is then below 1.1e-16.
+NEAR_BAND = 40.0
+TAIL_TERMS = 24
+#: The Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator): the near band's Euler-Maclaurin
+#: terms B_{2k}/(2k)! I_{2k-1}.  At N >= MIN_COSINE_ORDER the seventh is at most 5.7e-16 and the eighth
+#: would be at most 5.8e-18, so seven is the fewest that reach rounding level.
+BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
+#: E1(x) on the imaginary axis: its power series below this |x| (E1_SERIES_TERMS terms, last at most
+#: 1.4e-16), its continued fraction of depth E1_FRACTION_DEPTH above (truncation at most 5.7e-17).
+E1_SERIES_RADIUS = 4.0
+E1_SERIES_TERMS = 30
+E1_FRACTION_DEPTH = 48
+#: Smallest order cosine_kernel evaluates: its expansions are in powers of 1/(N + 1).
+MIN_COSINE_ORDER = 64
+
+
+def cosine_kernel(N: int, distances, offsets) -> tuple[np.ndarray, float]:
+    """
+    The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k) at u = 2 pi d / rho + c,
+    rho = N + 1/2, for the integer window distances d and the offsets c broadcast together, in O(1) an
+    entry; and the largest summation-by-parts remainder bound over its far entries (0 when none).  Since
+    D_k(x) D_k(y) = [cos((k + 1/2)(x - y)) - cos((k + 1/2)(x + y))] / (8 sin(x/2) sin(y/2)),
+
+        H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)).
+
+    With j = N - k and z = e^{-iu}, C_N(u) = Re[e^{i rho u} sum_{j=1}^{N} z^j / j], and e^{i rho u} =
+    e^{i rho c} exactly, as d is an integer: the phase comes from the offset alone, so rho u is never
+    formed.  The sum is -log(1 - z) = -log(2 sin(v/2)) - i (pi - v)/2 (v = u mod 2 pi) less the tail
+    e^{-iu/2} sum_{m>=0} z^m / (a + m), a = N + 1, which _far_tail sums by parts and _near_kernel takes by
+    Euler-Maclaurin.  At u = 0, where C_N is H_N, the near form is H_N's asymptotic series.  Every entry is a
+    few dozen array operations, so its error is a few eps (1 + |C_N|), plus about eps rho |c| log N from
+    the one rounded phase rho c.  Refuses N < MIN_COSINE_ORDER, non-integer distances and non-finite
+    offsets.
+    """
+    N = integer_orders(N, "kernel orders", scalar=True)
+    if N < MIN_COSINE_ORDER:
+        raise ValueError(f"cosine_kernel needs N >= {MIN_COSINE_ORDER}, got {N}")
+    d, c = np.broadcast_arrays(integer_orders(distances, "window distances"), finite_points(offsets))
+    rho = N + 0.5
+    u = 2.0 * math.pi / rho * d + c
+    # u and u/2 reduced mod 2 pi from the integers: d - k rho is an exact half-integer, so r and half
+    # are rounded like small arguments, however many turns u makes
+    r = 2.0 * math.pi / rho * (d - rho * np.rint(u / (2.0 * math.pi))) + c
+    half = math.pi / rho * (d - 2.0 * rho * np.rint(u / (4.0 * math.pi))) + 0.5 * c
+    phase = rho * c
+    far = 2.0 * N * np.abs(np.sin(half)) >= NEAR_BAND
+    out = np.empty(u.shape)
+    tail, bounds = _far_tail(N, half[far])
+    out[far] = _log_term(r[far], phase[far]) - tail.real
+    out[~far] = _near_kernel(N, r[~far], half[~far], phase[~far])
+    return out, float(np.max(bounds, initial=0.0))
+
+
+def _log_term(r: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Re[e^{i phase} (-log(2 sin(v/2)) - i (pi - v)/2)], v = r mod 2 pi in (0, 2 pi), at r != 0."""
+    log_gap = np.log(2.0 * np.abs(np.sin(0.5 * r)))
+    return np.sin(phase) * (np.copysign(0.5 * math.pi, r) - 0.5 * r) - np.cos(phase) * log_gap
+
+
+def _far_tail(N: int, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """
+    The tail e^{-iu/2} sum_{m>=0} z^m / (N + 1 + m) at u/2 = ``half`` (mod 2 pi), summed by parts in
+    TAIL_TERMS terms: sum_{p<P} c_p w^p / (2i sin(u/2)), w = z / (1 - z) = -1/2 - (i/2) cot(u/2), with
+    c_0 = 1/(N + 1) and c_{p+1} = -c_p (p + 1)/(N + p + 2), the p-th difference of 1/(N + 1 + m); and
+    each entry's remainder bound 2 |c_P| / |1 - z|^{P+1}, |1 - z| = 2 |sin(u/2)|.
+    """
+    coeffs = [1.0 / (N + 1.0)]
+    for p in range(TAIL_TERMS):
+        coeffs.append(-coeffs[-1] * (p + 1) / (N + p + 2.0))
+    sin_half = np.sin(half)
+    w = -0.5 - 0.5j * np.cos(half) / sin_half
+    total = np.full(half.shape, coeffs[TAIL_TERMS - 1], dtype=complex)
+    for coeff in coeffs[TAIL_TERMS - 2 :: -1]:
+        total = total * w + coeff
+    bounds = 2.0 * abs(coeffs[TAIL_TERMS]) / np.abs(2.0 * sin_half) ** (TAIL_TERMS + 1)
+    return total / (2j * sin_half), bounds
+
+
+def _near_kernel(N: int, r: np.ndarray, half: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """
+    C_N on the near band.  With x = i a r, a = N + 1, Euler-Maclaurin gives the tail as
+    e^{-iu/2} [e^x E1(x)] + _euler_maclaurin(a, r).  Where |x| >= E1_SERIES_RADIUS, e^x E1(x) is its
+    continued fraction 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) (Abramowitz & Stegun 5.1.22).  Below,
+    E1(x) = -gamma - log x - sum_{k>=1} (-x)^k / (k k!) (A&S 5.1.11), and e^{-iu/2} e^{iar} = e^{i rho c},
+    so the two logarithms join: C_N = Re[e^{i rho c} (log a + gamma + log(r / (2 sin(r/2))) + i r/2
+    + sum_{k>=1} (-x)^k / (k k!))] less the Euler-Maclaurin part, with no cancellation and no limit to
+    take at r = 0, where it is H_N.
+    """
+    a = N + 1.0
+    x = 1j * a * r
+    unit = np.exp(-1j * half)  # e^{-iu/2}
+    out = -(unit * _euler_maclaurin(a, r)).real
+    series = np.abs(x) < E1_SERIES_RADIUS
+    y, powers = -x[series], np.zeros(np.count_nonzero(series), dtype=complex)
+    for k in range(E1_SERIES_TERMS, 0, -1):  # sum_{k>=1} y^k / (k k!) by Horner
+        powers = (powers + 1.0 / (k * math.factorial(k))) * y
+    rs = r[series]
+    inner = math.log(a) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) + 0.5j * rs + powers
+    out[series] += (np.exp(1j * phase[series]) * inner).real
+    fraction = ~series
+    xf = x[fraction]
+    f = xf + (2.0 * E1_FRACTION_DEPTH + 1.0)
+    for k in range(E1_FRACTION_DEPTH, 0, -1):
+        f = xf + (2.0 * k - 1.0) - k * k / f
+    out[fraction] += _log_term(r[fraction], phase[fraction]) - (unit[fraction] / f).real
+    return out
+
+
+def _euler_maclaurin(a: float, r: np.ndarray) -> np.ndarray:
+    """
+    The near tail's Euler-Maclaurin part sum_{m>=0} f(m) - int_0^inf f, f(t) = e^{-irt} / (a + t):
+    f(0)/2 - sum_k B_{2k}/(2k)! f^{(2k-1)}(0) = 1/(2a) + sum_k B_{2k}/(2k)! I_{2k-1} over the BERNOULLI
+    terms, where I_m = (-1)^m f^{(m)}(0) follows from (a + t) f = e^{-irt}: I_0 = 1/a and
+    I_m = (ir)^m / a + (m / a) I_{m-1}.
+    """
+    ir = 1j * r
+    total, power, moment = np.full(r.shape, 0.5 / a, dtype=complex), 1.0, 1.0 / a
+    for m in range(1, 2 * len(BERNOULLI)):
+        power = power * ir
+        moment = (power + m * moment) / a
+        if m % 2:
+            p, q = BERNOULLI[m // 2]
+            total += p / (q * math.factorial(m + 1)) * moment
+    return total

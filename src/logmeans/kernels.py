@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cosine import cosine_kernel
 from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, finite_points, integer_orders, reduce_angle
 from .means import harmonic_number
 
@@ -43,8 +44,7 @@ EPS_SING = 1e-6
 KERNEL_TABLE_ELEMS = 64 * 1024
 
 #: Elements one block of a survey may hold (8 MB): lattice_min's row blocks, kernel-verify's point
-#: blocks (15 terms an order a point) and norlund_cosine_table's (points, orders) angle tables.  As
-#: KERNEL_TABLE_ELEMS it leaves under 64 orders a cosine block at n = 10 (lemma 27 s against 8 s).
+#: blocks (15 terms an order a point) and the candidate blocks of its point screening.
 BLOCK_ELEMS = 2 ** 20
 
 REGION_I = "I"
@@ -384,34 +384,6 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out[0] if one else out
 
 
-def norlund_cosine_table(N: int, distances, offsets) -> np.ndarray:
-    """
-    The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k) at u = 2 pi d / (N + 1/2) + c
-    for every offset c in ``offsets`` (rows) and window distance d in ``distances`` (columns).  Since
-    D_k(x) D_k(y) = [cos((k + 1/2)(x - y)) - cos((k + 1/2)(x + y))] / (8 sin(x/2) sin(y/2)),
-
-        H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)).
-
-    By cos(a (t + c)) = cos(a t) cos(a c) - sin(a t) sin(a c), each block of orders adds two products
-    of angle_table tables, the offsets' weighted by the Norlund weights; a block's table of both
-    vectors holds at most BLOCK_ELEMS elements.  Refuses NaN and infinite offsets and distances.
-    """
-    weights = GridOp.norlund_log(N).weights()
-    offsets = finite_points(offsets)
-    angles = np.concatenate([offsets, 2.0 * math.pi / (N + 0.5) * finite_points(distances)])
-    c = len(offsets)
-    table = np.zeros((c, len(angles) - c))
-    step = max(1, BLOCK_ELEMS // len(angles))
-    for start in range(0, N, step):
-        count = min(step, N - start)
-        cos = angle_table(angles, start, count, 0.5, cosine=True)
-        sin = angle_table(angles, start, count, 0.5)
-        cos[:c] *= weights[start : start + count]
-        sin[:c] *= weights[start : start + count]
-        table += cos[:c] @ cos[c:].T - sin[:c] @ sin[c:].T
-    return table
-
-
 @dataclass(frozen=True)
 class KernelEvaluation:
     """
@@ -552,7 +524,8 @@ class LemmaSurvey:
 
     ``i_min_ratio`` is the minimum of x y F_N(x, y) over the I-region
     lattice; ``j_min_ratio`` additionally minimizes F over the four corner
-    offsets (s, t) in {0, gamma(n)}^2 before multiplying by x y.
+    offsets (s, t) in {0, gamma(n)}^2 before multiplying by x y.  ``tail_bound`` is the largest
+    summation-by-parts remainder bound of the C_N entries behind both (cosine_kernel).
     """
 
     n: int
@@ -563,6 +536,7 @@ class LemmaSurvey:
     j_samples: int
     j_min_ratio: float
     j_argmin: tuple[float, float]
+    tail_bound: float
 
     def csv_rows(self) -> list[list]:
         return [
@@ -579,10 +553,11 @@ class LemmaReport(LemmaSurvey):
     remainder_max: float
 
 
-def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray):
+def _lattice_kernels(n: int, per_axis: int) -> tuple[dict, float]:
     """
-    rows(b): the rows in the slice b of min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n,
-    on the lattice xs x xs of build_region(n, kind).lattice(per_axis); the shifts are 0 and, on J, gamma(n).
+    For each region kind, its lattice xs = build_region(n, kind).lattice(per_axis) and rows(b): the rows
+    in the slice b of min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n, on xs x xs
+    (the shifts are 0 and, on J, gamma(n)); and the largest tail bound of cosine_kernel over them all.
 
     C_N's arguments come from integer indices, never from float sums x +- y.  With rho = N + 1/2,
     the point of window m and step i is x = (arccos(1/4) + 2 pi m)/rho + shrink + i step, and the
@@ -592,27 +567,46 @@ def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray):
         x - y = 2 pi (m - l)/rho + (o_x - o_y) unit,
         x + y = 2 pi (m + l)/rho + 2 arccos(1/4)/rho + 2 shrink + (o_x + o_y) unit.
 
-    C_N is even, so the difference table is built for offsets >= 0 and mirrored.  Both tables have
-    1-D sizes (offsets by window distances); rows(b) gathers each shift pair from them over the rows
-    in b alone and keeps their running minimum.
+    C_N is even, so each difference table is evaluated for offsets >= 0 and mirrored.  The four
+    tables (offsets by window distances, 1-D sizes) of both kinds are one cosine_kernel call; rows(b)
+    gathers each shift pair from its kind's two over the rows in b alone and keeps their running minimum.
     """
     N, rho, windows = 4 ** n, phase_rate(n), window_count(n)
     halves = 2 - per_axis % 2  # units a step
     shift_units = (per_axis - 1) * halves // 2  # gamma(n)
-    shrink, shifts = (gamma(n), np.array([0, 1])) if kind == REGION_J else (0.0, np.array([0]))  # in gamma(n)
-    unit = (4.0 * GAMMA_SCALE / rho - 2.0 * shrink) / (halves * (per_axis - 1))
+    differences, sums = np.arange(1 - windows, windows), np.arange(2, 2 * windows + 1)
+    layouts, grids = [], []  # grids: (offsets, distances) of each table, I's two then J's
+    for kind in (REGION_I, REGION_J):
+        shrink, shifts = (gamma(n), np.array([0, 1])) if kind == REGION_J else (0.0, np.array([0]))  # in gamma(n)
+        unit = (4.0 * GAMMA_SCALE / rho - 2.0 * shrink) / (halves * (per_axis - 1))
+        o = halves * np.tile(np.arange(per_axis), windows) - shift_units * shifts[:, None]
+        top, low, high = o.max() - o.min(), 2 * o.min(), 2 * o.max()
+        base = 2.0 * (ARCCOS_QUARTER / rho + shrink)
+        grids += [(unit * np.arange(top + 1), differences), (base + unit * np.arange(low, high + 1), sums)]
+        layouts.append((kind, shifts, o, top, low))
+    values, tail = cosine_kernel(
+        N,
+        np.concatenate([np.tile(d, len(c)) for c, d in grids]),
+        np.concatenate([np.repeat(c, len(d)) for c, d in grids]),
+    )
+    tables = np.split(values, np.cumsum([len(c) * len(d) for c, d in grids])[:-1])
+    tables = [table.reshape(len(c), len(d)) for table, (c, d) in zip(tables, grids)]
     m = np.repeat(np.arange(1, windows + 1), per_axis)
-    o = halves * np.tile(np.arange(per_axis), windows) - shift_units * shifts[:, None]
-    top, low, high = o.max() - o.min(), 2 * o.min(), 2 * o.max()
-    half = norlund_cosine_table(N, np.arange(1 - windows, windows), unit * np.arange(top + 1))
-    diff = np.concatenate([half[:0:-1, ::-1], half])  # offsets -top..top
-    base = 2.0 * (ARCCOS_QUARTER / rho + shrink)
-    total = norlund_cosine_table(N, np.arange(2, 2 * windows + 1), base + unit * np.arange(low, high + 1))
-    half_sin = np.sin(0.5 * (xs - gamma(n) * shifts[:, None]))
+    by_kind = {}
+    for (kind, shifts, o, top, low), half, total in zip(layouts, tables[::2], tables[1::2]):
+        diff = np.concatenate([half[:0:-1, ::-1], half])  # offsets -top..top
+        xs = build_region(n, kind).lattice(per_axis)
+        half_sin = np.sin(0.5 * (xs - gamma(n) * shifts[:, None]))
+        by_kind[kind] = xs, _shift_pair_rows(diff, total, windows, m, o, top, low, half_sin)
+    return by_kind, tail
+
+
+def _shift_pair_rows(diff, total, windows, m, o, top, low, half_sin):
+    """_lattice_kernels' rows(b) of one kind: each shift pair gathered from its difference and sum tables."""
 
     def rows(b: slice) -> np.ndarray:
         out = None
-        for s, t in np.ndindex(len(shifts), len(shifts)):
+        for s, t in np.ndindex(len(o), len(o)):
             f = diff[(o[s, b] + top)[:, None] - o[t], (m[b] + windows - 1)[:, None] - m]
             f -= total[(o[s, b] - low)[:, None] + o[t], m[b, None] + m - 2]
             f /= half_sin[s, b, None] * half_sin[t]
@@ -622,23 +616,29 @@ def _lattice_kernel(n: int, kind: str, per_axis: int, xs: np.ndarray):
     return rows
 
 
+#: A lemma lattice point's share of the survey's 1-D arrays: at most 30 C_N table entries (15 at an odd
+#: samples_per_rect), each under 24 floats while cosine_kernel evaluates it (22 measured at n = 5 and
+#: 40 samples), and under 48 floats of per-axis arrays.
+LEMMA_FLOATS_PER_POINT = 30 * 24 + 48
+
+
 def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
     """
     Evaluate r(x, y) = x y F_{2^{2n}}(x, y) on the I-region lattice (through the cosine kernel C_N of
-    norlund_cosine_table) and report the minimum, together with the corner-offset minimum over the
-    J-region lattice.  Deterministic: fixed sample lattice, fixed reductions.  lattice_min walks the
-    lattice pairs in blocks; a scale whose 1-D arrays would exceed MAX_LATTICE_GIB is refused first.
+    cosine_kernel) and report the minimum, together with the corner-offset minimum over the J-region
+    lattice, and the largest summation-by-parts tail bound of the C_N entries.  Deterministic: fixed
+    sample lattice, fixed reductions.  lattice_min walks the lattice pairs in blocks; a scale whose
+    1-D arrays would exceed MAX_LATTICE_GIB is refused first.
     """
     windows = window_count(n)  # EmptyRegionError below scale 3, before gamma(n) refuses n < 1
-    # two order-length arrays build the Norlund weights; the points and the C_N tables take < 48 floats a point
     what = f"lemma's survey at n = {n}, {samples_per_rect} samples per window"
-    refuse_beyond_memory_limit(what, 8 * (2 * 4 ** n + 48 * samples_per_rect * windows))
+    refuse_beyond_memory_limit(what, 8 * LEMMA_FLOATS_PER_POINT * samples_per_rect * windows)
+    by_kind, tail = _lattice_kernels(n, samples_per_rect)
     fields, scale = [], 8.0 * harmonic_number(4 ** n)
     for kind in (REGION_I, REGION_J):
-        xs = build_region(n, kind).lattice(samples_per_rect)
-        rows = _lattice_kernel(n, kind, samples_per_rect, xs)
+        xs, rows = by_kind[kind]
         fields += [len(xs) ** 2, *lattice_min(xs, lambda b: rows(b) / scale)]
-    return LemmaSurvey(n, samples_per_rect, *fields)
+    return LemmaSurvey(n, samples_per_rect, *fields, tail_bound=tail)
 
 
 def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:

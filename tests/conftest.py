@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from logmeans.fourier import BandwidthError, GridOp, SpectralCoeffs, dirichlet_matrix, evaluate_grid
+from logmeans.fourier import (
+    BandwidthError, GridOp, SpectralCoeffs, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
+)
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.counterexamples import _area_under_hyperbola
-from logmeans.kernels import alpha, beta, build_region, gamma
+from logmeans.kernels import BLOCK_ELEMS, alpha, beta, build_region, gamma
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, NORM_REL_TOL, YoungFunction, luxemburg_norm
 
@@ -132,6 +135,56 @@ def lattice_survey(N, xs, shifts):
     tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
     products = [left.T @ (weights[:, None] * right) for b, right in enumerate(tables) for left in tables[: b + 1]]
     return full_lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
+
+
+def norlund_cosine_table(N, distances, offsets):
+    """
+    Reference Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k), summed over every
+    order, at u = 2 pi d / (N + 1/2) + c for every offset c in ``offsets`` (rows) and window distance d in
+    ``distances`` (columns); any N >= 1.  By cos(a (t + c)) = cos(a t) cos(a c) - sin(a t) sin(a c), each
+    block of orders adds two products of angle_table tables, the offsets' weighted by the Norlund weights;
+    a block's table of both vectors holds at most BLOCK_ELEMS elements.  Refuses NaN and infinite input.
+    """
+    weights = GridOp.norlund_log(N).weights()
+    offsets = finite_points(offsets)
+    angles = np.concatenate([offsets, 2.0 * math.pi / (N + 0.5) * finite_points(distances)])
+    c = len(offsets)
+    table = np.zeros((c, len(angles) - c))
+    step = max(1, BLOCK_ELEMS // len(angles))
+    for start in range(0, N, step):
+        count = min(step, N - start)
+        cos = angle_table(angles, start, count, 0.5, cosine=True)
+        sin = angle_table(angles, start, count, 0.5)
+        cos[:c] *= weights[start : start + count]
+        sin[:c] *= weights[start : start + count]
+        table += cos[:c] @ cos[c:].T - sin[:c] @ sin[c:].T
+    return table
+
+
+def mp_tail(N, u):
+    """
+    The tail e^{i rho u} sum_{j>N} z^j / j = e^{-iu/2} sum_{m>=0} z^m / (N + 1 + m) of C_N's sum, z = e^{-iu},
+    rho = N + 1/2, at the mpmath number u, by mpmath's Lerch transcendent Phi(z, 1, N + 1).
+    """
+    return mpmath.expj(-u / 2) * mpmath.lerchphi(mpmath.expj(-u), 1, N + 1)
+
+
+def mp_far_tail(N, half, terms):
+    """
+    The tail of mp_tail at u = 2 ``half`` summed by parts in ``terms`` terms, exactly (40 digits or more):
+    sum_{p<terms} c_p w^p / (2i sin(u/2)), c_p = (-1)^p p! / ((N + 1)(N + 2) ... (N + 1 + p)),
+    w = -1/2 - (i/2) cot(u/2); and the sum of the terms' magnitudes.
+    """
+    with mpmath.workdps(max(40, mpmath.mp.dps)):
+        half = mpmath.mpf(half)
+        w = mpmath.mpc(-0.5, -0.5 * mpmath.cot(half))
+        c, total, size = mpmath.mpf(1) / (N + 1), 0, 0
+        for p in range(terms):
+            total += c * w ** p
+            size += abs(c * w ** p)
+            c *= -mpmath.mpf(p + 1) / (N + p + 2)
+        divisor = 2j * mpmath.sin(half)
+        return total / divisor, float(size / abs(divisor))
 
 
 def dense_fourier_coeffs(values, B):

@@ -5,11 +5,13 @@ import math
 import os
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from logmeans import kernels
+from logmeans import cosine, kernels
 from logmeans.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -19,9 +21,10 @@ from logmeans.cli import (
     main,
     quasi_random_points,
 )
+from logmeans.cosine import cosine_kernel
 from logmeans.grid import GridFunction2D
 
-from conftest import quasi_random_points_loop
+from conftest import mp_far_tail, mp_tail, quasi_random_points_loop
 
 
 def read(path):
@@ -43,6 +46,25 @@ def test_quasi_random_points_avoid_tubes():
 def test_quasi_random_points_match_scalar_reference(count):
     # the vectorized filter keeps the same points, bit for bit, as the one-point-at-a-time loop
     assert np.array_equal(quasi_random_points(count), quasi_random_points_loop(count))
+
+
+@pytest.mark.parametrize("elems", [32, 32 * 7, 32 * 600])
+def test_quasi_random_points_screen_in_blocks(monkeypatch, elems):
+    # blocks of 1, 7 and 600 candidates, each short of the points still missing: the accepted prefix
+    # is the one-point loop's, bit for bit, whatever the block
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", elems)
+    assert np.array_equal(quasi_random_points(1000), quasi_random_points_loop(1000))
+
+
+def test_quasi_random_points_hold_one_screening_block():
+    # 2^18 points (4 MiB) screened in blocks of BLOCK_ELEMS // 32 candidates, not all 9/8 of them at once
+    tracemalloc.start()
+    try:
+        points = quasi_random_points(2 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points.nbytes + 12e6
 
 
 def test_quasi_random_points_of_zero_count_is_empty():
@@ -193,10 +215,10 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert [l.split(",")[0] for l in lines if l and not l.startswith("#")][1:] == ["3", "3"]
 
 
-@pytest.mark.parametrize("n", ["14"])
+@pytest.mark.parametrize("n", ["19"])
 def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 14 needs about 4 GiB, mostly the two order-length arrays of building the Norlund
-    # weights of N = 4^14: it is refused from the count, before anything is allocated
+    # n = 19 needs about 3.4 GiB, the C_N table entries of 9 x 2^16 lattice points an axis and their
+    # evaluation: it is refused from the count, before anything is allocated
     tracemalloc.start()
     try:
         code = main(["lemma", "--out", str(tmp_path), "--n", n])
@@ -208,6 +230,44 @@ def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     assert f"n = {n}" in err and "GiB" in err
     assert not (tmp_path / "lemma.csv").exists()
     assert peak < 10e6
+
+
+def test_lemma_prints_the_largest_tail_bound_of_its_far_entries(tmp_path, monkeypatch):
+    # the line recomputed from every C_N entry lemma evaluated: 2 |c_24| / |1 - z|^25 over the far
+    # entries, N |1 - z| >= 40, with c_24 = 24! / ((N + 1) ... (N + 25)); and on sampled far entries the
+    # remainder of the 24-term sum, against mpmath's Lerch tail, stays under the printed line
+    calls = []
+
+    def recorded(N, distances, offsets):
+        calls.append((N, np.asarray(distances), np.asarray(offsets)))
+        return cosine_kernel(N, distances, offsets)
+
+    monkeypatch.setattr(kernels, "cosine_kernel", recorded)
+    assert main(["lemma", "--out", str(tmp_path), "--n", "3,5,6"]) == EXIT_OK
+    lines = read(tmp_path / "lemma.csv").splitlines()
+    printed = float(next(l for l in lines if l.startswith("# max_tail_bound=")).split("=")[1])
+    assert [N for N, _, _ in calls] == [4 ** 3, 4 ** 5, 4 ** 6]
+    best, samples = 0.0, []
+    for N, d, c in calls:
+        u = 2.0 * math.pi * d / (N + 0.5) + c
+        gap = np.abs(2.0 * np.sin(0.5 * u))
+        far = np.flatnonzero(N * gap >= cosine.NEAR_BAND)
+        c24 = float(Fraction(math.factorial(24), math.prod(range(N + 1, N + 26))))
+        bounds = 2.0 * c24 / gap[far] ** 25
+        if far.size:
+            best = max(best, bounds.max())
+            samples += [(N, float(u[i])) for i in far[[np.argmax(bounds), 0, -1, len(far) // 2]]]
+    assert printed > 0.0 and printed == pytest.approx(best, rel=1e-12)
+    for N, u in samples:
+        with mpmath.workdps(60):
+            partial, _ = mp_far_tail(N, 0.5 * u, 24)
+            assert abs(mp_tail(N, mpmath.mpf(u)) - partial) <= printed, (N, u)
+
+
+def test_lemma_writes_a_zero_tail_bound_when_every_entry_is_near(tmp_path):
+    # at n = 3 every C_N entry lies in the near band
+    assert main(["lemma", "--out", str(tmp_path), "--n", "3"]) == EXIT_OK
+    assert "# max_tail_bound=0.0" in read(tmp_path / "lemma.csv").splitlines()
 
 
 def test_lemma_runs_scale_nine(tmp_path):
@@ -311,9 +371,9 @@ def test_grid_commands_stay_under_their_memory_estimates(tmp_path, monkeypatch, 
     ],
 )
 def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, argv, estimate):
-    # under a 32 KiB limit, the 1-D arrays of lemma's 200 lattice points (48 floats each),
-    # measure's c1 fit over 200 profile columns (2 x 64 floats each) and kernel-verify's
-    # 64^2 points (32 floats each) are refused from the count, before anything is allocated
+    # under a 32 KiB limit, the 1-D arrays of lemma's 200 lattice points (C_N entries and their
+    # evaluation), measure's c1 fit over 200 profile columns (2 x 64 floats each) and kernel-verify's
+    # 64^2 points (2 floats each) are refused from the count, before anything is allocated
     monkeypatch.setattr(kernels, "MAX_LATTICE_GIB", 2 ** -15)
     tracemalloc.start()
     try:

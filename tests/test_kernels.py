@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmeans import fourier, kernels
+from logmeans import cosine, fourier, kernels
 from logmeans.cli import quasi_random_points
 from logmeans.counterexamples import _bump_mean_rows, bump_mean_many
+from logmeans.cosine import cosine_kernel
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
@@ -30,7 +31,6 @@ from logmeans.kernels import (
     log_kernel_closed,
     log_kernel_direct,
     log_kernel_direct_many,
-    norlund_cosine_table,
     phase_range_check,
     phase_rate,
     sin_sum,
@@ -43,6 +43,9 @@ from conftest import (
     cos_sum_direct,
     full_lattice_min,
     lattice_survey,
+    mp_far_tail,
+    mp_tail,
+    norlund_cosine_table,
     rectangles,
     region_contains,
     shrunken_window,
@@ -274,6 +277,7 @@ def _mp_cosine_kernel(N, d, c):
 
 @pytest.mark.parametrize("N", [64, 4096])
 def test_norlund_cosine_table_matches_mpmath(N):
+    # the direct reference (tests/conftest.py) that the N = 3 form test leans on
     distances, offsets = np.array([0, 3, -7]), np.array([0.0, 1e-3, -2.5])
     table = norlund_cosine_table(N, distances, offsets)
     assert table.shape == (3, 3)
@@ -287,11 +291,127 @@ def test_norlund_cosine_table_matches_mpmath(N):
             assert abs(table[i, j] - float(_mp_cosine_kernel(N, int(d), float(c)))) <= tol, (d, c)
 
 
+def _mp_kernel(N, d, c):
+    """
+    C_N(2 pi d / (N + 1/2) + c) in 40-digit arithmetic: summed directly up to N = 4096; past it H_N at
+    u = 0, else Re[e^{i rho u} (-log(1 - z))] less the tail of mp_tail (mpmath's Lerch transcendent).
+    """
+    if N <= 4096:
+        return _mp_cosine_kernel(N, d, c)
+    with mpmath.workdps(40):
+        rho = N + mpmath.mpf(0.5)
+        u = 2 * mpmath.pi * d / rho + mpmath.mpf(c)
+        if u == 0:
+            return mpmath.harmonic(N)
+        return mpmath.re(-mpmath.expj(rho * u) * mpmath.log(1 - mpmath.expj(-u)) - mp_tail(N, u))
+
+
+def _branch_entries(N):
+    """
+    (d, c) entries of each branch of cosine_kernel at order N, with rho |c| < 4 as on the lemma's lattice
+    (the rounded phase rho c adds about eps rho |c| log N); d = N + 10 and N + 1 put u past 2 pi.
+    """
+    rho = N + 0.5
+    return {
+        "far": [(7, 0.0), (30, 0.37 / rho), (-50, -1.2 / rho), (N + 10, 0.0)],
+        "fraction": [(1, 0.0), (-1, 0.3 / rho), (2, -2.5 / rho), (5, 1.1 / rho), (3, 3.3 / rho)],
+        "series": [(0, 1e-3 / rho), (0, -0.5 / rho), (0, 3.9 / rho), (N + 1, 0.2 / rho)],
+        "zero": [(0, 0.0)],
+    }
+
+
+def _branch(N, d, c):
+    """Which of cosine_kernel's forms takes C_N at u = 2 pi d / (N + 1/2) + c."""
+    u = 2.0 * math.pi * d / (N + 0.5) + c
+    if u == 0.0:
+        return "zero"
+    if 2.0 * N * abs(math.sin(0.5 * u)) >= cosine.NEAR_BAND:
+        return "far"
+    return "series" if (N + 1) * abs(math.remainder(u, 2.0 * math.pi)) < cosine.E1_SERIES_RADIUS else "fraction"
+
+
+@pytest.mark.parametrize("N", [64, 4 ** 6, 4 ** 8, 4 ** 10])
+def test_cosine_kernel_matches_mpmath_on_every_branch(N):
+    # far entries summed by parts, near ones with E1 by its continued fraction and by its series, and
+    # u = 0 exactly, where C_N is H_N: all in one call, each within 1e-15 (1 + |C_N|) of 40 digits
+    entries = [(branch, d, c) for branch, pairs in _branch_entries(N).items() for d, c in pairs]
+    got, _ = cosine_kernel(N, [d for _, d, _ in entries], [c for _, _, c in entries])
+    for (branch, d, c), value in zip(entries, got):
+        assert _branch(N, d, c) == branch, (d, c)
+        want = float(_mp_kernel(N, d, c))
+        assert abs(value - want) <= 1e-15 * (1.0 + abs(want)), (branch, d, c, value, want)
+    assert got[-1] == pytest.approx(harmonic_number(N), rel=1e-15, abs=0.0)
+
+
+def test_cosine_kernel_refuses_orders_below_its_expansions():
+    # its expansions are in powers of 1/(N + 1); the lemma's smallest order is 4^3 = 64
+    assert np.isfinite(cosine_kernel(64, 3, 0.1)[0])
+    with pytest.raises(ValueError, match="cosine_kernel needs N >= 64, got 63"):
+        cosine_kernel(63, 3, 0.1)
+    with pytest.raises(ValueError, match="kernel orders must be integers"):
+        cosine_kernel(64.0, 3, 0.1)
+
+
+def _far_tail_misses(N, half):
+    """Per far entry, how far _far_tail's sum is from its exact 24-term sum, in units of its rounding allowance."""
+    got, _ = cosine._far_tail(N, half)
+    out = []
+    for h, value in zip(half, got):
+        partial, scale = mp_far_tail(N, float(h), 24)
+        out.append(abs(complex(partial) - value) / (2.0 * np.finfo(float).eps * scale))
+    return np.array(out)
+
+
+def test_far_tail_is_its_summation_by_parts_within_its_bound(monkeypatch):
+    # half angles u/2 at N |1 - z| = 40 (the band's edge) .. 4000 and near u = 2 pi
+    N = 4 ** 6
+    half = np.arcsin(np.array([40.0, 44.0, 60.0, 400.0, 4000.0]) / (2.0 * N))
+    half = np.concatenate([half, -half[:2], math.pi - half[:1]])
+    assert np.all(_far_tail_misses(N, half) <= 1.0)
+    _, bounds = cosine._far_tail(N, half)
+    for h, bound in zip(half, bounds):
+        with mpmath.workdps(100):  # the bound reaches 1e-66 at N |1 - z| = 4000
+            partial, _ = mp_far_tail(N, float(h), 24)
+            assert abs(mp_tail(N, 2 * mpmath.mpf(float(h))) - partial) <= bound, h
+    # the last term counts: without it the edge entries miss their rounding allowance
+    monkeypatch.setattr(cosine, "TAIL_TERMS", cosine.TAIL_TERMS - 1)
+    assert np.any(_far_tail_misses(N, half) > 1.0)
+
+
+def _euler_maclaurin_errors(N, r):
+    """_euler_maclaurin against sum_m f(m) - int_0^inf f, f(t) = e^{-irt}/(a + t), relative to that value."""
+    a = N + 1.0
+    got = cosine._euler_maclaurin(a, r)
+    out = []
+    with mpmath.workdps(40):
+        for rr, value in zip(r, got):
+            x = mpmath.mpc(0, a * mpmath.mpf(float(rr)))
+            want = mpmath.lerchphi(mpmath.expj(-mpmath.mpf(float(rr))), 1, a) - mpmath.exp(x) * mpmath.e1(x)
+            out.append(float(abs(value - want) / abs(want)))
+    return np.array(out)
+
+
+def test_euler_maclaurin_part_matches_mpmath(monkeypatch):
+    # at the smallest order, where its terms fall slowest, out to the near band's edge a r = 41
+    N = 64
+    r = np.array([0.5, 4.0, 20.0, 35.0, 41.0, -41.0, -12.0]) / (N + 1.0)
+    assert np.all(_euler_maclaurin_errors(N, r) <= 4.0 * np.finfo(float).eps)
+    # the last Bernoulli term counts: without it the edge entries miss
+    monkeypatch.setattr(cosine, "BERNOULLI", cosine.BERNOULLI[:-1])
+    assert np.any(_euler_maclaurin_errors(N, r) > 4.0 * np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("N", [3, 64, 1024])
 def test_cosine_kernel_form_matches_direct_form(N, rng):
-    # H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)), at distance 0
+    # H_N F_N(x, y) = [C_N(x - y) - C_N(x + y)] / (8 sin(x/2) sin(y/2)), at distance 0; below
+    # cosine_kernel's smallest order through the direct reference
     xs, ys = rng.uniform(-3.0, 3.0, (2, 64))
-    diff, total = norlund_cosine_table(N, [0], np.concatenate([xs - ys, xs + ys])).reshape(2, -1)
+    offsets = np.concatenate([xs - ys, xs + ys])
+    if N < cosine.MIN_COSINE_ORDER:
+        values = norlund_cosine_table(N, [0], offsets)
+    else:
+        values = cosine_kernel(N, 0, offsets)[0]
+    diff, total = values.reshape(2, -1)
     got = (diff - total) / (8.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys) * harmonic_number(N))
     want = log_kernel_direct_many(N, xs, ys)
     # each form rounds at O(N eps) of its terms, which are at most about 1 / |sin(x/2) sin(y/2)|
@@ -306,8 +426,7 @@ def test_non_finite_points_are_refused(bad):
         lambda: log_kernel_direct_many(16, np.array([math.nan, 0.3]), np.array([0.2, math.inf])),
         lambda: dirichlet_kernel(5, bad),
         lambda: log_kernel_direct_many(16, pts, other),
-        lambda: norlund_cosine_table(16, [0, 1], pts),
-        lambda: norlund_cosine_table(16, [bad, 1], other),
+        lambda: cosine_kernel(64, [0, 1], pts),
         lambda: closed_form_terms(16, other, pts),
         lambda: bump_mean_many(3, pts),
         lambda: bump_mean_many(3, np.array([bad])),
@@ -321,6 +440,9 @@ def test_non_finite_points_are_refused(bad):
         for call in calls:
             with pytest.raises(ValueError, match="finite"):
                 call()
+        # a window distance that is not an integer has no exact phase e^{i rho c}
+        with pytest.raises(ValueError, match="window distances must be integers"):
+            cosine_kernel(64, [bad, 1], other)
 
 
 # ------------------------------------------------------------ cosine-sum form
@@ -697,8 +819,8 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
 
 def test_lattice_kernel_tables_are_one_allocation_each():
     # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix divides its
-    # angle table and sets its limits in place; lemma_survey(6) holds no such table, and at its
-    # peak (2.80e6 bytes) it holds the cosine and sine angle tables of one norlund_cosine_table block
+    # angle table and sets its limits in place; lemma_survey(6) holds no such table, only the
+    # C_N entries of its four small (offsets, distances) tables and one block of lattice pairs
     xs = build_region(6, "I").lattice(9)
     tracemalloc.start()
     try:
@@ -926,7 +1048,7 @@ def test_lattice_min_walks_the_lemma_and_bump_lattices_in_blocks(monkeypatch, n,
     # product bit for bit)
     xs = build_region(n, kind).lattice(per_axis)
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", 3 * len(xs))
-    for rows in (kernels._lattice_kernel(n, kind, per_axis, xs), _bump_mean_rows(n, xs)):
+    for rows in (kernels._lattice_kernels(n, per_axis)[0][kind][1], _bump_mean_rows(n, xs)):
         served = []
 
         def recorded(b, rows=rows):
