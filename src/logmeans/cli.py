@@ -313,13 +313,16 @@ def cmd_orlicz(args: argparse.Namespace) -> int:
         ("bump_n1_unscaled", cx.make_bump(1, grid_size=grid)),
     )
     youngs = (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))
-    rows = []
+    rows, below = [], []
     for fname, f in functions:
         for Q in youngs:
             norm = orlicz.luxemburg_norm(f, Q)
             rows.append([fname, Q.name, norm, orlicz.modular(f, Q, norm)])
+            if norm > 0.0:  # a modular above 1 one float below certifies the norm as the least float
+                below.append(orlicz.modular(f, Q, math.nextafter(norm, 0.0)))
+    certificate = f"min_modular_one_float_below={_fmt(min(below, default=math.inf))}"
     write_report(
-        args, "orlicz", ["report=luxemburg norms"],
+        args, "orlicz", ["report=luxemburg norms", certificate],
         ["function", "young", "norm", "modular_at_norm"],
         rows,
     )

@@ -25,7 +25,7 @@ class YoungFunction:
     def __call__(self, u):
         """Q(u) for u >= 0, a float for a scalar ``u``; refuses negative u."""
         u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0.0):
+        if (u_arr < 0.0).any():
             raise ValueError("Young functions are evaluated on u >= 0")
         out = self.evaluator(u_arr)
         return float(out) if np.ndim(u) == 0 else out
@@ -51,8 +51,8 @@ LOG = replace(young_log_power(1.0), name="u*log(1+u)")
 LOG2 = replace(young_log_power(2.0), name="u*log^2(1+u)")
 
 
-#: Relative width of the final Luxemburg bisection bracket.
-NORM_REL_TOL = 1e-9
+#: The least and the greatest positive float.
+_LEAST, _GREATEST = math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,8 @@ class StepFunction:
 
     @property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        if not self.cells:  # the zero function: an empty histogram adds no 0 * Q(inf) at a tiny k
+            return np.empty(0), np.empty(0)
         return np.array([abs(self.value)]), np.array([self.cells], dtype=float)
 
 
@@ -88,38 +90,63 @@ def modular(f: GridFunction2D | StepFunction, Q: YoungFunction, k: float) -> flo
     A value that overflows to inf is a correct "modular above 1", so it
     raises no overflow warning.
     """
+    with np.errstate(over="ignore"):
+        return _modular(*f.magnitude_histogram, f.cell_area, Q, k)
+
+
+def _modular(mags: np.ndarray, counts: np.ndarray, cell_area: float, Q: YoungFunction, k: float) -> float:
+    """The modular at k of the histogram (mags, counts) of cells of area ``cell_area``."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"scale must be finite and positive, got {k}")
-    mags, counts = f.magnitude_histogram
-    with np.errstate(over="ignore"):
-        return float(counts @ np.asarray(Q(mags / k)) * f.cell_area)
+    return float(counts @ np.asarray(Q(mags / k)) * cell_area)
 
 
 def luxemburg_norm(f: GridFunction2D | StepFunction, Q: YoungFunction) -> float:
     """
-    inf { k > 0 : Int Q(|f| / k) <= 1 }: double k from 1 while the modular
-    exceeds 1, halve it until the modular exceeds 1, then bisect to relative
-    width ``NORM_REL_TOL``.  Returns 0 for f = 0; otherwise the returned k
-    sits on the feasible side (modular(k) <= 1).  A norm beyond the float
-    range, where the doubling reaches inf or the halving reaches 0, is
-    refused with the ``ValueError`` of ``modular``.
+    inf { k > 0 : Int Q(|f| / k) <= 1 } as the least float k with modular(k) <= 1, so the float
+    below it has a modular above 1; 0 for f = 0.  From k = 1 the walk doubles or halves k while
+    the modular is inf or 0, and otherwise steps to k * modular(k), which lies across the norm
+    (Q(u)/u is nondecreasing).  Regula falsi steps on log modular against log k, which is linear
+    for u^p, then close the bracket, each step clamped strictly inside it, until its ends are
+    adjacent floats.  When one end is replaced twice running, the other end's log modular is
+    scaled by Anderson and Bjorck's 1 - g_new/g_old, or halved (Illinois) where that is not in
+    (0, 1).  A norm beyond the float range, where the walk reaches inf or 0, is refused with the
+    ``ValueError`` of ``modular``.
     """
     mags, counts = f.magnitude_histogram
     if not np.any(counts[mags > 0.0]):  # f = 0: no cell carries a nonzero magnitude
         return 0.0
-    hi = 1.0
-    while modular(f, Q, hi) > 1.0:
-        hi *= 2.0
-    lo = hi / 2.0
-    while modular(f, Q, lo) <= 1.0:
-        lo /= 2.0
-    while hi - lo > NORM_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(f, Q, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo = hi = None  # [k, log modular] at the largest k seen with modular > 1 and the least <= 1
+    k, moved = 1.0, None
+    with np.errstate(over="ignore"):
+        while True:
+            m = _modular(mags, counts, f.cell_area, Q, k)
+            point = [k, math.log(m) if m > 0.0 else -math.inf]
+            kept = hi if m > 1.0 else lo
+            if kept is not None and moved is not kept:  # the same end replaced twice running
+                ratio = point[1] / moved[1] if moved[1] != 0.0 else math.nan
+                kept[1] *= 1.0 - ratio if 0.0 < ratio < 1.0 else 0.5  # Anderson-Bjorck, else Illinois
+            if m > 1.0:
+                lo = moved = point
+            else:
+                hi = moved = point
+            if kept is not None:
+                if math.nextafter(lo[0], math.inf) == hi[0]:
+                    return hi[0]
+                gap, span = lo[1] - hi[1], hi[0] / lo[0]
+                if 0.0 < gap < math.inf and span < math.inf:  # from lo, so k keeps its digits at any size
+                    k = lo[0] + lo[0] * math.expm1(lo[1] / gap * math.log(span))
+                else:
+                    k = math.sqrt(lo[0]) * math.sqrt(hi[0])
+            elif math.isfinite(point[1]):
+                k *= m
+            else:
+                k *= 2.0 if m > 1.0 else 0.5
+            # onto the positive floats, then strictly inside the bracket: an unseen end stands at
+            # 0 or inf, so the walk reaches 0 or inf only from the least or the greatest float
+            k = min(max(k, _LEAST), _GREATEST)
+            above = math.nextafter(lo[0], math.inf) if lo is not None else 0.0
+            k = min(max(k, above), math.nextafter(hi[0], 0.0) if hi is not None else math.inf)
 
 
 def inclusion_deficit(Q: YoungFunction, weight: str, u_grid) -> float:

@@ -8,10 +8,10 @@ from logmeans.fourier import (
     BandwidthError, GridOp, SpectralCoeffs, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
 )
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
-from logmeans.counterexamples import _area_under_hyperbola
+from logmeans.counterexamples import _area_under_hyperbola, make_bump
 from logmeans.kernels import BLOCK_ELEMS, alpha, beta, build_region, gamma
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
-from logmeans.orlicz import LOG2, NORM_REL_TOL, YoungFunction, luxemburg_norm
+from logmeans.orlicz import LOG2, StepFunction, YoungFunction, luxemburg_norm
 
 
 @pytest.fixture
@@ -224,7 +224,11 @@ def raw_modular(values, Q, k, cell_area):
 
 
 def raw_luxemburg_norm(values, Q, cell_area):
-    """Reference Luxemburg norm: the bracketing and bisection over raw samples."""
+    """
+    Reference Luxemburg norm by its definition, the least float k with modular(k) <= 1 over raw
+    samples: double k from 1 while the modular exceeds 1, halve it until the modular exceeds 1,
+    then bisect the floats' bit patterns until the bracket's ends are adjacent floats.
+    """
     if np.max(np.abs(values)) == 0.0:
         return 0.0
 
@@ -239,13 +243,14 @@ def raw_luxemburg_norm(values, Q, cell_area):
         lo /= 2.0
         if mod(lo) > 1.0:
             break
-    while hi - lo > NORM_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mod(mid) <= 1.0:
-            hi = mid
+    lo_bits, hi_bits = (int(b) for b in np.array([lo, hi]).view(np.int64))
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if mod(float(np.int64(mid).view(np.float64))) <= 1.0:
+            hi_bits = mid
         else:
-            lo = mid
-    return hi
+            lo_bits = mid
+    return float(np.int64(hi_bits).view(np.float64))
 
 
 def cos_sum_direct(N, u):
@@ -325,3 +330,14 @@ def bump_grid(step, grid_size):
     origin = grid_size // 2  # index of the sample at x = 0
     values[origin : origin + side, origin : origin + side] = step.value
     return GridFunction2D(values=values)
+
+
+def orlicz_report_steps(grid_size):
+    """orlicz's three reported functions at grid size G, as (name, step) in the report's row order."""
+    h = 2.0 * math.pi / grid_size
+    side = int(round(1.0 / h))
+    return [
+        ("const_1", StepFunction(1.0, grid_size ** 2, h ** 2)),
+        (f"indicator_{side}x{side}cells", StepFunction(1.0, side ** 2, h ** 2)),
+        ("bump_n1_unscaled", make_bump(1, grid_size=grid_size)),
+    ]

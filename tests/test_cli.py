@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from logmeans import cosine, kernels
+from logmeans import cosine, kernels, orlicz
 from logmeans.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -24,7 +24,7 @@ from logmeans.cli import (
 from logmeans.cosine import cosine_kernel
 from logmeans.grid import GridFunction2D
 
-from conftest import mp_far_tail, mp_tail, quasi_random_points_loop
+from conftest import mp_far_tail, mp_tail, orlicz_report_steps, quasi_random_points_loop
 
 
 def read(path):
@@ -511,6 +511,22 @@ def test_orlicz_csv(tmp_path):
         if float(row[2]) > 0.0:
             assert abs(float(row[3]) - 1.0) <= 1e-6
     assert os.path.exists(tmp_path / "orlicz_deficit.csv")
+
+
+def test_orlicz_certifies_every_printed_norm(tmp_path):
+    # each printed norm is the least float with modular <= 1, and the certificate line is the
+    # least modular one float below a norm
+    assert main(["orlicz", "--out", str(tmp_path), "--grid-size", "1024"]) == EXIT_OK
+    lines = read(tmp_path / "orlicz.csv").splitlines()
+    printed = float(next(l for l in lines if l.startswith("# min_modular_one_float_below=")).split("=")[1])
+    steps = dict(orlicz_report_steps(1024))
+    youngs = {Q.name: Q for Q in (orlicz.LOG, orlicz.LOG2, orlicz.young_power(2.0))}
+    below = []
+    for name, young, norm, _ in [l.split(",") for l in lines if l and not l.startswith("#")][1:]:
+        f, Q, norm = steps[name], youngs[young], float(norm)
+        below.append(orlicz.modular(f, Q, math.nextafter(norm, 0.0)))
+        assert orlicz.modular(f, Q, norm) <= 1.0 < below[-1], (name, young)
+    assert len(below) == 9 and printed == min(below) > 1.0
 
 
 def test_orlicz_refuses_grids_too_coarse_for_its_bump(tmp_path, capsys):

@@ -3,18 +3,17 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmeans.counterexamples import make_bump
 from logmeans.grid import GridFunction2D
 from logmeans.kernels import gamma
 from logmeans.orlicz import (
     LOG,
     LOG2,
-    NORM_REL_TOL,
     StepFunction,
     YoungFunction,
     inclusion_deficit,
@@ -24,7 +23,7 @@ from logmeans.orlicz import (
     young_power,
 )
 
-from conftest import bump_grid, raw_luxemburg_norm, raw_modular, unit_ball_member
+from conftest import bump_grid, orlicz_report_steps, raw_luxemburg_norm, raw_modular, unit_ball_member
 
 
 E_MINUS_1 = math.e - 1.0
@@ -147,11 +146,11 @@ def test_modular_refuses_bad_scale(k):
 def test_norm_of_a_tiny_nonzero_function_is_not_zero():
     f = GridFunction2D.constant(1e-305, 8)  # a normal float, and so is its norm 2*pi*1e-305
     norm = luxemburg_norm(f, young_power(2.0))
-    assert norm == pytest.approx(2.0 * math.pi * 1e-305, rel=NORM_REL_TOL, abs=0)
-    assert modular(f, young_power(2.0), norm) <= 1.0
+    assert norm == pytest.approx(2.0 * math.pi * 1e-305, rel=1e-15, abs=0)
+    assert _certified(f, young_power(2.0), norm)
     norm = luxemburg_norm(f, LOG)
     assert norm > 0.0
-    assert modular(f, LOG, norm) <= 1.0
+    assert _certified(f, LOG, norm)
 
 
 def test_norm_outside_the_float_range_is_refused():
@@ -165,6 +164,11 @@ def test_norm_outside_the_float_range_is_refused():
     for Q in (young_power(2.0), LOG):
         with pytest.raises(ValueError, match="scale"):
             luxemburg_norm(GridFunction2D.constant(1e308, 8), Q)
+
+
+def _certified(f, Q, norm):
+    """Whether ``norm`` is the least float with modular <= 1: the float below it has a modular above 1."""
+    return modular(f, Q, norm) <= 1.0 < modular(f, Q, np.nextafter(norm, 0.0))
 
 
 def _many_magnitude_grids(rng):
@@ -182,6 +186,74 @@ def test_histogram_norm_and_modular_match_the_raw_sample_loop(rng):
             for k in (0.3 * norm, norm, 5.0 * norm):
                 expected = raw_modular(f.values, Q, k, f.cell_area)
                 assert modular(f, Q, k) == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def test_norm_is_the_least_float_with_modular_at_most_one(rng):
+    for f in _many_magnitude_grids(rng):
+        for Q in (LOG, LOG2, young_power(2.0), young_log_power(0.5)):
+            assert _certified(f, Q, luxemburg_norm(f, Q))
+
+
+#: The reported Young functions as 40-digit mpmath formulas, by name.
+MP_YOUNG = {
+    LOG.name: lambda u: u * mpmath.log1p(u),
+    LOG2.name: lambda u: u * mpmath.log1p(u) ** 2,
+    "u^2.0": lambda u: u ** 2,
+}
+
+
+def test_report_norms_match_a_40_digit_root():
+    # a step's modular is cells * cell_area * Q(value / k): its norm solves that = 1
+    for _, step in orlicz_report_steps(1024):
+        for Q in (LOG, LOG2, young_power(2.0)):
+            norm = luxemburg_norm(step, Q)
+            with mpmath.workdps(40):
+                area = mpmath.mpf(step.cells) * mpmath.mpf(step.cell_area)
+                modular_minus_one = lambda k: area * MP_YOUNG[Q.name](mpmath.mpf(step.value) / k) - 1
+                root = mpmath.findroot(modular_minus_one, mpmath.mpf(norm))
+                assert abs(norm - root) <= 4e-16 * root, (step, Q.name)
+
+
+@pytest.fixture
+def young_calls(monkeypatch):
+    """The names of the Young functions called from here on, one entry a call, so one a modular."""
+    calls = []
+    call = YoungFunction.__call__
+    monkeypatch.setattr(YoungFunction, "__call__", lambda Q, u: calls.append(Q.name) or call(Q, u))
+    return calls
+
+
+def test_report_norms_take_at_most_12_modular_evaluations_each(young_calls):
+    # a bisection to adjacent floats takes about 60 a norm, and regula falsi without the
+    # scaling of a kept end up to 16
+    per_norm = []
+    for _, step in orlicz_report_steps(1024):
+        for Q in (LOG, LOG2, young_power(2.0)):
+            young_calls.clear()
+            luxemburg_norm(step, Q)
+            per_norm.append(len(young_calls))
+    assert len(per_norm) == 9 and 0 < min(per_norm) and max(per_norm) <= 12, per_norm
+
+
+@pytest.mark.parametrize(
+    "value, Q", [(1e300, LOG), (1e150, LOG), (1e150, young_power(2.0)), (1e-150, young_power(2.0))]
+)
+def test_norms_far_from_one_take_as_few_evaluations(young_calls, value, Q):
+    # each step is taken relative to the bracket's lower end: taken from log k itself, it would
+    # miss the root by hundreds of ulps at these sizes (58 to 263 evaluations)
+    f = StepFunction(value, 64 * 64, (2.0 * math.pi / 64) ** 2)
+    norm = luxemburg_norm(f, Q)
+    assert len(young_calls) <= 12
+    assert _certified(f, Q, norm)
+
+
+def test_norm_bracketed_across_the_whole_float_range():
+    # modular(1) is subnormal, so the first bracket runs from about 1e-322 to 1, a ratio past the
+    # float range: the step between its ends must not overflow
+    f = StepFunction(1e-320, 64, (2.0 * math.pi / 8) ** 2)
+    norm = luxemburg_norm(f, young_power(1.01))
+    assert norm == pytest.approx(1e-320 * (4.0 * math.pi ** 2) ** (1.0 / 1.01), rel=1e-3)
+    assert _certified(f, young_power(1.01), norm)
 
 
 def test_modular_calibration_at_the_norm(rng):
@@ -316,13 +388,12 @@ def test_inclusion_probe_validation():
 
 def _report_functions(G):
     """orlicz's three reported functions at grid size G, each as (step, the grid it stands for)."""
-    h = 2.0 * math.pi / G
-    side = int(round(1.0 / h))
-    indicator = np.zeros((G, G))
-    indicator[:side, :side] = 1.0
-    bump = make_bump(1, grid_size=G)
-    yield StepFunction(1.0, G * G, h ** 2), lambda: GridFunction2D.constant(1.0, G)
-    yield StepFunction(1.0, side ** 2, h ** 2), lambda: GridFunction2D(values=indicator)
+    const, indicator, bump = (step for _, step in orlicz_report_steps(G))
+    side = math.isqrt(indicator.cells)
+    indicator_values = np.zeros((G, G))
+    indicator_values[:side, :side] = 1.0
+    yield const, lambda: GridFunction2D.constant(1.0, G)
+    yield indicator, lambda: GridFunction2D(values=indicator_values)
     yield bump, lambda: bump_grid(bump, G)
 
 
@@ -364,3 +435,12 @@ def test_step_histogram_and_zero_step():
     ):
         with pytest.raises(ValueError, match=message):
             StepFunction(*bad)
+
+
+@pytest.mark.parametrize("Q", [LOG, young_power(2.0)])
+def test_modular_of_a_step_on_no_cells_is_zero_at_any_scale(Q):
+    # the zero function: no 0 * Q(inf) = nan where value / k overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1e-310, 1.0):
+            assert modular(StepFunction(2.0, 0, 1.0), Q, k) == 0.0
