@@ -1,8 +1,7 @@
 """
 Extremal bump inputs and the quantitative divergence experiments built on the
 kernel lower bound: pointwise means of concentrated bumps over the shrunken
-region, restricted L1 growth, exceedance-set geometry, and the operator-norm
-probe against a Young function.
+region, restricted L1 growth and exceedance-set geometry.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ from .kernels import (
     lattice_min,
     phase_rate,
     refuse_beyond_memory_limit,
-    beta,
     window_count,
 )
 from .fourier import GridOp, angle_table, finite_points
 from .means import harmonic_number
-from .orlicz import StepFunction, YoungFunction
+from .orlicz import StepFunction
 
 #: ((pi/2 - arccos(1/4)) / 8)^2, the scaling applied to the normalized bump.
 BUMP_PREFACTOR = ((0.5 * math.pi - math.acos(0.25)) / 8.0) ** 2
@@ -269,43 +267,3 @@ def exceedance_measure(n: int, c1: float) -> ExceedanceReport:
     region, scale = build_region(n, REGION_J), float(2 ** (3 * n))
     measure = math.fsum(itertools.chain.from_iterable(_nonzero_areas(region.lo, region.hi, 1.0 / scale)))
     return ExceedanceReport(n=n, c1=c1, measure=measure, bound=measure * scale / n)
-
-
-def r_nm(n: int, m: int) -> int:
-    """
-    Largest window index l with beta(l, n) <= 1 / (2^{3n} (beta(m, n) -
-    gamma(n))) + gamma(n), or 0 when no l qualifies.  Grows like 2^n / m.
-    beta is affine in l, so l is the floor of (rate * rhs - pi/2) / (2 pi);
-    the floor is settled on beta itself, which the rounded quotient can miss
-    by one where the bound is met exactly.
-    """
-    if n < 3:
-        raise ValueError(f"scale must be >= 3, got {n}")
-    if not 1 <= m <= 2 ** (n - 3):
-        raise ValueError(f"window index must lie in [1, 2^(n-3)], got {m}")
-    g = gamma(n)
-    rhs = 1.0 / (2 ** (3 * n) * (beta(m, n) - g)) + g
-    r = max(0, math.floor((phase_rate(n) * rhs - 0.5 * math.pi) / (2.0 * math.pi)))
-    if beta(r + 1, n) <= rhs:
-        return r + 1
-    return r - 1 if r >= 1 and beta(r, n) > rhs else r
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    n: int
-    young: str
-    l1_lower: float
-    ratio: float
-
-
-def operator_norm_probe(n: int, Q: YoungFunction, l1_lower: float) -> ProbeReport:
-    """
-    Desk-scale probe of the operator-norm divergence mechanism: the ratio
-    l1_lower * 2^{4n} / Q(2^{4n}), for l1_lower = l1_growth(n).l1_lower, computed
-    once and shared across several Q.  Growth of the ratio in n signals a
-    Young function too weak to control the means.
-    """
-    u = float(2 ** (4 * n))
-    ratio = l1_lower * u / float(Q(u))
-    return ProbeReport(n=n, young=Q.name, l1_lower=l1_lower, ratio=ratio)

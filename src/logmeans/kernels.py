@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosine import cosine_kernel
-from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, finite_points, integer_orders, reduce_angle
+from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, integer_orders, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -57,10 +57,6 @@ class EmptyRegionError(ValueError):
 
 class SingularTubeError(ValueError):
     """Closed-form evaluation requested too close to a singular tube."""
-
-
-class RegionMembershipError(ValueError):
-    """A point expected inside the region geometry is not."""
 
 
 def phase_rate(n: int) -> float:
@@ -272,10 +268,10 @@ def _telescoped_weights(k: np.ndarray) -> np.ndarray:
     return 2.0 / (k * (k + 1.0) * (k + 2.0))
 
 
-def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
     """
-    The parts (T, V, W, tail) of the telescoped cosine-sum form at every
-    point of ``u``:
+    The parts (T, V, W, tail) of the telescoped cosine-sum form, and sin_sum(N, u), for every
+    order N of the ascending ``orders`` at every point of ``u``, each one (orders, points) array:
 
         T = sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u),
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
@@ -292,21 +288,11 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     depend on the rest of the batch (a sum's rounding depends on its length),
     nor on the row blocks of _half_angle_sums.
 
-    ``N`` may be a sequence of ascending orders: each part then has one row per
-    order, and every order sums its prefix of the largest order's table.  A cap
-    ``K`` caps every order, so it is checked against the smallest; None sums
-    each order in full.
-    """
-    orders, one = _orders(N)
-    return tuple(part[0] if one else part for part in _telescoped_orders(orders, u, K)[:4])
-
-
-def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
-    """
-    telescoped_sums' checks, then its parts (T, V, W, tail) and sin_sum(n, u) for every order n,
-    each one (orders, points) array: _half_angle_sums reads the table sums of T and the sine sums
-    from one half-angle pair, and V and W are one fejer_ratio and one dirichlet_kernel call each over
-    the column of all orders.
+    Every order sums its prefix of the largest order's table.  A cap ``K`` caps
+    every order, so it is checked against the smallest; None sums each order in
+    full.  _half_angle_sums reads the table sums of T and the sine sums from one
+    half-angle pair, and V and W are one fejer_ratio and one dirichlet_kernel call
+    each over the column of all orders.
     """
     top = orders[-1]
     cap = np.asarray(orders[0] - 2 if K is None else K)
@@ -414,7 +400,7 @@ def closed_form_terms(
     (untruncated) sums are used.
 
     ``K`` caps both telescoped sums (scalar or per point), checked as
-    telescoped_sums checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
+    _telescoped_orders checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
     The per-point work runs on the whole batch; only the half-angle pairs of
     _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
 
@@ -463,54 +449,13 @@ def log_kernel_closed(N: int, x: float, y: float, K: int | None = None) -> Kerne
     """
     Closed-form F_N(x, y) with the 15-term breakdown: closed_form_terms at
     one point, with its EPS_SING tube refusal and the same truncation cap
-    (``K=None`` is the full sum; telescoped_sums checks the cap).  The
+    (``K=None`` is the full sum; _telescoped_orders checks the cap).  The
     certified truncation error of ``value`` (on the F_N scale) is returned as
     ``truncation_bound``.
     """
     terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K)
     value = float(np.sum(terms[0])) / harmonic_number(N)
     return KernelEvaluation(value=value, terms=terms[0], truncation_bound=float(bound[0]))
-
-
-# ----------------------------------------------------------------------------
-# phase geometry checks
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseCheck:
-    sin_val: float
-    cos_val: float
-    ok: bool
-
-
-#: Slack for the closed phase-window boundaries (cos hits exactly 1/4 and 0 there).
-PHASE_BOUNDARY_TOL = 1e-12
-
-
-def phase_range_check(n: int, x: float) -> PhaseCheck:
-    """
-    Verify the phase bounds that drive the kernel lower bound: for x inside
-    some window [alpha(m, n), beta(m, n)] the phase (2^{2n}+1/2) x lies in
-    [arccos(1/4), pi/2] mod 2*pi, hence sin > 1/2 and cos <= 1/4 (with
-    equality exactly on the window boundaries; a slack of 1e-12 max(1, |phase|)
-    on the phase absorbs the boundary roundoff).  Refuses NaN and infinite x.
-    """
-    rate = phase_rate(n)
-    phase = rate * float(finite_points(x))
-    m_guess = int(math.floor((phase - ARCCOS_QUARTER) / (2.0 * math.pi)))
-    tol = 1e-12 * max(1.0, abs(phase)) / rate  # the phase slack, in units of x
-    member = False
-    for m in (m_guess - 1, m_guess, m_guess + 1):
-        if m < 0:
-            continue
-        if alpha(m, n) - tol <= x <= beta(m, n) + tol:
-            member = True
-            break
-    if not member:
-        raise RegionMembershipError(f"x = {x!r} lies in no phase window at scale {n}")
-    sv, cv = math.sin(phase), math.cos(phase)
-    ok = sv > 0.5 - PHASE_BOUNDARY_TOL and cv <= 0.25 + PHASE_BOUNDARY_TOL
-    return PhaseCheck(sin_val=sv, cos_val=cv, ok=ok)
 
 
 # ----------------------------------------------------------------------------

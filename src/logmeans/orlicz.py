@@ -104,20 +104,21 @@ def _modular(mags: np.ndarray, counts: np.ndarray, cell_area: float, Q: YoungFun
 def luxemburg_norm(f: GridFunction2D | StepFunction, Q: YoungFunction) -> float:
     """
     inf { k > 0 : Int Q(|f| / k) <= 1 } as the least float k with modular(k) <= 1, so the float
-    below it has a modular above 1; 0 for f = 0.  From k = 1 the walk doubles or halves k while
-    the modular is inf or 0, and otherwise steps to k * modular(k), which lies across the norm
-    (Q(u)/u is nondecreasing).  Regula falsi steps on log modular against log k, which is linear
-    for u^p, then close the bracket, each step clamped strictly inside it, until its ends are
-    adjacent floats.  When one end is replaced twice running, the other end's log modular is
-    scaled by Anderson and Bjorck's 1 - g_new/g_old, or halved (Illinois) where that is not in
-    (0, 1).  A norm beyond the float range, where the walk reaches inf or 0, is refused with the
-    ``ValueError`` of ``modular``.
+    below it has a modular above 1; 0 for f = 0.  From k = 1 the walk multiplies or divides k by
+    2, 4, 16, 256, ..., the factor squared each step, while the modular is inf or 0, so a norm e
+    binades away is passed in about log2(e) steps; otherwise it steps to k * modular(k), which
+    lies across the norm (Q(u)/u is nondecreasing).  Regula falsi steps on log modular against
+    log k, which is linear for u^p, then close the bracket, each step clamped strictly inside it,
+    until its ends are adjacent floats.  When one end is replaced twice running, the other end's
+    log modular is scaled by Anderson and Bjorck's 1 - g_new/g_old, or halved (Illinois) where
+    that is not in (0, 1).  A norm beyond the float range, where the walk reaches inf or 0, is
+    refused with the ``ValueError`` of ``modular``.
     """
     mags, counts = f.magnitude_histogram
     if not np.any(counts[mags > 0.0]):  # f = 0: no cell carries a nonzero magnitude
         return 0.0
     lo = hi = None  # [k, log modular] at the largest k seen with modular > 1 and the least <= 1
-    k, moved = 1.0, None
+    k, moved, factor = 1.0, None, 2.0
     with np.errstate(over="ignore"):
         while True:
             m = _modular(mags, counts, f.cell_area, Q, k)
@@ -141,7 +142,8 @@ def luxemburg_norm(f: GridFunction2D | StepFunction, Q: YoungFunction) -> float:
             elif math.isfinite(point[1]):
                 k *= m
             else:
-                k *= 2.0 if m > 1.0 else 0.5
+                k = k * factor if m > 1.0 else k / factor
+                factor *= factor
             # onto the positive floats, then strictly inside the bracket: an unseen end stands at
             # 0 or inf, so the walk reaches 0 or inf only from the least or the greatest float
             k = min(max(k, _LEAST), _GREATEST)

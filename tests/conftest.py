@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -9,7 +10,9 @@ from logmeans.fourier import (
 )
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.counterexamples import _area_under_hyperbola, make_bump
-from logmeans.kernels import BLOCK_ELEMS, alpha, beta, build_region, gamma
+from logmeans.kernels import (
+    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _telescoped_orders, alpha, beta, build_region, gamma, phase_rate,
+)
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, StepFunction, YoungFunction, luxemburg_norm
 
@@ -307,6 +310,76 @@ def quasi_random_points_loop(count):
     return np.array(out)
 
 
+def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """
+    The parts (T, V, W, tail) of kernels._telescoped_orders at every point of ``u``, with its checks:
+    one row per order for a sequence of ascending orders ``N``, the bare parts for one order.
+    """
+    orders, one = _orders(N)
+    return tuple(part[0] if one else part for part in _telescoped_orders(orders, u, K)[:4])
+
+
+class RegionMembershipError(ValueError):
+    """A point expected inside the region geometry is not."""
+
+
+@dataclass(frozen=True)
+class PhaseCheck:
+    sin_val: float
+    cos_val: float
+    ok: bool
+
+
+#: Slack for the closed phase-window boundaries (cos hits exactly 1/4 and 0 there).
+PHASE_BOUNDARY_TOL = 1e-12
+
+
+def phase_range_check(n: int, x: float) -> PhaseCheck:
+    """
+    Verify the phase bounds that drive the kernel lower bound: for x inside
+    some window [alpha(m, n), beta(m, n)] the phase (2^{2n}+1/2) x lies in
+    [arccos(1/4), pi/2] mod 2*pi, hence sin > 1/2 and cos <= 1/4 (with
+    equality exactly on the window boundaries; a slack of 1e-12 max(1, |phase|)
+    on the phase absorbs the boundary roundoff).  Refuses NaN and infinite x.
+    """
+    rate = phase_rate(n)
+    phase = rate * float(finite_points(x))
+    m_guess = int(math.floor((phase - ARCCOS_QUARTER) / (2.0 * math.pi)))
+    tol = 1e-12 * max(1.0, abs(phase)) / rate  # the phase slack, in units of x
+    member = False
+    for m in (m_guess - 1, m_guess, m_guess + 1):
+        if m < 0:
+            continue
+        if alpha(m, n) - tol <= x <= beta(m, n) + tol:
+            member = True
+            break
+    if not member:
+        raise RegionMembershipError(f"x = {x!r} lies in no phase window at scale {n}")
+    sv, cv = math.sin(phase), math.cos(phase)
+    ok = sv > 0.5 - PHASE_BOUNDARY_TOL and cv <= 0.25 + PHASE_BOUNDARY_TOL
+    return PhaseCheck(sin_val=sv, cos_val=cv, ok=ok)
+
+
+def r_nm(n: int, m: int) -> int:
+    """
+    Largest window index l with beta(l, n) <= 1 / (2^{3n} (beta(m, n) -
+    gamma(n))) + gamma(n), or 0 when no l qualifies.  Grows like 2^n / m.
+    beta is affine in l, so l is the floor of (rate * rhs - pi/2) / (2 pi);
+    the floor is settled on beta itself, which the rounded quotient can miss
+    by one where the bound is met exactly.
+    """
+    if n < 3:
+        raise ValueError(f"scale must be >= 3, got {n}")
+    if not 1 <= m <= 2 ** (n - 3):
+        raise ValueError(f"window index must lie in [1, 2^(n-3)], got {m}")
+    g = gamma(n)
+    rhs = 1.0 / (2 ** (3 * n) * (beta(m, n) - g)) + g
+    r = max(0, math.floor((phase_rate(n) * rhs - 0.5 * math.pi) / (2.0 * math.pi)))
+    if beta(r + 1, n) <= rhs:
+        return r + 1
+    return r - 1 if r >= 1 and beta(r, n) > rhs else r
+
+
 def r_nm_scan(n, m):
     """Reference r(n, m): scan l = 1, 2, ... while beta(l, n) <= 1 / (2^{3n} (beta(m, n) - gamma(n))) + gamma(n)."""
     g = gamma(n)
@@ -317,6 +390,26 @@ def r_nm_scan(n, m):
         r = l
         l += 1
     return r
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    n: int
+    young: str
+    l1_lower: float
+    ratio: float
+
+
+def operator_norm_probe(n: int, Q: YoungFunction, l1_lower: float) -> ProbeReport:
+    """
+    Desk-scale probe of the operator-norm divergence mechanism: the ratio
+    l1_lower * 2^{4n} / Q(2^{4n}), for l1_lower = l1_growth(n).l1_lower, computed
+    once and shared across several Q.  Growth of the ratio in n signals a
+    Young function too weak to control the means.
+    """
+    u = float(2 ** (4 * n))
+    ratio = l1_lower * u / float(Q(u))
+    return ProbeReport(n=n, young=Q.name, l1_lower=l1_lower, ratio=ratio)
 
 
 def bump_grid(step, grid_size):

@@ -22,8 +22,6 @@ from logmeans.counterexamples import (
     exceedance_measure,
     geometric_sum,
     l1_growth,
-    operator_norm_probe,
-    r_nm,
 )
 from logmeans.grid import GridFunction2D
 from logmeans.fourier import GridOp, evaluate_grid, fourier_coeffs
@@ -33,8 +31,6 @@ from logmeans.kernels import (
     lemma_main_check,
     log_kernel_closed,
     log_kernel_direct_many,
-    phase_range_check,
-    telescoped_sums,
 )
 from logmeans.means import l1_distance
 from logmeans.orlicz import (
@@ -44,6 +40,8 @@ from logmeans.orlicz import (
     young_log_power,
     young_power,
 )
+
+from conftest import operator_norm_probe, phase_range_check, r_nm, telescoped_sums
 
 
 def report(number: int, label: str, ok: bool) -> bool:

@@ -13,11 +13,13 @@ import pytest
 
 from logmeans import cosine, kernels, orlicz
 from logmeans.cli import (
+    CONVERGE_DEFAULT_N,
     EXIT_IO,
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
     KERNEL_VERIFY_N,
+    build_parser,
     main,
     quasi_random_points,
 )
@@ -487,6 +489,18 @@ def test_converge_names_clamped_orders(tmp_path):
     ]
 
 
+def test_converge_judges_its_orders_ascending_whatever_the_flag_order(tmp_path):
+    # the tolerance check reads the last three norlund-log rows: in flag order a correct
+    # descending list failed it; sorted and deduplicated, it writes the default's report
+    for name in ("default", "reversed"):
+        (tmp_path / name).mkdir()
+    assert main(["converge", "--out", str(tmp_path / "default")]) == EXIT_OK
+    reversed_default = ",".join(str(n) for n in (*reversed(CONVERGE_DEFAULT_N), CONVERGE_DEFAULT_N[0]))
+    assert main(["converge", "--out", str(tmp_path / "reversed"), "--n", reversed_default]) == EXIT_OK
+    assert read(tmp_path / "reversed" / "converge.csv") == read(tmp_path / "default" / "converge.csv")
+    assert main(["converge", "--out", str(tmp_path), "--n", "3,1"]) == EXIT_OK
+
+
 def test_converge_runs_on_a_65536_point_axis(tmp_path):
     # |x| is sampled on one axis, not a 65536 x 65536 grid (32 GiB)
     assert main(["converge", "--out", str(tmp_path), "--grid-size", "65536", "--n", "4,16"]) == EXIT_OK
@@ -590,6 +604,15 @@ def test_json_mirror(tmp_path):
     payload = json.loads(read(tmp_path / "lemma.json"))
     assert payload["header"] == ["n", "kind", "min_ratio", "argmin_x", "argmin_y", "samples"]
     assert len(payload["rows"]) == 2
+
+
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    for name, flags in (("with", ["--json"]), ("without", [])):
+        (tmp_path / name).mkdir()
+        assert main(["converge", "--n", "4,8,16", "--out", str(tmp_path / name), *flags]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path / "with")) == ["converge.csv", "converge.json"]
+    assert os.listdir(tmp_path / "without") == ["converge.csv"]
 
 
 def test_json_mirror_writes_null_for_nan(tmp_path):

@@ -22,8 +22,6 @@ from logmeans.counterexamples import (
     geometric_sum,
     l1_growth,
     make_bump,
-    operator_norm_probe,
-    r_nm,
 )
 from logmeans.orlicz import LOG, LOG2, StepFunction
 
@@ -31,6 +29,8 @@ from conftest import (
     LOG2_LOGLOG,
     bump_grid,
     full_exceedance_measure,
+    operator_norm_probe,
+    r_nm,
     r_nm_scan,
     rectangles,
     region_contains,

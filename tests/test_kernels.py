@@ -17,7 +17,6 @@ from logmeans.cosine import cosine_kernel
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
 from logmeans.kernels import (
     EmptyRegionError,
-    RegionMembershipError,
     SingularTubeError,
     alpha,
     beta,
@@ -31,26 +30,27 @@ from logmeans.kernels import (
     log_kernel_closed,
     log_kernel_direct,
     log_kernel_direct_many,
-    phase_range_check,
     phase_rate,
     sin_sum,
-    telescoped_sums,
     tube_distances,
 )
 from logmeans.means import harmonic_number
 
 from conftest import (
+    RegionMembershipError,
     cos_sum_direct,
     full_lattice_min,
     lattice_survey,
     mp_far_tail,
     mp_tail,
     norlund_cosine_table,
+    phase_range_check,
     rectangles,
     region_contains,
     shrunken_window,
     stratified_min,
     stratified_samples,
+    telescoped_sums,
 )
 
 
@@ -862,7 +862,7 @@ def test_per_point_caps_must_match_the_points():
         closed_form_terms(16, xs, ys, K=np.array([3, 4]))
     with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
         telescoped_sums(16, xs, np.array([3, 4]))
-    # telescoped_sums owns the cap rule: every form refuses 0 and N - 1 with its message
+    # _telescoped_orders owns the cap rule: every form refuses 0 and N - 1 with its message
     for K in (0, 15):
         for call in (
             lambda: telescoped_sums(16, xs, K),

@@ -247,6 +247,22 @@ def test_norms_far_from_one_take_as_few_evaluations(young_calls, value, Q):
     assert _certified(f, Q, norm)
 
 
+@pytest.mark.parametrize(
+    "f, Q",
+    [
+        (StepFunction(1e300, 4096, (2.0 * math.pi / 64) ** 2), young_power(2.0)),
+        (StepFunction(1e-150, 4096, (2.0 * math.pi / 64) ** 2), LOG2),
+        (GridFunction2D.constant(1e-305, 8), LOG2),
+    ],
+)
+def test_norms_where_the_modular_overflows_or_vanishes_take_few_evaluations(young_calls, f, Q):
+    # while the modular is inf or 0 the walk squares its factor: a walk of one binade an
+    # evaluation takes 497, 153 and 668 evaluations here
+    norm = luxemburg_norm(f, Q)
+    assert len(young_calls) <= 30
+    assert _certified(f, Q, norm)
+
+
 def test_norm_bracketed_across_the_whole_float_range():
     # modular(1) is subnormal, so the first bracket runs from about 1e-322 to 1, a ratio past the
     # float range: the step between its ends must not overflow

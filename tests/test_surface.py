@@ -1,0 +1,95 @@
+"""
+The program's surface: every top-level name in ``src/logmeans`` is reached from
+``cli.main``, or is one the benchmark's tracer pins.  A helper that only a test
+or a criterion calls lives in ``tests/conftest.py`` instead.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logmeans"
+
+#: Names that ``bench/tracer.py`` wraps by ``getattr`` but no command reaches.  They stay
+#: until the tracer is re-pinned on the layers the commands run (ROADMAP item 5).
+PINNED_BY_BENCH = {
+    ("fourier", "dirichlet_matrix"),
+    ("fourier", "fourier_coeffs"),
+    ("fourier", "evaluate_grid"),
+    ("means", "l1_distance"),
+    ("kernels", "log_kernel_direct"),
+    ("kernels", "log_kernel_closed"),
+    ("kernels", "lemma_main_check"),
+    ("kernels", "sin_sum"),
+}
+
+
+def _assigned(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+
+
+def read_modules():
+    """
+    Every module of the package but ``__init__``, as {module: (definitions, bindings)}:
+    its top-level functions, classes and assignments by name, and its relative imports,
+    each bound name mapped to (module, name), or to (module, None) for a module.
+    """
+    modules = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        definitions, bindings = {}, {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    definitions.update((name, node) for name in _assigned(target))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:  # from . import mod [as alias]
+                        bindings[bound] = (alias.name, None)
+                    else:
+                        bindings[bound] = (node.module, alias.name)
+        modules[path.stem] = (definitions, bindings)
+    return modules
+
+
+def reached_from(modules, roots):
+    """The (module, name) definitions that the definitions ``roots`` name, directly or not."""
+    reached, todo = set(), list(roots)
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached or name not in modules.get(module, ({}, {}))[0]:
+            continue
+        reached.add((module, name))
+        definitions, bindings = modules[module]
+        # every name in the whole node: body, decorators, defaults and annotations
+        for node in ast.walk(definitions[name]):
+            if isinstance(node, ast.Name):
+                if node.id in definitions:
+                    todo.append((module, node.id))
+                elif node.id in bindings and bindings[node.id][1] is not None:
+                    todo.append(bindings[node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                source, attr = bindings.get(node.value.id, (None, ""))
+                if source is not None and attr is None:  # alias.attr of a bound module
+                    todo.append((source, node.attr))
+    return reached
+
+
+def test_every_top_level_name_is_reached_from_the_cli_or_pinned_by_the_bench():
+    modules = read_modules()
+    defined = {(module, name) for module, (definitions, _) in modules.items() for name in definitions}
+    assert PINNED_BY_BENCH <= defined
+    unreached = defined - reached_from(modules, {("cli", "main"), *PINNED_BY_BENCH})
+    assert not unreached, f"reached by no command: {sorted(unreached)}; move them into tests/conftest.py"
+
+
+def test_no_bench_pin_is_reached_from_the_cli():
+    # a pinned name that a command reaches needs no pin, so the list stays minimal
+    assert not PINNED_BY_BENCH & reached_from(read_modules(), {("cli", "main")})
