@@ -149,7 +149,7 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 
 
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
-    orders = sorted(set(args.n or KERNEL_VERIFY_N))
+    orders = args.n or KERNEL_VERIFY_N
     points = args.samples ** 2
     # the Norlund weights of every order and four order-length rows of the largest, and the points,
     # 2 floats each: quasi_random_points screens its candidates, and both forms take the points, in blocks
@@ -264,7 +264,7 @@ def _fit_order(kind: str, n: int, bandwidth: int) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    orders = sorted(set(args.n or CONVERGE_DEFAULT_N))  # the tolerance check reads the largest orders last
+    orders = args.n or CONVERGE_DEFAULT_N  # ascending: the tolerance check reads the largest orders last
     if min(orders) < 1:
         raise ValueError(f"orders must be >= 1, got {min(orders)}")
     max_order = max(orders)
@@ -289,6 +289,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             if order != n:
                 clamped.append(f"{kind}:{n}->{order}")
             ops.append(GridOp(kind, order))
+    ops = list(dict.fromkeys(ops))  # one row per op: two orders may clamp to one
     f = np.abs(axis_points(grid))  # |x| depends on x alone, so its grid is one axis
     rows = [[op.kind, op.order, err] for op, err in zip(ops, axis_l1_distance(f, ops))]
     comments = ["function=|x|", f"grid_size={grid}"]
@@ -362,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--grid-size", type=int, default=256, dest="grid_size",
                         help="grid points per axis, a power of two >= 4 (converge) or >= 32 (orlicz)")
-    parser.add_argument("--n", type=lambda s: [int(p) for p in s.split(",")],
-                        help="comma-separated scale/order list")
+    parser.add_argument("--n", type=lambda s: sorted({int(p) for p in s.split(",")}),
+                        help="comma-separated scale/order list, run in ascending order, each once")
     parser.add_argument("--samples", type=int, default=9,
                         help="lattice samples per window on each axis (lemma, measure: >= 2; "
                              "kernel-verify: >= 1, it checks S^2 points)")

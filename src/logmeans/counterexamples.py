@@ -89,7 +89,7 @@ def _axis_profile(n: int, u: np.ndarray, h=0.0) -> np.ndarray:
 def _bump_mean_rows(n: int, xs: np.ndarray, h=0.0):
     """rows(b): the rows in the slice b of bump_mean_many(n, xs, h), from one profile table and its weighted copy."""
     profile = _axis_profile(n, xs, h)
-    weighted = GridOp.norlund_log(4 ** n).weights()[:, None] * profile
+    weighted = GridOp("norlund-log", 4 ** n).weights()[:, None] * profile
     norm = harmonic_number(4 ** n) * math.pi ** 2
     return lambda b: BUMP_PREFACTOR / gamma(n) ** 2 * (profile[:, b].T @ weighted) / norm
 

@@ -39,47 +39,47 @@ def reduce_angle(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, half_sin, half_sin == 0.0
 
 
-def angle_table(u, start: int, count: int, offset: float = 0.0, cosine: bool = False) -> np.ndarray:
+def angle_table(u, origin: float, count: int, cosine: bool = False) -> np.ndarray:
     """
-    sin((k + offset) u), or cos((k + offset) u) when ``cosine``, for the
-    orders k = start .. start + count - 1 at every point of the 1-D ``u``,
-    shape (len(u), count).
+    sin((origin + k) u), or cos((origin + k) u) when ``cosine``, for k = 0 ..
+    count - 1 at every point of the 1-D ``u``, shape (len(u), count): one
+    origin, the first order, which is a half-integer for Dirichlet tables.
 
     Two-level angle addition, as for FFT twiddle tables: with B =
-    ceil(sqrt(count)) and k = start + B q + j (0 <= j < B), the angle is
-    a + b with a = (start + offset + B q) u and b = j u, and
+    ceil(sqrt(count)) and k = B q + j (0 <= j < B), the angle is a + b with
+    a = (origin + B q) u and b = j u, and
     sin(a + b) = sin a cos b + cos a sin b (cos(a + b) = cos a cos b - sin a sin b).
     Each point takes 2 (Q + B) libm calls, Q = ceil(count / B), and one
     (Q, 2) @ (2, B) product, in place of count calls.  An entry depends only
-    on (k, u, count), never on the other points.  Against long double at
-    count = 1024 .. 65536 its error stays below 0.50 eps (1 + |(k + offset) u|)
-    for the sine and 0.95 eps (1 + |(k + offset) u|) for the cosine, where
+    on (origin + k, u, count), never on the other points.  Against long double at
+    count = 1024 .. 65536 its error stays below 0.50 eps (1 + |(origin + k) u|)
+    for the sine and 0.95 eps (1 + |(origin + k) u|) for the cosine, where
     np.sin and np.cos of the rounded angle reach 0.50; the tests hold it to
-    2 eps (1 + |(k + offset) u|).  A one-order range (B = Q = 1) is
-    np.sin((start + offset) u), or np.cos, bit for bit.
+    2 eps (1 + |(origin + k) u|).  A one-order table (B = Q = 1) is
+    np.sin(origin u), or np.cos, bit for bit.
     """
-    return _angle_tables(u, start, count, offset, (cosine,))[0]
+    return _angle_tables(u, origin, count, (cosine,))[0]
 
 
-def angle_pair(u, start: int, count: int, offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def angle_pair(u, origin: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     The sine and the cosine angle_table of the same orders and points, each
     equal to its own angle_table call bit for bit.  Both tables are products
     of the same four libm arrays sin a, cos a, cos b and sin b, so the pair
     costs the libm calls of one table.
     """
-    sin, cos = _angle_tables(u, start, count, offset, (False, True))
+    sin, cos = _angle_tables(u, origin, count, (False, True))
     return sin, cos
 
 
-def _angle_tables(u, start: int, count: int, offset: float, cosines: tuple[bool, ...]) -> np.ndarray:
+def _angle_tables(u, origin: float, count: int, cosines: tuple[bool, ...]) -> np.ndarray:
     """angle_table's two-level scheme: one (len(u), count) table a flag in ``cosines``, from one set of libm calls."""
     u = np.asarray(u, dtype=float)
     if count < 1:
         raise ValueError(f"an angle table needs at least one order, got {count}")
     step = math.isqrt(count - 1) + 1
     blocks = -(-count // step)
-    a = np.multiply.outer(u, start + offset + step * np.arange(blocks, dtype=float))
+    a = np.multiply.outer(u, origin + step * np.arange(blocks, dtype=float))
     b = np.multiply.outer(u, np.arange(step, dtype=float))
     sin_cos_a = np.empty(a.shape + (2,))  # per point, rows (sin a, cos a) of a sine table
     np.sin(a, out=sin_cos_a[..., 0])
@@ -119,35 +119,30 @@ def dirichlet_kernel(k, t):
     ``k`` is an integer order, or an integer array of orders that broadcasts
     against the points ``t`` (scalar or array); at t = 0 (mod 2*pi) returns
     the limit value k + 1/2.  Total on the real line, 2*pi-periodic.  A float
-    for a 0-d result.  One order builds no table: np.sin of the angle is
-    dirichlet_matrix's one-order row, bit for bit (see angle_table).
+    for a 0-d result.  The one result array is built, divided and given its
+    limits in place.
     """
     k = integer_orders(k, "kernel orders")
     if np.any(k < 0):
         raise ValueError(f"kernel order must be >= 0, got {np.min(k)}")
     r, half_sin, zero = reduce_angle(t)
+    out = np.multiply(k + 0.5, r, out=np.empty(np.broadcast(k, r).shape))
+    np.sin(out, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin((k + 0.5) * r) / (2.0 * half_sin)
-    out = np.where(zero, k + 0.5, ratio)
+        out /= 2.0 * half_sin
+    np.copyto(out, k + 0.5, where=zero)
     return float(out) if out.ndim == 0 else out
 
 
 def dirichlet_matrix(orders: np.ndarray, t) -> np.ndarray:
     """
-    D_k(t) for every k in ``orders``, a range of consecutive ascending integer
-    orders, and every point in ``t``, shape (len(orders), len(t)).  It is the
-    transpose of one (points, orders) angle_table, divided and given its
-    removable limits in place.
+    D_k(t) for every k in the 1-D ``orders`` and every point in ``t``, shape
+    (len(orders), len(t)): dirichlet_kernel over the column of orders.
     """
     orders = np.asarray(integer_orders(orders, "kernel orders"))
-    if orders.ndim != 1 or orders.size == 0 or np.any(np.diff(orders) != 1):
-        raise ValueError("kernel orders must be a nonempty range of consecutive ascending orders")
-    r, half_sin, zero = reduce_angle(np.atleast_1d(t))
-    table = angle_table(r, orders[0], len(orders), 0.5)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table /= 2.0 * half_sin[:, None]
-    table[zero] = orders + 0.5
-    return table.T
+    if orders.ndim != 1:
+        raise ValueError(f"kernel orders must be a 1-D array, got shape {orders.shape}")
+    return dirichlet_kernel(orders[:, None], np.atleast_1d(t))
 
 
 def validate_bandwidth(bandwidth: int, grid_size: int) -> None:
@@ -249,22 +244,6 @@ class GridOp:
         if not np.any(self.weights()):
             raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
 
-    @classmethod
-    def quad(cls, n: int) -> "GridOp":
-        return cls("quad", n)
-
-    @classmethod
-    def norlund_log(cls, n: int) -> "GridOp":
-        return cls("norlund-log", n)
-
-    @classmethod
-    def marcinkiewicz(cls, n: int) -> "GridOp":
-        return cls("marcinkiewicz", n)
-
-    @classmethod
-    def riesz_log(cls, n: int) -> "GridOp":
-        return cls("riesz-log", n)
-
     def weights(self) -> np.ndarray:
         """Unnormalised weight of S_{j,j} for j = 0..reach."""
         return _MEAN_WEIGHTS[self.kind](self.order)
@@ -312,13 +291,13 @@ def evaluate_grid(c: SpectralCoeffs, op: GridOp) -> GridFunction2D:
     return GridFunction2D(values=np.fft.irfft(cols, n=G, axis=1, norm="forward"))
 
 
-def axis_l1_distance(samples, op):
+def axis_l1_distance(samples, ops) -> list[float]:
     """
-    The rectangle-rule Int |t - f| over the G x G grid for a function f of
-    x alone, given by its real samples at ``axis_points(G)``, and t its
-    partial sum or mean ``op``: ``l1_distance(evaluate_grid(fourier_coeffs(
-    F, B), op), F)`` on the grid F of f, for any B >= reach, to rounding.
-    ``op`` may be a sequence of GridOps: then one distance per op, in a list,
+    For every GridOp ``op`` of the sequence ``ops``, the rectangle-rule
+    Int |t - f| over the G x G grid, for a function f of x alone given by its
+    real samples at ``axis_points(G)`` and t its partial sum or mean ``op``:
+    ``l1_distance(evaluate_grid(fourier_coeffs(F, B), op), F)`` on the grid F
+    of f, for any B >= reach, to rounding.  One distance an op, in a list,
     all from one ``rfft`` of the samples.
 
     Every c(m, n) of F with n != 0 vanishes, so S_{j,j} f = S_j f and t is
@@ -329,7 +308,6 @@ def axis_l1_distance(samples, op):
     = 2 pi h sum_i |t_i - f_i|, h = 2 pi / G.  G must be a power of two
     (>= 4) and 2 reach < G for every op.
     """
-    ops = [op] if isinstance(op, GridOp) else list(op)
     samples = np.asarray(samples)
     if np.iscomplexobj(samples) or samples.ndim != 1:
         raise ValueError(f"expected real 1-D axis samples, got shape {samples.shape}, dtype {samples.dtype}")
@@ -344,5 +322,4 @@ def axis_l1_distance(samples, op):
         diff -= samples
         return 2.0 * math.pi * (2.0 * math.pi / G) * float(np.sum(np.abs(diff, out=diff)))
 
-    distances = [distance(each) for each in ops]
-    return distances[0] if isinstance(op, GridOp) else distances
+    return [distance(each) for each in ops]

@@ -354,12 +354,12 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     orders, one = _orders(N)
     t, s = _paired(t, s)
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
-    weights = [GridOp.norlund_log(n).weights() for n in orders]
+    weights = [GridOp("norlund-log", n).weights() for n in orders]
     top = orders[-1]
     limit = np.arange(top) + 0.5
     out = np.empty((len(orders), len(t)))
     for b in _row_blocks(top, len(t)):
-        tables = angle_table(r[:, b].ravel(), 0, top, 0.5)  # the rows at t, then the rows at s
+        tables = angle_table(r[:, b].ravel(), 0.5, top)  # the rows at t, then the rows at s
         tables[zero[:, b].ravel()] = limit
         at_t, at_s = tables.reshape(2, -1, top)
         for i, w in enumerate(weights):
@@ -547,13 +547,22 @@ def _lattice_kernels(n: int, per_axis: int) -> tuple[dict, float]:
 
 
 def _shift_pair_rows(diff, total, windows, m, o, top, low, half_sin):
-    """_lattice_kernels' rows(b) of one kind: each shift pair gathered from its difference and sum tables."""
+    """
+    _lattice_kernels' rows(b) of one kind: each shift pair gathered from its difference and sum tables.  Both
+    have 2 windows - 1 columns, so a pair's flat entry is the first point's row key minus (difference) or plus
+    (sum) the second point's column key: one gather, with one index table, a table and pair.
+    """
+    width = 2 * windows - 1
+    col_key = o * width + m
+    diff_key = (o + top) * width + m + windows - 1
+    total_key = (o - low) * width + m - 2
+    diff, total = diff.ravel(), total.ravel()
 
     def rows(b: slice) -> np.ndarray:
         out = None
         for s, t in np.ndindex(len(o), len(o)):
-            f = diff[(o[s, b] + top)[:, None] - o[t], (m[b] + windows - 1)[:, None] - m]
-            f -= total[(o[s, b] - low)[:, None] + o[t], m[b, None] + m - 2]
+            f = diff[diff_key[s, b, None] - col_key[t]]
+            f -= total[total_key[s, b, None] + col_key[t]]
             f /= half_sin[s, b, None] * half_sin[t]
             out = f if out is None else np.minimum(out, f, out=out)
         return out

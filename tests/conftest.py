@@ -32,7 +32,7 @@ def random_hermitian(rng, bandwidth, scale=1.0):
 def random_band_limited(rng, bandwidth, grid_size, scale=1.0):
     """Random real trig polynomial as (GridFunction2D, SpectralCoeffs)."""
     coeffs = SpectralCoeffs(coeffs=random_hermitian(rng, bandwidth, scale), bandwidth=bandwidth, source_grid=grid_size)
-    return evaluate_grid(coeffs, GridOp.quad(bandwidth)), coeffs
+    return evaluate_grid(coeffs, GridOp("quad", bandwidth)), coeffs
 
 
 def coeff(c, m, n):
@@ -134,7 +134,7 @@ def lattice_survey(N, xs, shifts):
     argmin.  One table D_k(xs - s), k < N, per shift, and one Norlund-weighted product per pair
     s <= t: the (t, s) product is its transpose, which full_lattice_min's symmetrization covers.
     """
-    weights = GridOp.norlund_log(N).weights()
+    weights = GridOp("norlund-log", N).weights()
     tables = [dirichlet_matrix(np.arange(N), xs - s) for s in shifts]
     products = [left.T @ (weights[:, None] * right) for b, right in enumerate(tables) for left in tables[: b + 1]]
     return full_lattice_min(xs, np.minimum.reduce(products) / math.fsum(weights))
@@ -148,7 +148,7 @@ def norlund_cosine_table(N, distances, offsets):
     block of orders adds two products of angle_table tables, the offsets' weighted by the Norlund weights;
     a block's table of both vectors holds at most BLOCK_ELEMS elements.  Refuses NaN and infinite input.
     """
-    weights = GridOp.norlund_log(N).weights()
+    weights = GridOp("norlund-log", N).weights()
     offsets = finite_points(offsets)
     angles = np.concatenate([offsets, 2.0 * math.pi / (N + 0.5) * finite_points(distances)])
     c = len(offsets)
@@ -156,8 +156,8 @@ def norlund_cosine_table(N, distances, offsets):
     step = max(1, BLOCK_ELEMS // len(angles))
     for start in range(0, N, step):
         count = min(step, N - start)
-        cos = angle_table(angles, start, count, 0.5, cosine=True)
-        sin = angle_table(angles, start, count, 0.5)
+        cos = angle_table(angles, start + 0.5, count, cosine=True)
+        sin = angle_table(angles, start + 0.5, count)
         cos[:c] *= weights[start : start + count]
         sin[:c] *= weights[start : start + count]
         table += cos[:c] @ cos[c:].T - sin[:c] @ sin[c:].T
@@ -274,7 +274,7 @@ def mean_via_kernel(f: GridFunction2D, n, x, y):
 
     Requires grid_size >= 8 n so the quadrature resolves the kernel.
     """
-    w = GridOp.norlund_log(n).weights()
+    w = GridOp("norlund-log", n).weights()
     G = f.grid_size
     if G < 8 * n:
         raise GridResolutionError(f"grid {G} too coarse for order {n} (need >= {8 * n})")

@@ -158,7 +158,7 @@ def test_criterion_06_divergence_vs_convergence_contrast():
     f = GridFunction2D.from_function(lambda x, y: np.abs(x) + 0.0 * y, G)
     c = fourier_coeffs(f, G // 2 - 1)
     errors = [
-        l1_distance(evaluate_grid(c, GridOp.norlund_log(n)), f) for n in (16, 64, 256)
+        l1_distance(evaluate_grid(c, GridOp("norlund-log", n)), f) for n in (16, 64, 256)
     ]
     ok &= errors[0] > errors[1] > errors[2]
     assert report(6, "divergence-vs-convergence contrast", ok), (

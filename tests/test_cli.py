@@ -143,9 +143,9 @@ def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_pa
     built = Counter()  # points tabled, per kind of table and order count
 
     def spy(kind, make):
-        def counted(u, start, count, *args, **kwargs):
+        def counted(u, origin, count, *args, **kwargs):
             built[kind, count] += np.size(u)
-            return make(u, start, count, *args, **kwargs)
+            return make(u, origin, count, *args, **kwargs)
 
         return counted
 
@@ -427,6 +427,19 @@ def test_empty_region_is_skipped_like_lemma(tmp_path, command, n_arg, kept):
     assert [r.split(",")[0] for r in data_rows] == kept
 
 
+@pytest.mark.parametrize(
+    "command, given, ascending", [("lemma", "4,3,3", "3,4"), ("growth", "5,3,3", "3,5"), ("measure", "7,6,6", "6,7")]
+)
+def test_n_lists_run_ascending_and_once_whatever_the_flag_order(tmp_path, command, given, ascending):
+    # every command reads --n as its distinct values in ascending order
+    codes = []
+    for name, n_arg in (("given", given), ("ascending", ascending)):
+        (tmp_path / name).mkdir()
+        codes.append(main([command, "--n", n_arg, "--samples", "5", "--out", str(tmp_path / name)]))
+    assert codes[0] == codes[1]
+    assert read(tmp_path / "given" / f"{command}.csv") == read(tmp_path / "ascending" / f"{command}.csv")
+
+
 def test_measure_fits_no_constant_when_every_scale_is_skipped(tmp_path, monkeypatch):
     from logmeans import counterexamples
 
@@ -499,6 +512,18 @@ def test_converge_judges_its_orders_ascending_whatever_the_flag_order(tmp_path):
     assert main(["converge", "--out", str(tmp_path / "reversed"), "--n", reversed_default]) == EXIT_OK
     assert read(tmp_path / "reversed" / "converge.csv") == read(tmp_path / "default" / "converge.csv")
     assert main(["converge", "--out", str(tmp_path), "--n", "3,1"]) == EXIT_OK
+
+
+def test_converge_writes_one_row_per_op_when_orders_clamp_together(tmp_path):
+    # at grid size 4 (bandwidth 1) orders 1 and 2 both give marcinkiewicz 1 and riesz-log 2
+    assert main(["converge", "--out", str(tmp_path), "--grid-size", "4", "--n", "1,2"]) == EXIT_OK
+    lines = read(tmp_path / "converge.csv").splitlines()
+    assert lines[:4] == [
+        "# function=|x|", "# grid_size=4", "# order_clamped=marcinkiewicz:2->1,riesz-log:1->2", "kind,n,l1_error",
+    ]
+    assert [tuple(l.split(",")[:2]) for l in lines[4:]] == [
+        ("norlund-log", "1"), ("norlund-log", "2"), ("marcinkiewicz", "1"), ("riesz-log", "2"),
+    ]
 
 
 def test_converge_runs_on_a_65536_point_axis(tmp_path):

@@ -206,7 +206,7 @@ def _gauss_legendre_bump_mean(n, xs, ys, quad_points=16):
     for node, w in zip(0.5 * g * (nodes + 1.0), 0.5 * g * weights):
         ax += w * dirichlet_matrix(np.arange(N), xs - node)
         ay += w * dirichlet_matrix(np.arange(N), ys - node)
-    mean_weights = GridOp.norlund_log(N).weights()
+    mean_weights = GridOp("norlund-log", N).weights()
     height = BUMP_PREFACTOR / g ** 2
     return height * (mean_weights @ (ax * ay)) / (math.fsum(mean_weights) * math.pi ** 2)
 
@@ -224,7 +224,7 @@ def test_bump_mean_matches_gauss_legendre_oracle(n, rng):
 
 def _paired_bump_mean(n, xs, ys):
     """The scaled bump mean at the paired points (xs[i], ys[i]), one profile column per point."""
-    w = GridOp.norlund_log(4 ** n).weights()
+    w = GridOp("norlund-log", 4 ** n).weights()
     raw = w @ (_axis_profile(n, xs) * _axis_profile(n, ys))
     return BUMP_PREFACTOR / gamma(n) ** 2 * raw / (math.fsum(w) * math.pi ** 2)
 

@@ -204,7 +204,7 @@ def test_lattice_survey_matches_paired_form(N, rng):
     # every shift pair's product and its mirror enter the minimum
     xs = np.concatenate([rng.uniform(-4.0, 4.0, 7), [0.0, 2.0 * math.pi, -math.pi]])
     shifts = (0.0, 0.3)
-    w, k = GridOp.norlund_log(N).weights(), np.arange(N)
+    w, k = GridOp("norlund-log", N).weights(), np.arange(N)
     got, argmin = lattice_survey(N, xs, shifts)
     xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
     want = np.minimum.reduce([xx * yy * log_kernel_direct_many(N, xx - s, yy - t) for s in shifts for t in shifts])
@@ -254,7 +254,7 @@ def test_direct_form_takes_the_removable_limits(N):
     # cancellation amplifies (at N = 1024 the plain relative gap is 5e-13 at (-1.9, 0) and 1.2e-13
     # at (0, 0.7), where the sum of |terms| is 14 and 7 times the value); where x = y = 0 every
     # term is positive, so the bound is plain relative there
-    w, h = GridOp.norlund_log(N).weights(), harmonic_number(N)
+    w, h = GridOp("norlund-log", N).weights(), harmonic_number(N)
     zeros = (0.0, 2 * math.pi, -4 * math.pi)
     pts = [(z, 0.7) for z in zeros] + [(-1.9, z) for z in zeros] + [(a, b) for a in zeros for b in zeros]
     pts.append((0.3, 0.2))
@@ -281,7 +281,7 @@ def test_norlund_cosine_table_matches_mpmath(N):
     distances, offsets = np.array([0, 3, -7]), np.array([0.0, 1e-3, -2.5])
     table = norlund_cosine_table(N, distances, offsets)
     assert table.shape == (3, 3)
-    w = GridOp.norlund_log(N).weights()
+    w = GridOp("norlund-log", N).weights()
     k = np.arange(N) + 0.5
     for i, c in enumerate(offsets):
         for j, d in enumerate(distances):
@@ -818,8 +818,8 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
 
 
 def test_lattice_kernel_tables_are_one_allocation_each():
-    # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix divides its
-    # angle table and sets its limits in place; lemma_survey(6) holds no such table, only the
+    # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix builds its table, divides
+    # it and sets its limits in place; lemma_survey(6) holds no such table, only the
     # C_N entries of its four small (offsets, distances) tables and one block of lattice pairs
     xs = build_region(6, "I").lattice(9)
     tracemalloc.start()

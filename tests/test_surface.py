@@ -1,11 +1,13 @@
 """
 The program's surface: every top-level name in ``src/logmeans`` is reached from
-``cli.main``, or is one the benchmark's tracer pins.  A helper that only a test
-or a criterion calls lives in ``tests/conftest.py`` instead.
+``cli.main``, or is one the benchmark's tracer pins, and every method of a reached
+class is named by reached code.  A helper that only a test or a criterion calls
+lives in ``tests/conftest.py`` instead.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logmeans"
 
@@ -20,6 +22,14 @@ PINNED_BY_BENCH = {
     ("kernels", "log_kernel_closed"),
     ("kernels", "lemma_main_check"),
     ("kernels", "sin_sum"),
+}
+
+
+#: Methods of reached classes that only tests and criteria call.  They belong to the 2-D grid route,
+#: which ROADMAP item 4 settles after item 3 gives it a consumer.
+KEPT_FOR_THE_2D_ROUTE = {
+    ("grid", "GridFunction2D", "from_function"),
+    ("grid", "GridFunction2D", "constant"),
 }
 
 
@@ -88,6 +98,30 @@ def test_every_top_level_name_is_reached_from_the_cli_or_pinned_by_the_bench():
     assert PINNED_BY_BENCH <= defined
     unreached = defined - reached_from(modules, {("cli", "main"), *PINNED_BY_BENCH})
     assert not unreached, f"reached by no command: {sorted(unreached)}; move them into tests/conftest.py"
+
+
+def test_every_method_of_a_reached_class_is_named_by_reached_code():
+    # a method, property or constructor that no reached code names outside its own body is dead;
+    # dunder methods are called by Python itself
+    modules = read_modules()
+    reached = reached_from(modules, {("cli", "main"), *PINNED_BY_BENCH})
+    nodes = [modules[module][0][name] for module, name in reached]
+    named = Counter(node.attr for root in nodes for node in ast.walk(root) if isinstance(node, ast.Attribute))
+    unnamed = set()
+    for module, name in reached:
+        cls = modules[module][0][name]
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("__"):
+                continue
+            own = sum(isinstance(node, ast.Attribute) and node.attr == method.name for node in ast.walk(method))
+            if named[method.name] == own:
+                unnamed.add((module, name, method.name))
+    assert unnamed == KEPT_FOR_THE_2D_ROUTE, (
+        f"named by no reached code: {sorted(unnamed - KEPT_FOR_THE_2D_ROUTE)}; "
+        f"kept but now named, so drop them from the list: {sorted(KEPT_FOR_THE_2D_ROUTE - unnamed)}"
+    )
 
 
 def test_no_bench_pin_is_reached_from_the_cli():
