@@ -204,6 +204,11 @@ def _log_excess(u):
     return np.where(u < 0.5, series, -np.log1p(-u) - u)
 
 
+#: Floats a window pair holds at most in _area_under_hyperbola (its area, and the temporaries of
+#: left, u, excess, x2 and overshoot beside it).
+AREA_FLOATS = 8
+
+
 def _area_under_hyperbola(ax, bx, ay, by, theta: float) -> np.ndarray:
     """
     Exact area of {(x, y) in [ax,bx] x [ay,by] : x y < theta} for 0 < ax,
@@ -238,17 +243,18 @@ def _nonzero_areas(lo, hi, theta):
     The nonzero _area_under_hyperbola of the window pairs (lo, hi) x (lo, hi), one list a block.  Row m
     needs only the column prefix whose corner lo_m lo_l can lie under theta: every other pair's area is
     exactly +-0 (``left``, ``u`` and ``overshoot`` clip to 0).  lo ascends, so the prefixes shrink down
-    the rows, and a block of rows takes its first row's prefix, in column slices: at most BLOCK_ELEMS pairs.
+    the rows, and a block of rows takes its first row's prefix, in column slices: at most
+    BLOCK_ELEMS // AREA_FLOATS pairs, so a block's arrays hold about BLOCK_ELEMS floats.
     """
-    start = 0
+    block, start = max(1, BLOCK_ELEMS // AREA_FLOATS), 0
     while start < len(lo):
         # the slack covers the rounding of theta / lo_m
         width = int(np.searchsorted(lo, theta / lo[start] * (1.0 + 1e-9), side="right"))
         if not width:
             return
-        stop = start + max(1, BLOCK_ELEMS // width)
-        for col in range(0, width, BLOCK_ELEMS):
-            cols = slice(col, min(col + BLOCK_ELEMS, width))
+        stop = start + max(1, block // width)
+        for col in range(0, width, block):
+            cols = slice(col, min(col + block, width))
             area = _area_under_hyperbola(lo[start:stop, None], hi[start:stop, None], lo[cols], hi[cols], theta)
             yield area[area != 0.0].tolist()
         start = stop

@@ -12,8 +12,7 @@ summation gives the exact identity
 
 Substituting it into the product expansion of H_N * F_N(x, y) yields fifteen
 terms R_1..R_15 (four telescoped main terms, nine explicit remainders, two
-sine-sum cross terms).  The cubic decay of the telescoped weights makes the
-first sum truncatable with a certified tail bound.
+sine-sum cross terms).  Each term is evaluated from its full sums.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ EPS_SING = 1e-6
 KERNEL_TABLE_ELEMS = 64 * 1024
 
 #: Elements one block of a survey may hold (8 MB): lattice_min's row blocks, kernel-verify's point
-#: blocks (15 terms an order a point) and the candidate blocks of its point screening.
+#: blocks (15 terms an order a point), the candidate blocks of its point screening and measure's
+#: window-pair blocks (AREA_FLOATS a pair).
 BLOCK_ELEMS = 2 ** 20
 
 REGION_I = "I"
@@ -211,28 +211,27 @@ def sin_sum(N, u) -> float | np.ndarray:
     if orders[0] < 1:
         raise ValueError(f"N must be >= 1, got {orders[0]}")
     r = reduce_angle(np.ravel(u))[0]
-    out = _half_angle_sums(orders, r, None)[1].reshape((len(orders), *np.shape(u)))
+    out = _half_angle_sums(orders, r)[1].reshape((len(orders), *np.shape(u)))
     out = out[0] if one else out
     return float(out) if out.ndim == 0 else out
 
 
 def _row_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
-    sum_j a_ij b_ij w_j for every row i (``w`` one row of weights, or one a row), with no product
-    table: one sequential reduction a row, so a row's sum does not depend on the rows beside it,
-    as a BLAS product's may.
+    sum_j a_ij b_ij w_j for every row i (``w`` one row of weights), with no product table: one
+    sequential reduction a row, so a row's sum does not depend on the rows beside it, as a BLAS
+    product's may.
     """
     return np.einsum("...j,...j,...j->...", a, b, w)
 
 
-def _half_angle_sums(orders: list[int], r: np.ndarray, cap) -> np.ndarray:
+def _half_angle_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
     """
     For every order n and every reduced point r, shape (2, orders, points): the telescoped table
-    sum sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2, its terms past the point's ``cap`` zeroed
-    (None: no cap), and the sine sum sum_{k=1}^{n} 2 S_k C_k / k = sum sin(k r)/k, where
-    S_j = sin(j r/2) and C_j = cos(j r/2).  One angle_pair for j = 1..N, N the largest order, built
-    in row blocks of at most KERNEL_TABLE_ELEMS elements a table, serves both sums of every order,
-    each summing its prefix.
+    sum sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum
+    sum_{k=1}^{n} 2 S_k C_k / k = sum sin(k r)/k, where S_j = sin(j r/2) and C_j = cos(j r/2).
+    One angle_pair for j = 1..N, N the largest order, built in row blocks of at most
+    KERNEL_TABLE_ELEMS elements a table, serves both sums of every order, each summing its prefix.
     """
     top = orders[-1]
     k = np.arange(1.0, top + 1.0)
@@ -240,13 +239,10 @@ def _half_angle_sums(orders: list[int], r: np.ndarray, cap) -> np.ndarray:
     sums = np.empty((2, len(orders), len(r)))
     for b in _row_blocks(top, len(r)):
         S, C = angle_pair(0.5 * r[b], 1, top)
-        kept = weights
-        if cap is not None and cap[b].min() < top - 2:
-            kept = np.where(k[: top - 2] <= cap[b, None], weights, 0.0)
         for i, n in enumerate(orders):
-            sums[0, i, b] = _row_sums(S[:, 1 : n - 1], S[:, 1 : n - 1], kept[..., : n - 2])
+            sums[0, i, b] = _row_sums(S[:, 1 : n - 1], S[:, 1 : n - 1], weights[: n - 2])
             sums[1, i, b] = _row_sums(S[:, :n], C[:, :n], sine_weights[:n])
-        del S, C, kept  # freed before the next block's tables are built
+        del S, C  # freed before the next block's tables are built
     return sums
 
 
@@ -268,54 +264,35 @@ def _telescoped_weights(k: np.ndarray) -> np.ndarray:
     return 2.0 / (k * (k + 1.0) * (k + 2.0))
 
 
-def _telescoped_orders(orders: list[int], u, K) -> tuple[np.ndarray, ...]:
+def _telescoped_orders(orders: list[int], u) -> tuple[np.ndarray, ...]:
     """
-    The parts (T, V, W, tail) of the telescoped cosine-sum form, and sin_sum(N, u), for every
-    order N of the ascending ``orders`` at every point of ``u``, each one (orders, points) array:
+    The parts (T, V, W) of the telescoped cosine-sum form, and sin_sum(N, u), for every order N
+    of the ascending ``orders`` at every point of ``u``, each one (orders, points) array:
 
-        T = sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u),
+        T = sum_{k=1}^{N-2} [2/(k(k+1)(k+2))] Phi_{k+1}(u),
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
 
-    so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 up to ``tail``, the
-    certified bound on the terms past K: each is at most
-    [2/(k(k+1)(k+2))] / (2 sin^2(u/2)) and the cubic weights past K sum below
-    1/K^2, so tail = 1/(2 K^2 sin^2(u/2)), and 0 for the full sum.  ``K``
-    caps the sum: a scalar or one cap per point, each 1 <= K <= N - 2, with
-    K = N - 2 (or None) the full sum; only here is the cap checked.  At u = 0 mod 2*pi
-    the full sums are taken whatever the cap, at their removable limits, so
-    T + V + W - 3/4 is H_N there and the tail is 0.  Every row of the sum has
-    N - 2 terms, those past the cap zeroed, so a point's values do not
-    depend on the rest of the batch (a sum's rounding depends on its length),
-    nor on the row blocks of _half_angle_sums.
+    so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4.  At u = 0 mod 2*pi the sums take their
+    removable limits, so T + V + W - 3/4 is H_N there.  Every row of a sum is one sequential
+    reduction, so a point's values do not depend on the rest of the batch, nor on the row blocks
+    of _half_angle_sums.
 
-    Every order sums its prefix of the largest order's table.  A cap ``K`` caps
-    every order, so it is checked against the smallest; None sums each order in
-    full.  _half_angle_sums reads the table sums of T and the sine sums from one
-    half-angle pair, and V and W are one fejer_ratio and one dirichlet_kernel call
-    each over the column of all orders.
+    Every order sums its prefix of the largest order's table.  _half_angle_sums reads the table
+    sums of T and the sine sums from one half-angle pair, and V and W are one fejer_ratio and one
+    dirichlet_kernel call each over the column of all orders.
     """
-    top = orders[-1]
-    cap = np.asarray(orders[0] - 2 if K is None else K)
-    if not (np.all(1 <= cap) and np.all(cap <= orders[0] - 2)):
-        raise ValueError(f"truncation cap must satisfy 1 <= K <= N - 2, got {cap}")
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
-    if cap.ndim > 0 and cap.shape != r.shape:
-        raise ValueError(f"per-point caps K must be one per point, got cap shape {cap.shape} for {len(r)} points")
-    # None sums every order in full; the rows at u = 0 are zero whatever the cap, and T takes its limit there
-    cap = np.where(zero | (K is None), top - 2, cap)
-    T, sines = _half_angle_sums(orders, r, cap)
+    T, sines = _half_angle_sums(orders, r)
     n = np.array(orders)[:, None]
     V = fejer_ratio(n, r) / (n * (n - 1.0))
     W = dirichlet_kernel(n, r) / n
-    capped = np.minimum(cap, n - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         T /= 2.0 * half_sin ** 2
-        tail = np.where(capped < n - 2.0, 1.0 / (2.0 * capped * capped * half_sin * half_sin), 0.0)
     # T's removable limit at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2
-    k = np.arange(1.0, top - 1.0)
+    k = np.arange(1.0, orders[-1] - 1.0)
     limit_terms = _telescoped_weights(k) * 0.5 * (k + 1.0) ** 2
     T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
-    return T, V, W, tail, sines
+    return T, V, W, sines
 
 
 # ----------------------------------------------------------------------------
@@ -372,43 +349,29 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelEvaluation:
-    """
-    Closed-form kernel value with its 15-term breakdown (on the H_N * F_N
-    scale, display order) and the certified truncation error of the value.
-    """
+    """Closed-form kernel value with its 15-term breakdown (on the H_N * F_N scale, display order)."""
 
     value: float
     terms: np.ndarray
-    truncation_bound: float
 
 
-def closed_form_terms(
-    N,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    K=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def closed_form_terms(N, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """
     The 15-term breakdown R_1..R_15 of H_N * F_N at the points (xs, ys),
-    shape (P, 15) in display order, and the certified truncation error of
-    each row's value on the F_N scale, shape (P,).
+    shape (P, 15) in display order, each from its full sums.
 
     Refuses points within EPS_SING of the singular tubes x = 0, y = 0,
     x + y = 0, x - y = 0 (mod 2*pi); callers should fall back to
-    log_kernel_direct there.  Arguments with x - y or x + y *exactly* zero are
-    allowed: the terms have removable limits on the diagonals and the full
-    (untruncated) sums are used.
-
-    ``K`` caps both telescoped sums (scalar or per point), checked as
-    _telescoped_orders checks it; ``K=None`` sums all N - 2 terms, with a zero bound.
+    log_kernel_direct_many there.  Arguments with x - y or x + y *exactly*
+    zero are allowed: the terms have removable limits on the diagonals.
     The per-point work runs on the whole batch; only the half-angle pairs of
     _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
 
-    ``N`` may be a sequence of ascending orders: the results then gain a leading
-    order axis, (orders, P, 15) and (orders, P).  One half-angle pair at x + y and
-    one at x - y, of the largest order, serve the telescoped and the sine sums of
-    every order, each order summing its prefix; the parts, factors and terms of
-    every order are then finished together, as (orders, P) arrays.
+    ``N`` may be a sequence of ascending orders: the result then gains a leading
+    order axis, (orders, P, 15).  One half-angle pair at x + y and one at x - y,
+    of the largest order, serve the telescoped and the sine sums of every order,
+    each order summing its prefix; the parts, factors and terms of every order
+    are then finished together, as (orders, P) arrays.
     """
     orders, one = _orders(N)
     if orders[0] < 3:
@@ -425,14 +388,12 @@ def closed_form_terms(
         raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {EPS_SING} of a singular tube")
     xs, ys, up, um = args
     denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
-    (Tp, Vp, Wp, tb_p, Sp), (Tm, Vm, Wm, tb_m, Sm) = (_telescoped_orders(orders, u, K) for u in (up, um))
+    (Tp, Vp, Wp, Sp), (Tm, Vm, Wm, Sm) = (_telescoped_orders(orders, u) for u in (up, um))
     rate = np.array(orders, dtype=float)[:, None] + 0.5
     sx, cx = np.sin(rate * xs), np.cos(rate * xs)
     sy, cy = np.sin(rate * ys), np.cos(rate * ys)
     SS, CC = sx * sy / denom, cx * cy / denom
     SC, CS = sx * cy / denom, cx * sy / denom
-    harmonic = np.array([harmonic_number(n) for n in orders])[:, None]
-    bound = 0.5 * (np.abs(SS) + np.abs(CC)) * (tb_p + tb_m) / harmonic
     products = (  # (coefficient, factor, part) of R1..R15 in display order
         (0.5, SS, Tp), (0.5, SS, Tm), (0.5, CC, Tm), (-0.5, CC, Tp),                     # R1-R4
         (0.5, SS, Vp), (0.5, SS, Wp), (-0.75, SS, 1.0), (0.5, SS, Vm), (0.5, SS, Wm),     # R5-R9
@@ -442,20 +403,16 @@ def closed_form_terms(
     terms = np.empty((len(orders), len(xs), 15))
     for col, (coeff, factor, part) in enumerate(products):
         np.multiply(coeff * factor, part, out=terms[..., col])
-    return (terms[0], bound[0]) if one else (terms, bound)
+    return terms[0] if one else terms
 
 
-def log_kernel_closed(N: int, x: float, y: float, K: int | None = None) -> KernelEvaluation:
+def log_kernel_closed(N: int, x: float, y: float) -> KernelEvaluation:
     """
     Closed-form F_N(x, y) with the 15-term breakdown: closed_form_terms at
-    one point, with its EPS_SING tube refusal and the same truncation cap
-    (``K=None`` is the full sum; _telescoped_orders checks the cap).  The
-    certified truncation error of ``value`` (on the F_N scale) is returned as
-    ``truncation_bound``.
+    one point, with its EPS_SING tube refusal.
     """
-    terms, bound = closed_form_terms(N, np.array([x]), np.array([y]), K)
-    value = float(np.sum(terms[0])) / harmonic_number(N)
-    return KernelEvaluation(value=value, terms=terms[0], truncation_bound=float(bound[0]))
+    terms = closed_form_terms(N, np.array([x]), np.array([y]))[0]
+    return KernelEvaluation(value=float(np.sum(terms)) / harmonic_number(N), terms=terms)
 
 
 # ----------------------------------------------------------------------------
@@ -597,14 +554,14 @@ def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:
 
 def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
     """
-    lemma_survey plus the closed form's main/remainder split at full caps on the I-region lattice;
+    lemma_survey plus the closed form's main/remainder split on the I-region lattice;
     refuses, with SingularTubeError, scales whose lattice comes within EPS_SING of a tube (n >= 8).
     """
     survey = lemma_survey(n, samples_per_rect)
     N = 4 ** n
     xs = build_region(n, REGION_I).lattice(samples_per_rect)
     xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
-    terms, _ = closed_form_terms(N, xx, yy)
+    terms = closed_form_terms(N, xx, yy)
     main_min_over_n = float(np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
     remainder_max = float(np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
     return LemmaReport(**vars(survey), main_min_over_n=main_min_over_n, remainder_max=remainder_max)

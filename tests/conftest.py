@@ -7,11 +7,13 @@ import pytest
 
 from logmeans.fourier import (
     BandwidthError, GridOp, SpectralCoeffs, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
+    reduce_angle,
 )
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.counterexamples import _area_under_hyperbola, make_bump
 from logmeans.kernels import (
-    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _telescoped_orders, alpha, beta, build_region, gamma, phase_rate,
+    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _telescoped_orders, alpha, beta, build_region, fejer_ratio, gamma,
+    phase_rate,
 )
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, StepFunction, YoungFunction, luxemburg_norm
@@ -312,11 +314,26 @@ def quasi_random_points_loop(count):
 
 def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """
-    The parts (T, V, W, tail) of kernels._telescoped_orders at every point of ``u``, with its checks:
-    one row per order for a sequence of ascending orders ``N``, the bare parts for one order.
+    The parts (T, V, W, tail) of sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4 at every point of ``u``,
+    with T capped at K terms: T_K = sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u), summed here term
+    by term, and tail = 1/(2 K^2 sin^2(u/2)), the certified bound on the terms past K (each is at
+    most its weight over 2 sin^2(u/2), and the cubic weights past K sum below 1/K^2).  ``K`` is a
+    scalar or one cap per point; None, or a cap of N - 2 or more, is the full sum.  The full parts,
+    V and W, and T at u = 0 mod 2 pi (its removable limit, whatever the cap) come from
+    kernels._telescoped_orders, with tail 0.  One row per order for a sequence of ascending orders
+    ``N``, the bare parts for one order.
     """
     orders, one = _orders(N)
-    return tuple(part[0] if one else part for part in _telescoped_orders(orders, u, K)[:4])
+    T, V, W, _ = _telescoped_orders(orders, u)
+    tail = np.zeros_like(T)
+    r, half_sin, zero = reduce_angle(np.atleast_1d(u))
+    caps = np.broadcast_to(orders[-1] if K is None else K, r.shape)
+    for i, n in enumerate(orders):
+        for j in np.flatnonzero((caps < n - 2) & ~zero):
+            k = np.arange(1, caps[j] + 1)
+            T[i, j] = math.fsum(2.0 / (k * (k + 1.0) * (k + 2.0)) * fejer_ratio(k + 1, r[j]))
+            tail[i, j] = 1.0 / (2.0 * float(caps[j]) ** 2 * half_sin[j] ** 2)
+    return tuple(part[0] if one else part for part in (T, V, W, tail))
 
 
 class RegionMembershipError(ValueError):

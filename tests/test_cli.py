@@ -18,7 +18,9 @@ from logmeans.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_USAGE,
+    KERNEL_TOL,
     KERNEL_VERIFY_N,
+    MAX_KERNEL_SCALE,
     build_parser,
     main,
     quasi_random_points,
@@ -123,6 +125,22 @@ def test_zero_tolerance_fails_kernel_verify(tmp_path, monkeypatch):
     assert main(["kernel-verify", "--out", str(tmp_path), "--samples", "3"]) == EXIT_TOLERANCE
 
 
+def test_kernel_verify_passes_each_row_on_its_own(tmp_path, monkeypatch):
+    # twice the tolerance at one point of order 64 fails that row alone, and the command with it
+    direct_many = kernels.log_kernel_direct_many
+
+    def off_at_one_point(N, t, s):
+        out = direct_many(N, t, s)
+        row = list(N).index(64)
+        out[row, 0] += 2.0 * KERNEL_TOL * (1.0 + abs(out[row, 0]))
+        return out
+
+    monkeypatch.setattr(kernels, "log_kernel_direct_many", off_at_one_point)
+    assert main(["kernel-verify", "--samples", "8", "--out", str(tmp_path)]) == EXIT_TOLERANCE
+    rows = [l.split(",") for l in read(tmp_path / "kernel_verify.csv").splitlines() if l and not l.startswith("#")]
+    assert {int(row[0]): row[4] for row in rows[1:]} == {N: "0" if N == 64 else "1" for N in KERNEL_VERIFY_N}
+
+
 def test_kernel_verify_makes_one_call_per_form_for_all_orders(tmp_path, monkeypatch):
     calls = []
     for name in ("closed_form_terms", "log_kernel_direct_many"):
@@ -175,15 +193,13 @@ def test_kernel_verify_refuses_orders_below_three(tmp_path, capsys):
 
 
 def test_kernel_verify_states_its_certificates(tmp_path):
-    # the nearest its points come to a singular tube and the largest truncation bound it used
-    # (0 at full sums), recomputed from the library
+    # the nearest its points come to a singular tube, recomputed from the library
     assert main(["kernel-verify", "--samples", "8", "--n", "3,64", "--out", str(tmp_path)]) == EXIT_OK
     lines = read(tmp_path / "kernel_verify.csv").splitlines()
     stated = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
     xs, ys = quasi_random_points(64).T
-    _, bounds = kernels.closed_form_terms([3, 64], xs, ys)
+    assert sorted(stated) == ["min_tube_distance", "report"]
     assert float(stated["min_tube_distance"]) == np.min(kernels.tube_distances(xs, ys)[1]) >= 0.02
-    assert float(stated["max_truncation_bound"]) == np.max(bounds) == 0.0
 
 
 def test_kernel_verify_default_passes(tmp_path):
@@ -458,6 +474,29 @@ def test_growth_csv(tmp_path):
     assert body.startswith("# paper_display=(b)\n")
     header = [l for l in body.splitlines() if not l.startswith("#")][0]
     assert header == "n,geometric_sum,gs_over_n2,l1_lower"
+
+
+def test_growth_and_measure_state_what_their_numbers_are(tmp_path):
+    # growth's l1_lower is a region-restricted lower bound, nan past MAX_KERNEL_SCALE; measure's c1 is
+    # a lattice minimum at --samples per window and c1_fit_scale, not a certificate.  Each line is
+    # checked against the rows; test_commands_are_byte_reproducible reruns both commands
+    from logmeans import counterexamples as cx
+
+    cases = (
+        (["growth", "--n", f"{MAX_KERNEL_SCALE},{MAX_KERNEL_SCALE + 1}"],
+         [f"# l1_lower=region-restricted lower bound of the L1 norm; nan past n={MAX_KERNEL_SCALE}"]),
+        (["measure", "--n", "6", "--samples", "5"],
+         ["# c1_fit_scale=3", "# c1=sampled minimum (5 samples per window and axis at n=3); not a certificate"]),
+    )
+    rows = {}
+    for argv, stated in cases:
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        lines = read(tmp_path / f"{argv[0]}.csv").splitlines()
+        assert [line for line in lines if line.startswith("#")][-len(stated):] == stated
+        rows[argv[0]] = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert [math.isnan(float(row[3])) for row in rows["growth"]] == [False, True]
+    c1 = cx.bump_mean_lower_bound(3, 5).min_ratio / cx.BUMP_PREFACTOR
+    assert [float(row[1]) for row in rows["measure"]] == [c1]
 
 
 def test_growth_ratio_stays_under_factor_two_on_small_scales(tmp_path):

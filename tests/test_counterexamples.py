@@ -461,7 +461,8 @@ def test_exceedance_measure_is_the_full_broadcast_bit_for_bit(n):
 @pytest.mark.parametrize("elems", [1, 7, 64, 500])
 def test_exceedance_measure_splits_long_rows_into_column_blocks(monkeypatch, elems):
     # at n = 12 the first row's prefix is 84 windows: blocks of fewer pairs slice it by columns,
-    # and every block holds at most `elems` pairs; the sum stays the full broadcast's, bit for bit
+    # and every block holds at most elems // AREA_FLOATS pairs (one at least), so its arrays hold
+    # about `elems` floats; the sum stays the full broadcast's, bit for bit
     sizes, area = [], counterexamples._area_under_hyperbola
 
     def recorded(ax, bx, ay, by, theta):
@@ -471,7 +472,19 @@ def test_exceedance_measure_splits_long_rows_into_column_blocks(monkeypatch, ele
     monkeypatch.setattr(counterexamples, "BLOCK_ELEMS", elems)
     monkeypatch.setattr(counterexamples, "_area_under_hyperbola", recorded)
     assert exceedance_measure(12, 1.0).measure == full_exceedance_measure(12)
-    assert max(sizes) <= elems and len(sizes) > 1
+    assert max(sizes) <= max(1, elems // counterexamples.AREA_FLOATS) and len(sizes) > 1
+
+
+def test_exceedance_measure_holds_one_block_of_window_pairs():
+    # 4^17 window pairs at n = 20, at most BLOCK_ELEMS // AREA_FLOATS a block: the block's arrays
+    # hold about BLOCK_ELEMS floats (8 MB), not AREA_FLOATS times that
+    tracemalloc.start()
+    try:
+        exceedance_measure(20, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _barely_cut_rectangles(rng, count):

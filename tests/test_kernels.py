@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmeans import cosine, fourier, kernels
-from logmeans.cli import quasi_random_points
+from logmeans.cli import KERNEL_TOL, quasi_random_points
 from logmeans.counterexamples import _bump_mean_rows, bump_mean_many
 from logmeans.cosine import cosine_kernel
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
@@ -238,7 +238,7 @@ def test_kernel_forms_match_mpmath_near_the_tubes(N, d):
     pts = [(d, 0.7), (0.7, -d), (0.9 + d, 0.9), (0.9, d - 0.9), (math.pi - d, math.pi), (math.pi, math.pi - 2 * d)]
     xs, ys = (np.array(v) for v in zip(*pts))
     direct = log_kernel_direct_many(N, xs, ys)
-    terms, _ = closed_form_terms(N, xs, ys, K=N - 2)
+    terms = closed_form_terms(N, xs, ys)
     closed = np.sum(terms, axis=1) / harmonic_number(N)
     for i, (x, y) in enumerate(pts):
         exact = float(_mp_log_kernel(N, x, y))
@@ -484,29 +484,12 @@ def test_telescoped_truncation_certified(rng):
         assert abs(value - cos_sum_direct(N, u)) <= bound + 1e-12
 
 
-def test_telescoped_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        telescoped_sums(16, 1.0, 0)
-    with pytest.raises(ValueError):
-        telescoped_sums(16, 1.0, 15)
-
-
 @pytest.mark.parametrize("N", [3, 16, 1024])
 def test_telescoped_sums_take_the_harmonic_limit_at_multiples_of_two_pi(N):
-    # at u = 0 mod 2 pi the full sums are taken whatever the cap: sum cos(ku)/k is H_N, with no tail
-    T, V, W, tail = telescoped_sums(N, np.array([0.0, 2 * math.pi, -4 * math.pi]), 1)
+    # at u = 0 mod 2 pi the sums take their removable limits: sum cos(ku)/k is H_N
+    T, V, W, _ = telescoped_sums(N, np.array([0.0, 2 * math.pi, -4 * math.pi]))
     harmonic = math.fsum(1.0 / k for k in range(1, N + 1))
     assert np.all(np.abs(T + V + W - 0.75 - harmonic) <= 1e-14 * harmonic)
-    assert np.array_equal(tail, np.zeros(3))
-
-
-def test_telescoped_sums_stop_at_the_cap():
-    # T is the cubic-weight sum up to K exactly, not the full sum
-    N, us, caps = 256, np.array([0.7, 2.3, 4.1]), np.array([5, 60, 254])
-    T = telescoped_sums(N, us, caps)[0]
-    for u, K, got in zip(us, caps, T):
-        want = math.fsum(2.0 / (k * (k + 1) * (k + 2)) * fejer_ratio(k + 1, u) for k in range(1, K + 1))
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_ratio_kernels_take_an_order_column(rng):
@@ -524,19 +507,17 @@ def test_ratio_kernels_take_an_order_column(rng):
 
 @pytest.mark.parametrize("N", [64, 219, 1024])
 def test_telescoped_sums_do_not_depend_on_the_batch(N):
-    # a point's (T, V, W, tail) is a function of (N, u, K) alone: evaluated by
-    # itself it matches its row in a batch of mixed caps bit for bit,
-    # including u = 0, where the full removable limit replaces the cap
+    # a point's (T, V, W) is a function of (N, u) alone: evaluated by itself it
+    # matches its row in a batch bit for bit, including u = 0, where T takes its
+    # removable limit
     rng = np.random.default_rng(N)
     us = rng.uniform(0.01, 2 * math.pi - 0.01, 40)
     us[7] = 0.0
-    caps = rng.integers(1, N - 1, 40)
-    caps[::4] = N - 2
-    batch = telescoped_sums(N, us, caps)
+    batch = telescoped_sums(N, us)
     for i in range(len(us)):
-        alone = telescoped_sums(N, us[i : i + 1], caps[i : i + 1])
+        alone = telescoped_sums(N, us[i : i + 1])
         for part, single in zip(batch, alone):
-            assert part[i] == single[0], (i, caps[i])
+            assert part[i] == single[0], i
 
 
 # ------------------------------------------------------------------ sine sum
@@ -630,7 +611,7 @@ def test_sin_sum_uniformly_bounded():
 # ------------------------------------------------------------- closed form
 
 def test_closed_matches_direct_small():
-    ev = log_kernel_closed(16, 0.5, 0.7, K=14)
+    ev = log_kernel_closed(16, 0.5, 0.7)
     assert ev.value == pytest.approx(log_kernel_direct(16, 0.5, 0.7), abs=1e-9)
 
 
@@ -642,19 +623,19 @@ def test_closed_matches_direct_random(rng):
             continue
         ev = log_kernel_closed(256, x, y)
         d = log_kernel_direct(256, x, y)
-        assert abs(ev.value - d) <= ev.truncation_bound + 1e-8 * abs(d)
+        assert abs(ev.value - d) <= 1e-8 * abs(d)
         count += 1
 
 
 def test_closed_minimal_order():
-    ev = log_kernel_closed(3, 0.9, 0.4, K=1)
+    ev = log_kernel_closed(3, 0.9, 0.4)
     assert ev.value == pytest.approx(log_kernel_direct(3, 0.9, 0.4), abs=1e-12)
 
 
 def test_closed_terms_sum_to_value():
     ev = log_kernel_closed(64, 1.1, 0.6)
     assert ev.value == pytest.approx(ev.terms.sum() / harmonic_number(64), abs=1e-10)
-    assert ev.truncation_bound >= 0.0
+    assert ev.terms.shape == (15,)
 
 
 def test_closed_refuses_singular_tubes():
@@ -676,15 +657,13 @@ def test_closed_handles_exact_diagonals():
 
 @pytest.mark.parametrize("N", [3, 64, 1024])
 def test_closed_form_batch_matches_one_point_wrapper(N):
-    # includes x == y and x == -y (removable limits) and caps below N - 2
+    # includes x == y and x == -y (removable limits)
     pts = np.array([(0.5, 0.7), (1.1, -0.6), (2.9, 0.4), (-1.3, 2.2), (0.3, 0.3), (0.9, -0.9), (3.0, 3.1)])
-    caps = np.clip([1, N // 2, N - 2, 5, N - 3, 2, 7], 1, N - 2)
-    terms, bounds = closed_form_terms(N, pts[:, 0], pts[:, 1], K=caps)
-    assert terms.shape == (len(pts), 15) and bounds.shape == (len(pts),)
-    for (x, y), K, row, bound in zip(pts, caps, terms, bounds):
-        ev = log_kernel_closed(N, float(x), float(y), K=int(K))
+    terms = closed_form_terms(N, pts[:, 0], pts[:, 1])
+    assert terms.shape == (len(pts), 15)
+    for (x, y), row in zip(pts, terms):
+        ev = log_kernel_closed(N, float(x), float(y))
         np.testing.assert_allclose(row, ev.terms, rtol=1e-13, atol=1e-13 * np.max(np.abs(ev.terms)))
-        assert bound == pytest.approx(ev.truncation_bound, rel=1e-14, abs=0.0)
         assert np.sum(row) / harmonic_number(N) == pytest.approx(ev.value, rel=1e-12, abs=1e-13)
 
 
@@ -699,7 +678,7 @@ def test_closed_form_equivalence_property(N, x, y):
         return
     ev = log_kernel_closed(N, x, y)
     d = log_kernel_direct(N, x, y)
-    assert abs(ev.value - d) <= ev.truncation_bound + 1e-8 * (1.0 + abs(d))
+    assert abs(ev.value - d) <= 1e-8 * (1.0 + abs(d))
 
 
 # ------------------------------------------------------------ table budget
@@ -708,20 +687,17 @@ def test_closed_form_equivalence_property(N, x, y):
 def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
     # one row per block, three rows per block and one block past P x N: each
     # row is the same per-row sum in every block, so all agree bit for bit,
-    # including mixed per-point caps and the removable limit at u = 0
+    # including the removable limit at u = 0
     rng = np.random.default_rng(N)
     us = rng.uniform(-2 * math.pi, 2 * math.pi, 37)
     us[5] = 0.0
-    caps = rng.integers(1, N - 1, 37)
-    caps[::3] = N - 2
     xs, ys = quasi_random_points(37).T
 
     def forms():
         return [
-            *telescoped_sums(N, us, caps),
+            *telescoped_sums(N, us),
             sin_sum(N, us),
-            *closed_form_terms(N, xs, ys),
-            *closed_form_terms(N, xs, ys, K=caps),
+            closed_form_terms(N, xs, ys),
             log_kernel_direct_many(N, xs, ys),
         ]
 
@@ -734,28 +710,26 @@ def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
             assert np.array_equal(part, whole)
 
 
-@pytest.mark.parametrize("K", [None, 1])
-def test_each_order_of_a_multi_order_call_matches_its_one_order_call(K):
+def test_each_order_of_a_multi_order_call_matches_its_one_order_call():
     # every order sums its prefix of the largest order's tables, whose entries angle_table
     # rounds by the table's length: a row matches its one-order call to rounding, and the
     # largest order, whose tables are the same, bit for bit
     orders = [3, 64, 1024]
     xs, ys = quasi_random_points(256).T
     us = np.concatenate([xs + ys, [0.0]])
-    terms, bounds = closed_form_terms(orders, xs, ys, K=K)
+    terms = closed_form_terms(orders, xs, ys)
     direct = log_kernel_direct_many(orders, xs, ys)
-    parts, sines = telescoped_sums(orders, us, K), sin_sum(orders, us)
-    assert terms.shape == (3, 256, 15) and bounds.shape == direct.shape == (3, 256)
+    parts, sines = telescoped_sums(orders, us), sin_sum(orders, us)
+    assert terms.shape == (3, 256, 15) and direct.shape == (3, 256)
     assert all(part.shape == (3, 257) for part in parts) and sines.shape == (3, 257)
     for i, N in enumerate(orders):
-        one_terms, one_bounds = closed_form_terms(N, xs, ys, K=K)
+        one_terms = closed_form_terms(N, xs, ys)
         one_direct = log_kernel_direct_many(N, xs, ys)
         tol = 1e-12 * (1.0 + np.abs(one_direct))
         assert np.all(np.abs(direct[i] - one_direct) <= tol), N
         closed, one_closed = (np.sum(t, axis=1) / harmonic_number(N) for t in (terms[i], one_terms))
         assert np.all(np.abs(closed - one_closed) <= tol), N
-        assert np.array_equal(bounds[i], one_bounds), N
-        for part, one_part in zip(parts, telescoped_sums(N, us, K)):
+        for part, one_part in zip(parts, telescoped_sums(N, us)):
             assert np.all(np.abs(part[i] - one_part) <= 1e-12 * (1.0 + np.abs(one_part))), N
         one_sines = sin_sum(N, us)
         assert np.all(np.abs(sines[i] - one_sines) <= 1e-12 * (1.0 + np.abs(one_sines))), N
@@ -768,16 +742,13 @@ def test_kernel_orders_must_ascend():
         for call in (
             lambda: closed_form_terms(orders, xs, ys),
             lambda: log_kernel_direct_many(orders, xs, ys),
-            lambda: telescoped_sums(orders, xs, 1),
+            lambda: telescoped_sums(orders, xs),
             lambda: sin_sum(orders, xs),
         ):
             with pytest.raises(ValueError, match="strictly ascending"):
                 call()
     with pytest.raises(ValueError, match="closed form needs N >= 3, got 2"):
         closed_form_terms([2, 8], xs, ys)
-    # a cap caps every order, so it is checked against the smallest
-    with pytest.raises(ValueError, match="1 <= K <= N - 2, got 2"):
-        closed_form_terms([3, 8], xs, ys, K=2)
 
 
 def test_kernel_orders_must_be_integers():
@@ -786,7 +757,7 @@ def test_kernel_orders_must_be_integers():
     forms = (
         lambda N: closed_form_terms(N, xs, ys),
         lambda N: log_kernel_direct_many(N, xs, ys),
-        lambda N: telescoped_sums(N, xs, 1),
+        lambda N: telescoped_sums(N, xs),
         lambda N: sin_sum(N, xs),
         lambda N: dirichlet_kernel(N, xs),
         lambda N: fejer_ratio(N, xs),
@@ -856,34 +827,14 @@ def test_unpaired_points_are_refused_before_any_table(monkeypatch):
                 form(16, xs, ys)
 
 
-def test_per_point_caps_must_match_the_points():
-    xs, ys = np.array([0.3, 0.5, 0.7]), np.array([0.2, 0.4, 0.9])
-    with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
-        closed_form_terms(16, xs, ys, K=np.array([3, 4]))
-    with pytest.raises(ValueError, match=r"cap shape \(2,\) for 3 points"):
-        telescoped_sums(16, xs, np.array([3, 4]))
-    # _telescoped_orders owns the cap rule: every form refuses 0 and N - 1 with its message
-    for K in (0, 15):
-        for call in (
-            lambda: telescoped_sums(16, xs, K),
-            lambda: telescoped_sums(16, 0.3, K),
-            lambda: closed_form_terms(16, xs, ys, K=K),
-            lambda: log_kernel_closed(16, 0.3, 0.2, K=K),
-        ):
-            with pytest.raises(ValueError, match=rf"truncation cap must satisfy 1 <= K <= N - 2, got {K}"):
-                call()
-    terms, _ = closed_form_terms(16, xs, ys, K=np.array([3, 4, 14]))
-    assert np.array_equal(terms[2], closed_form_terms(16, xs[2:], ys[2:], K=14)[0][0])
-
-
 def test_default_closed_form_sums_in_full():
-    # no cap is picked for the caller: the default is the full N - 2 terms, with a zero bound
+    # the closed form sums all N - 2 terms at a large order too: it meets the direct form within
+    # kernel-verify's tolerance
     N = 32768
     xs, ys = quasi_random_points(3).T
-    terms, bounds = closed_form_terms(N, xs, ys)
-    full_terms, full_bounds = closed_form_terms(N, xs, ys, K=N - 2)
-    assert np.array_equal(terms, full_terms)
-    assert np.all(bounds == 0.0) and np.all(full_bounds == 0.0)
+    closed = np.sum(closed_form_terms(N, xs, ys), axis=1) / harmonic_number(N)
+    direct = log_kernel_direct_many(N, xs, ys)
+    assert np.all(np.abs(closed - direct) <= KERNEL_TOL * (1.0 + np.abs(direct)))
 
 
 # ------------------------------------------------------------- phase checks

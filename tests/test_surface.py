@@ -1,7 +1,8 @@
 """
 The program's surface: every top-level name in ``src/logmeans`` is reached from
-``cli.main``, or is one the benchmark's tracer pins, and every method of a reached
-class is named by reached code.  A helper that only a test or a criterion calls
+``cli.main``, or is one the benchmark's tracer pins, every method of a reached
+class is named by reached code, and every defaulted parameter of reached code is
+passed by a reached call.  A helper that only a test or a criterion calls
 lives in ``tests/conftest.py`` instead.
 """
 
@@ -127,3 +128,76 @@ def test_every_method_of_a_reached_class_is_named_by_reached_code():
 def test_no_bench_pin_is_reached_from_the_cli():
     # a pinned name that a command reaches needs no pin, so the list stays minimal
     assert not PINNED_BY_BENCH & reached_from(read_modules(), {("cli", "main")})
+
+
+#: Defaulted parameters that no reached call passes by design: the console script calls cli.main()
+#: with no argv, so that argparse reads sys.argv.
+PASSED_FROM_OUTSIDE = {("cli", "main", "argv")}
+
+
+def _is_static(method):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in method.decorator_list)
+
+
+def _defaulted(function, bound):
+    """The parameters of a def that have defaults, each as (name, position or None when keyword-only)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    shift = 1 if bound else 0  # self or cls is not written at the call
+    yield from ((p.arg, i - shift) for i, p in enumerate(positional) if i >= first)
+    yield from ((k.arg, None) for k, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+
+
+def _passes(call, name, position):
+    """Whether a call passes the parameter ``name``, at ``position`` (None: keyword-only), or may through a splat."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    splat = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (position < len(call.args) or splat)
+
+
+def test_every_defaulted_parameter_is_passed_by_reached_code():
+    # a parameter with a default that no call reached from cli.main passes, by position or by
+    # keyword, is a mode no command runs; the bench pins are reached by no command, so their
+    # parameters and their calls are out of scope
+    modules = read_modules()
+    reached = reached_from(modules, {("cli", "main")})
+    calls = [
+        (module, node)
+        for module, name in reached
+        for node in ast.walk(modules[module][0][name])
+        if isinstance(node, ast.Call)
+    ]
+
+    def calls_of(module, name):
+        for caller, call in calls:
+            bindings, func = modules[caller][1], call.func
+            if isinstance(func, ast.Name):
+                if (caller, func.id) == (module, name) or bindings.get(func.id) == (module, name):
+                    yield call
+            elif isinstance(func, ast.Attribute) and func.attr == name and isinstance(func.value, ast.Name):
+                if bindings.get(func.value.id) == (module, None):
+                    yield call
+
+    def method_calls(name):
+        return (call for _, call in calls if isinstance(call.func, ast.Attribute) and call.func.attr == name)
+
+    unpassed = set()
+    for module, name in reached:
+        node = modules[module][0][name]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            targets = [(name, node, False, list(calls_of(module, name)))]
+        elif isinstance(node, ast.ClassDef):
+            targets = [
+                (f"{name}.{method.name}", method, not _is_static(method), list(method_calls(method.name)))
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        else:
+            continue
+        for qualname, function, bound, found in targets:
+            for parameter, position in _defaulted(function, bound):
+                if not any(_passes(call, parameter, position) for call in found):
+                    unpassed.add((module, qualname, parameter))
+    assert unpassed == PASSED_FROM_OUTSIDE, f"passed by no reached call: {sorted(unpassed - PASSED_FROM_OUTSIDE)}"
