@@ -151,10 +151,12 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = args.n or KERNEL_VERIFY_N
     points = args.samples ** 2
-    # the Norlund weights of every order and four order-length rows of the largest, and the points,
-    # 2 floats each: quasi_random_points screens its candidates, and both forms take the points, in blocks
+    # each form's weights of every order, blocked into (Q, B) matrices once a call (the closed form's
+    # T and sine rows, or the direct form's Norlund rows), and the fill temporaries of the largest
+    # order: under 4 floats an order; and the points, 2 floats each: quasi_random_points screens its
+    # candidates, and both forms take the points, and their angle parts, in blocks
     what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
-    kernels.refuse_beyond_memory_limit(what, 8 * (5 * sum(orders) + 2 * points))
+    kernels.refuse_beyond_memory_limit(what, 8 * (4 * sum(orders) + 2 * points))
     xs, ys = quasi_random_points(points).T
     harmonic = np.array([harmonic_number(N) for N in orders])[:, None]
     max_err = np.full(len(orders), -math.inf)

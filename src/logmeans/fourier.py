@@ -61,38 +61,97 @@ def angle_table(u, origin: float, count: int, cosine: bool = False) -> np.ndarra
     return _angle_tables(u, origin, count, (cosine,))[0]
 
 
-def angle_pair(u, origin: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+def angle_pair(u, origin: float, count: int, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """
     The sine and the cosine angle_table of the same orders and points, each
-    equal to its own angle_table call bit for bit.  Both tables are products
-    of the same four libm arrays sin a, cos a, cos b and sin b, so the pair
-    costs the libm calls of one table.
+    equal to its own angle_table call bit for bit; with a ``step``, of the
+    orders origin + step k instead, k = 0 .. count - 1.  Both tables are
+    products of the same four libm arrays sin a, cos a, cos b and sin b, so
+    the pair costs the libm calls of one table.
     """
-    sin, cos = _angle_tables(u, origin, count, (False, True))
+    sin, cos = _angle_tables(u, origin, count, (False, True), step)
     return sin, cos
 
 
-def _angle_tables(u, origin: float, count: int, cosines: tuple[bool, ...]) -> np.ndarray:
-    """angle_table's two-level scheme: one (len(u), count) table a flag in ``cosines``, from one set of libm calls."""
+def _angle_tables(u, origin: float, count: int, cosines: tuple[bool, ...], step: int = 1) -> np.ndarray:
+    """
+    angle_table's two-level scheme at the orders origin + step k: one (len(u), count) table a flag in
+    ``cosines``, from one set of libm calls.
+    """
     u = np.asarray(u, dtype=float)
     if count < 1:
         raise ValueError(f"an angle table needs at least one order, got {count}")
-    step = math.isqrt(count - 1) + 1
-    blocks = -(-count // step)
-    a = np.multiply.outer(u, origin + step * np.arange(blocks, dtype=float))
-    b = np.multiply.outer(u, np.arange(step, dtype=float))
+    width = math.isqrt(count - 1) + 1
+    blocks = -(-count // width)
+    a = np.multiply.outer(u, origin + step * width * np.arange(blocks, dtype=float))
+    b = np.multiply.outer(u, step * np.arange(width, dtype=float))
     sin_cos_a = np.empty(a.shape + (2,))  # per point, rows (sin a, cos a) of a sine table
     np.sin(a, out=sin_cos_a[..., 0])
     np.cos(a, out=sin_cos_a[..., 1])
-    right = np.empty((len(u), 2, step))  # per point, columns (cos b, sin b)
+    right = np.empty((len(u), 2, width))  # per point, columns (cos b, sin b)
     np.cos(b, out=right[:, 0])
     np.sin(b, out=right[:, 1])
     # one allocation: the two tables of a pair allocated apart took 2.7x as long at 32 x 1024
-    tables = np.empty((len(cosines), len(u), blocks * step))
+    tables = np.empty((len(cosines), len(u), blocks * width))
     for cosine, table in zip(cosines, tables):
         left = sin_cos_a[..., ::-1] * (1.0, -1.0) if cosine else sin_cos_a  # rows (cos a, -sin a)
-        np.matmul(left, right, out=table.reshape(len(u), blocks, step))
+        np.matmul(left, right, out=table.reshape(len(u), blocks, width))
     return tables[..., :count]
+
+
+def part_blocks(top: int, P: int, entries: int) -> tuple[int, int, list[slice]]:
+    """
+    (B, Q, blocks): the orders k < top as k = B q + j, j < B, q < Q, as angle_table splits them,
+    and slices of P points in blocks of max(1, entries // B), each holding ``entries`` part entries.
+    """
+    B = math.isqrt(top - 1) + 1
+    step = max(1, entries // B)
+    return B, -(-top // B), [slice(start, start + step) for start in range(0, P, step)]
+
+
+def angle_parts(u, origin: float, B: int, Q: int) -> tuple[np.ndarray, ...]:
+    """
+    The parts of the orders origin + k, k = B q + j < B Q, at the 1-D points ``u``: sin a, cos a
+    at a = (origin + B q) u, q < Q, and sin b, cos b at b = j u, j < B, shapes (points, Q) and
+    (points, B), two angle_pair calls of sqrt-size.  sin((origin + k) u) = sin a cos b + cos a sin b,
+    so a weighted sum over k of products of such sines is a few products of parts contracted with
+    the weights laid out as a (Q, B) matrix (blocked_weights, part_sums), with no (points, BQ) table.
+    """
+    return (*angle_pair(u, origin, Q, step=B), *angle_pair(u, 0, B))
+
+
+def blocked_weights(sums: list, B: int) -> tuple:
+    """
+    The weighted sums ``sums`` laid out for part_sums, each (length L, a-product offset, fill): one
+    (rows, B) matrix of each sum's max(1, ceil(L / B)) rows of weights, zero from k = L on (``fill``
+    turns the float indices k < L into the weights in place), the a-product row each matrix row
+    reads (a slice where they are 0, 1, 2, ...) and each sum's first matrix row.
+    """
+    counts = [max(1, -(-L // B)) for L, _, _ in sums]
+    starts = np.cumsum([0, *counts[:-1]])
+    matrix = np.empty((sum(counts), B))
+    for start, count, (L, _, fill) in zip(starts, counts, sums):
+        rows = matrix[start : start + count]
+        np.add.outer(B * np.arange(count, dtype=float), np.arange(B, dtype=float), out=rows)
+        fill(rows.reshape(-1)[:L])
+        rows.reshape(-1)[L:] = 0.0
+    a_rows = np.concatenate([offset + np.arange(count) for count, (_, offset, _) in zip(counts, sums)])
+    return matrix, slice(len(a_rows)) if np.array_equal(a_rows, np.arange(len(a_rows))) else a_rows, starts
+
+
+def part_sums(X: np.ndarray, A: np.ndarray, layout: tuple) -> np.ndarray:
+    """
+    Per point, sum_q sum_c A_c[q] (W X_c)[q] over the rows q of each sum of the blocked_weights
+    ``layout`` (W its matrix), shape (points, sums): X (points, C, B) holds products of b-parts and
+    A (points, C, Q) products of a-parts, C = 3 or 4, and the C terms are added as (0 + 1) + (2 + 3).
+    The stacked matmul is a small product of its own a point, so no point's sums depend on another's.
+    """
+    matrix, a_rows, starts = layout
+    Y = X @ matrix.T
+    Y *= A[..., a_rows]
+    t = Y[:, 0] + Y[:, 1]
+    t += Y[:, 2] + Y[:, 3] if Y.shape[1] == 4 else Y[:, 2]
+    return np.add.reduceat(t, starts, axis=1)
 
 
 def integer_orders(orders, what: str, scalar: bool = False):

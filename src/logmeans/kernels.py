@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosine import cosine_kernel
-from .fourier import GridOp, angle_pair, angle_table, dirichlet_kernel, integer_orders, reduce_angle
+from .fourier import (
+    GridOp, angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_blocks, part_sums, reduce_angle,
+)
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -34,13 +36,9 @@ GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 #: Keep-out distance from the removable-singularity tubes: closed_form_terms refuses points nearer.
 EPS_SING = 1e-6
 
-#: Elements a (points, order) table may hold (512 KB): _half_angle_sums and log_kernel_direct_many
-#: walk their points in blocks of max(1, this // N) rows, N the largest order asked for, and a
-#: block holds two such tables (the half-angle pair, or the direct form's tables at t and at s).
-#: Kernel-verify's seven orders at 1024 points take 71, 55, 48 and 43 ms a run at 16K, 32K, 64K
-#: (here) and 128K elements (in-process medians on a shared 2-core box): the per-block calls
-#: dominate small blocks, and 128K adds about 1 MB to the command's peak RSS.
-KERNEL_TABLE_ELEMS = 64 * 1024
+#: Angle-part entries a block of points holds in _half_angle_sums and log_kernel_direct_many: a point
+#: holds B = isqrt(N - 1) + 1 entries of N, the largest order, and under 32 floats an entry (1 MB).
+KERNEL_PART_ELEMS = 4096
 
 #: Elements one block of a survey may hold (8 MB): lattice_min's row blocks, kernel-verify's point
 #: blocks (15 terms an order a point), the candidate blocks of its point screening and measure's
@@ -167,16 +165,10 @@ def lattice_min(xs: np.ndarray, rows) -> tuple[float, tuple[float, float]]:
     return float(best), (float(xs[pair[0]]), float(xs[pair[1]]))
 
 
-def _row_blocks(N: int, P: int):
-    """Slices of P points in row blocks whose (points, N) tables fit KERNEL_TABLE_ELEMS."""
-    step = max(1, KERNEL_TABLE_ELEMS // N)
-    return (slice(start, start + step) for start in range(0, P, step))
-
-
 def _orders(N) -> tuple[list[int], bool]:
     """
     The kernel order argument ``N`` as a list of orders and whether it was one int order: an int,
-    or a nonempty sequence of strictly ascending orders whose tables are prefixes of the largest's.
+    or a nonempty sequence of strictly ascending orders whose sums are prefixes of the largest's.
     Refuses an order that is not an integer (fourier.integer_orders; a float is not truncated).
     """
     orders = integer_orders(N, "kernel orders")
@@ -203,9 +195,8 @@ def sin_sum(N, u) -> float | np.ndarray:
     """
     sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  For a
     sequence of ascending orders, one such result per order (a leading order axis), each summed
-    over its prefix of the largest order's table.  The terms are 2 sin(k r/2) cos(k r/2) / k of
-    the half-angle pair of _half_angle_sums, at u reduced to r in [-pi, pi].  Refuses NaN and
-    infinite u.
+    over its prefix of the largest order's terms.  The terms are 2 sin(k r/2) cos(k r/2) / k,
+    summed by _half_angle_sums at u reduced to r in [-pi, pi].  Refuses NaN and infinite u.
     """
     orders, one = _orders(N)
     if orders[0] < 1:
@@ -216,33 +207,42 @@ def sin_sum(N, u) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _row_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """
-    sum_j a_ij b_ij w_j for every row i (``w`` one row of weights), with no product table: one
-    sequential reduction a row, so a row's sum does not depend on the rows beside it, as a BLAS
-    product's may.
-    """
-    return np.einsum("...j,...j,...j->...", a, b, w)
+def _telescoped_fill(k: np.ndarray) -> None:
+    """The weights 2 / (k (k + 1) (k + 2)) of T, in place of the float indices k, with one temporary."""
+    k[:1] = k[-1:] = math.inf  # T has no S_1 nor S_n term: a weight 2 / inf is 0
+    product = k + 1.0
+    product *= k
+    k += 2.0
+    product *= k
+    np.divide(2.0, product, out=k)
+
+
+def _sine_fill(k: np.ndarray) -> None:
+    np.divide(2.0, np.add(k, 1.0, out=k), out=k)
 
 
 def _half_angle_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
     """
-    For every order n and every reduced point r, shape (2, orders, points): the telescoped table
-    sum sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum
-    sum_{k=1}^{n} 2 S_k C_k / k = sum sin(k r)/k, where S_j = sin(j r/2) and C_j = cos(j r/2).
-    One angle_pair for j = 1..N, N the largest order, built in row blocks of at most
-    KERNEL_TABLE_ELEMS elements a table, serves both sums of every order, each summing its prefix.
+    For every order n and reduced point r, shape (2, orders, points): the telescoped table sum
+    sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum sum_{k=1}^{n} 2 S_k C_k / k =
+    sum sin(k r)/k, S_j = sin(j r/2), C_j = cos(j r/2).  With j = 1 + B q + i, S_j = s_q c_i + c_q s_i
+    in the angle parts at r/2, so S_j^2 and S_j C_j are three a-part products times the b-part
+    products (c_i^2, c_i s_i, s_i^2) each, contracted with the largest order's weights, then the rest.
     """
-    top = orders[-1]
-    k = np.arange(1.0, top + 1.0)
-    weights, sine_weights = _telescoped_weights(k[: top - 2]), 2.0 / k
+    B, Q, blocks = part_blocks(orders[-1], len(r), KERNEL_PART_ELEMS)
+    layouts = [  # T's rows read the a-products 0..Q-1, the sine sum's Q..2Q-1
+        blocked_weights([(n, 0, _telescoped_fill) for n in ns] + [(n, Q, _sine_fill) for n in ns], B)
+        for ns in (orders[-1:], orders[:-1]) if ns
+    ]
     sums = np.empty((2, len(orders), len(r)))
-    for b in _row_blocks(top, len(r)):
-        S, C = angle_pair(0.5 * r[b], 1, top)
-        for i, n in enumerate(orders):
-            sums[0, i, b] = _row_sums(S[:, 1 : n - 1], S[:, 1 : n - 1], weights[: n - 2])
-            sums[1, i, b] = _row_sums(S[:, :n], C[:, :n], sine_weights[:n])
-        del S, C  # freed before the next block's tables are built
+    for block in blocks:
+        sa, ca, sb, cb = angle_parts(0.5 * r[block], 1, B, Q)
+        X = np.stack([cb * cb, cb * sb, sb * sb], axis=1)
+        ss, cc, sc = sa * sa, ca * ca, sa * ca
+        A = np.stack([ss, sc, 2.0 * sc, cc - ss, cc, -sc], axis=1).reshape(len(ss), 3, 2 * Q)  # T's, sine's
+        sums[:, -1, block] = part_sums(X, A, layouts[0]).T
+        if len(orders) > 1:
+            sums[:, :-1, block] = part_sums(X, A, layouts[1]).T.reshape(2, len(orders) - 1, -1)
     return sums
 
 
@@ -260,10 +260,6 @@ def fejer_ratio(m, u) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _telescoped_weights(k: np.ndarray) -> np.ndarray:
-    return 2.0 / (k * (k + 1.0) * (k + 2.0))
-
-
 def _telescoped_orders(orders: list[int], u) -> tuple[np.ndarray, ...]:
     """
     The parts (T, V, W) of the telescoped cosine-sum form, and sin_sum(N, u), for every order N
@@ -273,13 +269,9 @@ def _telescoped_orders(orders: list[int], u) -> tuple[np.ndarray, ...]:
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
 
     so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4.  At u = 0 mod 2*pi the sums take their
-    removable limits, so T + V + W - 3/4 is H_N there.  Every row of a sum is one sequential
-    reduction, so a point's values do not depend on the rest of the batch, nor on the row blocks
-    of _half_angle_sums.
-
-    Every order sums its prefix of the largest order's table.  _half_angle_sums reads the table
-    sums of T and the sine sums from one half-angle pair, and V and W are one fejer_ratio and one
-    dirichlet_kernel call each over the column of all orders.
+    removable limits, so T + V + W - 3/4 is H_N there.  A point's values do not depend on the
+    rest of the batch.  T and the sine sums come from _half_angle_sums, and V and W from one
+    fejer_ratio and one dirichlet_kernel call each over the column of all orders.
     """
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
     T, sines = _half_angle_sums(orders, r)
@@ -288,10 +280,11 @@ def _telescoped_orders(orders: list[int], u) -> tuple[np.ndarray, ...]:
     W = dirichlet_kernel(n, r) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         T /= 2.0 * half_sin ** 2
-    # T's removable limit at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2
-    k = np.arange(1.0, orders[-1] - 1.0)
-    limit_terms = _telescoped_weights(k) * 0.5 * (k + 1.0) ** 2
-    T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
+    if np.any(zero):  # T's removable limit at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2
+        weights, k = np.arange(float(orders[-1])), np.arange(1.0, orders[-1] - 1.0)
+        _telescoped_fill(weights)
+        limit_terms = weights[1:-1] * 0.5 * (k + 1.0) ** 2
+        T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
     return T, V, W, sines
 
 
@@ -321,27 +314,31 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 
 def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
-    Direct-form F_N over paired point arrays.  Since D_k(t) D_k(s) = sin((k + 1/2) t) sin((k + 1/2) s)
-    / (4 sin(t/2) sin(s/2)), each point is one weighted per-row sum over the raw sine tables at t and
-    at s, built together in row blocks, divided once by 4 sin(t/2) sin(s/2) and by H_N.  At
-    t = 0 mod 2 pi the table row at t is the limit k + 1/2 of D_k and its divisor factor is 1 (the
-    same for s).  For a sequence of ascending orders, one row of values per order, each weighting
-    its prefix of the largest order's tables.
+    Direct-form F_N over paired point arrays: D_k(t) D_k(s) = sin((k + 1/2) t) sin((k + 1/2) s)
+    / (4 sin(t/2) sin(s/2)), and with k = B q + j each sine product is four products of the angle
+    parts at t times four at s, which fourier.part_sums contracts with each order's Norlund
+    weights (the largest order's alone) before one division by 4 sin(t/2) sin(s/2) H_N.  At
+    t = 0 mod 2 pi the parts at t are those of the limit k + 1/2 of D_k, (1/2 + B q) 1 + 1 j, and
+    its divisor factor is 1 (the same for s).  The two cross products are summed as a pair, so
+    F(t, s) == F(s, t) bit for bit.  For a sequence of ascending orders, one row per order.
     """
     orders, one = _orders(N)
     t, s = _paired(t, s)
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
-    weights = [GridOp("norlund-log", n).weights() for n in orders]
-    top = orders[-1]
-    limit = np.arange(top) + 0.5
+    B, Q, blocks = part_blocks(orders[-1], len(t), KERNEL_PART_ELEMS)
+    norlund = [(n, 0, lambda k, n=n: np.copyto(k, GridOp("norlund-log", n).weights())) for n in orders]
+    layouts = [blocked_weights(sums, B) for sums in (norlund[-1:], norlund[:-1]) if sums]
     out = np.empty((len(orders), len(t)))
-    for b in _row_blocks(top, len(t)):
-        tables = angle_table(r[:, b].ravel(), 0.5, top)  # the rows at t, then the rows at s
-        tables[zero[:, b].ravel()] = limit
-        at_t, at_s = tables.reshape(2, -1, top)
-        for i, w in enumerate(weights):
-            out[i, b] = _row_sums(at_t[:, : len(w)], at_s[:, : len(w)], w)
-        del tables, at_t, at_s  # freed before the next block's tables are built
+    for block in blocks:
+        parts = angle_parts(r[:, block].ravel(), 0.5, B, Q)  # at the points t, then at s
+        for part, limit in zip(parts, (0.5 + B * np.arange(Q), 1.0, np.arange(B), 1.0)):
+            part[zero[:, block].ravel()] = limit
+        (sat, sas), (cat, cas), (sbt, sbs), (cbt, cbs) = (part.reshape(2, -1, part.shape[1]) for part in parts)
+        X = np.stack([cbt * cbs, sbt * sbs, cbt * sbs, sbt * cbs], axis=1)
+        A = np.stack([sat * sas, cat * cas, sat * cas, cat * sas], axis=1)
+        out[-1, block] = part_sums(X, A, layouts[0])[:, 0]
+        if len(orders) > 1:
+            out[:-1, block] = part_sums(X, A, layouts[1]).T
     divisor = np.prod(np.where(zero, 1.0, 2.0 * half_sin), axis=0)
     out /= np.array([harmonic_number(n) for n in orders])[:, None] * divisor
     return out[0] if one else out
@@ -364,14 +361,11 @@ def closed_form_terms(N, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     x + y = 0, x - y = 0 (mod 2*pi); callers should fall back to
     log_kernel_direct_many there.  Arguments with x - y or x + y *exactly*
     zero are allowed: the terms have removable limits on the diagonals.
-    The per-point work runs on the whole batch; only the half-angle pairs of
-    _half_angle_sums are built in row blocks (KERNEL_TABLE_ELEMS), bit-identically.
 
     ``N`` may be a sequence of ascending orders: the result then gains a leading
-    order axis, (orders, P, 15).  One half-angle pair at x + y and one at x - y,
-    of the largest order, serve the telescoped and the sine sums of every order,
-    each order summing its prefix; the parts, factors and terms of every order
-    are then finished together, as (orders, P) arrays.
+    order axis, (orders, P, 15).  One _telescoped_orders call at x + y and x - y
+    serves every order; the factors and terms of every order are then finished
+    together, as (orders, P) arrays.
     """
     orders, one = _orders(N)
     if orders[0] < 3:
@@ -388,7 +382,8 @@ def closed_form_terms(N, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise SingularTubeError(f"{name} = {float(args[i, j])!r} within {EPS_SING} of a singular tube")
     xs, ys, up, um = args
     denom = 4.0 * np.sin(0.5 * xs) * np.sin(0.5 * ys)
-    (Tp, Vp, Wp, Sp), (Tm, Vm, Wm, Sm) = (_telescoped_orders(orders, u) for u in (up, um))
+    parts = _telescoped_orders(orders, np.concatenate([up, um]))
+    (Tp, Vp, Wp, Sp), (Tm, Vm, Wm, Sm) = zip(*(np.split(part, 2, axis=1) for part in parts))
     rate = np.array(orders, dtype=float)[:, None] + 0.5
     sx, cx = np.sin(rate * xs), np.cos(rate * xs)
     sy, cy = np.sin(rate * ys), np.cos(rate * ys)
@@ -556,12 +551,14 @@ def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
     """
     lemma_survey plus the closed form's main/remainder split on the I-region lattice;
     refuses, with SingularTubeError, scales whose lattice comes within EPS_SING of a tube (n >= 8).
+    The pairs are taken in blocks of BLOCK_ELEMS // 15 (15 terms a pair); min and max are exact.
     """
     survey = lemma_survey(n, samples_per_rect)
-    N = 4 ** n
     xs = build_region(n, REGION_I).lattice(samples_per_rect)
-    xx, yy = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
-    terms = closed_form_terms(N, xx, yy)
-    main_min_over_n = float(np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
-    remainder_max = float(np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
-    return LemmaReport(**vars(survey), main_min_over_n=main_min_over_n, remainder_max=remainder_max)
+    main_min, remainder_max, step = math.inf, -math.inf, BLOCK_ELEMS // 15
+    for start in range(0, len(xs) ** 2, step):
+        xx, yy = xs[np.stack(np.divmod(np.arange(start, min(start + step, len(xs) ** 2)), len(xs)))]
+        terms = closed_form_terms(4 ** n, xx, yy)
+        main_min = np.minimum(main_min, np.min(xx * yy * np.sum(terms[:, :4], axis=1) / n))
+        remainder_max = np.maximum(remainder_max, np.max(xx * yy * np.sum(np.abs(terms[:, 4:]), axis=1)))
+    return LemmaReport(**vars(survey), main_min_over_n=float(main_min), remainder_max=float(remainder_max))

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from logmeans.fourier import (
-    BandwidthError, GridOp, SpectralCoeffs, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
+    BandwidthError, GridOp, SpectralCoeffs, angle_pair, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
     reduce_angle,
 )
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.counterexamples import _area_under_hyperbola, make_bump
 from logmeans.kernels import (
-    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _telescoped_orders, alpha, beta, build_region, fejer_ratio, gamma,
-    phase_rate,
+    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _paired, _telescoped_orders, alpha, beta, build_region, fejer_ratio,
+    gamma, phase_rate,
 )
+from logmeans.means import harmonic_number
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
 from logmeans.orlicz import LOG2, StepFunction, YoungFunction, luxemburg_norm
 
@@ -334,6 +335,76 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
             T[i, j] = math.fsum(2.0 / (k * (k + 1.0) * (k + 2.0)) * fejer_ratio(k + 1, r[j]))
             tail[i, j] = 1.0 / (2.0 * float(caps[j]) ** 2 * half_sin[j] ** 2)
     return tuple(part[0] if one else part for part in (T, V, W, tail))
+
+
+#: Elements a reference (points, order) table may hold (512 KB), as the table sums below take them.
+KERNEL_TABLE_ELEMS = 64 * 1024
+
+
+def _telescoped_weights(k: np.ndarray) -> np.ndarray:
+    return 2.0 / (k * (k + 1.0) * (k + 2.0))
+
+
+def _row_blocks(N: int, P: int):
+    """Slices of P points in row blocks whose (points, N) tables fit KERNEL_TABLE_ELEMS."""
+    step = max(1, KERNEL_TABLE_ELEMS // N)
+    return (slice(start, start + step) for start in range(0, P, step))
+
+
+def _row_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """
+    sum_j a_ij b_ij w_j for every row i (``w`` one row of weights), with no product table: one
+    sequential reduction a row, so a row's sum does not depend on the rows beside it, as a BLAS
+    product's may.
+    """
+    return np.einsum("...j,...j,...j->...", a, b, w)
+
+
+def table_half_angle_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
+    """
+    Reference kernels._half_angle_sums through (points, N) tables: for every order n and every
+    reduced point r, shape (2, orders, points), the telescoped table sum
+    sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum sum_{k=1}^{n} 2 S_k C_k / k,
+    S_j = sin(j r/2) and C_j = cos(j r/2), from one angle_pair for j = 1..N, N the largest order,
+    built in row blocks of at most KERNEL_TABLE_ELEMS elements a table.
+    """
+    top = orders[-1]
+    k = np.arange(1.0, top + 1.0)
+    weights, sine_weights = _telescoped_weights(k[: top - 2]), 2.0 / k
+    sums = np.empty((2, len(orders), len(r)))
+    for b in _row_blocks(top, len(r)):
+        S, C = angle_pair(0.5 * r[b], 1, top)
+        for i, n in enumerate(orders):
+            sums[0, i, b] = _row_sums(S[:, 1 : n - 1], S[:, 1 : n - 1], weights[: n - 2])
+            sums[1, i, b] = _row_sums(S[:, :n], C[:, :n], sine_weights[:n])
+        del S, C  # freed before the next block's tables are built
+    return sums
+
+
+def table_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """
+    Reference kernels.log_kernel_direct_many through (points, N) tables: each point one weighted
+    per-row sum over the raw sine tables sin((k + 1/2) t) and sin((k + 1/2) s), built together in
+    row blocks, divided once by 4 sin(t/2) sin(s/2) and by H_N.  At t = 0 mod 2 pi the table row
+    at t is the limit k + 1/2 of D_k and its divisor factor is 1 (the same for s).
+    """
+    orders, one = _orders(N)
+    t, s = _paired(t, s)
+    r, half_sin, zero = reduce_angle(np.stack([t, s]))
+    weights = [GridOp("norlund-log", n).weights() for n in orders]
+    top = orders[-1]
+    limit = np.arange(top) + 0.5
+    out = np.empty((len(orders), len(t)))
+    for b in _row_blocks(top, len(t)):
+        tables = angle_table(r[:, b].ravel(), 0.5, top)  # the rows at t, then the rows at s
+        tables[zero[:, b].ravel()] = limit
+        at_t, at_s = tables.reshape(2, -1, top)
+        for i, w in enumerate(weights):
+            out[i, b] = _row_sums(at_t[:, : len(w)], at_s[:, : len(w)], w)
+        del tables, at_t, at_s  # freed before the next block's tables are built
+    divisor = np.prod(np.where(zero, 1.0, 2.0 * half_sin), axis=0)
+    out /= np.array([harmonic_number(n) for n in orders])[:, None] * divisor
+    return out[0] if one else out
 
 
 class RegionMembershipError(ValueError):

@@ -154,27 +154,23 @@ def test_kernel_verify_makes_one_call_per_form_for_all_orders(tmp_path, monkeypa
 
 
 def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_path, monkeypatch):
-    # every order sums a prefix of the largest order's tables: the direct form's angle tables at x
-    # and at y, and one half-angle pair (sine and cosine tables) at x + y and one at x - y
+    # every order sums a prefix of the largest order's terms, from the angle parts of the largest
+    # order alone, at sqrt(N) sizes: with k = 32 q + j for N = 1024, one angle pair at the 32 orders
+    # origin + 32 q and one at the 32 orders j, at x and at y (the direct form) and at x + y and at
+    # x - y (the closed form); no (points, N) table is built
     from logmeans import fourier
 
-    built = Counter()  # points tabled, per kind of table and order count
+    built, make = Counter(), fourier.angle_pair  # points given parts, per (count, step)
 
-    def spy(kind, make):
-        def counted(u, origin, count, *args, **kwargs):
-            built[kind, count] += np.size(u)
-            return make(u, origin, count, *args, **kwargs)
+    def counted(u, origin, count, step=1):
+        built[count, step] += np.size(u)
+        return make(u, origin, count, step)
 
-        return counted
-
-    table = spy("table", fourier.angle_table)
-    for module in (fourier, kernels):
-        monkeypatch.setattr(module, "angle_table", table)
-    monkeypatch.setattr(kernels, "angle_pair", spy("pair", fourier.angle_pair))
+    monkeypatch.setattr(fourier, "angle_pair", counted)
     for n_arg in ([], ["--n", str(max(KERNEL_VERIFY_N))]):
         built.clear()
         assert main(["kernel-verify", "--samples", "8", *n_arg, "--out", str(tmp_path)]) == EXIT_OK
-        assert built == {("table", 1024): 2 * 64, ("pair", 1024): 2 * 64}
+        assert built == {(32, 32): 4 * 64, (32, 1): 4 * 64}
 
 
 def test_kernel_verify_checks_the_given_orders(tmp_path):
@@ -404,6 +400,21 @@ def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, 
     assert estimate in err and "GiB" in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 2e6
+
+
+def test_kernel_verify_memory_estimate_bounds_its_peak(tmp_path):
+    # the estimate kernel-verify refuses by, 8 (4 sum(orders) + 2 points) bytes, bounds what it holds
+    # at a large order: the blocked weights of both forms and their fill temporaries (about 3 floats
+    # of the largest order, 25.2 MB here against the estimate's 33.7 MB)
+    orders, points = [4096, 1048576], 64
+    assert main(["kernel-verify", "--samples", "2", "--out", str(tmp_path)]) == EXIT_OK  # lazy imports
+    tracemalloc.start()
+    try:
+        code = main(["kernel-verify", "--samples", "8", "--n", "4096,1048576", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak <= 8 * (4 * sum(orders) + 2 * points)
 
 
 #: One tracemalloc budget for the blocked commands, whatever their lattice pairs, window pairs or points.

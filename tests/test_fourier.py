@@ -147,6 +147,27 @@ def test_angle_table_matches_mpmath(N, cosine, start, offset, rng):
                     assert err <= 2 * eps * (1 + abs(float(order) * u)), (form, N, int(i), float(u))
 
 
+@pytest.mark.parametrize("count, step", [(3, 2), (32, 32), (64, 4096)])
+def test_angle_pair_with_a_step_matches_mpmath(count, step, rng):
+    # the orders origin + step k, as the kernel forms' a-parts take them (step B = sqrt(N), up to
+    # 4096 at N = 4^12): each entry within 2 eps (1 + |order u|) of the 40-digit value, as at a
+    # unit step, and each point's rows the same whether it is tabled alone or with the others
+    us = np.concatenate([[math.pi, -math.pi, 1e-6], rng.uniform(-2 * math.pi, 2 * math.pi, 3)])
+    eps = np.finfo(float).eps
+    for origin in (0.5, 1.0):
+        pair = angle_pair(us, origin, count, step=step)
+        for p in range(len(us)):
+            alone = angle_pair(us[p : p + 1], origin, count, step=step)
+            assert all(np.array_equal(one[0], both[p]) for one, both in zip(alone, pair))
+        with mpmath.workdps(40):
+            for k in range(count):
+                order = mpmath.mpf(origin) + step * k
+                for p, u in enumerate(us):
+                    for table, trig in zip(pair, (mpmath.sin, mpmath.cos)):
+                        err = abs(mpmath.mpf(float(table[p, k])) - trig(order * mpmath.mpf(float(u))))
+                        assert err <= 2 * eps * (1 + abs(float(order) * u)), (origin, k, float(u))
+
+
 def test_one_order_angle_table_is_np_sin_bit_for_bit(rng):
     # a one-order table makes no angle addition; dirichlet_kernel builds no table, so its values are
     # the direct formula's for one order, a column of orders and a 0-d order alike

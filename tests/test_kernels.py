@@ -14,7 +14,7 @@ from logmeans import cosine, fourier, kernels
 from logmeans.cli import KERNEL_TOL, quasi_random_points
 from logmeans.counterexamples import _bump_mean_rows, bump_mean_many
 from logmeans.cosine import cosine_kernel
-from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix
+from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix, reduce_angle
 from logmeans.kernels import (
     EmptyRegionError,
     SingularTubeError,
@@ -50,6 +50,8 @@ from conftest import (
     shrunken_window,
     stratified_min,
     stratified_samples,
+    table_direct_many,
+    table_half_angle_sums,
     telescoped_sums,
 )
 
@@ -506,18 +508,21 @@ def test_ratio_kernels_take_an_order_column(rng):
 
 
 @pytest.mark.parametrize("N", [64, 219, 1024])
-def test_telescoped_sums_do_not_depend_on_the_batch(N):
+def test_telescoped_sums_do_not_depend_on_the_batch(N, monkeypatch):
     # a point's (T, V, W) is a function of (N, u) alone: evaluated by itself it
     # matches its row in a batch bit for bit, including u = 0, where T takes its
-    # removable limit
+    # removable limit, whether the batch's angle parts come in blocks of 1, 3 or
+    # all its points
     rng = np.random.default_rng(N)
     us = rng.uniform(0.01, 2 * math.pi - 0.01, 40)
     us[7] = 0.0
-    batch = telescoped_sums(N, us)
-    for i in range(len(us)):
-        alone = telescoped_sums(N, us[i : i + 1])
-        for part, single in zip(batch, alone):
-            assert part[i] == single[0], i
+    alone = [telescoped_sums(N, us[i : i + 1]) for i in range(len(us))]
+    for points in (1, 3, len(us)):
+        monkeypatch.setattr(kernels, "KERNEL_PART_ELEMS", points * (math.isqrt(N - 1) + 1))
+        batch = telescoped_sums(N, us)
+        for i, single in enumerate(alone):
+            for part, one in zip(batch, single):
+                assert part[i] == one[0], (points, i)
 
 
 # ------------------------------------------------------------------ sine sum
@@ -685,8 +690,8 @@ def test_closed_form_equivalence_property(N, x, y):
 
 @pytest.mark.parametrize("N", [3, 64, 1024])
 def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
-    # one row per block, three rows per block and one block past P x N: each
-    # row is the same per-row sum in every block, so all agree bit for bit,
+    # one point per block, three points per block and one block of every point: each point's
+    # angle parts take a stacked product of their own in every block, so all agree bit for bit,
     # including the removable limit at u = 0
     rng = np.random.default_rng(N)
     us = rng.uniform(-2 * math.pi, 2 * math.pi, 37)
@@ -702,12 +707,39 @@ def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
         ]
 
     runs = []
-    for elems in (1, 3 * N, len(us) * N + 1):
-        monkeypatch.setattr(kernels, "KERNEL_TABLE_ELEMS", elems)
+    B = math.isqrt(N - 1) + 1  # the part length of order N
+    for points in (1, 3, len(us)):
+        monkeypatch.setattr(kernels, "KERNEL_PART_ELEMS", points * B)
         runs.append(forms())
     for run in runs[:-1]:
         for part, whole in zip(run, runs[-1]):
             assert np.array_equal(part, whole)
+
+
+CONTRACTION_ORDERS = [3, 64, 1024, 4096]
+
+
+@pytest.mark.parametrize("N", CONTRACTION_ORDERS)
+def test_contracted_forms_match_the_table_sums(N):
+    # the angle-part contraction against the (points, N) table sums it replaced (tests/conftest.py),
+    # at one order and as the largest of several, on points with x = 0, y = 2 pi and x + y = 0 exactly.
+    # The half-angle sums agree within 1e-12 (1 + |value|).  The direct form's sum cancels: both forms
+    # round each sine entry by about eps (1 + |(k + 1/2) r|), so they agree within 4 N eps of the sum
+    # of its |terms| (at most 1.3 N eps of it seen, at order 3)
+    eps = np.finfo(float).eps
+    xs, ys = quasi_random_points(59).T
+    xs = np.concatenate([xs, [0.0, 2 * math.pi, 0.7, 2 * math.pi, 1.3, -2.9]])
+    ys = np.concatenate([ys, [0.4, -2.1, 2 * math.pi, -2 * math.pi, -1.3, 2.9]])
+    r = reduce_angle(np.concatenate([xs + ys, xs - ys]))[0]
+    for orders in ([N], CONTRACTION_ORDERS[: CONTRACTION_ORDERS.index(N) + 1]):
+        sums, want = kernels._half_angle_sums(orders, r), table_half_angle_sums(orders, r)
+        assert np.all(np.abs(sums - want) <= 1e-12 * (1.0 + np.abs(want))), orders
+        direct, want = log_kernel_direct_many(orders, xs, ys), table_direct_many(orders, xs, ys)
+        for n, got, value in zip(orders, direct, want):
+            w, k = GridOp("norlund-log", n).weights(), np.arange(n)
+            abs_sum = w @ np.abs(dirichlet_matrix(k, xs) * dirichlet_matrix(k, ys)) / harmonic_number(n)
+            assert np.all(np.abs(got - value) <= 4 * n * eps * abs_sum), (orders, n)
+        assert np.array_equal(log_kernel_direct_many(orders, ys, xs), direct)  # F(t, s) == F(s, t)
 
 
 def test_each_order_of_a_multi_order_call_matches_its_one_order_call():
@@ -811,11 +843,11 @@ def test_lattice_kernel_tables_are_one_allocation_each():
 
 def test_unpaired_points_are_refused_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
-        raise AssertionError("a table was built for unpaired points")
+        raise AssertionError("angle parts were built for unpaired points")
 
-    # the builders both forms call: the direct form's angle_table, the closed form's angle_pair
-    for name in ("angle_table", "angle_pair"):
-        monkeypatch.setattr(kernels, name, no_table)
+    # the parts builder both forms call, the angle_pair under it, and their weight layout
+    for module, name in ((kernels, "angle_parts"), (fourier, "angle_pair"), (kernels, "blocked_weights")):
+        monkeypatch.setattr(module, name, no_table)
     pairs = [
         (np.array([0.3, 0.5]), np.array([0.2])),
         (np.array([0.3]), np.array([0.2, 0.4])),
@@ -907,6 +939,21 @@ def test_lemma_lattice_keeps_out_of_the_tubes_through_n_7(samples):
         assert (distance.min() >= kernels.EPS_SING) == (n <= 7), n
     with pytest.raises(SingularTubeError):  # the n = 8 lattice of the last pass
         closed_form_terms(4 ** 8, xx, yy)
+
+
+def test_lemma_main_check_walks_its_lattice_pairs_in_blocks(monkeypatch):
+    # n = 5 at 40 samples is 25600 I-lattice pairs, 9.3 MB of tracemalloc peak when all are held
+    # at once; in blocks of 1024 pairs the peak stays under 2 MB, and the minimum and maximum are
+    # exact, so every field is the one-block report's, bit for bit
+    whole = lemma_main_check(5, 40)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 15 * 1024)
+    tracemalloc.start()
+    try:
+        blocked = lemma_main_check(5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vars(blocked) == vars(whole) and peak < 2e6
 
 
 def test_lemma_survey_degenerate_scale():
