@@ -151,10 +151,9 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = args.n or KERNEL_VERIFY_N
     points = args.samples ** 2
-    # each form's weights of every order, blocked into (Q, B) matrices once a call (the closed form's
-    # T and sine rows, or the direct form's Norlund rows), and the fill temporaries of the largest
-    # order: under 4 floats an order; and the points, 2 floats each: quasi_random_points screens its
-    # candidates, and both forms take the points, and their angle parts, in blocks
+    # the direct form's Norlund weights of every order as (Q, B) matrices, with the fill temporaries of
+    # the largest order: under 4 floats an order (tracemalloc reads 3.0 at 4096, 65536, 16777216; the
+    # closed form holds no weights); and the points, 2 floats each, screened and evaluated in blocks
     what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
     kernels.refuse_beyond_memory_limit(what, 8 * (4 * sum(orders) + 2 * points))
     xs, ys = quasi_random_points(points).T
@@ -162,7 +161,7 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
     max_err = np.full(len(orders), -math.inf)
     worst_margin = np.full(len(orders), -math.inf)
     min_distance = math.inf
-    step = max(1, kernels.BLOCK_ELEMS // (15 * len(orders)))  # every order's 15 terms of a block
+    step = max(1, kernels.BLOCK_ELEMS // (kernels.CLOSED_FORM_FLOATS * len(orders)))
     for start in range(0, points, step):
         x, y = xs[start : start + step], ys[start : start + step]
         terms = kernels.closed_form_terms(orders, x, y)  # orders below 3 are refused here

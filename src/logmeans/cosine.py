@@ -1,8 +1,8 @@
 """
-The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k) in O(1) an entry, with no sum
-over the N orders: a logarithm in closed form less a tail that is summed by parts far from u = 0 mod 2 pi
-and taken by Euler-Maclaurin around the exponential integral E1 near it (Abramowitz & Stegun 5.1.11 and
-5.1.22 for E1).  kernels' lemma survey takes x y F_N through it.
+The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k), and S_N(u) = sum_{k<=N} e^{iku} / k,
+in O(1) an entry: a logarithm in closed form less a tail summed by parts far from u = 0 mod 2 pi and by
+Euler-Maclaurin around the exponential integral E1 near it (Abramowitz & Stegun 5.1.11 and 5.1.22).  kernels'
+lemma survey takes x y F_N through C_N, and its closed form takes T and the sine sums from S_N.
 """
 
 from __future__ import annotations
@@ -69,28 +69,74 @@ def cosine_kernel(N: int, distances, offsets) -> tuple[np.ndarray, float]:
     return out, float(np.max(bounds, initial=0.0))
 
 
+def log_partial_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
+    """
+    S_N(r) = sum_{k=1}^{N} e^{ikr} / k = -log(1 - z) - z^{N+1} sum_{m>=0} z^m / (N + 1 + m), z = e^{ir},
+    for every order N >= 1 of the ascending ``orders`` and every point r reduced to [-pi, pi], shape
+    (orders, points), in O(1) an entry: cosine_kernel's sum at u = -r.  Its far tail is e^{i(N + 1/2) r}
+    times _far_tail's, O(1/(N |1 - z|)), so the phase's rounding eps (N + 1/2) |r| stays at rounding
+    level; its near tail (r = 0 included) is _near_kernel's Euler-Maclaurin around E1 at x = -i (N + 1) r.
+    Orders below MIN_COSINE_ORDER are the partial sums of one running sum of z^k / k, z^k = z^{k-1} z.
+    Each band takes every order's entries in one pass, and an entry depends only on (N, r).
+    """
+    out = np.empty((len(orders), len(r)), dtype=complex)
+    small = [N for N in orders if N < MIN_COSINE_ORDER]
+    z, power, total = np.exp(1j * r), 1.0, 0.0
+    for k in range(1, max(small, default=0) + 1):
+        total = total + (power := power * z) / k
+        if k in small:
+            out[small.index(k)] = total
+    with np.errstate(divide="ignore"):  # r = 0 is on the near band's series, which takes no log
+        log_gap, arg = _log_parts(r)
+    minus_log = 1j * arg - log_gap  # -log(1 - z)
+    large = np.array(orders[len(small):], dtype=float)[:, None]
+    far = 2.0 * large * np.abs(np.sin(0.5 * r)) >= NEAR_BAND
+    top = np.any(far, axis=0)  # the largest order's far points, which hold every order's
+    tail = np.exp(1j * (large + 0.5) * r[top]) * _far_tail(large, -0.5 * r[top])[0]
+    out[len(small):, top] = minus_log[top] - tail
+    orders_at, points = np.nonzero(~far)
+    a, rn = large[orders_at, 0] + 1.0, r[points]
+    x = -1j * a * rn
+    phase = np.exp(1j * a * rn)  # z^{N+1}
+    near = -phase * _euler_maclaurin(a, -rn)
+    series = np.abs(x) < E1_SERIES_RADIUS
+    rs = rn[series]
+    near[series] += np.log(a[series]) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) - 0.5j * rs
+    near[series] += _e1_series(-x[series])
+    fraction = ~series
+    near[fraction] += minus_log[points[fraction]] - phase[fraction] / _e1_fraction(x[fraction])
+    out[len(small):][~far] = near
+    return out
+
+
+def _log_parts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(2 |sin(r/2)|) and (copysign(pi, r) - r)/2 at r != 0 in [-pi, pi]: -log(1 - e^{ir}) = -first + i second."""
+    return np.log(2.0 * np.abs(np.sin(0.5 * r))), np.copysign(0.5 * math.pi, r) - 0.5 * r
+
+
 def _log_term(r: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Re[e^{i phase} (-log(2 sin(v/2)) - i (pi - v)/2)], v = r mod 2 pi in (0, 2 pi), at r != 0."""
-    log_gap = np.log(2.0 * np.abs(np.sin(0.5 * r)))
-    return np.sin(phase) * (np.copysign(0.5 * math.pi, r) - 0.5 * r) - np.cos(phase) * log_gap
+    log_gap, arg = _log_parts(r)
+    return np.sin(phase) * arg - np.cos(phase) * log_gap
 
 
-def _far_tail(N: int, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _far_tail(N, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
-    The tail e^{-iu/2} sum_{m>=0} z^m / (N + 1 + m) at u/2 = ``half`` (mod 2 pi), summed by parts in
-    TAIL_TERMS terms: sum_{p<P} c_p w^p / (2i sin(u/2)), w = z / (1 - z) = -1/2 - (i/2) cot(u/2), with
-    c_0 = 1/(N + 1) and c_{p+1} = -c_p (p + 1)/(N + p + 2), the p-th difference of 1/(N + 1 + m); and
-    each entry's remainder bound 2 |c_P| / |1 - z|^{P+1}, |1 - z| = 2 |sin(u/2)|.
+    The tail e^{-iu/2} sum_{m>=0} z^m / (N + 1 + m) at u/2 = ``half`` (mod 2 pi), N an order or a column
+    of orders, summed by parts in TAIL_TERMS terms: sum_{p<P} c_p w^p / (2i sin(u/2)), w = z / (1 - z) =
+    -1/2 - (i/2) cot(u/2), with c_0 = 1/(N + 1) and c_{p+1} = -c_p (p + 1)/(N + p + 2), the p-th
+    difference of 1/(N + 1 + m); and each entry's remainder bound 2 |c_P| / |1 - z|^{P+1}, |1 - z| = 2 |sin(u/2)|.
     """
     coeffs = [1.0 / (N + 1.0)]
     for p in range(TAIL_TERMS):
         coeffs.append(-coeffs[-1] * (p + 1) / (N + p + 2.0))
     sin_half = np.sin(half)
     w = -0.5 - 0.5j * np.cos(half) / sin_half
-    total = np.full(half.shape, coeffs[TAIL_TERMS - 1], dtype=complex)
+    total = np.full(np.broadcast_shapes(np.shape(N), half.shape), coeffs[TAIL_TERMS - 1], dtype=complex)
     for coeff in coeffs[TAIL_TERMS - 2 :: -1]:
-        total = total * w + coeff
-    bounds = 2.0 * abs(coeffs[TAIL_TERMS]) / np.abs(2.0 * sin_half) ** (TAIL_TERMS + 1)
+        total *= w
+        total += coeff
+    bounds = 2.0 * np.abs(coeffs[TAIL_TERMS]) / np.abs(2.0 * sin_half) ** (TAIL_TERMS + 1)
     return total / (2j * sin_half), bounds
 
 
@@ -98,30 +144,38 @@ def _near_kernel(N: int, r: np.ndarray, half: np.ndarray, phase: np.ndarray) -> 
     """
     C_N on the near band.  With x = i a r, a = N + 1, Euler-Maclaurin gives the tail as
     e^{-iu/2} [e^x E1(x)] + _euler_maclaurin(a, r).  Where |x| >= E1_SERIES_RADIUS, e^x E1(x) is its
-    continued fraction 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) (Abramowitz & Stegun 5.1.22).  Below,
-    E1(x) = -gamma - log x - sum_{k>=1} (-x)^k / (k k!) (A&S 5.1.11), and e^{-iu/2} e^{iar} = e^{i rho c},
-    so the two logarithms join: C_N = Re[e^{i rho c} (log a + gamma + log(r / (2 sin(r/2))) + i r/2
-    + sum_{k>=1} (-x)^k / (k k!))] less the Euler-Maclaurin part, with no cancellation and no limit to
-    take at r = 0, where it is H_N.
+    continued fraction (_e1_fraction).  Below, E1(x) = -gamma - log x - sum_{k>=1} (-x)^k / (k k!)
+    (A&S 5.1.11), and e^{-iu/2} e^{iar} = e^{i rho c}, so the two logarithms join: C_N = Re[e^{i rho c}
+    (log a + gamma + log(r / (2 sin(r/2))) + i r/2 + sum_{k>=1} (-x)^k / (k k!))] less the
+    Euler-Maclaurin part, with no cancellation and no limit to take at r = 0, where it is H_N.
     """
     a = N + 1.0
     x = 1j * a * r
     unit = np.exp(-1j * half)  # e^{-iu/2}
     out = -(unit * _euler_maclaurin(a, r)).real
     series = np.abs(x) < E1_SERIES_RADIUS
-    y, powers = -x[series], np.zeros(np.count_nonzero(series), dtype=complex)
-    for k in range(E1_SERIES_TERMS, 0, -1):  # sum_{k>=1} y^k / (k k!) by Horner
-        powers = (powers + 1.0 / (k * math.factorial(k))) * y
     rs = r[series]
-    inner = math.log(a) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) + 0.5j * rs + powers
+    inner = math.log(a) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) + 0.5j * rs + _e1_series(-x[series])
     out[series] += (np.exp(1j * phase[series]) * inner).real
     fraction = ~series
-    xf = x[fraction]
-    f = xf + (2.0 * E1_FRACTION_DEPTH + 1.0)
-    for k in range(E1_FRACTION_DEPTH, 0, -1):
-        f = xf + (2.0 * k - 1.0) - k * k / f
-    out[fraction] += _log_term(r[fraction], phase[fraction]) - (unit[fraction] / f).real
+    out[fraction] += _log_term(r[fraction], phase[fraction]) - (unit[fraction] / _e1_fraction(x[fraction])).real
     return out
+
+
+def _e1_series(y: np.ndarray) -> np.ndarray:
+    """sum_{k>=1} y^k / (k k!) in E1_SERIES_TERMS terms, by Horner: E1(x) = -gamma - log x - this at y = -x."""
+    powers = np.zeros(len(y), dtype=complex)
+    for k in range(E1_SERIES_TERMS, 0, -1):
+        powers = (powers + 1.0 / (k * math.factorial(k))) * y
+    return powers
+
+
+def _e1_fraction(x: np.ndarray) -> np.ndarray:
+    """f = x + 1 - 1/(x + 3 - 4/(x + 5 - ...)) to depth E1_FRACTION_DEPTH: e^x E1(x) = 1/f (A&S 5.1.22)."""
+    f = x + (2.0 * E1_FRACTION_DEPTH + 1.0)
+    for k in range(E1_FRACTION_DEPTH, 0, -1):
+        f = x + (2.0 * k - 1.0) - k * k / f
+    return f
 
 
 def _euler_maclaurin(a: float, r: np.ndarray) -> np.ndarray:

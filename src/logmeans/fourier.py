@@ -99,16 +99,6 @@ def _angle_tables(u, origin: float, count: int, cosines: tuple[bool, ...], step:
     return tables[..., :count]
 
 
-def part_blocks(top: int, P: int, entries: int) -> tuple[int, int, list[slice]]:
-    """
-    (B, Q, blocks): the orders k < top as k = B q + j, j < B, q < Q, as angle_table splits them,
-    and slices of P points in blocks of max(1, entries // B), each holding ``entries`` part entries.
-    """
-    B = math.isqrt(top - 1) + 1
-    step = max(1, entries // B)
-    return B, -(-top // B), [slice(start, start + step) for start in range(0, P, step)]
-
-
 def angle_parts(u, origin: float, B: int, Q: int) -> tuple[np.ndarray, ...]:
     """
     The parts of the orders origin + k, k = B q + j < B Q, at the 1-D points ``u``: sin a, cos a
@@ -122,36 +112,34 @@ def angle_parts(u, origin: float, B: int, Q: int) -> tuple[np.ndarray, ...]:
 
 def blocked_weights(sums: list, B: int) -> tuple:
     """
-    The weighted sums ``sums`` laid out for part_sums, each (length L, a-product offset, fill): one
-    (rows, B) matrix of each sum's max(1, ceil(L / B)) rows of weights, zero from k = L on (``fill``
-    turns the float indices k < L into the weights in place), the a-product row each matrix row
-    reads (a slice where they are 0, 1, 2, ...) and each sum's first matrix row.
+    The weighted sums ``sums``, each (length L, fill), laid out for part_sums: one (rows, B) matrix of
+    each sum's max(1, ceil(L / B)) rows of weights, zero from k = L on (``fill`` turns the float indices
+    k < L into the weights in place), the a-part row q each matrix row reads (a slice for one sum) and
+    each sum's first matrix row.
     """
-    counts = [max(1, -(-L // B)) for L, _, _ in sums]
+    counts = [max(1, -(-L // B)) for L, _ in sums]
     starts = np.cumsum([0, *counts[:-1]])
     matrix = np.empty((sum(counts), B))
-    for start, count, (L, _, fill) in zip(starts, counts, sums):
+    for start, count, (L, fill) in zip(starts, counts, sums):
         rows = matrix[start : start + count]
         np.add.outer(B * np.arange(count, dtype=float), np.arange(B, dtype=float), out=rows)
         fill(rows.reshape(-1)[:L])
         rows.reshape(-1)[L:] = 0.0
-    a_rows = np.concatenate([offset + np.arange(count) for count, (_, offset, _) in zip(counts, sums)])
-    return matrix, slice(len(a_rows)) if np.array_equal(a_rows, np.arange(len(a_rows))) else a_rows, starts
+    a_rows = np.concatenate([np.arange(count) for count in counts]) if len(sums) > 1 else slice(counts[0])
+    return matrix, a_rows, starts
 
 
 def part_sums(X: np.ndarray, A: np.ndarray, layout: tuple) -> np.ndarray:
     """
     Per point, sum_q sum_c A_c[q] (W X_c)[q] over the rows q of each sum of the blocked_weights
-    ``layout`` (W its matrix), shape (points, sums): X (points, C, B) holds products of b-parts and
-    A (points, C, Q) products of a-parts, C = 3 or 4, and the C terms are added as (0 + 1) + (2 + 3).
+    ``layout`` (W its matrix), shape (points, sums): X (points, 4, B) holds products of b-parts and
+    A (points, 4, Q) products of a-parts, and the four terms are added as (0 + 1) + (2 + 3).
     The stacked matmul is a small product of its own a point, so no point's sums depend on another's.
     """
     matrix, a_rows, starts = layout
     Y = X @ matrix.T
     Y *= A[..., a_rows]
-    t = Y[:, 0] + Y[:, 1]
-    t += Y[:, 2] + Y[:, 3] if Y.shape[1] == 4 else Y[:, 2]
-    return np.add.reduceat(t, starts, axis=1)
+    return np.add.reduceat((Y[:, 0] + Y[:, 1]) + (Y[:, 2] + Y[:, 3]), starts, axis=1)
 
 
 def integer_orders(orders, what: str, scalar: bool = False):

@@ -12,7 +12,9 @@ summation gives the exact identity
 
 Substituting it into the product expansion of H_N * F_N(x, y) yields fifteen
 terms R_1..R_15 (four telescoped main terms, nine explicit remainders, two
-sine-sum cross terms).  Each term is evaluated from its full sums.
+sine-sum cross terms).  Each term is evaluated from its full sums, in O(1) an
+order: T is the identity solved for it, and T and the sine sums come from
+sum_{k<=N} e^{iku}/k in closed form (cosine.log_partial_sums).
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosine import cosine_kernel
-from .fourier import (
-    GridOp, angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_blocks, part_sums, reduce_angle,
-)
+from .cosine import cosine_kernel, log_partial_sums
+from .fourier import GridOp, angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_sums, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -36,14 +36,18 @@ GAMMA_SCALE = (HALF_PI - ARCCOS_QUARTER) / 4.0
 #: Keep-out distance from the removable-singularity tubes: closed_form_terms refuses points nearer.
 EPS_SING = 1e-6
 
-#: Angle-part entries a block of points holds in _half_angle_sums and log_kernel_direct_many: a point
-#: holds B = isqrt(N - 1) + 1 entries of N, the largest order, and under 32 floats an entry (1 MB).
+#: Angle-part entries a block of points holds in log_kernel_direct_many: a point holds
+#: B = isqrt(N - 1) + 1 entries of N, the largest order, and under 32 floats an entry (1 MB).
 KERNEL_PART_ELEMS = 4096
 
 #: Elements one block of a survey may hold (8 MB): lattice_min's row blocks, kernel-verify's point
-#: blocks (15 terms an order a point), the candidate blocks of its point screening and measure's
-#: window-pair blocks (AREA_FLOATS a pair).
+#: blocks and lemma_main_check's pair blocks (CLOSED_FORM_FLOATS an order a point), the candidate
+#: blocks of its point screening and measure's window-pair blocks (AREA_FLOATS a pair).
 BLOCK_ELEMS = 2 ** 20
+
+#: Floats a point and order that closed_form_terms' callers size their blocks by: tracemalloc reads up
+#: to 78 at one order with every argument on the near band (56 on the far band), 37 at seven orders.
+CLOSED_FORM_FLOATS = 96
 
 REGION_I = "I"
 REGION_J = "J"
@@ -193,57 +197,17 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def sin_sum(N, u) -> float | np.ndarray:
     """
-    sum_{k=1}^{N} sin(ku)/k summed directly, shaped as ``u``; bounded uniformly in N.  For a
-    sequence of ascending orders, one such result per order (a leading order axis), each summed
-    over its prefix of the largest order's terms.  The terms are 2 sin(k r/2) cos(k r/2) / k,
-    summed by _half_angle_sums at u reduced to r in [-pi, pi].  Refuses NaN and infinite u.
+    sum_{k=1}^{N} sin(ku)/k, shaped as ``u``; bounded uniformly in N.  For a sequence of ascending orders,
+    one such result per order (a leading order axis).  The imaginary part of cosine.log_partial_sums at u
+    reduced to r in [-pi, pi], in O(1) an order.  Refuses NaN and infinite u.
     """
     orders, one = _orders(N)
     if orders[0] < 1:
         raise ValueError(f"N must be >= 1, got {orders[0]}")
     r = reduce_angle(np.ravel(u))[0]
-    out = _half_angle_sums(orders, r)[1].reshape((len(orders), *np.shape(u)))
+    out = log_partial_sums(orders, r).imag.reshape((len(orders), *np.shape(u)))
     out = out[0] if one else out
     return float(out) if out.ndim == 0 else out
-
-
-def _telescoped_fill(k: np.ndarray) -> None:
-    """The weights 2 / (k (k + 1) (k + 2)) of T, in place of the float indices k, with one temporary."""
-    k[:1] = k[-1:] = math.inf  # T has no S_1 nor S_n term: a weight 2 / inf is 0
-    product = k + 1.0
-    product *= k
-    k += 2.0
-    product *= k
-    np.divide(2.0, product, out=k)
-
-
-def _sine_fill(k: np.ndarray) -> None:
-    np.divide(2.0, np.add(k, 1.0, out=k), out=k)
-
-
-def _half_angle_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
-    """
-    For every order n and reduced point r, shape (2, orders, points): the telescoped table sum
-    sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum sum_{k=1}^{n} 2 S_k C_k / k =
-    sum sin(k r)/k, S_j = sin(j r/2), C_j = cos(j r/2).  With j = 1 + B q + i, S_j = s_q c_i + c_q s_i
-    in the angle parts at r/2, so S_j^2 and S_j C_j are three a-part products times the b-part
-    products (c_i^2, c_i s_i, s_i^2) each, contracted with the largest order's weights, then the rest.
-    """
-    B, Q, blocks = part_blocks(orders[-1], len(r), KERNEL_PART_ELEMS)
-    layouts = [  # T's rows read the a-products 0..Q-1, the sine sum's Q..2Q-1
-        blocked_weights([(n, 0, _telescoped_fill) for n in ns] + [(n, Q, _sine_fill) for n in ns], B)
-        for ns in (orders[-1:], orders[:-1]) if ns
-    ]
-    sums = np.empty((2, len(orders), len(r)))
-    for block in blocks:
-        sa, ca, sb, cb = angle_parts(0.5 * r[block], 1, B, Q)
-        X = np.stack([cb * cb, cb * sb, sb * sb], axis=1)
-        ss, cc, sc = sa * sa, ca * ca, sa * ca
-        A = np.stack([ss, sc, 2.0 * sc, cc - ss, cc, -sc], axis=1).reshape(len(ss), 3, 2 * Q)  # T's, sine's
-        sums[:, -1, block] = part_sums(X, A, layouts[0]).T
-        if len(orders) > 1:
-            sums[:, :-1, block] = part_sums(X, A, layouts[1]).T.reshape(2, len(orders) - 1, -1)
-    return sums
 
 
 def fejer_ratio(m, u) -> float | np.ndarray:
@@ -268,24 +232,18 @@ def _telescoped_orders(orders: list[int], u) -> tuple[np.ndarray, ...]:
         T = sum_{k=1}^{N-2} [2/(k(k+1)(k+2))] Phi_{k+1}(u),
         V = Phi_N(u)/(N(N-1)),   W = D~_N(u)/N,
 
-    so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4.  At u = 0 mod 2*pi the sums take their
-    removable limits, so T + V + W - 3/4 is H_N there.  A point's values do not depend on the
-    rest of the batch.  T and the sine sums come from _half_angle_sums, and V and W from one
-    fejer_ratio and one dirichlet_kernel call each over the column of all orders.
+    so that sum_{k=1}^{N} cos(ku)/k = T + V + W - 3/4.  V and W come from one fejer_ratio and one
+    dirichlet_kernel call each over the column of all orders, and T is the identity solved for it from
+    the real part of cosine.log_partial_sums, whose imaginary part is the sine sum, in O(1) an order.
+    At u = 0 mod 2*pi each part takes its removable limit, T's through V's and W's.  A point's values
+    do not depend on the other orders or points.
     """
-    r, half_sin, zero = reduce_angle(np.atleast_1d(u))
-    T, sines = _half_angle_sums(orders, r)
+    r = reduce_angle(np.atleast_1d(u))[0]
+    sums = log_partial_sums(orders, r)
     n = np.array(orders)[:, None]
     V = fejer_ratio(n, r) / (n * (n - 1.0))
     W = dirichlet_kernel(n, r) / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T /= 2.0 * half_sin ** 2
-    if np.any(zero):  # T's removable limit at u = 0 mod 2 pi, where Phi_{k+1} is (k + 1)^2 / 2
-        weights, k = np.arange(float(orders[-1])), np.arange(1.0, orders[-1] - 1.0)
-        _telescoped_fill(weights)
-        limit_terms = weights[1:-1] * 0.5 * (k + 1.0) ** 2
-        T[:, zero] = np.array([np.sum(limit_terms[: m - 2]) for m in orders])[:, None]
-    return T, V, W, sines
+    return sums.real - V - W + 0.75, V, W, sums.imag
 
 
 # ----------------------------------------------------------------------------
@@ -325,11 +283,12 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     orders, one = _orders(N)
     t, s = _paired(t, s)
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
-    B, Q, blocks = part_blocks(orders[-1], len(t), KERNEL_PART_ELEMS)
-    norlund = [(n, 0, lambda k, n=n: np.copyto(k, GridOp("norlund-log", n).weights())) for n in orders]
+    B = math.isqrt(orders[-1] - 1) + 1  # the orders k = B q + j, j < B, q < Q, as angle_table splits them
+    Q, step = -(-orders[-1] // B), max(1, KERNEL_PART_ELEMS // B)
+    norlund = [(n, lambda k, n=n: np.copyto(k, GridOp("norlund-log", n).weights())) for n in orders]
     layouts = [blocked_weights(sums, B) for sums in (norlund[-1:], norlund[:-1]) if sums]
     out = np.empty((len(orders), len(t)))
-    for block in blocks:
+    for block in (slice(start, start + step) for start in range(0, len(t), step)):
         parts = angle_parts(r[:, block].ravel(), 0.5, B, Q)  # at the points t, then at s
         for part, limit in zip(parts, (0.5 + B * np.arange(Q), 1.0, np.arange(B), 1.0)):
             part[zero[:, block].ravel()] = limit
@@ -395,10 +354,10 @@ def closed_form_terms(N, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         (0.5, CC, Vm), (0.5, CC, Wm), (-0.5, CC, Vp), (-0.5, CC, Wp),                   # R10-R13
         (-0.5, SC, Sp - Sm), (-0.5, CS, Sp + Sm),                                       # R14-R15
     )
-    terms = np.empty((len(orders), len(xs), 15))
+    terms = np.empty((15, len(orders), len(xs)))  # a contiguous slab a term: 2.8x faster than strided columns
     for col, (coeff, factor, part) in enumerate(products):
-        np.multiply(coeff * factor, part, out=terms[..., col])
-    return terms[0] if one else terms
+        np.multiply(coeff * factor, part, out=terms[col])
+    return np.moveaxis(terms[:, 0] if one else terms, 0, -1)
 
 
 def log_kernel_closed(N: int, x: float, y: float) -> KernelEvaluation:
@@ -551,11 +510,11 @@ def lemma_main_check(n: int, samples_per_rect: int = 9) -> LemmaReport:
     """
     lemma_survey plus the closed form's main/remainder split on the I-region lattice;
     refuses, with SingularTubeError, scales whose lattice comes within EPS_SING of a tube (n >= 8).
-    The pairs are taken in blocks of BLOCK_ELEMS // 15 (15 terms a pair); min and max are exact.
+    The pairs are taken in blocks of BLOCK_ELEMS // CLOSED_FORM_FLOATS; min and max are exact.
     """
     survey = lemma_survey(n, samples_per_rect)
     xs = build_region(n, REGION_I).lattice(samples_per_rect)
-    main_min, remainder_max, step = math.inf, -math.inf, BLOCK_ELEMS // 15
+    main_min, remainder_max, step = math.inf, -math.inf, BLOCK_ELEMS // CLOSED_FORM_FLOATS
     for start in range(0, len(xs) ** 2, step):
         xx, yy = xs[np.stack(np.divmod(np.arange(start, min(start + step, len(xs) ** 2)), len(xs)))]
         terms = closed_form_terms(4 ** n, xx, yy)

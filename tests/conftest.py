@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from logmeans.fourier import (
-    BandwidthError, GridOp, SpectralCoeffs, angle_pair, angle_table, dirichlet_matrix, evaluate_grid, finite_points,
-    reduce_angle,
+    BandwidthError, GridOp, SpectralCoeffs, angle_pair, angle_table, dirichlet_kernel, dirichlet_matrix, evaluate_grid,
+    finite_points, reduce_angle,
 )
 from logmeans.grid import GridFunction2D, GridResolutionError, axis_points
 from logmeans.counterexamples import _area_under_hyperbola, make_bump
 from logmeans.kernels import (
-    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _paired, _telescoped_orders, alpha, beta, build_region, fejer_ratio,
-    gamma, phase_rate,
+    ARCCOS_QUARTER, BLOCK_ELEMS, _orders, _paired, alpha, beta, build_region, fejer_ratio, gamma, phase_rate,
 )
 from logmeans.means import harmonic_number
 from logmeans.cli import _R2_A1, _R2_A2, _TUBE_MARGIN
@@ -319,15 +318,22 @@ def telescoped_sums(N, u, K=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     with T capped at K terms: T_K = sum_{k=1}^{K} [2/(k(k+1)(k+2))] Phi_{k+1}(u), summed here term
     by term, and tail = 1/(2 K^2 sin^2(u/2)), the certified bound on the terms past K (each is at
     most its weight over 2 sin^2(u/2), and the cubic weights past K sum below 1/K^2).  ``K`` is a
-    scalar or one cap per point; None, or a cap of N - 2 or more, is the full sum.  The full parts,
-    V and W, and T at u = 0 mod 2 pi (its removable limit, whatever the cap) come from
-    kernels._telescoped_orders, with tail 0.  One row per order for a sequence of ascending orders
-    ``N``, the bare parts for one order.
+    scalar or one cap per point; None, or a cap of N - 2 or more, is the full sum, with tail 0.  The
+    full T is summed from its own weights, never through the identity: table_half_angle_sums' table
+    sum over 2 sin^2(u/2), and at u = 0 mod 2 pi (whatever the cap) its removable limit, the rational
+    sum sum_{k=1}^{N-2} (k + 1)/(k (k + 2)), as Phi_{k+1}(0) = (k + 1)^2 / 2.  V and W are
+    fejer_ratio and dirichlet_kernel.  One row per order for a sequence of ascending orders ``N``,
+    the bare parts for one order.
     """
     orders, one = _orders(N)
-    T, V, W, _ = _telescoped_orders(orders, u)
-    tail = np.zeros_like(T)
     r, half_sin, zero = reduce_angle(np.atleast_1d(u))
+    n = np.array(orders)[:, None]
+    V = fejer_ratio(n, r) / (n * (n - 1.0))
+    W = dirichlet_kernel(n, r) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = table_half_angle_sums(orders, r)[0] / (2.0 * half_sin ** 2)
+    T[:, zero] = np.array([math.fsum((k + 1) / (k * (k + 2)) for k in range(1, m - 1)) for m in orders])[:, None]
+    tail = np.zeros_like(T)
     caps = np.broadcast_to(orders[-1] if K is None else K, r.shape)
     for i, n in enumerate(orders):
         for j in np.flatnonzero((caps < n - 2) & ~zero):
@@ -362,11 +368,11 @@ def _row_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def table_half_angle_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
     """
-    Reference kernels._half_angle_sums through (points, N) tables: for every order n and every
-    reduced point r, shape (2, orders, points), the telescoped table sum
-    sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2 and the sine sum sum_{k=1}^{n} 2 S_k C_k / k,
-    S_j = sin(j r/2) and C_j = cos(j r/2), from one angle_pair for j = 1..N, N the largest order,
-    built in row blocks of at most KERNEL_TABLE_ELEMS elements a table.
+    For every order n and every reduced point r, shape (2, orders, points), summed term by term
+    through (points, N) tables: the telescoped table sum sum_{k=1}^{n-2} [2/(k(k+1)(k+2))] S_{k+1}^2
+    and the sine sum sum_{k=1}^{n} 2 S_k C_k / k, S_j = sin(j r/2) and C_j = cos(j r/2), from one
+    angle_pair for j = 1..N, N the largest order, built in row blocks of at most KERNEL_TABLE_ELEMS
+    elements a table.
     """
     top = orders[-1]
     k = np.arange(1.0, top + 1.0)

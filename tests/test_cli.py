@@ -154,10 +154,10 @@ def test_kernel_verify_makes_one_call_per_form_for_all_orders(tmp_path, monkeypa
 
 
 def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_path, monkeypatch):
-    # every order sums a prefix of the largest order's terms, from the angle parts of the largest
-    # order alone, at sqrt(N) sizes: with k = 32 q + j for N = 1024, one angle pair at the 32 orders
-    # origin + 32 q and one at the 32 orders j, at x and at y (the direct form) and at x + y and at
-    # x - y (the closed form); no (points, N) table is built
+    # the direct form sums every order from the angle parts of the largest order alone, at sqrt(N)
+    # sizes: with k = 32 q + j for N = 1024, one angle pair at the 32 orders origin + 32 q and one at
+    # the 32 orders j, at x and at y; the closed form sums in O(1) an order and builds none, and no
+    # (points, N) table is built
     from logmeans import fourier
 
     built, make = Counter(), fourier.angle_pair  # points given parts, per (count, step)
@@ -170,7 +170,21 @@ def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_pa
     for n_arg in ([], ["--n", str(max(KERNEL_VERIFY_N))]):
         built.clear()
         assert main(["kernel-verify", "--samples", "8", *n_arg, "--out", str(tmp_path)]) == EXIT_OK
-        assert built == {(32, 32): 4 * 64, (32, 1): 4 * 64}
+        assert built == {(32, 32): 2 * 64, (32, 1): 2 * 64}
+
+
+def test_kernel_verify_holds_one_block_of_closed_form_floats(tmp_path):
+    # 49^2 = 2401 points at the seven default orders: one full block of BLOCK_ELEMS //
+    # (CLOSED_FORM_FLOATS 7) = 1560 points and the rest; the command's peak, the closed form's floats of
+    # a block, the direct form's arrays and the points included, stays within the block's 8 MB
+    assert kernels.BLOCK_ELEMS // (kernels.CLOSED_FORM_FLOATS * len(KERNEL_VERIFY_N)) < 49 ** 2
+    tracemalloc.start()
+    try:
+        code = main(["kernel-verify", "--samples", "49", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak <= 8 * kernels.BLOCK_ELEMS
 
 
 def test_kernel_verify_checks_the_given_orders(tmp_path):

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmeans import cosine, fourier, kernels
-from logmeans.cli import KERNEL_TOL, quasi_random_points
+from logmeans.cli import KERNEL_TOL, KERNEL_VERIFY_N, quasi_random_points
 from logmeans.counterexamples import _bump_mean_rows, bump_mean_many
-from logmeans.cosine import cosine_kernel
+from logmeans.cosine import NEAR_BAND, cosine_kernel, log_partial_sums
 from logmeans.fourier import GridOp, dirichlet_kernel, dirichlet_matrix, reduce_angle
 from logmeans.kernels import (
     EmptyRegionError,
     SingularTubeError,
+    _telescoped_orders,
     alpha,
     beta,
     build_region,
@@ -488,10 +489,12 @@ def test_telescoped_truncation_certified(rng):
 
 @pytest.mark.parametrize("N", [3, 16, 1024])
 def test_telescoped_sums_take_the_harmonic_limit_at_multiples_of_two_pi(N):
-    # at u = 0 mod 2 pi the sums take their removable limits: sum cos(ku)/k is H_N
-    T, V, W, _ = telescoped_sums(N, np.array([0.0, 2 * math.pi, -4 * math.pi]))
+    # at u = 0 mod 2 pi the sums take their removable limits: sum cos(ku)/k is H_N, both in the
+    # reference, whose T is its rational limit, and in the closed form's parts
+    us = np.array([0.0, 2 * math.pi, -4 * math.pi])
     harmonic = math.fsum(1.0 / k for k in range(1, N + 1))
-    assert np.all(np.abs(T + V + W - 0.75 - harmonic) <= 1e-14 * harmonic)
+    for T, V, W, _ in (telescoped_sums(N, us), (part[0] for part in _telescoped_orders([N], us))):
+        assert np.all(np.abs(T + V + W - 0.75 - harmonic) <= 1e-14 * harmonic)
 
 
 def test_ratio_kernels_take_an_order_column(rng):
@@ -508,21 +511,19 @@ def test_ratio_kernels_take_an_order_column(rng):
 
 
 @pytest.mark.parametrize("N", [64, 219, 1024])
-def test_telescoped_sums_do_not_depend_on_the_batch(N, monkeypatch):
-    # a point's (T, V, W) is a function of (N, u) alone: evaluated by itself it
-    # matches its row in a batch bit for bit, including u = 0, where T takes its
-    # removable limit, whether the batch's angle parts come in blocks of 1, 3 or
-    # all its points
+def test_telescoped_sums_do_not_depend_on_the_batch(N):
+    # a point's (T, V, W) and sine sum are a function of (N, u) alone: evaluated by itself it
+    # matches its row in a batch bit for bit, in the whole batch and in every third point of it,
+    # including u = 0, where T takes its removable limit, and points on both sides of the near band
     rng = np.random.default_rng(N)
     us = rng.uniform(0.01, 2 * math.pi - 0.01, 40)
-    us[7] = 0.0
-    alone = [telescoped_sums(N, us[i : i + 1]) for i in range(len(us))]
-    for points in (1, 3, len(us)):
-        monkeypatch.setattr(kernels, "KERNEL_PART_ELEMS", points * (math.isqrt(N - 1) + 1))
-        batch = telescoped_sums(N, us)
-        for i, single in enumerate(alone):
+    us[7:10] = 0.0, 39.0 / N, 41.0 / N
+    alone = [_telescoped_orders([N], us[i : i + 1]) for i in range(len(us))]
+    for step in (1, 3):
+        batch = _telescoped_orders([N], us[::step])
+        for i, single in enumerate(alone[::step]):
             for part, one in zip(batch, single):
-                assert part[i] == one[0], (points, i)
+                assert part[0, i] == one[0, 0], (step, i)
 
 
 # ------------------------------------------------------------------ sine sum
@@ -581,18 +582,67 @@ def test_half_angle_reference_matches_mpmath_fsum():
 
 @pytest.mark.parametrize("N", [1024, 65536])
 def test_half_angle_sums_match_mpmath(N, rng):
-    # sin_sum and the telescoped T both read the half-angle pair S_j = sin(j u/2), C_j = cos(j u/2):
-    # each lies within N eps sum |terms| of its high-precision sum, at kernel-verify's tube margin
-    # +-0.02, near +-pi and at random points (each sum is odd or even in u, so one reference serves +-u)
-    eps = np.finfo(float).eps
+    # sin_sum and the closed form's T, both from cosine.log_partial_sums, lie within 1e-14 (1 + |value|)
+    # of their high-precision sums over the half-angle pair, at kernel-verify's tube margin +-0.02,
+    # near +-pi and at random points (each sum is odd or even in u, so one reference serves +-u)
     magnitudes = np.concatenate([[0.02, math.pi - 1e-3], rng.uniform(0.1, math.pi, 2)])
     us = np.concatenate([magnitudes, -magnitudes])
-    sines, T = sin_sum(N, us), telescoped_sums(N, us)[0]
+    sines, T = sin_sum(N, us), _telescoped_orders([N], us)[0][0]
     for i, u in enumerate(magnitudes):
-        sine, abs_sine, tele = _mp_half_angle_sums(N, u)
+        sine, _, tele = _mp_half_angle_sums(N, u)
         for j, sign in ((i, 1), (i + len(magnitudes), -1)):
-            assert abs(sines[j] - sign * sine) <= N * eps * abs_sine, (N, us[j])
-            assert abs(T[j] - tele) <= N * eps * tele, (N, us[j])
+            assert abs(sines[j] - sign * sine) <= 1e-14 * (1.0 + abs(sine)), (N, us[j])
+            assert abs(T[j] - tele) <= 1e-14 * (1.0 + tele), (N, us[j])
+
+
+def _band_edges(orders):
+    """For each order N, the points just inside and just outside N |1 - e^{ir}| = NEAR_BAND, both signs."""
+    edges = [2.0 * math.asin(0.5 * NEAR_BAND / N) * scale for N in orders for scale in (1 - 1e-9, 1 + 1e-9)]
+    return np.concatenate([edges, np.negative(edges)])
+
+
+def test_log_partial_sums_match_the_table_sums():
+    # T (the identity solved for it) and the sine sum, each in O(1) an order, against the term-by-term
+    # table sums of tests/conftest.py at N = 3..4096, at u = 0, +-2 pi, +-1e-6 and on both sides of
+    # each tested order's near band, within 1e-14 (1 + |value|)
+    orders = [*range(3, 130), *range(130, 4096, 61), 4096]
+    edged = [64, 65, 250, 1024, 4096]
+    us = np.concatenate([[0.0, 2 * math.pi, -2 * math.pi, 1e-6, -1e-6, -3e-5, 2e-3, 0.3], _band_edges(edged)])
+    T, _, _, sines = _telescoped_orders(orders, us)
+    want_T = telescoped_sums(orders, us)[0]
+    want_sines = table_half_angle_sums(orders, reduce_angle(us)[0])[1]
+    for got, want in ((T, want_T), (sines, want_sines)):
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("N", [4 ** 10, 4 ** 12])
+def test_log_partial_sums_match_mpmath(N):
+    # S_N(r) = -log(1 - z) - z^{N+1} L_{N+1}(z), z = e^{ir}, at 40 digits: the tail is mp_tail at u = -r
+    rs = np.concatenate([[0.0, 1e-6, -1e-6, -3e-5, 2e-3, 0.5, -2.5, math.pi], _band_edges([N])])
+    got = log_partial_sums([N], rs)[0]
+    with mpmath.workdps(40):
+        for r, value in zip(rs, got):
+            if r == 0.0:
+                want = mpmath.harmonic(N)
+            else:
+                z = mpmath.expj(r)
+                want = -mpmath.log(1 - z) - mpmath.expj((N + mpmath.mpf(0.5)) * r) * mp_tail(N, -mpmath.mpf(r))
+            assert abs(value - complex(want)) <= 1e-14 * (1.0 + abs(complex(want))), (N, r)
+
+
+def test_log_partial_sums_at_kernel_verify_orders_hit_both_bands(monkeypatch):
+    # at kernel-verify's default orders and points, the far band's summation by parts and the near
+    # band's Euler-Maclaurin, with E1 by its series and by its continued fraction, all take entries
+    sizes = {}
+    for name in ("_far_tail", "_euler_maclaurin", "_e1_series", "_e1_fraction"):
+        def spy(*args, _call=getattr(cosine, name), _name=name):
+            sizes[_name] = sizes.get(_name, 0) + np.size(args[-1])
+            return _call(*args)
+
+        monkeypatch.setattr(cosine, name, spy)
+    xs, ys = quasi_random_points(32 ** 2).T
+    closed_form_terms(list(KERNEL_VERIFY_N), xs, ys)
+    assert len(sizes) == 4 and min(sizes.values()) > 0, sizes
 
 
 def test_sin_sum_keeps_the_shape_of_its_points():
@@ -700,7 +750,7 @@ def test_kernel_tables_do_not_depend_on_the_block_width(N, monkeypatch):
 
     def forms():
         return [
-            *telescoped_sums(N, us),
+            *_telescoped_orders([N], us),
             sin_sum(N, us),
             closed_form_terms(N, xs, ys),
             log_kernel_direct_many(N, xs, ys),
@@ -721,9 +771,10 @@ CONTRACTION_ORDERS = [3, 64, 1024, 4096]
 
 @pytest.mark.parametrize("N", CONTRACTION_ORDERS)
 def test_contracted_forms_match_the_table_sums(N):
-    # the angle-part contraction against the (points, N) table sums it replaced (tests/conftest.py),
-    # at one order and as the largest of several, on points with x = 0, y = 2 pi and x + y = 0 exactly.
-    # The half-angle sums agree within 1e-12 (1 + |value|).  The direct form's sum cancels: both forms
+    # the closed form's T and sine sums, and the direct form's angle-part contraction, against the
+    # (points, N) table sums of tests/conftest.py, at one order and as the largest of several, on points
+    # with x = 0, y = 2 pi and x + y = 0 exactly.  T and the sine sums agree within 1e-12 (1 + |value|)
+    # of the tables, whose own rounding grows with N |r|.  The direct form's sum cancels: both forms
     # round each sine entry by about eps (1 + |(k + 1/2) r|), so they agree within 4 N eps of the sum
     # of its |terms| (at most 1.3 N eps of it seen, at order 3)
     eps = np.finfo(float).eps
@@ -732,8 +783,9 @@ def test_contracted_forms_match_the_table_sums(N):
     ys = np.concatenate([ys, [0.4, -2.1, 2 * math.pi, -2 * math.pi, -1.3, 2.9]])
     r = reduce_angle(np.concatenate([xs + ys, xs - ys]))[0]
     for orders in ([N], CONTRACTION_ORDERS[: CONTRACTION_ORDERS.index(N) + 1]):
-        sums, want = kernels._half_angle_sums(orders, r), table_half_angle_sums(orders, r)
-        assert np.all(np.abs(sums - want) <= 1e-12 * (1.0 + np.abs(want))), orders
+        T, _, _, sines = _telescoped_orders(orders, r)
+        for got, want in ((T, telescoped_sums(orders, r)[0]), (sines, table_half_angle_sums(orders, r)[1])):
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), orders
         direct, want = log_kernel_direct_many(orders, xs, ys), table_direct_many(orders, xs, ys)
         for n, got, value in zip(orders, direct, want):
             w, k = GridOp("norlund-log", n).weights(), np.arange(n)
@@ -743,29 +795,26 @@ def test_contracted_forms_match_the_table_sums(N):
 
 
 def test_each_order_of_a_multi_order_call_matches_its_one_order_call():
-    # every order sums its prefix of the largest order's tables, whose entries angle_table
-    # rounds by the table's length: a row matches its one-order call to rounding, and the
-    # largest order, whose tables are the same, bit for bit
+    # the closed form evaluates each order on its own, in O(1): its rows, its parts and the sine sums
+    # match their one-order calls bit for bit.  The direct form sums every order from the largest
+    # order's angle parts, which angle_table rounds by their length: a row matches its one-order call
+    # to rounding, and the largest order, whose parts are the same, bit for bit
     orders = [3, 64, 1024]
     xs, ys = quasi_random_points(256).T
-    us = np.concatenate([xs + ys, [0.0]])
+    us = np.concatenate([xs + ys, [0.0, 1e-6, 39.0 / 64, 41.0 / 64]])
     terms = closed_form_terms(orders, xs, ys)
     direct = log_kernel_direct_many(orders, xs, ys)
-    parts, sines = telescoped_sums(orders, us), sin_sum(orders, us)
+    parts, sines = _telescoped_orders(orders, us), sin_sum(orders, us)
     assert terms.shape == (3, 256, 15) and direct.shape == (3, 256)
-    assert all(part.shape == (3, 257) for part in parts) and sines.shape == (3, 257)
+    assert all(part.shape == (3, 260) for part in parts) and sines.shape == (3, 260)
     for i, N in enumerate(orders):
-        one_terms = closed_form_terms(N, xs, ys)
         one_direct = log_kernel_direct_many(N, xs, ys)
-        tol = 1e-12 * (1.0 + np.abs(one_direct))
-        assert np.all(np.abs(direct[i] - one_direct) <= tol), N
-        closed, one_closed = (np.sum(t, axis=1) / harmonic_number(N) for t in (terms[i], one_terms))
-        assert np.all(np.abs(closed - one_closed) <= tol), N
-        for part, one_part in zip(parts, telescoped_sums(N, us)):
-            assert np.all(np.abs(part[i] - one_part) <= 1e-12 * (1.0 + np.abs(one_part))), N
-        one_sines = sin_sum(N, us)
-        assert np.all(np.abs(sines[i] - one_sines) <= 1e-12 * (1.0 + np.abs(one_sines))), N
-    assert np.array_equal(terms[-1], one_terms) and np.array_equal(direct[-1], one_direct)
+        assert np.all(np.abs(direct[i] - one_direct) <= 1e-12 * (1.0 + np.abs(one_direct))), N
+        assert np.array_equal(terms[i], closed_form_terms(N, xs, ys)), N
+        for part, one_part in zip(parts, _telescoped_orders([N], us)):
+            assert np.array_equal(part[i], one_part[0]), N
+        assert np.array_equal(sines[i], sin_sum(N, us)), N
+    assert np.array_equal(direct[-1], one_direct)
 
 
 def test_kernel_orders_must_ascend():
@@ -839,6 +888,20 @@ def test_lattice_kernel_tables_are_one_allocation_each():
     finally:
         tracemalloc.stop()
     assert peak <= 2.9e6
+
+
+def test_lemma_main_check_holds_one_block_of_closed_form_floats():
+    # 40 samples on each of n = 5's 4 windows: 25600 lattice pairs, two full blocks of BLOCK_ELEMS //
+    # CLOSED_FORM_FLOATS pairs and the rest, many of them near the diagonal, on C_N's near band; the
+    # survey before them and each block stay within the block's 8 MB
+    assert 2 * (kernels.BLOCK_ELEMS // kernels.CLOSED_FORM_FLOATS) < 160 ** 2
+    tracemalloc.start()
+    try:
+        lemma_main_check(5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * kernels.BLOCK_ELEMS
 
 
 def test_unpaired_points_are_refused_before_any_table(monkeypatch):
