@@ -157,18 +157,17 @@ def cmd_kernel_verify(args: argparse.Namespace) -> int:
     what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
     kernels.refuse_beyond_memory_limit(what, 8 * (4 * sum(orders) + 2 * points))
     xs, ys = quasi_random_points(points).T
-    harmonic = np.array([harmonic_number(N) for N in orders])[:, None]
     max_err = np.full(len(orders), -math.inf)
     worst_margin = np.full(len(orders), -math.inf)
     min_distance = math.inf
     step = max(1, kernels.BLOCK_ELEMS // (kernels.CLOSED_FORM_FLOATS * len(orders)))
     for start in range(0, points, step):
         x, y = xs[start : start + step], ys[start : start + step]
-        terms = kernels.closed_form_terms(orders, x, y)  # orders below 3 are refused here
-        closed = np.sum(terms, axis=2)
+        terms = kernels.closed_form_terms(orders, x, y)  # orders below 3 are refused here, before any H_N
+        closed = np.sum(terms, axis=2) / np.array([harmonic_number(N) for N in orders])[:, None]
         del terms  # every order's 15 terms need not outlive their sums into the direct form's tables
         direct = kernels.log_kernel_direct_many(orders, x, y)
-        err = np.abs(closed / harmonic - direct)
+        err = np.abs(closed - direct)
         max_err = np.maximum(max_err, np.max(err, axis=1))
         margin = err - KERNEL_TOL * (1.0 + np.abs(direct))
         worst_margin = np.maximum(worst_margin, np.max(margin, axis=1))

@@ -1,8 +1,10 @@
 """
 The Norlund cosine kernel C_N(u) = sum_{k<N} cos((k + 1/2) u) / (N - k), and S_N(u) = sum_{k<=N} e^{iku} / k,
 in O(1) an entry: a logarithm in closed form less a tail summed by parts far from u = 0 mod 2 pi and by
-Euler-Maclaurin around the exponential integral E1 near it (Abramowitz & Stegun 5.1.11 and 5.1.22).  kernels'
-lemma survey takes x y F_N through C_N, and its closed form takes T and the sine sums from S_N.
+Euler-Maclaurin around the exponential integral E1 near it (Abramowitz & Stegun 5.1.11 and 5.1.22).  Both
+sums take their near band from the one _near_kernel; C_N's far band is in real arithmetic, S_N's one pass
+over its column of orders.  kernels' lemma survey takes x y F_N through C_N, and its closed form takes T and
+the sine sums from S_N.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ def cosine_kernel(N: int, distances, offsets) -> tuple[np.ndarray, float]:
     far = 2.0 * N * np.abs(np.sin(half)) >= NEAR_BAND
     out = np.empty(u.shape)
     tail, bounds = _far_tail(N, half[far])
-    out[far] = _log_term(r[far], phase[far]) - tail.real
-    out[~far] = _near_kernel(N, r[~far], half[~far], phase[~far])
+    log_gap, arg = _log_parts(r[far])
+    out[far] = np.sin(phase[far]) * arg - np.cos(phase[far]) * log_gap - tail.real
+    near = ~far
+    out[near] = _near_kernel(N + 1.0, r[near], np.exp(-1j * half[near]), np.exp(1j * phase[near])).real
     return out, float(np.max(bounds, initial=0.0))
 
 
@@ -75,7 +79,8 @@ def log_partial_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
     for every order N >= 1 of the ascending ``orders`` and every point r reduced to [-pi, pi], shape
     (orders, points), in O(1) an entry: cosine_kernel's sum at u = -r.  Its far tail is e^{i(N + 1/2) r}
     times _far_tail's, O(1/(N |1 - z|)), so the phase's rounding eps (N + 1/2) |r| stays at rounding
-    level; its near tail (r = 0 included) is _near_kernel's Euler-Maclaurin around E1 at x = -i (N + 1) r.
+    level; its near band (r = 0 included) is _near_kernel at w = -r, U = z^{N+1} and A = 1, one entry an
+    (order, point), so S_N(0) and C_N(0) = H_N are one evaluation.
     Orders below MIN_COSINE_ORDER are the partial sums of one running sum of z^k / k, z^k = z^{k-1} z.
     Each band takes every order's entries in one pass, and an entry depends only on (N, r).
     """
@@ -86,38 +91,21 @@ def log_partial_sums(orders: list[int], r: np.ndarray) -> np.ndarray:
         total = total + (power := power * z) / k
         if k in small:
             out[small.index(k)] = total
-    with np.errstate(divide="ignore"):  # r = 0 is on the near band's series, which takes no log
-        log_gap, arg = _log_parts(r)
-    minus_log = 1j * arg - log_gap  # -log(1 - z)
     large = np.array(orders[len(small):], dtype=float)[:, None]
     far = 2.0 * large * np.abs(np.sin(0.5 * r)) >= NEAR_BAND
     top = np.any(far, axis=0)  # the largest order's far points, which hold every order's
+    log_gap, arg = _log_parts(r[top])
     tail = np.exp(1j * (large + 0.5) * r[top]) * _far_tail(large, -0.5 * r[top])[0]
-    out[len(small):, top] = minus_log[top] - tail
+    out[len(small):, top] = 1j * arg - log_gap - tail  # -log(1 - z) less the tail
     orders_at, points = np.nonzero(~far)
     a, rn = large[orders_at, 0] + 1.0, r[points]
-    x = -1j * a * rn
-    phase = np.exp(1j * a * rn)  # z^{N+1}
-    near = -phase * _euler_maclaurin(a, -rn)
-    series = np.abs(x) < E1_SERIES_RADIUS
-    rs = rn[series]
-    near[series] += np.log(a[series]) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) - 0.5j * rs
-    near[series] += _e1_series(-x[series])
-    fraction = ~series
-    near[fraction] += minus_log[points[fraction]] - phase[fraction] / _e1_fraction(x[fraction])
-    out[len(small):][~far] = near
+    out[len(small):][~far] = _near_kernel(a, -rn, np.exp(1j * a * rn), 1.0)  # U = z^{N+1}
     return out
 
 
 def _log_parts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(2 |sin(r/2)|) and (copysign(pi, r) - r)/2 at r != 0 in [-pi, pi]: -log(1 - e^{ir}) = -first + i second."""
     return np.log(2.0 * np.abs(np.sin(0.5 * r))), np.copysign(0.5 * math.pi, r) - 0.5 * r
-
-
-def _log_term(r: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Re[e^{i phase} (-log(2 sin(v/2)) - i (pi - v)/2)], v = r mod 2 pi in (0, 2 pi), at r != 0."""
-    log_gap, arg = _log_parts(r)
-    return np.sin(phase) * arg - np.cos(phase) * log_gap
 
 
 def _far_tail(N, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,25 +128,28 @@ def _far_tail(N, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total / (2j * sin_half), bounds
 
 
-def _near_kernel(N: int, r: np.ndarray, half: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def _near_kernel(a, w: np.ndarray, unit: np.ndarray, scale) -> np.ndarray:
     """
-    C_N on the near band.  With x = i a r, a = N + 1, Euler-Maclaurin gives the tail as
-    e^{-iu/2} [e^x E1(x)] + _euler_maclaurin(a, r).  Where |x| >= E1_SERIES_RADIUS, e^x E1(x) is its
-    continued fraction (_e1_fraction).  Below, E1(x) = -gamma - log x - sum_{k>=1} (-x)^k / (k k!)
-    (A&S 5.1.11), and e^{-iu/2} e^{iar} = e^{i rho c}, so the two logarithms join: C_N = Re[e^{i rho c}
-    (log a + gamma + log(r / (2 sin(r/2))) + i r/2 + sum_{k>=1} (-x)^k / (k k!))] less the
-    Euler-Maclaurin part, with no cancellation and no limit to take at r = 0, where it is H_N.
+    The near band of both sums: A (-log(1 - e^{-iw})) - U [e^x E1(x) + _euler_maclaurin(a, w)], x = i a w,
+    at the 1-D points w, with a = N + 1 and the factors U = ``unit`` and A = ``scale`` each a scalar or
+    one a point.  cosine_kernel takes C_N as its real part at w = r, U = e^{-iu/2} and A = e^{i rho c};
+    log_partial_sums takes S_N at w = -r, U = z^{N+1} and A = 1.  Euler-Maclaurin gives the tail
+    sum_{m>=0} e^{-imw} / (a + m) as e^x E1(x) plus _euler_maclaurin's part.  Where |x| >= E1_SERIES_RADIUS,
+    e^x E1(x) is its continued fraction (_e1_fraction).  Below, E1(x) = -gamma - log x - sum_{k>=1} (-x)^k
+    / (k k!) (A&S 5.1.11), and U e^x = A in both uses, so the two logarithms join: the value is
+    A (log a + gamma + log(w / (2 sin(w/2))) + i w/2 + sum_{k>=1} (-x)^k / (k k!)) less U times the
+    Euler-Maclaurin part, with no cancellation and no limit to take at w = 0, where it is H_N.
     """
-    a = N + 1.0
-    x = 1j * a * r
-    unit = np.exp(-1j * half)  # e^{-iu/2}
-    out = -(unit * _euler_maclaurin(a, r)).real
+    a, scale = np.broadcast_to(a, w.shape), np.broadcast_to(scale, w.shape)
+    x = 1j * a * w
+    out = -unit * _euler_maclaurin(a, w)
     series = np.abs(x) < E1_SERIES_RADIUS
-    rs = r[series]
-    inner = math.log(a) + np.euler_gamma - np.log(np.sinc(rs / (2.0 * math.pi))) + 0.5j * rs + _e1_series(-x[series])
-    out[series] += (np.exp(1j * phase[series]) * inner).real
+    ws = w[series]
+    inner = np.log(a[series]) + np.euler_gamma - np.log(np.sinc(ws / (2.0 * math.pi))) + 0.5j * ws
+    out[series] += scale[series] * (inner + _e1_series(-x[series]))
     fraction = ~series
-    out[fraction] += _log_term(r[fraction], phase[fraction]) - (unit[fraction] / _e1_fraction(x[fraction])).real
+    log_gap, arg = _log_parts(w[fraction])  # -log(1 - e^{-iw}) = -log_gap - i arg
+    out[fraction] += scale[fraction] * (-log_gap - 1j * arg) - unit[fraction] / _e1_fraction(x[fraction])
     return out
 
 

@@ -110,29 +110,25 @@ def angle_parts(u, origin: float, B: int, Q: int) -> tuple[np.ndarray, ...]:
     return (*angle_pair(u, origin, Q, step=B), *angle_pair(u, 0, B))
 
 
-def blocked_weights(sums: list, B: int) -> tuple:
+def blocked_weights(orders: list, B: int) -> tuple:
     """
-    The weighted sums ``sums``, each (length L, fill), laid out for part_sums: one (rows, B) matrix of
-    each sum's max(1, ceil(L / B)) rows of weights, zero from k = L on (``fill`` turns the float indices
-    k < L into the weights in place), the a-part row q each matrix row reads (a slice for one sum) and
-    each sum's first matrix row.
+    The Norlund weights GridOp("norlund-log", n).weights() of each of the ``orders`` laid out for
+    part_sums: one zeroed (rows, B) matrix holding each order's max(1, ceil(n / B)) rows of weights,
+    the a-part row q each matrix row reads (a slice for one order) and each order's first matrix row.
     """
-    counts = [max(1, -(-L // B)) for L, _ in sums]
+    counts = [max(1, -(-n // B)) for n in orders]
     starts = np.cumsum([0, *counts[:-1]])
-    matrix = np.empty((sum(counts), B))
-    for start, count, (L, fill) in zip(starts, counts, sums):
-        rows = matrix[start : start + count]
-        np.add.outer(B * np.arange(count, dtype=float), np.arange(B, dtype=float), out=rows)
-        fill(rows.reshape(-1)[:L])
-        rows.reshape(-1)[L:] = 0.0
-    a_rows = np.concatenate([np.arange(count) for count in counts]) if len(sums) > 1 else slice(counts[0])
+    matrix = np.zeros((sum(counts), B))
+    for start, count, n in zip(starts, counts, orders):
+        matrix[start : start + count].reshape(-1)[:n] = GridOp("norlund-log", n).weights()
+    a_rows = np.concatenate([np.arange(count) for count in counts]) if len(orders) > 1 else slice(counts[0])
     return matrix, a_rows, starts
 
 
 def part_sums(X: np.ndarray, A: np.ndarray, layout: tuple) -> np.ndarray:
     """
-    Per point, sum_q sum_c A_c[q] (W X_c)[q] over the rows q of each sum of the blocked_weights
-    ``layout`` (W its matrix), shape (points, sums): X (points, 4, B) holds products of b-parts and
+    Per point, sum_q sum_c A_c[q] (W X_c)[q] over the rows q of each order of the blocked_weights
+    ``layout`` (W its matrix), shape (points, orders): X (points, 4, B) holds products of b-parts and
     A (points, 4, Q) products of a-parts, and the four terms are added as (0 + 1) + (2 + 3).
     The stacked matmul is a small product of its own a point, so no point's sums depend on another's.
     """

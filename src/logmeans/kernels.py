@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosine import cosine_kernel, log_partial_sums
-from .fourier import GridOp, angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_sums, reduce_angle
+from .fourier import angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_sums, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -109,7 +109,6 @@ class RegionSpec:
     arrays ``lo`` and ``hi``; the 4^{n-3} cells I_m x I_l are never listed.
     """
 
-    n: int
     lo: np.ndarray
     hi: np.ndarray
 
@@ -146,7 +145,7 @@ def build_region(n: int, kind: str) -> RegionSpec:
     refuse_beyond_memory_limit(f"the region's window arrays at n = {n}", 32 * windows)
     shrink = gamma(n) if kind == REGION_J else 0.0
     m = np.arange(1, windows + 1)
-    return RegionSpec(n=n, lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
+    return RegionSpec(lo=alpha(m, n) + shrink, hi=beta(m, n) - shrink)
 
 
 def lattice_min(xs: np.ndarray, rows) -> tuple[float, tuple[float, float]]:
@@ -172,7 +171,9 @@ def lattice_min(xs: np.ndarray, rows) -> tuple[float, tuple[float, float]]:
 def _orders(N) -> tuple[list[int], bool]:
     """
     The kernel order argument ``N`` as a list of orders and whether it was one int order: an int,
-    or a nonempty sequence of strictly ascending orders whose sums are prefixes of the largest's.
+    or a nonempty sequence of strictly ascending orders, the last the largest: the direct form lays
+    out its parts by it, and cosine.log_partial_sums takes every order's far band at its far points
+    and its orders below 64 as prefixes of one running sum.
     Refuses an order that is not an integer (fourier.integer_orders; a float is not truncated).
     """
     orders = integer_orders(N, "kernel orders")
@@ -285,8 +286,7 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
     B = math.isqrt(orders[-1] - 1) + 1  # the orders k = B q + j, j < B, q < Q, as angle_table splits them
     Q, step = -(-orders[-1] // B), max(1, KERNEL_PART_ELEMS // B)
-    norlund = [(n, lambda k, n=n: np.copyto(k, GridOp("norlund-log", n).weights())) for n in orders]
-    layouts = [blocked_weights(sums, B) for sums in (norlund[-1:], norlund[:-1]) if sums]
+    layouts = [blocked_weights(part, B) for part in (orders[-1:], orders[:-1]) if part]
     out = np.empty((len(orders), len(t)))
     for block in (slice(start, start + step) for start in range(0, len(t), step)):
         parts = angle_parts(r[:, block].ravel(), 0.5, B, Q)  # at the points t, then at s

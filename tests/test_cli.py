@@ -196,10 +196,12 @@ def test_kernel_verify_checks_the_given_orders(tmp_path):
 
 
 def test_kernel_verify_refuses_orders_below_three(tmp_path, capsys):
-    # the closed form has no order below 3: its ValueError exits 2 before any report is written
-    assert main(["kernel-verify", "--samples", "4", "--n", "2,8", "--out", str(tmp_path)]) == EXIT_USAGE
-    assert "closed form needs N >= 3, got 2" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    # the closed form has no order below 3: its ValueError exits 2 before any report is written, and
+    # before any harmonic number is summed, so an order <= 0 is refused in the closed form's words too
+    for orders, least in (("2,8", 2), ("0,8", 0), ("-5", -5)):
+        assert main(["kernel-verify", "--samples", "4", "--n", orders, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"closed form needs N >= 3, got {least}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_verify_states_its_certificates(tmp_path):

@@ -645,6 +645,22 @@ def test_log_partial_sums_at_kernel_verify_orders_hit_both_bands(monkeypatch):
     assert len(sizes) == 4 and min(sizes.values()) > 0, sizes
 
 
+@pytest.mark.parametrize("N", [64, 4 ** 6, 4 ** 12])
+def test_cosine_kernel_is_the_phased_real_part_of_log_partial_sums(N):
+    # the two O(1) forms tie: C_N(c) = Re[e^{i rho c} S_N(-c)] at d = 0, within 4 eps (1 + rho |c|)
+    # (1 + |C_N|) on both bands; at c = 0 both are the one near-band evaluation of H_N, bit for bit
+    rho, eps = N + 0.5, np.finfo(float).eps
+    edges = [40.0 / N * (1.0 + scale) for scale in (-1e-3, 1e-3)]
+    cs = np.array([0.0, 1e-9, *edges, 100.0 / N])
+    cs = np.concatenate([cs, -cs[1:]])
+    far = 2.0 * N * np.abs(np.sin(0.5 * cs)) >= NEAR_BAND
+    assert np.any(far) and not np.all(far)
+    C = cosine_kernel(N, 0, cs)[0]
+    phased = (np.exp(1j * rho * cs) * log_partial_sums([N], -cs)[0]).real
+    assert np.all(np.abs(C - phased) <= 4 * eps * (1.0 + rho * np.abs(cs)) * (1.0 + np.abs(C)))
+    assert float(cosine_kernel(N, 0, 0.0)[0]) == log_partial_sums([N], np.array([0.0]))[0, 0].real
+
+
 def test_sin_sum_keeps_the_shape_of_its_points():
     us = np.linspace(-3.0, 3.0, 6)
     got = sin_sum(8, us.reshape(2, 3))
