@@ -35,13 +35,12 @@ def make_bump(n: int, grid_size: int) -> StepFunction:
     """
     Indicator of [0, gamma(n)]^2 with exact height 1/gamma(n)^2, its support snapped to
     whole cells of the G x G grid (so its integral is 1 up to the snapping), as a step.
-    The bump of the means experiments is this times BUMP_PREFACTOR.
+    The bump of the means experiments is this times BUMP_PREFACTOR.  Refuses a G below the least
+    power of two at or above 16 (2^{2n} + 1/2) / pi, the least grid size (32 at n = 1).
     """
-    min_grid = 16.0 * phase_rate(n) / math.pi
+    min_grid = 1 << (math.ceil(16.0 * phase_rate(n) / math.pi) - 1).bit_length()
     if grid_size < min_grid:
-        raise GridResolutionError(
-            f"grid {grid_size} too coarse for bump scale {n} (need >= {min_grid:.0f})"
-        )
+        raise GridResolutionError(f"grid {grid_size} too coarse for bump scale {n} (need >= {min_grid})")
     g = gamma(n)
     h = 2.0 * math.pi / grid_size
     cells = max(1, round(g / h))

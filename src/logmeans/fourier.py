@@ -99,45 +99,6 @@ def _angle_tables(u, origin: float, count: int, cosines: tuple[bool, ...], step:
     return tables[..., :count]
 
 
-def angle_parts(u, origin: float, B: int, Q: int) -> tuple[np.ndarray, ...]:
-    """
-    The parts of the orders origin + k, k = B q + j < B Q, at the 1-D points ``u``: sin a, cos a
-    at a = (origin + B q) u, q < Q, and sin b, cos b at b = j u, j < B, shapes (points, Q) and
-    (points, B), two angle_pair calls of sqrt-size.  sin((origin + k) u) = sin a cos b + cos a sin b,
-    so a weighted sum over k of products of such sines is a few products of parts contracted with
-    the weights laid out as a (Q, B) matrix (blocked_weights, part_sums), with no (points, BQ) table.
-    """
-    return (*angle_pair(u, origin, Q, step=B), *angle_pair(u, 0, B))
-
-
-def blocked_weights(orders: list, B: int) -> tuple:
-    """
-    The Norlund weights GridOp("norlund-log", n).weights() of each of the ``orders`` laid out for
-    part_sums: one zeroed (rows, B) matrix holding each order's max(1, ceil(n / B)) rows of weights,
-    the a-part row q each matrix row reads (a slice for one order) and each order's first matrix row.
-    """
-    counts = [max(1, -(-n // B)) for n in orders]
-    starts = np.cumsum([0, *counts[:-1]])
-    matrix = np.zeros((sum(counts), B))
-    for start, count, n in zip(starts, counts, orders):
-        matrix[start : start + count].reshape(-1)[:n] = GridOp("norlund-log", n).weights()
-    a_rows = np.concatenate([np.arange(count) for count in counts]) if len(orders) > 1 else slice(counts[0])
-    return matrix, a_rows, starts
-
-
-def part_sums(X: np.ndarray, A: np.ndarray, layout: tuple) -> np.ndarray:
-    """
-    Per point, sum_q sum_c A_c[q] (W X_c)[q] over the rows q of each order of the blocked_weights
-    ``layout`` (W its matrix), shape (points, orders): X (points, 4, B) holds products of b-parts and
-    A (points, 4, Q) products of a-parts, and the four terms are added as (0 + 1) + (2 + 3).
-    The stacked matmul is a small product of its own a point, so no point's sums depend on another's.
-    """
-    matrix, a_rows, starts = layout
-    Y = X @ matrix.T
-    Y *= A[..., a_rows]
-    return np.add.reduceat((Y[:, 0] + Y[:, 1]) + (Y[:, 2] + Y[:, 3]), starts, axis=1)
-
-
 def integer_orders(orders, what: str, scalar: bool = False):
     """
     The one integer-order rule: ``orders`` as a Python int when 0-d, else (unless ``scalar``) as
@@ -266,6 +227,9 @@ _MEAN_WEIGHTS = {
     "riesz-log": lambda n: np.concatenate(([0.0], 1.0 / np.arange(1, n))),
 }
 
+#: The least order of each kind whose weights have a nonzero entry: every order from it on has one.
+_LEAST_ORDER = {"quad": 0, "norlund-log": 1, "marcinkiewicz": 1, "riesz-log": 2}
+
 
 @dataclass(frozen=True)
 class GridOp:
@@ -281,10 +245,10 @@ class GridOp:
     order: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _MEAN_WEIGHTS:
+        if self.kind not in _LEAST_ORDER:
             raise ValueError(f"unknown grid op kind {self.kind!r}")
         object.__setattr__(self, "order", integer_orders(self.order, "grid op orders", scalar=True))
-        if not np.any(self.weights()):
+        if self.order < _LEAST_ORDER[self.kind]:
             raise ValueError(f"{self.kind} op of order {self.order} has no nonzero weight")
 
     def weights(self) -> np.ndarray:

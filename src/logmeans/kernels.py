@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosine import cosine_kernel, log_partial_sums
-from .fourier import angle_parts, blocked_weights, dirichlet_kernel, integer_orders, part_sums, reduce_angle
+from .fourier import GridOp, angle_pair, dirichlet_kernel, integer_orders, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -274,30 +274,42 @@ def log_kernel_direct(N: int, t: float, s: float) -> float:
 def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     Direct-form F_N over paired point arrays: D_k(t) D_k(s) = sin((k + 1/2) t) sin((k + 1/2) s)
-    / (4 sin(t/2) sin(s/2)), and with k = B q + j each sine product is four products of the angle
-    parts at t times four at s, which fourier.part_sums contracts with each order's Norlund
-    weights (the largest order's alone) before one division by 4 sin(t/2) sin(s/2) H_N.  At
-    t = 0 mod 2 pi the parts at t are those of the limit k + 1/2 of D_k, (1/2 + B q) 1 + 1 j, and
-    its divisor factor is 1 (the same for s).  The two cross products are summed as a pair, so
-    F(t, s) == F(s, t) bit for bit.  For a sequence of ascending orders, one row per order.
+    / (4 sin(t/2) sin(s/2)), and with k = B q + j, B = ceil(sqrt(N)) of the largest order N,
+    sin((1/2 + k) u) = sin a cos b + cos a sin b at a = (1/2 + B q) u and b = j u, so each sine
+    product is four products of the parts at t times four at s: X (points, 4, B) of the b-parts
+    and A (points, 4, Q) of the a-parts, from two angle_pair calls of about sqrt(N) entries.
+    Every order's Norlund weights fill max(1, ceil(n / B)) rows of one zeroed (rows, B) matrix W,
+    and F_N's sum is sum_q sum_c A_c[q] (W X_c)[q] over the order's rows, the four terms added as
+    (0 + 1) + (2 + 3): one product, one gather and one np.add.reduceat for all orders, a small
+    product of its own a point, so no point's sums depend on another's.  One division by
+    4 sin(t/2) sin(s/2) H_N follows.  At t = 0 mod 2 pi the parts at t are those of the limit
+    k + 1/2 of D_k, (1/2 + B q) 1 + 1 j, and its divisor factor is 1 (the same for s).  The two
+    cross products are summed as a pair, so F(t, s) == F(s, t) bit for bit.  For a sequence of
+    ascending orders, one row per order.
     """
     orders, one = _orders(N)
     t, s = _paired(t, s)
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
     B = math.isqrt(orders[-1] - 1) + 1  # the orders k = B q + j, j < B, q < Q, as angle_table splits them
     Q, step = -(-orders[-1] // B), max(1, KERNEL_PART_ELEMS // B)
-    layouts = [blocked_weights(part, B) for part in (orders[-1:], orders[:-1]) if part]
+    counts = [max(1, -(-n // B)) for n in orders]
+    starts = np.cumsum([0, *counts[:-1]])  # each order's first row of W
+    W = np.zeros((sum(counts), B))
+    for start, count, n in zip(starts, counts, orders):
+        W[start : start + count].reshape(-1)[:n] = GridOp("norlund-log", n).weights()
+    a_rows = np.concatenate([np.arange(count) for count in counts])  # the a-part q of each row of W
     out = np.empty((len(orders), len(t)))
     for block in (slice(start, start + step) for start in range(0, len(t), step)):
-        parts = angle_parts(r[:, block].ravel(), 0.5, B, Q)  # at the points t, then at s
+        u = r[:, block].ravel()  # the points t, then s
+        parts = (*angle_pair(u, 0.5, Q, step=B), *angle_pair(u, 0, B))
         for part, limit in zip(parts, (0.5 + B * np.arange(Q), 1.0, np.arange(B), 1.0)):
             part[zero[:, block].ravel()] = limit
         (sat, sas), (cat, cas), (sbt, sbs), (cbt, cbs) = (part.reshape(2, -1, part.shape[1]) for part in parts)
         X = np.stack([cbt * cbs, sbt * sbs, cbt * sbs, sbt * cbs], axis=1)
         A = np.stack([sat * sas, cat * cas, sat * cas, cat * sas], axis=1)
-        out[-1, block] = part_sums(X, A, layouts[0])[:, 0]
-        if len(orders) > 1:
-            out[:-1, block] = part_sums(X, A, layouts[1]).T
+        Y = X @ W.T
+        Y *= A[..., a_rows]
+        out[:, block] = np.add.reduceat((Y[:, 0] + Y[:, 1]) + (Y[:, 2] + Y[:, 3]), starts, axis=1).T
     divisor = np.prod(np.where(zero, 1.0, 2.0 * half_sin), axis=0)
     out /= np.array([harmonic_number(n) for n in orders])[:, None] * divisor
     return out[0] if one else out

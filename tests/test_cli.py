@@ -158,15 +158,13 @@ def test_kernel_verify_builds_the_angle_tables_of_its_largest_order_alone(tmp_pa
     # sizes: with k = 32 q + j for N = 1024, one angle pair at the 32 orders origin + 32 q and one at
     # the 32 orders j, at x and at y; the closed form sums in O(1) an order and builds none, and no
     # (points, N) table is built
-    from logmeans import fourier
-
-    built, make = Counter(), fourier.angle_pair  # points given parts, per (count, step)
+    built, make = Counter(), kernels.angle_pair  # points given parts, per (count, step)
 
     def counted(u, origin, count, step=1):
         built[count, step] += np.size(u)
         return make(u, origin, count, step)
 
-    monkeypatch.setattr(fourier, "angle_pair", counted)
+    monkeypatch.setattr(kernels, "angle_pair", counted)
     for n_arg in ([], ["--n", str(max(KERNEL_VERIFY_N))]):
         built.clear()
         assert main(["kernel-verify", "--samples", "8", *n_arg, "--out", str(tmp_path)]) == EXIT_OK
@@ -635,10 +633,15 @@ def test_orlicz_certifies_every_printed_norm(tmp_path):
 
 
 def test_orlicz_refuses_grids_too_coarse_for_its_bump(tmp_path, capsys):
-    # the n = 1 bump needs 16 (4 + 1/2) / pi ~ 23 points per axis, so a 16-point grid is refused before any report
-    assert main(["orlicz", "--out", str(tmp_path), "--grid-size", "16"]) == EXIT_USAGE
-    assert "need >= 23" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "orlicz.csv")
+    # the n = 1 bump needs 16 (4 + 1/2) / pi ~ 23 points per axis, so grids of 4, 8 and 16 points are refused
+    # before any report; grid sizes are powers of two, so the refusal names the least power of two at or
+    # above 23, 32, which the --grid-size help gives as orlicz's least and which runs
+    for grid in ("4", "8", "16"):
+        assert main(["orlicz", "--out", str(tmp_path), "--grid-size", grid]) == EXIT_USAGE
+        assert f"grid {grid} too coarse for bump scale 1 (need >= 32)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "orlicz.csv")
+    assert ">= 32 (orlicz)" in build_parser().format_help()
+    assert main(["orlicz", "--out", str(tmp_path), "--grid-size", "32"]) == EXIT_OK
 
 
 def test_no_command_constructs_a_grid(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from logmeans.grid import GridFunction2D, axis_points
 from logmeans.fourier import (
+    _MEAN_WEIGHTS,
     BandwidthError,
     GridOp,
     SpectralCoeffs,
@@ -464,11 +465,14 @@ def test_grid_op_validation():
         GridOp("rect", 1)
     with pytest.raises(TypeError):
         GridOp("rect", 1, 1)
-    # an order whose weight sequence has no nonzero entry
-    for kind, order in [("riesz-log", 1), ("norlund-log", 0), ("marcinkiewicz", 0),
-                        ("quad", -1), ("norlund-log", -3), ("riesz-log", -2)]:
-        with pytest.raises(ValueError):
-            GridOp(kind, order)
+    # exactly the orders whose weight sequence has no nonzero entry are refused
+    for kind, weights in _MEAN_WEIGHTS.items():
+        for order in range(-3, 6):
+            if np.any(weights(order)):
+                assert GridOp(kind, order).order == order
+            else:
+                with pytest.raises(ValueError, match=f"{kind} op of order {order} has no nonzero weight"):
+                    GridOp(kind, order)
 
 
 @pytest.mark.parametrize("kind", ["quad", "norlund-log", "marcinkiewicz", "riesz-log"])

@@ -814,23 +814,39 @@ def test_each_order_of_a_multi_order_call_matches_its_one_order_call():
     # the closed form evaluates each order on its own, in O(1): its rows, its parts and the sine sums
     # match their one-order calls bit for bit.  The direct form sums every order from the largest
     # order's angle parts, which angle_table rounds by their length: a row matches its one-order call
-    # to rounding, and the largest order, whose parts are the same, bit for bit
-    orders = [3, 64, 1024]
+    # to rounding, and the largest order, whose parts are the same, bit for bit; the second set, at
+    # B = 256, gives its orders 16 and 256 rows of one weight matrix
     xs, ys = quasi_random_points(256).T
     us = np.concatenate([xs + ys, [0.0, 1e-6, 39.0 / 64, 41.0 / 64]])
-    terms = closed_form_terms(orders, xs, ys)
-    direct = log_kernel_direct_many(orders, xs, ys)
-    parts, sines = _telescoped_orders(orders, us), sin_sum(orders, us)
-    assert terms.shape == (3, 256, 15) and direct.shape == (3, 256)
-    assert all(part.shape == (3, 260) for part in parts) and sines.shape == (3, 260)
-    for i, N in enumerate(orders):
-        one_direct = log_kernel_direct_many(N, xs, ys)
-        assert np.all(np.abs(direct[i] - one_direct) <= 1e-12 * (1.0 + np.abs(one_direct))), N
-        assert np.array_equal(terms[i], closed_form_terms(N, xs, ys)), N
-        for part, one_part in zip(parts, _telescoped_orders([N], us)):
-            assert np.array_equal(part[i], one_part[0]), N
-        assert np.array_equal(sines[i], sin_sum(N, us)), N
-    assert np.array_equal(direct[-1], one_direct)
+    for orders in ([3, 64, 1024], [4096, 65536]):
+        terms = closed_form_terms(orders, xs, ys)
+        direct = log_kernel_direct_many(orders, xs, ys)
+        parts, sines = _telescoped_orders(orders, us), sin_sum(orders, us)
+        assert terms.shape == (len(orders), 256, 15) and direct.shape == (len(orders), 256)
+        assert all(part.shape == (len(orders), 260) for part in parts) and sines.shape == (len(orders), 260)
+        for i, N in enumerate(orders):
+            one_direct = log_kernel_direct_many(N, xs, ys)
+            assert np.all(np.abs(direct[i] - one_direct) <= 1e-12 * (1.0 + np.abs(one_direct))), N
+            assert np.array_equal(terms[i], closed_form_terms(N, xs, ys)), N
+            for part, one_part in zip(parts, _telescoped_orders([N], us)):
+                assert np.array_equal(part[i], one_part[0]), N
+            assert np.array_equal(sines[i], sin_sum(N, us)), N
+        assert np.array_equal(direct[-1], one_direct), orders
+
+
+def test_the_direct_form_builds_each_orders_weights_once(monkeypatch):
+    # one weight matrix for all orders: each order's Norlund weights are built once, into its rows,
+    # and GridOp checks its order against its kind's least order without building them
+    built, make = [], fourier._MEAN_WEIGHTS["norlund-log"]
+
+    def counted(n):
+        built.append(n)
+        return make(n)
+
+    monkeypatch.setitem(fourier._MEAN_WEIGHTS, "norlund-log", counted)
+    xs, ys = quasi_random_points(16).T
+    log_kernel_direct_many([3, 64, 1024], xs, ys)
+    assert built == [3, 64, 1024]
 
 
 def test_kernel_orders_must_ascend():
@@ -924,9 +940,10 @@ def test_unpaired_points_are_refused_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("angle parts were built for unpaired points")
 
-    # the parts builder both forms call, the angle_pair under it, and their weight layout
-    for module, name in ((kernels, "angle_parts"), (fourier, "angle_pair"), (kernels, "blocked_weights")):
+    # the angle_pair binding the direct form calls, the fourier one, and the Norlund weights of its layout
+    for module, name in ((kernels, "angle_pair"), (fourier, "angle_pair")):
         monkeypatch.setattr(module, name, no_table)
+    monkeypatch.setitem(fourier._MEAN_WEIGHTS, "norlund-log", no_table)
     pairs = [
         (np.array([0.3, 0.5]), np.array([0.2])),
         (np.array([0.3]), np.array([0.2, 0.4])),
