@@ -151,8 +151,8 @@ def _skip_empty_regions(n_list, per_scale) -> tuple[list, list[str]]:
 def cmd_kernel_verify(args: argparse.Namespace) -> int:
     orders = args.n or KERNEL_VERIFY_N
     points = args.samples ** 2
-    # the direct form's Norlund weights of every order in one (rows, B) matrix, with the temporaries of
-    # the largest order's: under 4 floats an order (tracemalloc reads 3.0 at 4096, 65536, 16777216; the
+    # the direct form's Norlund weights of every order in one (rows, B) matrix, with the temporary of
+    # the largest order's: under 4 floats an order (tracemalloc reads 2.0 at 4096, 65536, 16777216; the
     # closed form holds no weights); and the points, 2 floats each, screened and evaluated in blocks
     what = f"kernel-verify's {points} points at {args.samples} samples and {len(orders)} orders"
     kernels.refuse_beyond_memory_limit(what, 8 * (4 * sum(orders) + 2 * points))

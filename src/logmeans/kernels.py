@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosine import cosine_kernel, log_partial_sums
-from .fourier import GridOp, angle_pair, dirichlet_kernel, integer_orders, reduce_angle
+from .fourier import angle_pair, dirichlet_kernel, integer_orders, reduce_angle
 from .means import harmonic_number
 
 ARCCOS_QUARTER = math.acos(0.25)
@@ -93,9 +93,18 @@ def gamma(n: int) -> float:
 MAX_LATTICE_GIB = 2
 
 
-def refuse_beyond_memory_limit(what: str, nbytes: float) -> None:
-    """Raise ValueError, naming ``what`` (with its scale or grid size) and the GiB count, over MAX_LATTICE_GIB."""
-    if (gib := nbytes / 2 ** 30) > MAX_LATTICE_GIB:
+def refuse_beyond_memory_limit(what: str, nbytes: int) -> None:
+    """
+    Raise ValueError, naming ``what`` (with its scale or grid size) and the GiB count, over MAX_LATTICE_GIB.
+    The byte count is compared as an integer, and past the float range its GiB are a Decimal quotient.
+    """
+    if nbytes > MAX_LATTICE_GIB * 2 ** 30:
+        if nbytes.bit_length() < 1000:
+            gib = nbytes / 2 ** 30
+        else:  # imported here, as its import costs every run about 1.4 ms and 0.3 MB of RSS
+            from decimal import Decimal
+
+            gib = Decimal(nbytes) / 2 ** 30
         raise ValueError(f"{what} would take about {gib:.3g} GiB, over the {MAX_LATTICE_GIB} GiB limit")
 
 
@@ -278,16 +287,18 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     sin((1/2 + k) u) = sin a cos b + cos a sin b at a = (1/2 + B q) u and b = j u, so each sine
     product is four products of the parts at t times four at s: X (points, 4, B) of the b-parts
     and A (points, 4, Q) of the a-parts, from two angle_pair calls of about sqrt(N) entries.
-    Every order's Norlund weights fill max(1, ceil(n / B)) rows of one zeroed (rows, B) matrix W,
-    and F_N's sum is sum_q sum_c A_c[q] (W X_c)[q] over the order's rows, the four terms added as
-    (0 + 1) + (2 + 3): one product, one gather and one np.add.reduceat for all orders, a small
-    product of its own a point, so no point's sums depend on another's.  One division by
+    Every order's Norlund weights 1/(n - k) are written straight into max(1, ceil(n / B)) rows of one
+    zeroed (rows, B) matrix W, and F_N's sum is sum_q sum_c A_c[q] (W X_c)[q] over the order's rows,
+    the four terms added as (0 + 1) + (2 + 3): one product, one gather and one np.add.reduceat for
+    all orders, a small product of its own a point, so no point's sums depend on another's.  One division by
     4 sin(t/2) sin(s/2) H_N follows.  At t = 0 mod 2 pi the parts at t are those of the limit
     k + 1/2 of D_k, (1/2 + B q) 1 + 1 j, and its divisor factor is 1 (the same for s).  The two
     cross products are summed as a pair, so F(t, s) == F(s, t) bit for bit.  For a sequence of
     ascending orders, one row per order.
     """
     orders, one = _orders(N)
+    if orders[0] < 1:
+        raise ValueError(f"N must be >= 1, got {orders[0]}")
     t, s = _paired(t, s)
     r, half_sin, zero = reduce_angle(np.stack([t, s]))
     B = math.isqrt(orders[-1] - 1) + 1  # the orders k = B q + j, j < B, q < Q, as angle_table splits them
@@ -296,7 +307,7 @@ def log_kernel_direct_many(N, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     starts = np.cumsum([0, *counts[:-1]])  # each order's first row of W
     W = np.zeros((sum(counts), B))
     for start, count, n in zip(starts, counts, orders):
-        W[start : start + count].reshape(-1)[:n] = GridOp("norlund-log", n).weights()
+        np.divide(1.0, np.arange(n, 0, -1.0), out=W[start : start + count].reshape(-1)[:n])
     a_rows = np.concatenate([np.arange(count) for count in counts])  # the a-part q of each row of W
     out = np.empty((len(orders), len(t)))
     for block in (slice(start, start + step) for start in range(0, len(t), step)):
@@ -427,76 +438,60 @@ def _lattice_kernels(n: int, per_axis: int) -> tuple[dict, float]:
     in the slice b of min over the shift pairs (s, t) of 8 H_N F_N(x - s, y - t), N = 4^n, on xs x xs
     (the shifts are 0 and, on J, gamma(n)); and the largest tail bound of cosine_kernel over them all.
 
-    C_N's arguments come from integer indices, never from float sums x +- y.  With rho = N + 1/2,
-    the point of window m and step i is x = (arccos(1/4) + 2 pi m)/rho + shrink + i step, and the
-    step is the same on every window.  The shift gamma(n) is (per_axis - 1)/2 steps, so in units of
-    a step (of a half step when per_axis is even) every shifted point has an integer offset o, and
+    C_N's arguments come from integer indices, never from float sums x +- y.  With rho = N + 1/2 and
+    span = (2 - per_axis mod 2)(per_axis - 1), an even count, every point of both kinds, J's shifted
+    ones included, is alpha_m = (arccos(1/4) + 2 pi m)/rho plus o units, unit = 2 gamma(n)/span, for a
+    whole o in 0..2 span: J's step is 2 - per_axis mod 2 units, I's twice that, and gamma(n) is span/2
+    units, the J shrink and the shift alike.  So, with j = m - 1 and l the windows of x and y from 0,
 
-        x - y = 2 pi (m - l)/rho + (o_x - o_y) unit,
-        x + y = 2 pi (m + l)/rho + 2 arccos(1/4)/rho + 2 shrink + (o_x + o_y) unit.
+        x - y = 2 pi (j - l)/rho + (o_x - o_y) unit,
+        x + y = 2 pi (j + l + 2)/rho + 2 arccos(1/4)/rho + (o_x + o_y) unit,
 
-    C_N is even, so each difference table is evaluated for offsets >= 0 and mirrored.  The four
-    tables (offsets by window distances, 1-D sizes) of both kinds are one cosine_kernel call; rows(b)
-    gathers each shift pair from its kind's two over the rows in b alone and keeps their running minimum.
+    and one difference table over offsets 0..2 span (mirrored, as C_N is even) and one sum table over
+    offsets 0..4 span, each by the 2 windows - 1 window distances, serve both kinds in one cosine_kernel
+    call.  With a point's key o (2 windows - 1) + j, a pair's flat sum entry is the two keys' sum and its
+    difference entry their difference past the entry of x - y = 0: one gather a table and pair.  rows(b)
+    takes each shift pair over the rows in b alone and keeps their running minimum.
     """
     N, rho, windows = 4 ** n, phase_rate(n), window_count(n)
-    halves = 2 - per_axis % 2  # units a step
-    shift_units = (per_axis - 1) * halves // 2  # gamma(n)
+    span = (2 - per_axis % 2) * (per_axis - 1)
+    unit, width = 2.0 * gamma(n) / span, 2 * windows - 1
     differences, sums = np.arange(1 - windows, windows), np.arange(2, 2 * windows + 1)
-    layouts, grids = [], []  # grids: (offsets, distances) of each table, I's two then J's
-    for kind in (REGION_I, REGION_J):
-        shrink, shifts = (gamma(n), np.array([0, 1])) if kind == REGION_J else (0.0, np.array([0]))  # in gamma(n)
-        unit = (4.0 * GAMMA_SCALE / rho - 2.0 * shrink) / (halves * (per_axis - 1))
-        o = halves * np.tile(np.arange(per_axis), windows) - shift_units * shifts[:, None]
-        top, low, high = o.max() - o.min(), 2 * o.min(), 2 * o.max()
-        base = 2.0 * (ARCCOS_QUARTER / rho + shrink)
-        grids += [(unit * np.arange(top + 1), differences), (base + unit * np.arange(low, high + 1), sums)]
-        layouts.append((kind, shifts, o, top, low))
+    offsets = [unit * np.arange(2 * span + 1), 2.0 * ARCCOS_QUARTER / rho + unit * np.arange(4 * span + 1)]
     values, tail = cosine_kernel(
         N,
-        np.concatenate([np.tile(d, len(c)) for c, d in grids]),
-        np.concatenate([np.repeat(c, len(d)) for c, d in grids]),
+        np.concatenate([np.tile(differences, 2 * span + 1), np.tile(sums, 4 * span + 1)]),
+        np.repeat(np.concatenate(offsets), width),
     )
-    tables = np.split(values, np.cumsum([len(c) * len(d) for c, d in grids])[:-1])
-    tables = [table.reshape(len(c), len(d)) for table, (c, d) in zip(tables, grids)]
-    m = np.repeat(np.arange(1, windows + 1), per_axis)
+    half, total = np.split(values, [(2 * span + 1) * width])
+    half = half.reshape(-1, width)
+    diff = np.concatenate([half[:0:-1, ::-1], half]).ravel()  # offsets -2 span..2 span
+    zero = 2 * span * width + windows - 1  # diff's entry of x - y = 0
+    steps = (2 - per_axis % 2) * np.tile(np.arange(per_axis), windows)  # J's steps, in units
+    j = np.repeat(np.arange(windows), per_axis)
     by_kind = {}
-    for (kind, shifts, o, top, low), half, total in zip(layouts, tables[::2], tables[1::2]):
-        diff = np.concatenate([half[:0:-1, ::-1], half])  # offsets -top..top
+    for kind, o, shifts in ((REGION_I, 2 * steps, np.array([0])), (REGION_J, steps + span // 2, np.array([0, 1]))):
+        key = (o - span // 2 * shifts[:, None]) * width + j  # shifts in gamma(n)
         xs = build_region(n, kind).lattice(per_axis)
         half_sin = np.sin(0.5 * (xs - gamma(n) * shifts[:, None]))
-        by_kind[kind] = xs, _shift_pair_rows(diff, total, windows, m, o, top, low, half_sin)
+
+        def rows(b: slice, key=key, half_sin=half_sin) -> np.ndarray:
+            out = None
+            for s, t in np.ndindex(len(key), len(key)):
+                f = diff[(key[s, b, None] + zero) - key[t]]
+                f -= total[key[s, b, None] + key[t]]
+                f /= half_sin[s, b, None] * half_sin[t]
+                out = f if out is None else np.minimum(out, f, out=out)
+            return out
+
+        by_kind[kind] = xs, rows
     return by_kind, tail
 
 
-def _shift_pair_rows(diff, total, windows, m, o, top, low, half_sin):
-    """
-    _lattice_kernels' rows(b) of one kind: each shift pair gathered from its difference and sum tables.  Both
-    have 2 windows - 1 columns, so a pair's flat entry is the first point's row key minus (difference) or plus
-    (sum) the second point's column key: one gather, with one index table, a table and pair.
-    """
-    width = 2 * windows - 1
-    col_key = o * width + m
-    diff_key = (o + top) * width + m + windows - 1
-    total_key = (o - low) * width + m - 2
-    diff, total = diff.ravel(), total.ravel()
-
-    def rows(b: slice) -> np.ndarray:
-        out = None
-        for s, t in np.ndindex(len(o), len(o)):
-            f = diff[diff_key[s, b, None] - col_key[t]]
-            f -= total[total_key[s, b, None] + col_key[t]]
-            f /= half_sin[s, b, None] * half_sin[t]
-            out = f if out is None else np.minimum(out, f, out=out)
-        return out
-
-    return rows
-
-
-#: A lemma lattice point's share of the survey's 1-D arrays: at most 30 C_N table entries (15 at an odd
-#: samples_per_rect), each under 24 floats while cosine_kernel evaluates it (22 measured at n = 5 and
-#: 40 samples), and under 48 floats of per-axis arrays.
-LEMMA_FLOATS_PER_POINT = 30 * 24 + 48
+#: A lemma lattice point's share of the survey's 1-D arrays: under 24 C_N table entries (12 at an odd
+#: samples_per_rect), each under 28 floats while _lattice_kernels lays it out and cosine_kernel evaluates
+#: it (27.8 measured at n = 5 and 40 samples, 18.1 from n = 10 on), and under 48 floats of per-axis arrays.
+LEMMA_FLOATS_PER_POINT = 24 * 28 + 48
 
 
 def lemma_survey(n: int, samples_per_rect: int = 9) -> LemmaSurvey:

@@ -243,21 +243,15 @@ def test_lemma_empty_region_is_graceful(tmp_path):
     assert [l.split(",")[0] for l in lines if l and not l.startswith("#")][1:] == ["3", "3"]
 
 
-@pytest.mark.parametrize("n", ["19"])
+@pytest.mark.parametrize("n", ["19", "1100"])
 def test_lemma_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
-    # n = 19 needs about 3.4 GiB, the C_N table entries of 9 x 2^16 lattice points an axis and their
-    # evaluation: it is refused from the count, before anything is allocated
-    tracemalloc.start()
-    try:
-        code = main(["lemma", "--out", str(tmp_path), "--n", n])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # n = 19 needs about 3.2 GiB, the C_N table entries of 9 x 2^16 lattice points an axis and their
+    # evaluation, and n = 1100 a byte count past the float range: each is refused from the count
+    code = main(["lemma", "--out", str(tmp_path), "--n", n])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"n = {n}" in err and "GiB" in err
     assert not (tmp_path / "lemma.csv").exists()
-    assert peak < 10e6
 
 
 def test_lemma_prints_the_largest_tail_bound_of_its_far_entries(tmp_path, monkeypatch):
@@ -330,20 +324,31 @@ def test_measure_refuses_scale_beyond_memory_limit(tmp_path, capsys, n):
     assert peak < 10e6
 
 
-@pytest.mark.parametrize("command", ["growth", "measure"])
-def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, command):
-    # the 2^37 windows of n = 40 would take 4096 GiB of endpoint arrays:
-    # build_region refuses them from the count, for growth and for measure,
-    # before it allocates them
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["growth", "--n", "40"], "n = 40"),
+        (["measure", "--n", "40"], "n = 40"),
+        (["growth", "--n", "1052"], "n = 1052"),
+        (["kernel-verify", "--n", "3,1" + "0" * 400], "kernel-verify's 81 points at 9 samples and 2 orders"),
+        (["converge", "--n", "1" + "0" * 400], "converge's grids at grid size 2343657977"),
+    ],
+    ids=["growth", "measure", "growth-1052", "kernel-verify-1e400", "converge-1e400"],
+)
+def test_region_refuses_scale_beyond_memory_limit(tmp_path, capsys, argv, what):
+    # the 2^37 windows of n = 40 would take 4096 GiB of endpoint arrays: build_region refuses them
+    # from the count, for growth and for measure, before it allocates them; the windows of n = 1052
+    # and kernel-verify's and converge's arrays at an order of 10^400 take a byte count past the
+    # float range, which is compared as an integer and refused with the same message
     tracemalloc.start()
     try:
-        code = main([command, "--out", str(tmp_path), "--n", "40"])
+        code = main([*argv, "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "n = 40" in err and "GiB" in err
+    assert what in err and "GiB, over the 2 GiB limit" in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 10e6
 
@@ -418,8 +423,8 @@ def test_samples_beyond_memory_limit_are_refused(tmp_path, capsys, monkeypatch, 
 
 def test_kernel_verify_memory_estimate_bounds_its_peak(tmp_path):
     # the estimate kernel-verify refuses by, 8 (4 sum(orders) + 2 points) bytes, bounds what it holds
-    # at a large order: the blocked weights of both forms and their fill temporaries (about 3 floats
-    # of the largest order, 25.2 MB here against the estimate's 33.7 MB)
+    # at a large order: the direct form's blocked weights and their fill temporary (2 floats of the
+    # largest order, 16.8 MB here against the estimate's 33.7 MB)
     orders, points = [4096, 1048576], 64
     assert main(["kernel-verify", "--samples", "2", "--out", str(tmp_path)]) == EXIT_OK  # lazy imports
     tracemalloc.start()

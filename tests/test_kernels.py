@@ -834,19 +834,38 @@ def test_each_order_of_a_multi_order_call_matches_its_one_order_call():
         assert np.array_equal(direct[-1], one_direct), orders
 
 
+class _NumpyWithDivide:
+    """numpy as a module sees it, with np.divide replaced by ``divide``."""
+
+    def __init__(self, divide):
+        self.divide = divide
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a table was built")
+
+
 def test_the_direct_form_builds_each_orders_weights_once(monkeypatch):
-    # one weight matrix for all orders: each order's Norlund weights are built once, into its rows,
-    # and GridOp checks its order against its kind's least order without building them
-    built, make = [], fourier._MEAN_WEIGHTS["norlund-log"]
+    # one weight matrix for all orders: each order's Norlund weights 1/(n - k) are written once,
+    # straight into its rows, bit for bit GridOp's, and no weight vector is built to be copied
+    fills = []
 
-    def counted(n):
-        built.append(n)
-        return make(n)
+    def recorded(*args, out):
+        fills.append(out)
+        return np.divide(*args, out=out)
 
-    monkeypatch.setitem(fourier._MEAN_WEIGHTS, "norlund-log", counted)
+    monkeypatch.setattr(kernels, "np", _NumpyWithDivide(recorded))
+    monkeypatch.setitem(fourier._MEAN_WEIGHTS, "norlund-log", _no_table)
     xs, ys = quasi_random_points(16).T
     log_kernel_direct_many([3, 64, 1024], xs, ys)
-    assert built == [3, 64, 1024]
+    assert [len(fill) for fill in fills] == [3, 64, 1024]
+    assert all(fill.base is fills[0].base for fill in fills) and fills[0].base.ndim == 2
+    monkeypatch.undo()
+    for fill in fills:
+        assert np.array_equal(fill, GridOp("norlund-log", len(fill)).weights())
 
 
 def test_kernel_orders_must_ascend():
@@ -862,6 +881,9 @@ def test_kernel_orders_must_ascend():
                 call()
     with pytest.raises(ValueError, match="closed form needs N >= 3, got 2"):
         closed_form_terms([2, 8], xs, ys)
+    for orders in (0, [0, 8], [-2, 8]):
+        with pytest.raises(ValueError, match="N must be >= 1, got"):
+            log_kernel_direct_many(orders, xs, ys)
 
 
 def test_kernel_orders_must_be_integers():
@@ -904,7 +926,7 @@ def test_kernel_forms_hold_one_table_block_at_a_time(form):
 def test_lattice_kernel_tables_are_one_allocation_each():
     # the n = 6 I lattice (72 points) at N = 4096: dirichlet_matrix builds its table, divides
     # it and sets its limits in place; lemma_survey(6) holds no such table, only the
-    # C_N entries of its four small (offsets, distances) tables and one block of lattice pairs
+    # C_N entries of its two small (offsets, distances) tables and one block of lattice pairs
     xs = build_region(6, "I").lattice(9)
     tracemalloc.start()
     try:
@@ -937,13 +959,10 @@ def test_lemma_main_check_holds_one_block_of_closed_form_floats():
 
 
 def test_unpaired_points_are_refused_before_any_table(monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("angle parts were built for unpaired points")
-
-    # the angle_pair binding the direct form calls, the fourier one, and the Norlund weights of its layout
+    # the angle_pair binding the direct form calls, the fourier one, and the fill of its Norlund weights
     for module, name in ((kernels, "angle_pair"), (fourier, "angle_pair")):
-        monkeypatch.setattr(module, name, no_table)
-    monkeypatch.setitem(fourier._MEAN_WEIGHTS, "norlund-log", no_table)
+        monkeypatch.setattr(module, name, _no_table)
+    monkeypatch.setattr(kernels, "np", _NumpyWithDivide(_no_table))
     pairs = [
         (np.array([0.3, 0.5]), np.array([0.2])),
         (np.array([0.3]), np.array([0.2, 0.4])),
@@ -1169,10 +1188,27 @@ def test_lemma_survey_builds_no_dirichlet_table(n, monkeypatch):
     assert survey.i_min_ratio > 0.0 and survey.j_min_ratio > 0.0
 
 
-@pytest.mark.parametrize("per_axis", [2, 4, 9])
+@pytest.mark.parametrize("n, per_axis, entries", [(3, 9, 50), (5, 2, 98), (5, 4, 266), (6, 40, 7050)])
+def test_lemma_survey_takes_one_table_pair_for_both_regions(monkeypatch, n, per_axis, entries):
+    # every point of I and J, J's shifted ones included, is alpha_m plus whole units of 2 gamma(n)/span,
+    # span = (2 - per_axis mod 2)(per_axis - 1): one call a scale takes a difference table over offsets
+    # 0..2 span and a sum table over 0..4 span, each by the 2 windows - 1 window distances
+    calls = []
+
+    def recorded(N, distances, offsets):
+        calls.append((N, np.broadcast(distances, offsets).size))
+        return cosine_kernel(N, distances, offsets)
+
+    monkeypatch.setattr(kernels, "cosine_kernel", recorded)
+    lemma_survey(n, per_axis)
+    span, windows = (2 - per_axis % 2) * (per_axis - 1), 2 ** (n - 3)
+    assert calls == [(4 ** n, (6 * span + 2) * (2 * windows - 1))] == [(4 ** n, entries)]
+
+
+@pytest.mark.parametrize("per_axis", [2, 3, 4, 9])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_lemma_survey_matches_dirichlet_table_reference(n, per_axis):
-    # an even per_axis puts the J shift gamma(n) on a half step
+    # an even per_axis puts the J shift gamma(n) on a half step, per_axis = 3 on one unit
     survey = lemma_survey(n, per_axis)
     got = [(survey.i_min_ratio, survey.i_argmin), (survey.j_min_ratio, survey.j_argmin)]
     for (ratio, argmin), (kind, shifts) in zip(got, (("I", (0.0,)), ("J", (0.0, gamma(n))))):
